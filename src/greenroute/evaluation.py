@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import itertools
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -292,8 +293,10 @@ def _run_cell(args: tuple[ExperimentConfig, str, int]) -> list[ResultRow]:
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     """Run the sweep and return rows in canonical (algorithm, flow count, trial) order."""
     cells = [(config, algo, m) for algo in config.algorithms for m in config.flow_counts]
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    # more workers than cells or cores only adds start-up cost
+    workers = min(config.jobs, len(cells), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_cell = list(pool.map(_run_cell, cells))
     else:
         per_cell = [_run_cell(cell) for cell in cells]

@@ -171,7 +171,7 @@ def _route_on_tree(topology: Topology, residual, activated: set[int],
     Fat-tree shortest paths have fixed shapes (2, 4, or 6 hops), so the
     lex-min one can be picked by scanning switch positions in id order; a
     graph search is only needed for longer detours when every minimum-length
-    path is out of capacity.
+    path is out of capacity. ``src`` and ``dst`` must be hosts.
     """
     def ok(v: int) -> bool:
         if v not in activated:
@@ -182,27 +182,27 @@ def _route_on_tree(topology: Topology, residual, activated: set[int],
                 return False
         return True
 
-    e_s = topology.edge_of_host(src)
-    e_t = topology.edge_of_host(dst)
+    e_s = topology._host_edge[src]
+    e_t = topology._host_edge[dst]
     if e_s == e_t:
         return [src, e_s, dst] if ok(e_s) else None
     if not ok(e_s) or not ok(e_t):
         return None  # both edge switches are cut vertices for this flow
-    src_pod = topology.pod_of_host(src)
-    dst_pod = topology.pod_of_host(dst)
+    src_pod = topology._host_pod[src]
+    dst_pod = topology._host_pod[dst]
     if src_pod == dst_pod:
         for a in topology.aggregation_ids(src_pod):
             if ok(a):
                 return [src, e_s, a, e_t, dst]
     else:
         half = topology.z // 2
+        cores = topology.core_ids()
         src_aggs = topology.aggregation_ids(src_pod)
         dst_aggs = topology.aggregation_ids(dst_pod)
         for pos in range(half):
             if not (ok(src_aggs[pos]) and ok(dst_aggs[pos])):
                 continue
-            for idx in range(half):
-                core = topology.core_id(pos, idx)
+            for core in cores[pos * half:(pos + 1) * half]:
                 if ok(core):
                     return [src, e_s, src_aggs[pos], core, dst_aggs[pos], e_t, dst]
     # every minimum-length path is blocked; look for longer detours
@@ -232,6 +232,21 @@ def _escalation(topology: Topology, activated: set[int], src_pod: int, dst_pod: 
             return
 
 
+def _layer_count(items: list[tuple[float, ...]], half: int) -> int:
+    """``min(vbp_greedy(items).bin_count, half)``, skipping the packer when one bin holds all.
+
+    If no dimension's demand sum exceeds 1.0, every item fits the first bin
+    (rounding over fewer than a million items stays far below the 1e-9
+    tolerance), so the packer would open exactly one. Items that are too big
+    or NaN fail this test and reach ``vbp_greedy``, which handles them.
+    """
+    if not items:
+        return 0
+    if all(total <= 1.0 for total in map(sum, zip(*items))):
+        return 1
+    return min(vbp_greedy(items).bin_count, half)
+
+
 def route_hgr(topology: Topology, workload: Workload) -> tuple[RoutingSolution, LayerCounts]:
     """Hierarchical routing: size layers by bin packing, then materialize paths."""
     z = topology.z
@@ -240,35 +255,40 @@ def route_hgr(topology: Topology, workload: Workload) -> tuple[RoutingSolution, 
     half = z // 2
     dims = workload.dims
     flows = workload.flows
+    hosts = topology.host_set
+    for flow in flows:
+        for h in (flow.src, flow.dst):
+            if h not in hosts:
+                raise ValueError(f"node {h} is not a host")
+    edge_of = topology._host_edge
+    pod_of = topology._host_pod
 
     pod_items: list[list[tuple[float, ...]]] = [[] for _ in range(z)]
     group_items: list[list[tuple[float, ...]]] = [[] for _ in range(half)]
     for flow in flows:
-        if topology.edge_of_host(flow.src) == topology.edge_of_host(flow.dst):
+        if edge_of[flow.src] == edge_of[flow.dst]:
             continue  # intra-rack: touches no aggregation or core switch
-        src_pod = topology.pod_of_host(flow.src)
-        dst_pod = topology.pod_of_host(flow.dst)
+        src_pod = pod_of[flow.src]
+        dst_pod = pod_of[flow.dst]
         pod_items[src_pod].append(flow.demand)
         if dst_pod != src_pod:
             pod_items[dst_pod].append(flow.demand)
-            group_items[core_group_of_flow(flow, topology)].append(flow.demand)
+            # same group as core_group_of_flow(flow, topology)
+            group_items[topology._host_index[flow.src] % half].append(flow.demand)
     # A layer cannot wake more switches than it has; overload surfaces as
     # unrouted flows in phase 2 instead.
-    agg_per_pod = tuple(min(vbp_greedy(items).bin_count, half) if items else 0
-                        for items in pod_items)
-    core_per_group = tuple(min(vbp_greedy(items).bin_count, half) if items else 0
-                           for items in group_items)
+    agg_per_pod = tuple(_layer_count(items, half) for items in pod_items)
+    core_per_group = tuple(_layer_count(items, half) for items in group_items)
 
     activated: set[int] = set()
     for flow in flows:
-        activated.add(topology.edge_of_host(flow.src))
-        activated.add(topology.edge_of_host(flow.dst))
+        activated.add(edge_of[flow.src])
+        activated.add(edge_of[flow.dst])
+    cores = topology.core_ids()
     for pod in range(z):
-        for pos in range(agg_per_pod[pod]):
-            activated.add(topology.aggregation_id(pod, pos))
+        activated.update(topology.aggregation_ids(pod)[:agg_per_pod[pod]])
     for group in range(half):
-        for idx in range(core_per_group[group]):
-            activated.add(topology.core_id(group, idx))
+        activated.update(cores[group * half:group * half + core_per_group[group]])
 
     residual = {v: [1.0] * dims for v in topology.processor_ids}
     load = {v: [0.0] * dims for v in topology.processor_ids}
@@ -286,8 +306,7 @@ def route_hgr(topology: Topology, workload: Workload) -> tuple[RoutingSolution, 
     for flow in flows:
         demand = flow.demand
         # an out-of-capacity edge switch cuts the flow off; no activation helps
-        if not (edge_capable(topology.edge_of_host(flow.src), demand)
-                and edge_capable(topology.edge_of_host(flow.dst), demand)):
+        if not (edge_capable(edge_of[flow.src], demand) and edge_capable(edge_of[flow.dst], demand)):
             unrouted.add(flow.id)
             continue
         wake = None
@@ -298,8 +317,8 @@ def route_hgr(topology: Topology, workload: Workload) -> tuple[RoutingSolution, 
             if path is not None:
                 break
             if wake is None:
-                src_pod = topology.pod_of_host(flow.src)
-                dst_pod = topology.pod_of_host(flow.dst)
+                src_pod = pod_of[flow.src]
+                dst_pod = pod_of[flow.dst]
                 wake = _escalation(topology, activated, src_pod, dst_pod, src_pod != dst_pod)
             nxt = next(wake, None)
             if nxt is None:
@@ -310,7 +329,7 @@ def route_hgr(topology: Topology, workload: Workload) -> tuple[RoutingSolution, 
             continue
         paths[flow.id] = tuple(path)
         for v in path:
-            if topology.is_processor(v):
+            if v not in hosts:
                 r = residual[v]
                 l = load[v]
                 for k in range(dims):

@@ -11,6 +11,15 @@ nodes carry a weight strictly above any possible inversion count. Node
 weights are turned into link weights by halving, which preserves the argmin
 over paths, so plain Dijkstra applies.
 
+The batch router computes exactly what that description says, with less
+work. The pick scan skips a flow whose last test failed unless a processor
+activated since then is capable for it; this is exact in batch mode only,
+where residuals only shrink and the active set only grows (online
+departures break both, so ``online_arrival`` tests every time). Its
+reachability test checks capability only on the nodes it touches. Batch
+and online routing weigh only the nodes their Dijkstra reaches, and
+Dijkstra never enters a degree-1 node other than the target.
+
 Conventions fixed for reproducibility: residuals start at the normalized
 capacity (all ones); a node is incapable of a flow iff some residual
 dimension falls short of the demand (absolute tolerance 1e-9); hosts carry
@@ -134,6 +143,59 @@ def is_connected(topology: Topology, allowed_nodes: Iterable[int], s: int, t: in
     return False
 
 
+def _dijkstra(topology: Topology, s: int, t: int, step) -> list[int] | None:
+    """Lexicographic Dijkstra from ``s`` to ``t``; ``step(u, v)`` prices edge (u, v).
+
+    ``step`` returns the edge's weight, or ``None`` when ``v`` may not be
+    entered. Heap entries are (cost, hops, path), so ties break by fewer
+    hops, then the smallest node id sequence. Degree-1 nodes other than
+    ``t`` are never pushed: such a node lies on no simple s-t path, and
+    popping it would change nothing, so the result is the same on any graph.
+    """
+    inner = topology._inner_adj
+    t_adj = topology._adj[t]
+    t_gate = t_adj[0] if len(t_adj) == 1 else -1  # a degree-1 t is entered only from here
+    done: set[int] = set()
+    heap: list[tuple[float, int, tuple[int, ...]]] = [(0.0, 0, (s,))]
+    while heap:
+        cost, hops, path = heapq.heappop(heap)
+        u = path[-1]
+        if u in done:
+            continue
+        done.add(u)
+        if u == t:
+            return list(path)
+        for v in inner[u]:
+            if v not in done:
+                w = step(u, v)
+                if w is not None:
+                    heapq.heappush(heap, (cost + w, hops + 1, path + (v,)))
+        if u == t_gate:
+            w = step(u, t)
+            if w is not None:
+                heapq.heappush(heap, (cost + w, hops + 1, path + (t,)))
+    return None
+
+
+def _half_sum_step(topology: Topology, s: int, t: int, node_weight, enterable):
+    """Edge pricing for :func:`_dijkstra` from node weights, computed on first touch.
+
+    Prices every edge the search relaxes exactly as ``node_to_link_weights``
+    would, (w_u + w_v) / 2, without weighing nodes the search never reaches.
+    A node other than ``t`` that ``enterable`` rejects is never entered.
+    """
+    nw: list[int | None] = [-1] * len(topology)  # -1: not weighed yet, None: not enterable
+    nw[s] = node_weight(s)
+
+    def step(u: int, v: int) -> float | None:
+        w = nw[v]
+        if w == -1:
+            w = nw[v] = node_weight(v) if v == t or enterable(v) else None
+        return None if w is None else (nw[u] + w) / 2
+
+    return step
+
+
 def shortest_path(
     topology: Topology,
     allowed_nodes: Iterable[int],
@@ -155,51 +217,33 @@ def shortest_path(
     if s == t:
         return [s]
     allowed = allowed_nodes if isinstance(allowed_nodes, (set, frozenset)) else set(allowed_nodes)
-    adj = topology._adj
-    done: set[int] = set()
-    heap: list[tuple[float, int, tuple[int, ...]]] = [(0.0, 0, (s,))]
-    while heap:
-        cost, hops, path = heapq.heappop(heap)
-        u = path[-1]
-        if u in done:
-            continue
-        done.add(u)
-        if u == t:
-            return list(path)
-        for v in adj[u]:
-            if v in done:
-                continue
-            if v != t and v not in allowed:
-                continue
-            if link_weights is None:
-                w = 1.0
-            else:
-                w = link_weights[(u, v) if u < v else (v, u)]
-            heapq.heappush(heap, (cost + w, hops + 1, path + (v,)))
-    return None
+
+    def step(u: int, v: int) -> float | None:
+        if v != t and v not in allowed:
+            return None
+        if link_weights is None:
+            return 1.0
+        return link_weights[(u, v) if u < v else (v, u)]
+
+    return _dijkstra(topology, s, t, step)
 
 
 # -- weight assignment -----------------------------------------------------------
 
-def _node_weights(
-    residual: Mapping[int, Sequence[float]],
-    active: set[int],
-    demand: Sequence[float],
-    topology: Topology,
-    view: tuple[int, ...],
-) -> dict[int, int]:
-    inactive_w = len(view) * (len(view) - 1) // 2 + 1
-    demand_view = [demand[k] for k in view]
-    weights: dict[int, int] = {}
-    for v in range(len(topology)):
+def _state_node_weight(state: ResidualState, demand: Sequence[float], topology: Topology):
+    """The node weight rule of :func:`assign_node_weights`, as a function of the node."""
+    dims = len(demand)
+    inactive_w = dims * (dims - 1) // 2 + 1
+
+    def node_weight(v: int) -> int:
         if topology.is_host(v):
-            weights[v] = 0
-        elif v in active:
-            r = residual[v]
-            weights[v] = inv_count([r[k] for k in view], demand_view)
-        else:
-            weights[v] = inactive_w
-    return weights
+            return 0
+        if v in state.active:
+            r = state.residual[v]
+            return inv_count([r[k] for k in range(dims)], demand)
+        return inactive_w
+
+    return node_weight
 
 
 def assign_node_weights(state: ResidualState, demand: Sequence[float], topology: Topology) -> dict[int, int]:
@@ -209,7 +253,8 @@ def assign_node_weights(state: ResidualState, demand: Sequence[float], topology:
     processors get K(K-1)/2 + 1 (strictly above any inversion count), hosts
     get 0.
     """
-    return _node_weights(state.residual, state.active, demand, topology, tuple(range(len(demand))))
+    node_weight = _state_node_weight(state, demand, topology)
+    return {v: node_weight(v) for v in range(len(topology))}
 
 
 def node_to_link_weights(topology: Topology, node_weights: Mapping[int, float]) -> dict[tuple[int, int], float]:
@@ -226,48 +271,109 @@ def node_to_link_weights(topology: Topology, node_weights: Mapping[int, float]) 
 
 def _route_greedy(topology: Topology, workload: Workload, seed: int, view: tuple[int, ...]) -> RoutingSolution:
     dims = workload.dims
+    flows = workload.flows
+    for flow in flows:
+        topology._check_id(flow.src)
+        topology._check_id(flow.dst)
     rng = random.Random(seed)
-    procs = topology.processor_ids
+    adj = topology._adj
     hosts = topology.host_set
-    residual: dict[int, list[float]] = {v: [1.0] * dims for v in procs}
-    load: dict[int, list[float]] = {v: [0.0] * dims for v in procs}
-    active: set[int] = set()
-    pending = list(workload.flows)
+    # Residuals are kept on the view's dimensions only: nothing else reads them.
+    res: list[list[float] | None] = [None] * len(topology)
+    load: dict[int, list[float]] = {}
+    for v in topology.processor_ids:
+        res[v] = [1.0] * len(view)
+        load[v] = [0.0] * dims
+    active = bytearray(len(topology))
+    log: list[int] = []  # processors in activation order
+    # stamp[f]: len(log) when flow f last failed the pick test; -1 until tested
+    stamp = [-1] * len(flows)
+    needs = [[flow.demand[k] - CAP_TOL for k in view] for flow in flows]
+    inactive_w = len(view) * (len(view) - 1) // 2 + 1
+    pending = list(flows)
     paths: dict[int, tuple[int, ...]] = {}
     unrouted: set[int] = set()
 
-    def capable(v: int, demand: tuple[float, ...]) -> bool:
-        r = residual[v]
-        return all(r[k] >= demand[k] - CAP_TOL for k in view)
+    def capable(v: int, need: list[float]) -> bool:
+        for r, d in zip(res[v], need):
+            if not r >= d:
+                return False
+        return True
+
+    def active_connected(src: int, dst: int, need: list[float]) -> bool:
+        # is_connected over the active capable nodes, testing only what it touches;
+        # dst can only be entered from src or from a usable neighbour.
+        if not any(u == src or (active[u] and capable(u, need)) for u in adj[dst]):
+            return False
+        seen = {src}
+        stack = [src]
+        while stack:
+            for v in adj[stack.pop()]:
+                if v == dst:
+                    return True
+                if v not in seen:
+                    seen.add(v)
+                    if active[v] and capable(v, need):
+                        stack.append(v)
+        return False
 
     while pending:
+        # Pick the first pending flow whose endpoints the active capable nodes
+        # connect. Skip rule, exact in batch mode only: residuals only shrink
+        # and the active set only grows, so a flow's usable set now lies within
+        # its usable set at its last failed test plus the processors activated
+        # since then that are still capable for it. If none of those is, the
+        # test fails again, and it keeps failing until a later activation
+        # qualifies, so the stamp may advance. Online departures raise
+        # residuals and shrink the active set, which breaks the premise:
+        # online_arrival must not reuse this rule.
         pick = None
         for i, flow in enumerate(pending):
-            usable = {v for v in active if capable(v, flow.demand)}
-            if is_connected(topology, usable, flow.src, flow.dst):
+            fid = flow.id
+            need = needs[fid]
+            last = stamp[fid]
+            if last >= 0 and not any(capable(v, need) for v in log[last:]):
+                stamp[fid] = len(log)
+                continue
+            if active_connected(flow.src, flow.dst, need):
                 pick = i
                 break
+            stamp[fid] = len(log)
         if pick is None:
             pick = rng.randrange(len(pending))
         flow = pending.pop(pick)
-        demand = flow.demand
+        src, dst, demand = flow.src, flow.dst, flow.demand
+        need = needs[flow.id]
+        demand_view = [demand[k] for k in view]
 
-        allowed = {v for v in procs if capable(v, demand)} | hosts
-        weights = _node_weights(residual, active, demand, topology, view)
-        link_w = node_to_link_weights(topology, weights)
-        path = shortest_path(topology, allowed, link_w, flow.src, flow.dst)
+        # Weighted shortest path on the capable network, with the node weights
+        # of assign_node_weights restricted to the view.
+        def node_weight(v: int) -> int:
+            if v in hosts:
+                return 0
+            if active[v]:
+                return inv_count(res[v], demand_view)
+            return inactive_w
+
+        def enterable(v: int) -> bool:
+            return v in hosts or capable(v, need)
+
+        path = _dijkstra(topology, src, dst, _half_sum_step(topology, src, dst, node_weight, enterable))
         if path is None:
             unrouted.add(flow.id)
             continue
         paths[flow.id] = tuple(path)
         for v in path:
             if v not in hosts:
-                r = residual[v]
+                r = res[v]
+                for j, k in enumerate(view):
+                    r[j] -= demand[k]
                 l = load[v]
                 for k in range(dims):
-                    r[k] -= demand[k]
                     l[k] += demand[k]
-                active.add(v)
+                if not active[v]:
+                    active[v] = 1
+                    log.append(v)
     return finalize_solution(topology, paths, unrouted, load)
 
 
@@ -316,14 +422,16 @@ def online_arrival(state: ResidualState, topology: Topology, flow: Flow) -> tupl
         raise ValueError(f"flow {flow.id} is already routed")
     demand = flow.demand
     usable_active = {v for v in state.active if is_capable(state.residual[v], demand)}
-    weights = assign_node_weights(state, demand, topology)
-    link_w = node_to_link_weights(topology, weights)
     if is_connected(topology, usable_active, flow.src, flow.dst):
-        path = shortest_path(topology, usable_active, link_w, flow.src, flow.dst)
+        allowed = usable_active
     else:
         allowed = {v for v in topology.processor_ids if is_capable(state.residual[v], demand)}
         allowed |= topology.host_set
-        path = shortest_path(topology, allowed, link_w, flow.src, flow.dst)
+    # shortest_path under node_to_link_weights(assign_node_weights(...)), with
+    # only the nodes the search reaches weighed
+    step = _half_sum_step(topology, flow.src, flow.dst, _state_node_weight(state, demand, topology),
+                          allowed.__contains__)
+    path = _dijkstra(topology, flow.src, flow.dst, step)
     if path is None:
         return None
     _commit(state, flow, path, topology)

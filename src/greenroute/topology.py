@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -37,8 +38,8 @@ class Topology:
 
     ``z`` is the fat-tree arity for trees built by :func:`build_fat_tree`
     and ``None`` for arbitrary graphs (star fixtures, test graphs). The
-    object is never mutated after construction and is safe for concurrent
-    reads.
+    graph is never mutated after construction and is safe for concurrent
+    reads; derived lookup tables are computed on first use.
     """
 
     def __init__(
@@ -74,6 +75,36 @@ class Topology:
             self._agg_ids = tuple(tuple(base + p * half + a for a in range(half)) for p in range(z))
             core_base = base + z * half
             self._core_ids = tuple(core_base + i for i in range(half * half))
+
+    # -- lookup tables for routing hot loops, built on first use ---------------
+
+    @cached_property
+    def _inner_adj(self) -> tuple[tuple[int, ...], ...]:
+        """Neighbours of degree >= 2 per node.
+
+        A degree-1 node is a dead end: it lies on no simple path unless it is
+        an endpoint, so path searches may skip it.
+        """
+        leaves = {v for v, nbrs in enumerate(self._adj) if len(nbrs) == 1}
+        return tuple(nbrs if leaves.isdisjoint(nbrs) else tuple(v for v in nbrs if v not in leaves)
+                     for nbrs in self._adj)
+
+    # Per-host fat-tree tables: callers validate their endpoints once instead
+    # of on every query.
+
+    @cached_property
+    def _host_edge(self) -> dict[int, int]:
+        return {h: self._adj[h][0] for h in self.host_ids if self._adj[h]}
+
+    @cached_property
+    def _host_pod(self) -> dict[int, int]:
+        per_pod = self.hosts_per_pod
+        return {h: h // per_pod for h in self.host_ids}
+
+    @cached_property
+    def _host_index(self) -> dict[int, int]:
+        per_pod = self.hosts_per_pod
+        return {h: h % per_pod for h in self.host_ids}
 
     # -- generic queries ----------------------------------------------------
 
@@ -116,23 +147,22 @@ class Topology:
         z = self._require_fat_tree()
         return z * z // 4
 
-    def pod_of_host(self, host_id: int) -> int:
+    def _require_host(self, host_id: int) -> None:
         self._require_fat_tree()
         if not self.is_host(host_id):
             raise ValueError(f"node {host_id} is not a host")
-        return host_id // self.hosts_per_pod
+
+    def pod_of_host(self, host_id: int) -> int:
+        self._require_host(host_id)
+        return self._host_pod[host_id]
 
     def host_index_in_pod(self, host_id: int) -> int:
-        self._require_fat_tree()
-        if not self.is_host(host_id):
-            raise ValueError(f"node {host_id} is not a host")
-        return host_id % self.hosts_per_pod
+        self._require_host(host_id)
+        return self._host_index[host_id]
 
     def edge_of_host(self, host_id: int) -> int:
         """The unique edge switch a host hangs off."""
-        self._require_fat_tree()
-        if not self.is_host(host_id):
-            raise ValueError(f"node {host_id} is not a host")
+        self._require_host(host_id)
         return self._adj[host_id][0]
 
     def aggregation_id(self, pod: int, pos: int) -> int:

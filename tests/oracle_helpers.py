@@ -1,13 +1,17 @@
 """Brute-force reference implementations the tests certify the library against.
 
-Everything here is deliberately written with different algorithms than the
+Most of it is deliberately written with different algorithms than the
 library uses: literal pair enumeration for inversions, exhaustive simple-path
-enumeration for shortest paths, and a subset DP for exact bin packing.
+enumeration for shortest paths, and a subset DP for exact bin packing. The
+frozen routing references at the end are the library's own earlier, slower
+code, kept so its fast paths can be held to byte-identical output.
 """
 
+import heapq
 import itertools
+import random
 
-from greenroute import Node, NodeKind, Topology
+from greenroute import Node, NodeKind, Topology, inv_count, is_connected, node_to_link_weights
 
 TOL = 1e-9
 
@@ -79,3 +83,131 @@ def random_topology(rng, n, edge_prob=0.4):
     nodes = [Node(i, NodeKind.EDGE, None, i) for i in range(n)]
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < edge_prob]
     return Topology(nodes, edges)
+
+
+# -- frozen routing references -------------------------------------------------------
+# Verbatim copies of the greedy router and Dijkstra as they stood before the
+# stamped pick scan, lazy reachability and dead-end skip. They are slow on
+# purpose (a set and a BFS per pending flow per iteration, a link-weight
+# dict over every edge per flow); the differential tests require the
+# library to reproduce them exactly.
+
+def reference_shortest_path(topology, allowed_nodes, link_weights, s, t):
+    if link_weights is not None and link_weights and min(link_weights.values()) < 0:
+        raise ValueError("link weights must be nonnegative")
+    if s == t:
+        return [s]
+    allowed = allowed_nodes if isinstance(allowed_nodes, (set, frozenset)) else set(allowed_nodes)
+    adj = topology._adj
+    done = set()
+    heap = [(0.0, 0, (s,))]
+    while heap:
+        cost, hops, path = heapq.heappop(heap)
+        u = path[-1]
+        if u in done:
+            continue
+        done.add(u)
+        if u == t:
+            return list(path)
+        for v in adj[u]:
+            if v in done:
+                continue
+            if v != t and v not in allowed:
+                continue
+            if link_weights is None:
+                w = 1.0
+            else:
+                w = link_weights[(u, v) if u < v else (v, u)]
+            heapq.heappush(heap, (cost + w, hops + 1, path + (v,)))
+    return None
+
+
+def _reference_node_weights(residual, active, demand, topology, view):
+    inactive_w = len(view) * (len(view) - 1) // 2 + 1
+    demand_view = [demand[k] for k in view]
+    weights = {}
+    for v in range(len(topology)):
+        if topology.is_host(v):
+            weights[v] = 0
+        elif v in active:
+            r = residual[v]
+            weights[v] = inv_count([r[k] for k in view], demand_view)
+        else:
+            weights[v] = inactive_w
+    return weights
+
+
+def reference_route_greedy(topology, workload, seed, view):
+    """The greedy router (MRG with the full view, SRG with view (0,)), unoptimized."""
+    dims = workload.dims
+    rng = random.Random(seed)
+    procs = topology.processor_ids
+    hosts = topology.host_set
+    residual = {v: [1.0] * dims for v in procs}
+    load = {v: [0.0] * dims for v in procs}
+    active = set()
+    pending = list(workload.flows)
+    paths = {}
+    unrouted = set()
+
+    def capable(v, demand):
+        r = residual[v]
+        return all(r[k] >= demand[k] - TOL for k in view)
+
+    while pending:
+        pick = None
+        for i, flow in enumerate(pending):
+            usable = {v for v in active if capable(v, flow.demand)}
+            if is_connected(topology, usable, flow.src, flow.dst):
+                pick = i
+                break
+        if pick is None:
+            pick = rng.randrange(len(pending))
+        flow = pending.pop(pick)
+        demand = flow.demand
+
+        allowed = {v for v in procs if capable(v, demand)} | hosts
+        weights = _reference_node_weights(residual, active, demand, topology, view)
+        link_w = node_to_link_weights(topology, weights)
+        path = reference_shortest_path(topology, allowed, link_w, flow.src, flow.dst)
+        if path is None:
+            unrouted.add(flow.id)
+            continue
+        paths[flow.id] = tuple(path)
+        for v in path:
+            if v not in hosts:
+                r = residual[v]
+                l = load[v]
+                for k in range(dims):
+                    r[k] -= demand[k]
+                    l[k] += demand[k]
+                active.add(v)
+    return paths, frozenset(unrouted), {v: tuple(load[v]) for v in procs}
+
+
+def reference_online_arrival(state, topology, flow):
+    """Online arrival with full weight and link-weight tables per flow; commits like the library."""
+    demand = flow.demand
+    dims = len(demand)
+
+    def capable(v):
+        return all(r >= d - TOL for r, d in zip(state.residual[v], demand))
+
+    usable_active = {v for v in state.active if capable(v)}
+    weights = _reference_node_weights(state.residual, state.active, demand, topology, tuple(range(dims)))
+    link_w = node_to_link_weights(topology, weights)
+    if is_connected(topology, usable_active, flow.src, flow.dst):
+        path = reference_shortest_path(topology, usable_active, link_w, flow.src, flow.dst)
+    else:
+        allowed = {v for v in topology.processor_ids if capable(v)} | topology.host_set
+        path = reference_shortest_path(topology, allowed, link_w, flow.src, flow.dst)
+    if path is None:
+        return None
+    for v in path:
+        if not topology.is_host(v):
+            r = state.residual[v]
+            for k, d in enumerate(demand):
+                r[k] -= d
+            state.active.add(v)
+    state.committed[flow.id] = tuple(path)
+    return tuple(path)

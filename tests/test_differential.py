@@ -1,0 +1,196 @@
+"""Differential tests: the fast routing paths against frozen slow references.
+
+The greedy router (MRG and SRG) and Dijkstra must reproduce the earlier
+implementations kept in ``oracle_helpers`` exactly: same paths, same
+unrouted set, same loads, on light loads (most flows ride active nodes) and
+near saturation (flows go unrouted). HGR's one-bin shortcut must give the
+layer count the packer would.
+"""
+
+import random
+
+import pytest
+
+from greenroute import (
+    Flow,
+    Node,
+    NodeKind,
+    ResidualState,
+    Topology,
+    Workload,
+    build_fat_tree,
+    core_group_of_flow,
+    generate_workload,
+    online_arrival,
+    online_departure,
+    route_hgr,
+    route_mrg,
+    route_srg,
+    shortest_path,
+    vbp_greedy,
+)
+from greenroute.hgr import _layer_count
+
+from oracle_helpers import reference_online_arrival, reference_route_greedy, reference_shortest_path
+
+# (flows, mean, std) per arity: light, then near saturation
+LOADS = {
+    4: ((30, 0.02, 0.02), (40, 0.25, 0.15)),
+    6: ((60, 0.02, 0.02), (60, 0.25, 0.15)),
+    8: ((100, 0.02, 0.02), (80, 0.3, 0.15)),
+}
+
+
+@pytest.mark.parametrize("z", sorted(LOADS))
+@pytest.mark.parametrize("dims", (1, 2, 5))
+@pytest.mark.parametrize("load", ("light", "saturated"))
+def test_greedy_router_matches_reference(z, dims, load):
+    topology = build_fat_tree(z)
+    flows, mean, std = LOADS[z][load == "saturated"]
+    unrouted = 0
+    for trial in range(3):
+        seed = 1000 * z + 100 * dims + trial
+        workload = generate_workload(topology, flows, dims, mean, std, seed=seed)
+        for router, view in ((route_mrg, tuple(range(dims))), (route_srg, (0,))):
+            solution = router(topology, workload, seed + 1)
+            paths, ref_unrouted, ref_load = reference_route_greedy(topology, workload, seed + 1, view)
+            assert solution.paths == paths
+            assert solution.unrouted == ref_unrouted
+            assert solution.load == ref_load
+            unrouted += len(ref_unrouted)
+    if load == "saturated":
+        assert unrouted > 0  # the instances really reach capacity
+
+
+def test_greedy_router_matches_reference_on_arbitrary_graphs():
+    # Hosts of degree >= 2 can be interior nodes here, and processors can be
+    # endpoints: cases a fat-tree never produces.
+    rng = random.Random(17)
+    for trial in range(150):
+        n = rng.randint(4, 12)
+        kinds = [NodeKind.HOST if rng.random() < 0.4 else NodeKind.EDGE for _ in range(n)]
+        nodes = [Node(i, kind, None, i) for i, kind in enumerate(kinds)]
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.35]
+        topology = Topology(nodes, edges)
+        dims = rng.randint(1, 3)
+        flows = []
+        for fid in range(rng.randint(1, 25)):
+            src, dst = rng.sample(range(n), 2)
+            flows.append(Flow(fid, src, dst, tuple(rng.uniform(0.05, 0.6) for _ in range(dims))))
+        workload = Workload(tuple(flows), dims)
+        for router, view in ((route_mrg, tuple(range(dims))), (route_srg, (0,))):
+            solution = router(topology, workload, trial)
+            paths, ref_unrouted, ref_load = reference_route_greedy(topology, workload, trial, view)
+            assert (solution.paths, solution.unrouted, solution.load) == (paths, ref_unrouted, ref_load)
+
+
+@pytest.mark.parametrize("z, dims", ((4, 1), (4, 3), (8, 2), (8, 5)))
+def test_online_arrivals_match_reference(z, dims):
+    topology = build_fat_tree(z)
+    workload = generate_workload(topology, 300, dims, 0.08, 0.08, seed=z * 10 + dims)
+    rng = random.Random(dims)
+    state = ResidualState.fresh(topology, dims)
+    ref_state = ResidualState.fresh(topology, dims)
+    live = []
+    rejected = 0
+    for flow in workload.flows:
+        if len(live) >= 60:
+            gone, gone_path = live.pop(rng.randrange(len(live)))
+            online_departure(state, topology, gone, gone_path)
+            online_departure(ref_state, topology, gone, gone_path)
+        path = online_arrival(state, topology, flow)
+        assert path == reference_online_arrival(ref_state, topology, flow)
+        assert state.residual == ref_state.residual and state.active == ref_state.active
+        if path is None:
+            rejected += 1
+        else:
+            live.append((flow, path))
+    assert rejected > 0  # the stream reaches capacity, so the fallback branch runs too
+
+
+def _graph_with_leaves(rng):
+    """Random core graph plus pendant (degree-1) nodes hung off random core nodes."""
+    core = rng.randint(3, 10)
+    leaves = rng.randint(1, 5)
+    n = core + leaves
+    nodes = [Node(i, NodeKind.EDGE, None, i) for i in range(n)]
+    edges = [(i, j) for i in range(core) for j in range(i + 1, core) if rng.random() < 0.45]
+    edges += [(core + k, rng.randrange(core)) for k in range(leaves)]
+    return Topology(nodes, edges)
+
+
+def test_shortest_path_matches_reference():
+    rng = random.Random(31)
+    found = 0
+    for _ in range(1500):
+        topology = _graph_with_leaves(rng)
+        n = len(topology)
+        # degree-1 nodes are allowed interior nodes as often as any other
+        allowed = {v for v in range(n) if rng.random() < 0.75}
+        if rng.random() < 0.2:
+            weights = None
+        elif rng.random() < 0.5:
+            weights = {e: rng.randint(0, 6) / 2 for e in topology.edges}  # many ties
+        else:
+            weights = {e: rng.random() for e in topology.edges}
+        s, t = rng.sample(range(n), 2)
+        expected = reference_shortest_path(topology, allowed, weights, s, t)
+        assert shortest_path(topology, allowed, weights, s, t) == expected
+        found += expected is not None
+    assert found > 500
+
+
+def _packer_count(items, half):
+    return min(vbp_greedy(items).bin_count, half) if items else 0
+
+
+def test_layer_count_matches_packer_near_unit_sums():
+    rng = random.Random(5)
+    for _ in range(600):
+        n = rng.randint(1, 12)
+        dims = rng.randint(1, 4)
+        items = [[rng.uniform(0.001, 1.0) for _ in range(dims)] for _ in range(n)]
+        # scale each dimension so its sum lands on 1.0 or within 1e-12 of it
+        for k in range(dims):
+            target = 1.0 + rng.choice((-1e-12, -1e-13, 0.0, 0.0, 1e-13, 1e-12, 0.5, -0.5))
+            total = sum(item[k] for item in items)
+            for item in items:
+                item[k] = min(item[k] * target / total, 1.0)
+        items = [tuple(item) for item in items]
+        half = rng.choice((1, 2, 4))
+        assert _layer_count(items, half) == _packer_count(items, half)
+
+
+def test_layer_count_passes_bad_items_to_the_packer():
+    assert _layer_count([], 2) == 0
+    with pytest.raises(ValueError):
+        _layer_count([(1.5,)], 2)
+
+
+@pytest.mark.parametrize("z", (4, 8))
+def test_hgr_layer_counts_match_packer(z):
+    topology = build_fat_tree(z)
+    half = z // 2
+    for seed in range(6):
+        mean = (0.02, 0.1, 0.3)[seed % 3]
+        workload = generate_workload(topology, 20 * z, 3, mean, mean, seed=seed)
+        pod_items = [[] for _ in range(z)]
+        group_items = [[] for _ in range(half)]
+        for flow in workload.flows:
+            if topology.edge_of_host(flow.src) == topology.edge_of_host(flow.dst):
+                continue
+            src_pod, dst_pod = topology.pod_of_host(flow.src), topology.pod_of_host(flow.dst)
+            pod_items[src_pod].append(flow.demand)
+            if dst_pod != src_pod:
+                pod_items[dst_pod].append(flow.demand)
+                group_items[core_group_of_flow(flow, topology)].append(flow.demand)
+        _, counts = route_hgr(topology, workload)
+        assert counts.agg_per_pod == tuple(_packer_count(items, half) for items in pod_items)
+        assert counts.core_per_group == tuple(_packer_count(items, half) for items in group_items)
+
+
+def test_hgr_rejects_non_host_endpoints(tree4):
+    processor = tree4.processor_ids[0]
+    workload = Workload((Flow(0, 0, processor, (0.1,)),), 1)
+    with pytest.raises(ValueError, match="not a host"):
+        route_hgr(tree4, workload)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from greenroute import (
     run_experiment,
     write_results_csv,
 )
+from greenroute import evaluation
 from greenroute.evaluation import CSV_COLUMNS, ROUTERS
 from greenroute.workload import generate_workload
 
@@ -202,6 +204,40 @@ def test_parallel_jobs_match_serial():
     serial = run_experiment(config)
     parallel = run_experiment(ExperimentConfig(**{**config.__dict__, "jobs": 2}))
     assert serial == parallel
+
+
+@pytest.mark.parametrize("cpus, jobs, workers", [
+    (2, 8, 2),     # capped by cores
+    (4, 8, 3),     # capped by cells
+    (4, 2, 2),     # as asked
+    (1, 8, None),  # one core: serial, no pool
+    (None, 8, None),
+])
+def test_worker_count_capped(monkeypatch, cpus, jobs, workers):
+    created = []
+
+    class RecordingPool:
+        """Records the pool size and maps in-process: no worker is started."""
+
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells):
+            return map(fn, cells)
+
+    monkeypatch.setattr(evaluation.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
+    config = ExperimentConfig(z=2, dims=1, flow_counts=(2, 3, 4), algorithms=("hgr",),
+                              trials=1, jobs=jobs)
+    rows = run_experiment(config)
+    assert created == ([] if workers is None else [workers])
+    assert rows == run_experiment(dataclasses.replace(config, jobs=1))
 
 
 def test_config_validation():

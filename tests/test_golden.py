@@ -1,0 +1,71 @@
+"""Golden-output pin: sha256 of CLI artifacts that refactors must leave unchanged.
+
+Covers a small ``greenroute experiment`` CSV and the ``route --out`` dump of
+every algorithm on a light workload (most flows ride already-active nodes)
+and on a near-saturation one (flows go unrouted, many nodes wake up). A
+change that moves any path, unrouted set or load on these inputs changes a
+hash; a change meant to alter routing output updates the hashes and says
+why in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from greenroute.cli import main
+
+ALGOS = ("hgr", "mrg", "mrsp", "srg", "srsp")
+
+WORKLOADS = {
+    "light": ("--z", "8", "--flows", "120", "--dims", "3", "--seed", "11"),
+    "heavy": ("--z", "4", "--flows", "60", "--dims", "3", "--mean", "0.15", "--std", "0.1",
+              "--seed", "12"),
+}
+
+EXPERIMENT = ("experiment", "--z", "4", "--dims", "3", "--flows", "10:40:15", "--trials", "3",
+              "--mean", "0.1", "--std", "0.1", "--seed", "9")
+
+GOLDEN = {
+    "experiment.csv": "d9d8861f7e5ec07f439facb6d923b137ef9904d8851d131cf4491feb39a30f07",
+    "light-hgr": "52d066f41b05b8eac23d48adba622393a4cf0f948aadc83647e64b77aa1f2e5f",
+    "light-mrg": "ef361f7fb51c9c74b6a50290db99b78726f3f741abe16f757a227c791f2b77bd",
+    "light-mrsp": "83ce2035c323744880ec499c74e6740a92a3ee3e78eb3b4bf166d69dac2aae10",
+    "light-srg": "2372cda0ea5d0283234be3dfca54fe2dda3a48055f493eecf7c8f5dc6931617f",
+    "light-srsp": "83ce2035c323744880ec499c74e6740a92a3ee3e78eb3b4bf166d69dac2aae10",
+    "heavy-hgr": "3f561228bfcb3514fc6fd8c7138e33e06d39fa8ad9a07ee607de83322f6f604f",
+    "heavy-mrg": "02e122feef2104d7d7c91bb64d7fc47a4d2bc514e2ee3ae06cabd03affc1423b",
+    "heavy-mrsp": "7ea4d97d00f39d8bbd9a0a8d4951d2d0634894913532bfd603b761806e2c8298",
+    "heavy-srg": "214bce1f600a76c3bd31bbd9e18a4cf1564502136d344bb9006a644c8ebd7815",
+    "heavy-srsp": "02a8ca65d724c4166aa14dad60e21e28d74b66b9f464cd874abb72bd7456f1f1",
+}
+
+
+def _run(*argv: str) -> None:
+    if main(list(argv)) != 0:
+        raise AssertionError(f"greenroute {' '.join(argv)} failed")
+
+
+def golden_digests(workdir) -> dict[str, str]:
+    """Produce every pinned artifact under ``workdir`` and return its sha256 by name."""
+    digests = {}
+    csv_path = workdir / "experiment.csv"
+    _run(*EXPERIMENT, "--out", str(csv_path))
+    digests["experiment.csv"] = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+    for name, spec in WORKLOADS.items():
+        wpath = workdir / f"{name}.jsonl"
+        _run("workload", *spec, "--out", str(wpath))
+        for algo in ALGOS:
+            out = workdir / f"{name}-{algo}.json"
+            _run("route", "--algo", algo, "--workload", str(wpath), "--seed", "5", "--out", str(out))
+            digests[f"{name}-{algo}"] = hashlib.sha256(out.read_bytes()).hexdigest()
+    return digests
+
+
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    return golden_digests(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("artifact", sorted(GOLDEN))
+def test_output_matches_golden_hash(digests, artifact):
+    assert digests[artifact] == GOLDEN[artifact]
