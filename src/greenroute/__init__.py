@@ -43,7 +43,6 @@ from .topology import (
     build_fat_tree,
     build_star_reduction,
     load_topology,
-    neighbors,
     save_topology,
 )
 from .workload import Flow, ParseError, Workload, generate_workload, load_workload, save_workload

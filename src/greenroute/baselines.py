@@ -3,110 +3,98 @@
 The shortest-path baselines are energy-oblivious: each flow, in list order,
 takes a hop-minimal path chosen uniformly at random among all hop-minimal
 paths whose nodes pass the capability check (ECMP-style spreading, seeded
-and deterministic). "Single-resource" variants check capability on
-dimension 1 only; committed loads are always recorded in all dimensions so
-congestion stays measurable. SRG is the greedy router run on the
-dimension-1 projection of every vector.
+and deterministic). "Single-resource" variants keep their routing state
+on dimension 1 only, so capability is checked there; committed loads are
+always summed in all dimensions so congestion stays measurable. SRG is
+the greedy router run on the dimension-1 projection of every vector.
 """
 
 from __future__ import annotations
 
 import random
 
-from .mrg import CAP_TOL, RoutingSolution, _route_greedy, finalize_solution
+from .mrg import CAP_TOL, ResidualState, RoutingSolution, _route_greedy, finalize_solution
 from .topology import Topology
 from .workload import Workload
 
 
-def _sample_shortest(topology: Topology, allowed: set[int], s: int, t: int,
-                     rng: random.Random) -> list[int] | None:
-    """Uniform random draw among hop-minimal s-t paths with interiors in ``allowed``."""
+def _sample_shortest(topology: Topology, enterable, s: int, t: int,
+                     rng: random.Random | None = None) -> list[int] | None:
+    """A hop-minimal s-t path whose interior nodes pass ``enterable(v)``, or ``None``.
+
+    With ``rng``, a uniform random draw among all hop-minimal paths; without,
+    the lexicographically smallest (:func:`greenroute.mrg.shortest_path` with
+    unit weights). ``enterable`` is asked at most once per node, and never
+    about a degree-1 node other than s and t: it lies on no simple s-t path.
+    """
     if s == t:
         return [s]
     adj = topology._adj
-    dist = {s: 0}
-    frontier = [s]
-    level = 0
-    while frontier and t not in dist:
-        level += 1
+    inner = topology._inner_adj
+    s_gate = adj[s][0] if len(adj[s]) == 1 else -1  # a degree-1 s is reached only from here
+    # BFS outward from t labels hop distances to t; a hop-minimal path from s
+    # steps to a neighbour one hop closer each time.
+    dist: dict[int, int | None] = {t: 0}  # None: may not be entered
+    levels = [[t]]
+    while levels[-1] and s not in dist:
+        d = len(levels)
         nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if v in dist:
-                    continue
-                if v == t:
-                    dist[v] = level
-                elif v in allowed:
-                    dist[v] = level
-                    nxt.append(v)
-        frontier = nxt
-    if t not in dist:
+        for u in levels[-1]:
+            for v in inner[u]:
+                if v not in dist:
+                    if v == s or enterable(v):
+                        dist[v] = d
+                        nxt.append(v)  # s ends the search, so it is never expanded
+                    else:
+                        dist[v] = None
+            if u == s_gate:
+                dist[s] = d
+        levels.append(nxt)
+    if s not in dist:
         return None
 
-    # Count, for every node on some shortest path, how many shortest
-    # continuations reach t; then walk from s picking successors with
-    # probability proportional to those counts.
-    target = dist[t]
-    by_level: list[list[int]] = [[] for _ in range(target)]
-    for v, d in dist.items():
-        if d < target and (v == s or d > 0):
-            by_level[d].append(v)
-    count = {t: 1}
-    for d in range(target - 1, -1, -1):
-        for v in by_level[d]:
-            c = 0
-            for u in adj[v]:
-                if dist.get(u) == d + 1 and u in count:
-                    c += count[u]
-            if c:
+    if rng is not None:
+        # count[v]: number of hop-minimal v-t paths. Stepping to a closer
+        # neighbour with probability proportional to its count draws every
+        # hop-minimal s-t path with the same probability.
+        count = {t: 1}
+        for level in levels[1:-1]:
+            for v in level:
+                d = dist[v] - 1
+                c = 0
+                for u in adj[v]:
+                    if dist.get(u) == d:
+                        c += count[u]
                 count[v] = c
     path = [s]
     v = s
-    while v != t:
-        d = dist[v]
-        options = [(u, count[u]) for u in adj[v] if dist.get(u) == d + 1 and u in count]
-        total = sum(c for _, c in options)
-        r = rng.random() * total
-        acc = 0
-        chosen = options[-1][0]
-        for u, c in options:
-            acc += c
-            if r < acc:
-                chosen = u
-                break
-        path.append(chosen)
-        v = chosen
+    for d in range(dist[s] - 1, -1, -1):
+        options = [u for u in adj[v] if dist.get(u) == d]  # in id order: adjacency is sorted
+        v = options[0] if rng is None else rng.choices(options, [count[u] for u in options])[0]
+        path.append(v)
     return path
 
 
 def _route_shortest(topology: Topology, workload: Workload, seed: int,
                     view: tuple[int, ...]) -> RoutingSolution:
-    dims = workload.dims
     rng = random.Random(seed)
-    procs = topology.processor_ids
-    residual = {v: [1.0] * dims for v in procs}
-    load = {v: [0.0] * dims for v in procs}
-    paths: dict[int, tuple[int, ...]] = {}
+    hosts = topology.host_set
+    state = ResidualState.fresh(topology, len(view))
+    fits = state.fits
     unrouted: set[int] = set()
     for flow in workload.flows:
-        demand = flow.demand
-        allowed = {
-            v for v in procs
-            if all(residual[v][k] >= demand[k] - CAP_TOL for k in view)
-        }
-        path = _sample_shortest(topology, allowed, flow.src, flow.dst, rng)
+        demand = [flow.demand[k] for k in view]
+        need = [d - CAP_TOL for d in demand]
+
+        def enterable(v: int) -> bool:
+            return v not in hosts and fits(v, need)
+
+        path = _sample_shortest(topology, enterable, flow.src, flow.dst, rng)
         if path is None:
             unrouted.add(flow.id)
             continue
-        paths[flow.id] = tuple(path)
-        for v in path:
-            if topology.is_processor(v):
-                r = residual[v]
-                l = load[v]
-                for k in range(dims):
-                    r[k] -= demand[k]
-                    l[k] += demand[k]
-    return finalize_solution(topology, paths, unrouted, load)
+        state.commit(flow.id, path, demand)
+    return finalize_solution(topology, workload, state.committed, unrouted)
 
 
 def route_srsp(topology: Topology, workload: Workload, seed: int = 0) -> RoutingSolution:

@@ -1,7 +1,8 @@
 """Hierarchical green routing (HGR) on fat-trees via vector bin packing.
 
 Phase 1 sizes each layer independently: per pod, the flows entering or
-leaving the pod (intra-rack traffic excluded) are packed into unit bins to
+leaving the pod (intra-rack traffic and flows with a demand component above
+1, which no switch can carry, excluded) are packed into unit bins to
 estimate how many aggregation switches the pod needs; per core group, the
 inter-pod flows hashed to that group are packed to size the group. The
 packer is a bin-centric greedy that repeatedly places the fitting item
@@ -10,13 +11,15 @@ per-dimension weights proportional to total demand mass.
 
 Phase 2 materializes paths, which the counts alone do not give: the
 lowest-position switches per layer are activated to the phase-1 counts,
-flows are routed by capacity-aware hop-shortest paths restricted to
-activated nodes, and a blocked flow escalates by waking the next
-lowest-position switch in its candidate layers (round-robin over core,
-src-pod aggregation, dst-pod aggregation) until it routes or the layers are
-exhausted. Escalation can wake more nodes than the estimate; the solution
-reports the processors actually carrying load, and the activated set is
-reported alongside the per-layer counts.
+flows are routed by lex-min hop-shortest paths over activated nodes that
+fit them (state, capability rule and commit are the shared
+:class:`greenroute.mrg.ResidualState`), and a blocked flow escalates by
+waking the next lowest-position switch in its candidate layers (round-robin
+over core, src-pod aggregation, dst-pod aggregation) until it routes or the
+layers are exhausted; a flow whose edge switch cannot fit it stays unrouted.
+Escalation can wake more nodes than the estimate; the solution reports the
+processors actually carrying load, and the activated set is reported
+alongside the per-layer counts.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .mrg import CAP_TOL, RoutingSolution, finalize_solution
+from .baselines import _sample_shortest
+from .mrg import CAP_TOL, ResidualState, RoutingSolution, finalize_solution
 from .topology import Topology
 from .workload import Flow, Workload
 
@@ -77,7 +81,7 @@ def vbp_greedy(items: Sequence[Sequence[float]]) -> VbpResult:
     """
     items = [tuple(float(c) for c in item) for item in items]
     for i, item in enumerate(items):
-        if any(c <= 0 or c > 1 for c in item):
+        if not all(0 < c <= 1 for c in item):
             raise ValueError(f"item {i} does not fit a unit bin: {item}")
     if not items:
         return VbpResult(0, {}, ())
@@ -126,88 +130,43 @@ def core_group_of_flow(flow: Flow, topology: Topology) -> int:
     return topology.host_index_in_pod(flow.src) % (z // 2)
 
 
-def _hop_shortest_lex(topology: Topology, allowed: set[int], s: int, t: int) -> list[int] | None:
-    """Hop-minimal s-t path, lexicographically smallest among the minimal ones.
-
-    Equivalent to :func:`greenroute.mrg.shortest_path` with unit weights: a
-    BFS from the destination labels distances, then a greedy walk from the
-    source always steps to the smallest-id neighbor that is one hop closer.
-    """
-    if s == t:
-        return [s]
-    adj = topology._adj
-    dist_t = {t: 0}
-    frontier = [t]
-    level = 0
-    while frontier and s not in dist_t:
-        level += 1
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if v in dist_t:
-                    continue
-                if v == s:
-                    dist_t[v] = level
-                elif v in allowed:
-                    dist_t[v] = level
-                    nxt.append(v)
-        frontier = nxt
-    if s not in dist_t:
-        return None
-    path = [s]
-    v = s
-    remaining = dist_t[s]
-    while v != t:
-        remaining -= 1
-        v = min(u for u in adj[v] if dist_t.get(u, -1) == remaining)
-        path.append(v)
-    return path
-
-
-def _route_on_tree(topology: Topology, residual, activated: set[int],
-                   demand, src: int, dst: int, dim_range: range) -> list[int] | None:
-    """Lex-min hop-shortest path over capable activated nodes, built structurally.
+def _route_on_tree(topology: Topology, state: ResidualState, activated: set[int],
+                   need: Sequence[float], src: int, dst: int) -> list[int] | None:
+    """Lex-min hop-shortest path over activated nodes that fit ``need``, built structurally.
 
     Fat-tree shortest paths have fixed shapes (2, 4, or 6 hops), so the
     lex-min one can be picked by scanning switch positions in id order; a
     graph search is only needed for longer detours when every minimum-length
     path is out of capacity. ``src`` and ``dst`` must be hosts.
     """
-    def ok(v: int) -> bool:
-        if v not in activated:
-            return False
-        r = residual[v]
-        for k in dim_range:
-            if r[k] < demand[k] - CAP_TOL:
-                return False
-        return True
-
+    fits = state.fits
     e_s = topology._host_edge[src]
     e_t = topology._host_edge[dst]
     if e_s == e_t:
-        return [src, e_s, dst] if ok(e_s) else None
-    if not ok(e_s) or not ok(e_t):
+        return [src, e_s, dst] if e_s in activated and fits(e_s, need) else None
+    if not (e_s in activated and fits(e_s, need) and e_t in activated and fits(e_t, need)):
         return None  # both edge switches are cut vertices for this flow
     src_pod = topology._host_pod[src]
     dst_pod = topology._host_pod[dst]
     if src_pod == dst_pod:
-        for a in topology.aggregation_ids(src_pod):
-            if ok(a):
+        for a in topology._agg_ids[src_pod]:
+            if a in activated and fits(a, need):
                 return [src, e_s, a, e_t, dst]
     else:
         half = topology.z // 2
-        cores = topology.core_ids()
-        src_aggs = topology.aggregation_ids(src_pod)
-        dst_aggs = topology.aggregation_ids(dst_pod)
+        cores = topology._core_ids
+        src_aggs = topology._agg_ids[src_pod]
+        dst_aggs = topology._agg_ids[dst_pod]
         for pos in range(half):
-            if not (ok(src_aggs[pos]) and ok(dst_aggs[pos])):
+            a_s = src_aggs[pos]
+            a_t = dst_aggs[pos]
+            if not (a_s in activated and fits(a_s, need) and a_t in activated and fits(a_t, need)):
                 continue
             for core in cores[pos * half:(pos + 1) * half]:
-                if ok(core):
-                    return [src, e_s, src_aggs[pos], core, dst_aggs[pos], e_t, dst]
+                if core in activated and fits(core, need):
+                    return [src, e_s, a_s, core, a_t, e_t, dst]
     # every minimum-length path is blocked; look for longer detours
-    allowed = {v for v in activated if ok(v)}
-    return _hop_shortest_lex(topology, allowed, src, dst)
+    return _sample_shortest(topology, lambda v: v in activated and fits(v, need), src, dst)
 
 
 def _escalation(topology: Topology, activated: set[int], src_pod: int, dst_pod: int,
@@ -238,7 +197,7 @@ def _layer_count(items: list[tuple[float, ...]], half: int) -> int:
     If no dimension's demand sum exceeds 1.0, every item fits the first bin
     (rounding over fewer than a million items stays far below the 1e-9
     tolerance), so the packer would open exactly one. Items that are too big
-    or NaN fail this test and reach ``vbp_greedy``, which handles them.
+    fail this test and reach ``vbp_greedy``, which rejects them.
     """
     if not items:
         return 0
@@ -253,7 +212,6 @@ def route_hgr(topology: Topology, workload: Workload) -> tuple[RoutingSolution, 
     if z is None:
         raise ValueError("HGR requires a fat-tree topology")
     half = z // 2
-    dims = workload.dims
     flows = workload.flows
     hosts = topology.host_set
     for flow in flows:
@@ -263,11 +221,18 @@ def route_hgr(topology: Topology, workload: Workload) -> tuple[RoutingSolution, 
     edge_of = topology._host_edge
     pod_of = topology._host_pod
 
+    activated: set[int] = set()  # every flow's edge switches, then the phase-1 estimates
     pod_items: list[list[tuple[float, ...]]] = [[] for _ in range(z)]
     group_items: list[list[tuple[float, ...]]] = [[] for _ in range(half)]
     for flow in flows:
-        if edge_of[flow.src] == edge_of[flow.dst]:
+        e_s = edge_of[flow.src]
+        e_t = edge_of[flow.dst]
+        activated.add(e_s)
+        activated.add(e_t)
+        if e_s == e_t:
             continue  # intra-rack: touches no aggregation or core switch
+        if max(flow.demand) > 1.0:
+            continue  # fits no switch; phase 2 reports it unrouted like any router
         src_pod = pod_of[flow.src]
         dst_pod = pod_of[flow.dst]
         pod_items[src_pod].append(flow.demand)
@@ -280,43 +245,27 @@ def route_hgr(topology: Topology, workload: Workload) -> tuple[RoutingSolution, 
     agg_per_pod = tuple(_layer_count(items, half) for items in pod_items)
     core_per_group = tuple(_layer_count(items, half) for items in group_items)
 
-    activated: set[int] = set()
-    for flow in flows:
-        activated.add(edge_of[flow.src])
-        activated.add(edge_of[flow.dst])
     cores = topology.core_ids()
     for pod in range(z):
         activated.update(topology.aggregation_ids(pod)[:agg_per_pod[pod]])
     for group in range(half):
         activated.update(cores[group * half:group * half + core_per_group[group]])
 
-    residual = {v: [1.0] * dims for v in topology.processor_ids}
-    load = {v: [0.0] * dims for v in topology.processor_ids}
-    paths: dict[int, tuple[int, ...]] = {}
+    state = ResidualState.fresh(topology, workload.dims)
+    fits = state.fits
     unrouted: set[int] = set()
-    dim_range = range(dims)
-
-    def edge_capable(edge: int, demand) -> bool:
-        r = residual[edge]
-        for k in dim_range:
-            if r[k] < demand[k] - CAP_TOL:
-                return False
-        return True
-
     for flow in flows:
         demand = flow.demand
-        # an out-of-capacity edge switch cuts the flow off; no activation helps
-        if not (edge_capable(edge_of[flow.src], demand) and edge_capable(edge_of[flow.dst], demand)):
-            unrouted.add(flow.id)
-            continue
+        need = [d - CAP_TOL for d in demand]
         wake = None
-        path = None
         while True:
-            path = _route_on_tree(topology, residual, activated, demand,
-                                  flow.src, flow.dst, dim_range)
+            path = _route_on_tree(topology, state, activated, need, flow.src, flow.dst)
             if path is not None:
                 break
             if wake is None:
+                # an out-of-capacity edge switch cuts the flow off; no activation helps
+                if not (fits(edge_of[flow.src], need) and fits(edge_of[flow.dst], need)):
+                    break
                 src_pod = pod_of[flow.src]
                 dst_pod = pod_of[flow.dst]
                 wake = _escalation(topology, activated, src_pod, dst_pod, src_pod != dst_pod)
@@ -327,13 +276,6 @@ def route_hgr(topology: Topology, workload: Workload) -> tuple[RoutingSolution, 
         if path is None:
             unrouted.add(flow.id)
             continue
-        paths[flow.id] = tuple(path)
-        for v in path:
-            if v not in hosts:
-                r = residual[v]
-                l = load[v]
-                for k in range(dims):
-                    r[k] -= demand[k]
-                    l[k] += demand[k]
-    solution = finalize_solution(topology, paths, unrouted, load)
+        state.commit(flow.id, path, demand)
+    solution = finalize_solution(topology, workload, state.committed, unrouted)
     return solution, LayerCounts(agg_per_pod, core_per_group, frozenset(activated))

@@ -1,4 +1,4 @@
-"""Greedy multi-resource routing (MRG) and its primitives.
+"""Greedy multi-resource routing (MRG), its primitives, and the shared routing state.
 
 The router works through the flow list progressively. Each iteration first
 searches, in list order, for a flow whose endpoints are already connected by
@@ -11,6 +11,10 @@ nodes carry a weight strictly above any possible inversion count. Node
 weights are turned into link weights by halving, which preserves the argmin
 over paths, so plain Dijkstra applies.
 
+Every router and the online path keep their state in one
+:class:`ResidualState` (one capability rule, one commit); loads are summed
+once from the committed paths by :func:`finalize_solution`.
+
 The batch router computes exactly what that description says, with less
 work. The pick scan skips a flow whose last test failed unless a processor
 activated since then is capable for it; this is exact in batch mode only,
@@ -18,7 +22,9 @@ where residuals only shrink and the active set only grows (online
 departures break both, so ``online_arrival`` tests every time). Its
 reachability test checks capability only on the nodes it touches. Batch
 and online routing weigh only the nodes their Dijkstra reaches, and
-Dijkstra never enters a degree-1 node other than the target.
+Dijkstra never enters a degree-1 node other than the target. Online
+arrivals differ from batch routing only in that they stay on the active
+capable nodes when those connect the endpoints.
 
 Conventions fixed for reproducibility: residuals start at the normalized
 capacity (all ones); a node is incapable of a flow iff some residual
@@ -34,6 +40,7 @@ import heapq
 import json
 import random
 from dataclasses import dataclass, field
+from operator import ge
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -77,8 +84,10 @@ def inv_count(x: Sequence[float], y: Sequence[float]) -> int:
 class ResidualState:
     """Mutable per-processor residual capacities plus the active set.
 
-    ``committed`` remembers flow paths so online departures can be validated
-    and reversed. All vectors have the workload's dimension count.
+    ``committed`` maps each routed flow to its path in commit order, so
+    loads can be summed from it and online departures validated and
+    reversed. All vectors have the state's dimension count: the workload's,
+    or a router's projection of it.
     """
 
     residual: dict[int, list[float]]
@@ -91,6 +100,27 @@ class ResidualState:
 
     def load_of(self, node_id: int) -> tuple[float, ...]:
         return tuple(1.0 - r for r in self.residual[node_id])
+
+    def fits(self, v: int, need: Sequence[float]) -> bool:
+        """The capability rule: processor ``v`` covers ``need`` = demand - CAP_TOL in every dimension."""
+        return all(map(ge, self.residual[v], need))
+
+    def commit(self, flow_id: int, path: Sequence[int], demand: Sequence[float]) -> list[int]:
+        """Reserve ``demand`` on the path's processors; return those it woke, in path order."""
+        residual = self.residual
+        active = self.active
+        dim_range = range(len(demand))
+        woke = []
+        for v in path:
+            r = residual.get(v)
+            if r is not None:
+                for k in dim_range:
+                    r[k] -= demand[k]
+                if v not in active:
+                    active.add(v)
+                    woke.append(v)
+        self.committed[flow_id] = tuple(path)
+        return woke
 
 
 @dataclass(frozen=True)
@@ -177,25 +207,6 @@ def _dijkstra(topology: Topology, s: int, t: int, step) -> list[int] | None:
     return None
 
 
-def _half_sum_step(topology: Topology, s: int, t: int, node_weight, enterable):
-    """Edge pricing for :func:`_dijkstra` from node weights, computed on first touch.
-
-    Prices every edge the search relaxes exactly as ``node_to_link_weights``
-    would, (w_u + w_v) / 2, without weighing nodes the search never reaches.
-    A node other than ``t`` that ``enterable`` rejects is never entered.
-    """
-    nw: list[int | None] = [-1] * len(topology)  # -1: not weighed yet, None: not enterable
-    nw[s] = node_weight(s)
-
-    def step(u: int, v: int) -> float | None:
-        w = nw[v]
-        if w == -1:
-            w = nw[v] = node_weight(v) if v == t or enterable(v) else None
-        return None if w is None else (nw[u] + w) / 2
-
-    return step
-
-
 def shortest_path(
     topology: Topology,
     allowed_nodes: Iterable[int],
@@ -234,13 +245,15 @@ def _state_node_weight(state: ResidualState, demand: Sequence[float], topology: 
     """The node weight rule of :func:`assign_node_weights`, as a function of the node."""
     dims = len(demand)
     inactive_w = dims * (dims - 1) // 2 + 1
+    hosts = topology.host_set
+    active = state.active
+    residual = state.residual
 
     def node_weight(v: int) -> int:
-        if topology.is_host(v):
+        if v in hosts:
             return 0
-        if v in state.active:
-            r = state.residual[v]
-            return inv_count([r[k] for k in range(dims)], demand)
+        if v in active:
+            return inv_count(residual[v], demand)
         return inactive_w
 
     return node_weight
@@ -269,53 +282,81 @@ def node_to_link_weights(topology: Topology, node_weights: Mapping[int, float]) 
 
 # -- the router --------------------------------------------------------------------
 
+def _active_connected(state: ResidualState, topology: Topology, src: int, dst: int,
+                      need: Sequence[float]) -> bool:
+    """True iff the active processors that fit ``need`` connect ``src`` to ``dst``.
+
+    Equal to :func:`is_connected` over those processors, but it tests only
+    the nodes it touches; ``dst`` can only be entered from ``src`` or from a
+    usable neighbour, so those are checked first.
+    """
+    adj = topology._adj
+    active = state.active
+    fits = state.fits
+    if not any(u == src or (u in active and fits(u, need)) for u in adj[dst]):
+        return False
+    seen = {src}
+    stack = [src]
+    while stack:
+        for v in adj[stack.pop()]:
+            if v == dst:
+                return True
+            if v not in seen:
+                seen.add(v)
+                if v in active and fits(v, need):
+                    stack.append(v)
+    return False
+
+
+def _greedy_path(state: ResidualState, topology: Topology, src: int, dst: int,
+                 demand: Sequence[float], need: Sequence[float], active_only: bool) -> list[int] | None:
+    """One greedy routing step: Dijkstra under :func:`assign_node_weights`, weighed lazily.
+
+    Every edge the search relaxes is priced as ``node_to_link_weights``
+    would, (w_u + w_v) / 2, but a node is weighed only when the search first
+    reaches it. The search enters only processors that fit ``need``: active
+    ones if ``active_only``, else any, plus hosts.
+    """
+    fits = state.fits
+    if active_only:
+        active = state.active
+
+        def enterable(v: int) -> bool:
+            return v in active and fits(v, need)
+    else:
+        hosts = topology.host_set
+
+        def enterable(v: int) -> bool:
+            return v in hosts or fits(v, need)
+    node_weight = _state_node_weight(state, demand, topology)
+    nw: list[int | None] = [-1] * len(topology)  # -1: not weighed yet, None: not enterable
+    nw[src] = node_weight(src)
+
+    def step(u: int, v: int) -> float | None:
+        w = nw[v]
+        if w == -1:
+            w = nw[v] = node_weight(v) if v == dst or enterable(v) else None
+        return None if w is None else (nw[u] + w) / 2
+
+    return _dijkstra(topology, src, dst, step)
+
+
 def _route_greedy(topology: Topology, workload: Workload, seed: int, view: tuple[int, ...]) -> RoutingSolution:
-    dims = workload.dims
     flows = workload.flows
     for flow in flows:
         topology._check_id(flow.src)
         topology._check_id(flow.dst)
     rng = random.Random(seed)
-    adj = topology._adj
-    hosts = topology.host_set
-    # Residuals are kept on the view's dimensions only: nothing else reads them.
-    res: list[list[float] | None] = [None] * len(topology)
-    load: dict[int, list[float]] = {}
-    for v in topology.processor_ids:
-        res[v] = [1.0] * len(view)
-        load[v] = [0.0] * dims
-    active = bytearray(len(topology))
+    # The state is kept on the view's dimensions only: nothing else reads them.
+    state = ResidualState.fresh(topology, len(view))
+    fits = state.fits
+    demands = [[flow.demand[k] for k in view] for flow in flows]
+    needs = [[d - CAP_TOL for d in demand] for demand in demands]
     log: list[int] = []  # processors in activation order
     # stamp[f]: len(log) when flow f last failed the pick test; -1 until tested
     stamp = [-1] * len(flows)
-    needs = [[flow.demand[k] - CAP_TOL for k in view] for flow in flows]
-    inactive_w = len(view) * (len(view) - 1) // 2 + 1
     pending = list(flows)
-    paths: dict[int, tuple[int, ...]] = {}
     unrouted: set[int] = set()
-
-    def capable(v: int, need: list[float]) -> bool:
-        for r, d in zip(res[v], need):
-            if not r >= d:
-                return False
-        return True
-
-    def active_connected(src: int, dst: int, need: list[float]) -> bool:
-        # is_connected over the active capable nodes, testing only what it touches;
-        # dst can only be entered from src or from a usable neighbour.
-        if not any(u == src or (active[u] and capable(u, need)) for u in adj[dst]):
-            return False
-        seen = {src}
-        stack = [src]
-        while stack:
-            for v in adj[stack.pop()]:
-                if v == dst:
-                    return True
-                if v not in seen:
-                    seen.add(v)
-                    if active[v] and capable(v, need):
-                        stack.append(v)
-        return False
 
     while pending:
         # Pick the first pending flow whose endpoints the active capable nodes
@@ -332,64 +373,50 @@ def _route_greedy(topology: Topology, workload: Workload, seed: int, view: tuple
             fid = flow.id
             need = needs[fid]
             last = stamp[fid]
-            if last >= 0 and not any(capable(v, need) for v in log[last:]):
+            if last >= 0 and not any(fits(v, need) for v in log[last:]):
                 stamp[fid] = len(log)
                 continue
-            if active_connected(flow.src, flow.dst, need):
+            if _active_connected(state, topology, flow.src, flow.dst, need):
                 pick = i
                 break
             stamp[fid] = len(log)
         if pick is None:
             pick = rng.randrange(len(pending))
         flow = pending.pop(pick)
-        src, dst, demand = flow.src, flow.dst, flow.demand
-        need = needs[flow.id]
-        demand_view = [demand[k] for k in view]
-
-        # Weighted shortest path on the capable network, with the node weights
-        # of assign_node_weights restricted to the view.
-        def node_weight(v: int) -> int:
-            if v in hosts:
-                return 0
-            if active[v]:
-                return inv_count(res[v], demand_view)
-            return inactive_w
-
-        def enterable(v: int) -> bool:
-            return v in hosts or capable(v, need)
-
-        path = _dijkstra(topology, src, dst, _half_sum_step(topology, src, dst, node_weight, enterable))
+        demand = demands[flow.id]
+        path = _greedy_path(state, topology, flow.src, flow.dst, demand, needs[flow.id], False)
         if path is None:
             unrouted.add(flow.id)
             continue
-        paths[flow.id] = tuple(path)
-        for v in path:
-            if v not in hosts:
-                r = res[v]
-                for j, k in enumerate(view):
-                    r[j] -= demand[k]
-                l = load[v]
-                for k in range(dims):
-                    l[k] += demand[k]
-                if not active[v]:
-                    active[v] = 1
-                    log.append(v)
-    return finalize_solution(topology, paths, unrouted, load)
+        log += state.commit(flow.id, path, demand)
+    return finalize_solution(topology, workload, state.committed, unrouted)
 
 
 def finalize_solution(
     topology: Topology,
-    paths: dict[int, tuple[int, ...]],
+    workload: Workload,
+    committed: Mapping[int, Sequence[int]],
     unrouted: set[int],
-    load: Mapping[int, Sequence[float]],
 ) -> RoutingSolution:
-    """Package raw routing bookkeeping into an immutable solution."""
-    active = frozenset(v for v in topology.processor_ids if any(load[v]))
+    """Package committed paths into an immutable solution with full-dimension loads.
+
+    Loads are summed over ``committed`` in its order, which is commit order,
+    so every load float is the running sum a router would have kept.
+    """
+    flows = workload.flows
+    dim_range = range(workload.dims)
+    load = {v: [0.0] * workload.dims for v in topology.processor_ids}
+    for fid, path in committed.items():
+        demand = flows[fid].demand
+        for l in map(load.get, path):
+            if l is not None:
+                for k in dim_range:
+                    l[k] += demand[k]
     return RoutingSolution(
-        paths=dict(paths),
-        active=active,
+        paths=dict(committed),
+        active=frozenset(v for v, l in load.items() if any(l)),
         unrouted=frozenset(unrouted),
-        load={v: tuple(load[v]) for v in topology.processor_ids},
+        load={v: tuple(l) for v, l in load.items()},
     )
 
 
@@ -399,16 +426,6 @@ def route_mrg(topology: Topology, workload: Workload, seed: int = 0) -> RoutingS
 
 
 # -- online extension ----------------------------------------------------------------
-
-def _commit(state: ResidualState, flow: Flow, path: Sequence[int], topology: Topology) -> None:
-    for v in path:
-        if topology.is_processor(v):
-            r = state.residual[v]
-            for k, d in enumerate(flow.demand):
-                r[k] -= d
-            state.active.add(v)
-    state.committed[flow.id] = tuple(path)
-
 
 def online_arrival(state: ResidualState, topology: Topology, flow: Flow) -> tuple[int, ...] | None:
     """Route one arriving flow against live state; commit and return its path.
@@ -420,26 +437,23 @@ def online_arrival(state: ResidualState, topology: Topology, flow: Flow) -> tupl
     """
     if flow.id in state.committed:
         raise ValueError(f"flow {flow.id} is already routed")
-    demand = flow.demand
-    usable_active = {v for v in state.active if is_capable(state.residual[v], demand)}
-    if is_connected(topology, usable_active, flow.src, flow.dst):
-        allowed = usable_active
-    else:
-        allowed = {v for v in topology.processor_ids if is_capable(state.residual[v], demand)}
-        allowed |= topology.host_set
-    # shortest_path under node_to_link_weights(assign_node_weights(...)), with
-    # only the nodes the search reaches weighed
-    step = _half_sum_step(topology, flow.src, flow.dst, _state_node_weight(state, demand, topology),
-                          allowed.__contains__)
-    path = _dijkstra(topology, flow.src, flow.dst, step)
+    src, dst, demand = flow.src, flow.dst, flow.demand
+    topology._check_id(src)
+    topology._check_id(dst)
+    dims = len(next(iter(state.residual.values()), demand))
+    if dims != len(demand):
+        raise ValueError(f"vector length mismatch: {dims} vs {len(demand)}")
+    need = [d - CAP_TOL for d in demand]
+    path = _greedy_path(state, topology, src, dst, demand, need,
+                        _active_connected(state, topology, src, dst, need))
     if path is None:
         return None
-    _commit(state, flow, path, topology)
+    state.commit(flow.id, path, demand)
     return tuple(path)
 
 
 def online_departure(state: ResidualState, topology: Topology, flow: Flow, path: Sequence[int]) -> None:
-    """Return a departed flow's reservation and deactivate drained processors.
+    """Undo :meth:`ResidualState.commit` for a departed flow and deactivate drained processors.
 
     Residuals that return to full capacity (within 1e-9) are snapped to
     exactly 1.0, so an arrival followed by its departure restores the
@@ -451,8 +465,8 @@ def online_departure(state: ResidualState, topology: Topology, flow: Flow, path:
     if committed != tuple(path):
         raise ValueError(f"flow {flow.id}: departure path does not match the committed path")
     for v in path:
-        if topology.is_processor(v):
-            r = state.residual[v]
+        r = state.residual.get(v)
+        if r is not None:
             for k, d in enumerate(flow.demand):
                 r[k] += d
             if all(abs(x - 1.0) <= CAP_TOL for x in r):

@@ -112,7 +112,7 @@ class Topology:
         return len(self.nodes)
 
     def neighbors(self, node_id: int) -> frozenset[int]:
-        """Symmetric adjacency set of ``node_id``."""
+        """Symmetric adjacency set of ``node_id`` (KeyError on unknown id)."""
         self._check_id(node_id)
         return frozenset(self._adj[node_id])
 
@@ -170,9 +170,7 @@ class Topology:
         half = z // 2
         if not (0 <= pod < z and 0 <= pos < half):
             raise ValueError(f"no aggregation switch at pod {pod}, position {pos}")
-        n_hosts = z**3 // 4
-        n_edge = z * half
-        return n_hosts + n_edge + pod * half + pos
+        return self._agg_ids[pod][pos]
 
     def aggregation_ids(self, pod: int) -> tuple[int, ...]:
         self._require_fat_tree()
@@ -183,8 +181,7 @@ class Topology:
         half = z // 2
         if not (0 <= group < half and 0 <= index < half):
             raise ValueError(f"no core switch at group {group}, index {index}")
-        n_hosts = z**3 // 4
-        return n_hosts + 2 * z * half + group * half + index
+        return self._core_ids[group * half + index]
 
     def core_ids(self) -> tuple[int, ...]:
         """All core switches in global position order (group-major)."""
@@ -272,11 +269,6 @@ def build_star_reduction(item_count: int) -> StarReduction:
         edges.append((mid, 1))
         middles.append(mid)
     return StarReduction(Topology(nodes, edges, z=None), 0, 1, tuple(middles))
-
-
-def neighbors(topology: Topology, node_id: int) -> frozenset[int]:
-    """Symmetric adjacency set of ``node_id`` (KeyError on unknown id)."""
-    return topology.neighbors(node_id)
 
 
 # -- dump / load --------------------------------------------------------------

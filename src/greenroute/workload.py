@@ -9,6 +9,7 @@ in (0, 1]. Generation is seeded and fully deterministic.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,9 +27,9 @@ class ParseError(ValueError):
 class Flow:
     """One flow: endpoints plus a per-dimension resource demand vector.
 
-    Components are strictly positive; the generator keeps them <= 1
-    (normalized node capacity) but hand-built instances may exceed that,
-    e.g. to probe infeasibility.
+    Components are finite and strictly positive; the generator keeps them
+    <= 1 (normalized node capacity) but hand-built instances may exceed
+    that, e.g. to probe infeasibility.
     """
 
     id: int
@@ -41,8 +42,8 @@ class Flow:
             raise ValueError(f"flow {self.id}: src and dst must differ")
         if not self.demand:
             raise ValueError(f"flow {self.id}: empty demand vector")
-        if any(c <= 0 for c in self.demand):
-            raise ValueError(f"flow {self.id}: demand components must be strictly positive")
+        if not all(0 < c < math.inf for c in self.demand):  # also rejects NaN
+            raise ValueError(f"flow {self.id}: demand components must be finite and strictly positive")
 
 
 @dataclass(frozen=True)

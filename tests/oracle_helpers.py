@@ -3,8 +3,8 @@
 Most of it is deliberately written with different algorithms than the
 library uses: literal pair enumeration for inversions, exhaustive simple-path
 enumeration for shortest paths, and a subset DP for exact bin packing. The
-frozen routing references at the end are the library's own earlier, slower
-code, kept so its fast paths can be held to byte-identical output.
+frozen routing references at the end are the library's own earlier code,
+kept so its fast or merged paths can be held to byte-identical output.
 """
 
 import heapq
@@ -211,3 +211,96 @@ def reference_online_arrival(state, topology, flow):
             state.active.add(v)
     state.committed[flow.id] = tuple(path)
     return tuple(path)
+
+
+# Verbatim copies of the two hop-minimal searches as they stood before they
+# were merged into one: the seeded ECMP draw of the shortest-path baselines
+# (a BFS from s, then path counts per level) and HGR's lexicographic detour
+# search (a BFS from t, then a smallest-id walk).
+
+def reference_sample_shortest(topology, allowed, s, t, rng):
+    if s == t:
+        return [s]
+    adj = topology._adj
+    dist = {s: 0}
+    frontier = [s]
+    level = 0
+    while frontier and t not in dist:
+        level += 1
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if v in dist:
+                    continue
+                if v == t:
+                    dist[v] = level
+                elif v in allowed:
+                    dist[v] = level
+                    nxt.append(v)
+        frontier = nxt
+    if t not in dist:
+        return None
+    target = dist[t]
+    by_level = [[] for _ in range(target)]
+    for v, d in dist.items():
+        if d < target and (v == s or d > 0):
+            by_level[d].append(v)
+    count = {t: 1}
+    for d in range(target - 1, -1, -1):
+        for v in by_level[d]:
+            c = 0
+            for u in adj[v]:
+                if dist.get(u) == d + 1 and u in count:
+                    c += count[u]
+            if c:
+                count[v] = c
+    path = [s]
+    v = s
+    while v != t:
+        d = dist[v]
+        options = [(u, count[u]) for u in adj[v] if dist.get(u) == d + 1 and u in count]
+        total = sum(c for _, c in options)
+        r = rng.random() * total
+        acc = 0
+        chosen = options[-1][0]
+        for u, c in options:
+            acc += c
+            if r < acc:
+                chosen = u
+                break
+        path.append(chosen)
+        v = chosen
+    return path
+
+
+def reference_hop_shortest_lex(topology, allowed, s, t):
+    if s == t:
+        return [s]
+    adj = topology._adj
+    dist_t = {t: 0}
+    frontier = [t]
+    level = 0
+    while frontier and s not in dist_t:
+        level += 1
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if v in dist_t:
+                    continue
+                if v == s:
+                    dist_t[v] = level
+                elif v in allowed:
+                    dist_t[v] = level
+                    nxt.append(v)
+        frontier = nxt
+    if s not in dist_t:
+        return None
+    path = [s]
+    v = s
+    remaining = dist_t[s]
+    while v != t:
+        remaining -= 1
+        v = min(u for u in adj[v] if dist_t.get(u, -1) == remaining)
+        path.append(v)
+    return path
+

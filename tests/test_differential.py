@@ -1,10 +1,10 @@
 """Differential tests: the fast routing paths against frozen slow references.
 
-The greedy router (MRG and SRG) and Dijkstra must reproduce the earlier
-implementations kept in ``oracle_helpers`` exactly: same paths, same
-unrouted set, same loads, on light loads (most flows ride active nodes) and
-near saturation (flows go unrouted). HGR's one-bin shortcut must give the
-layer count the packer would.
+The greedy router (MRG and SRG), Dijkstra and the hop-minimal search must
+reproduce the earlier implementations kept in ``oracle_helpers`` exactly:
+same paths, same unrouted set, same loads, on light loads (most flows ride
+active nodes) and near saturation (flows go unrouted). HGR's one-bin
+shortcut must give the layer count the packer would.
 """
 
 import random
@@ -29,9 +29,16 @@ from greenroute import (
     shortest_path,
     vbp_greedy,
 )
+from greenroute.baselines import _sample_shortest
 from greenroute.hgr import _layer_count
 
-from oracle_helpers import reference_online_arrival, reference_route_greedy, reference_shortest_path
+from oracle_helpers import (
+    reference_hop_shortest_lex,
+    reference_online_arrival,
+    reference_route_greedy,
+    reference_sample_shortest,
+    reference_shortest_path,
+)
 
 # (flows, mean, std) per arity: light, then near saturation
 LOADS = {
@@ -136,6 +143,28 @@ def test_shortest_path_matches_reference():
         s, t = rng.sample(range(n), 2)
         expected = reference_shortest_path(topology, allowed, weights, s, t)
         assert shortest_path(topology, allowed, weights, s, t) == expected
+        found += expected is not None
+    assert found > 500
+
+
+def test_sample_shortest_matches_both_references():
+    # One search serves the seeded ECMP draw and the lexicographic detour:
+    # the same seed must give the same path and consume the same draws, and
+    # no seed must give the old lexicographic path.
+    rng = random.Random(43)
+    found = 0
+    for _ in range(1500):
+        topology = _graph_with_leaves(rng)
+        n = len(topology)
+        allowed = {v for v in range(n) if rng.random() < 0.75}
+        s, t = rng.sample(range(n), 2)
+        draws, ref_draws = random.Random(rng.random()), random.Random()
+        ref_draws.setstate(draws.getstate())
+        expected = reference_sample_shortest(topology, allowed, s, t, ref_draws)
+        assert _sample_shortest(topology, allowed.__contains__, s, t, draws) == expected
+        assert draws.getstate() == ref_draws.getstate()
+        lex = _sample_shortest(topology, allowed.__contains__, s, t)
+        assert lex == reference_hop_shortest_lex(topology, allowed, s, t)
         found += expected is not None
     assert found > 500
 

@@ -1,17 +1,20 @@
 """Golden-output pin: sha256 of CLI artifacts that refactors must leave unchanged.
 
-Covers a small ``greenroute experiment`` CSV and the ``route --out`` dump of
+Covers a small ``greenroute experiment`` CSV, the ``route --out`` dump of
 every algorithm on a light workload (most flows ride already-active nodes)
-and on a near-saturation one (flows go unrouted, many nodes wake up). A
-change that moves any path, unrouted set or load on these inputs changes a
-hash; a change meant to alter routing output updates the hashes and says
-why in CHANGES.md.
+and on a near-saturation one (flows go unrouted, many nodes wake up), and
+the path trace of a stream of online arrivals and departures. A change that
+moves any path, unrouted set or load on these inputs changes a hash; a
+change meant to alter routing output updates the hashes and says why in
+CHANGES.md.
 """
 
 import hashlib
+import random
 
 import pytest
 
+from greenroute import ResidualState, build_fat_tree, generate_workload, online_arrival, online_departure
 from greenroute.cli import main
 
 ALGOS = ("hgr", "mrg", "mrsp", "srg", "srsp")
@@ -37,12 +40,38 @@ GOLDEN = {
     "heavy-mrsp": "7ea4d97d00f39d8bbd9a0a8d4951d2d0634894913532bfd603b761806e2c8298",
     "heavy-srg": "214bce1f600a76c3bd31bbd9e18a4cf1564502136d344bb9006a644c8ebd7815",
     "heavy-srsp": "02a8ca65d724c4166aa14dad60e21e28d74b66b9f464cd874abb72bd7456f1f1",
+    "online-z8": "08748455bddb9f6ade85d8a9abc7b96ec5c87b6d42b62dc5114ce0542a4f7da2",
 }
 
 
 def _run(*argv: str) -> None:
     if main(list(argv)) != 0:
         raise AssertionError(f"greenroute {' '.join(argv)} failed")
+
+
+def online_trace_digest() -> str:
+    """sha256 of the trace of 600 online arrivals at z=8, with 120 flows live at most.
+
+    Once 120 flows are live, a seeded random one departs before each
+    arrival. About one arrival in seven is rejected, so both the
+    active-subnetwork and the fallback routes run.
+    """
+    topology = build_fat_tree(8)
+    workload = generate_workload(topology, 600, 3, 0.06, 0.06, seed=21)
+    state = ResidualState.fresh(topology, 3)
+    rng = random.Random(22)
+    live = []
+    trace = hashlib.sha256()
+    for flow in workload.flows:
+        if len(live) >= 120:
+            gone, path = live.pop(rng.randrange(len(live)))
+            online_departure(state, topology, gone, path)
+            trace.update(f"d{gone.id};".encode())
+        path = online_arrival(state, topology, flow)
+        trace.update(f"a{flow.id}:{path};".encode())
+        if path is not None:
+            live.append((flow, path))
+    return trace.hexdigest()
 
 
 def golden_digests(workdir) -> dict[str, str]:
@@ -58,6 +87,7 @@ def golden_digests(workdir) -> dict[str, str]:
             out = workdir / f"{name}-{algo}.json"
             _run("route", "--algo", algo, "--workload", str(wpath), "--seed", "5", "--out", str(out))
             digests[f"{name}-{algo}"] = hashlib.sha256(out.read_bytes()).hexdigest()
+    digests["online-z8"] = online_trace_digest()
     return digests
 
 

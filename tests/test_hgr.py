@@ -10,6 +10,7 @@ from greenroute import (
     core_group_of_flow,
     dimension_weights,
     route_hgr,
+    route_mrg,
     vbp_greedy,
 )
 from greenroute.workload import generate_workload
@@ -203,6 +204,17 @@ def test_hgr_counts_clamped_to_layer_width(tree4):
     assert len(sol.unrouted) == 3  # the shared edge switch fits only the first flow
 
 
+def test_hgr_reports_oversize_flows_unrouted_like_every_router(tree4):
+    # a demand component above 1 fits no switch: HGR leaves it out of the
+    # packing and reports it unrouted, as the greedy router does
+    flows = (Flow(0, 0, 4, (0.3, 1.5)), Flow(1, 0, 2, (0.2, 0.2)), Flow(2, 1, 0, (2.0, 0.1)))
+    workload = Workload(flows, 2, z=4)
+    sol, counts = route_hgr(tree4, workload)
+    assert sol.unrouted == route_mrg(tree4, workload).unrouted == {0, 2}
+    assert set(sol.paths) == {1}
+    assert counts.agg_per_pod == (1, 0, 0, 0) and counts.core_per_group == (0, 0)
+
+
 def test_hgr_rejects_non_fat_tree():
     star = build_star_reduction(2)
     with pytest.raises(ValueError):
@@ -212,8 +224,8 @@ def test_hgr_rejects_non_fat_tree():
 def test_constructive_path_matches_generic_search(tree4):
     # the structural fat-tree path picker must agree with the generic
     # hop-shortest lexicographic search on arbitrary capability states
-    from greenroute.hgr import _hop_shortest_lex, _route_on_tree
-    from greenroute.mrg import CAP_TOL
+    from greenroute.hgr import _route_on_tree
+    from greenroute.mrg import CAP_TOL, ResidualState, shortest_path
 
     rng = random.Random(7)
     dims = 3
@@ -229,6 +241,7 @@ def test_constructive_path_matches_generic_search(tree4):
             v for v in activated
             if all(residual[v][k] >= demand[k] - CAP_TOL for k in range(dims))
         }
-        constructive = _route_on_tree(tree4, residual, activated, demand, src, dst, range(dims))
-        generic = _hop_shortest_lex(tree4, allowed, src, dst)
+        need = [d - CAP_TOL for d in demand]
+        constructive = _route_on_tree(tree4, ResidualState(residual, set()), activated, need, src, dst)
+        generic = shortest_path(tree4, allowed, None, src, dst)
         assert constructive == generic

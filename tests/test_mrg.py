@@ -347,6 +347,28 @@ def test_arrival_then_departure_restores_state_bitwise(tree4):
         assert state.residual[v] == [1.0, 1.0, 1.0]
 
 
+@pytest.mark.parametrize("busy", (False, True))
+def test_arrival_with_wrong_dimension_count_rejected(tree4, busy):
+    state = ResidualState.fresh(tree4, 2)
+    if busy:
+        online_arrival(state, tree4, Flow(0, 0, 4, (0.1, 0.1)))
+    before = ({v: list(r) for v, r in state.residual.items()}, set(state.active), dict(state.committed))
+    for demand in ((0.1,), (0.1, 0.1, 0.1)):
+        with pytest.raises(ValueError, match="length mismatch"):
+            online_arrival(state, tree4, Flow(1, 0, 4, demand))
+    assert (state.residual, state.active, state.committed) == before
+
+
+def test_commit_returns_woken_processors_and_departure_reverses_it(tree4):
+    state = ResidualState.fresh(tree4, 1)
+    assert state.commit(0, (0, 16, 24, 17, 2), (0.25,)) == [16, 24, 17]
+    assert state.commit(1, (1, 16, 1), (0.25,)) == []
+    assert state.committed == {0: (0, 16, 24, 17, 2), 1: (1, 16, 1)}
+    assert state.residual[16] == [0.5] and state.active == {16, 24, 17}
+    online_departure(state, tree4, Flow(0, 0, 2, (0.25,)), (0, 16, 24, 17, 2))
+    assert state.active == {16} and state.residual[24] == [1.0]
+
+
 def test_departure_of_unknown_flow_rejected(tree4):
     state = ResidualState.fresh(tree4, 1)
     with pytest.raises(ValueError):

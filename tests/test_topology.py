@@ -5,7 +5,6 @@ from greenroute import (
     build_fat_tree,
     build_star_reduction,
     load_topology,
-    neighbors,
     save_topology,
 )
 from greenroute.mrg import is_connected
@@ -100,7 +99,7 @@ def test_all_host_pairs_connected(z):
 def test_neighbors_z2_core(tree2):
     core = [v for v in tree2.processor_ids if tree2.kind(v) is NodeKind.CORE][0]
     aggs = {v for v in tree2.processor_ids if tree2.kind(v) is NodeKind.AGGREGATION}
-    assert neighbors(tree2, core) == aggs
+    assert tree2.neighbors(core) == aggs
 
 
 def test_neighbors_symmetric(tree4):
@@ -111,9 +110,9 @@ def test_neighbors_symmetric(tree4):
 
 def test_neighbors_unknown_id(tree4):
     with pytest.raises(KeyError):
-        neighbors(tree4, 999)
+        tree4.neighbors(999)
     with pytest.raises(KeyError):
-        neighbors(tree4, -1)
+        tree4.neighbors(-1)
 
 
 def test_star_reduction_single_middle():

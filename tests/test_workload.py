@@ -138,6 +138,17 @@ def test_parse_error_names_line(tmp_path):
         load_workload(p)
 
 
+@pytest.mark.parametrize("bad", ("NaN", "Infinity", "-Infinity"))
+def test_non_finite_demand_rejected_at_load(tmp_path, bad):
+    header = '{"K": 2, "z": 4, "seed": 0, "mean": 0.02, "std": 0.02}'
+    p = _write(tmp_path / "bad.jsonl",
+               header + "\n" + '{"id": 0, "src": 0, "dst": 1, "demand": [0.1, %s]}\n' % bad)
+    with pytest.raises(ParseError, match="line 2.*finite"):
+        load_workload(p)
+    with pytest.raises(ValueError, match="finite"):
+        Flow(0, 0, 1, (0.1, float(bad)))
+
+
 def test_star_reduction_workload_without_z(tmp_path):
     # z=null headers skip host validation, so star fixtures round-trip
     star = build_star_reduction(3)
