@@ -14,6 +14,7 @@ from .evaluation import (
     ExperimentConfig,
     ROUTERS,
     compute_metrics,
+    failure_report,
     oracle_min_active,
     oracle_min_bins,
     run_experiment,
@@ -173,6 +174,8 @@ def _cmd_experiment(args) -> int:
         measure_runtime=args.measure_runtime,
     )
     rows = run_experiment(config)
+    for line in failure_report(rows):
+        print(f"greenroute: {line}", file=sys.stderr)
     write_results_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0

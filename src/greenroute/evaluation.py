@@ -306,6 +306,29 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     return rows
 
 
+def failure_report(rows: Sequence[ResultRow]) -> list[str]:
+    """Lines reporting failed trials, for stderr; empty when every trial succeeded.
+
+    Each failed trial gets a line with its algorithm, flow count, trial and
+    message (the CSV keeps only ``error`` cells), and each cell with a
+    failure a line saying how many trials its summary rows averaged.
+    """
+    cells: dict[tuple[str, int], list[ResultRow]] = {}
+    for row in rows:
+        if row.trial not in ("mean", "std"):
+            cells.setdefault((row.algo, row.flows), []).append(row)
+    lines = []
+    for (algo, flows), trials in cells.items():
+        failed = [r for r in trials if r.metrics is None]
+        if not failed:
+            continue
+        for r in failed:
+            lines.append(f"{algo} M={flows} trial {r.trial} failed: {r.error}")
+        averaged = len(trials) - len(failed)
+        lines.append(f"{algo} M={flows}: summary rows average {averaged} of {len(trials)} trials")
+    return lines
+
+
 def write_results_csv(rows: Sequence[ResultRow], path: str | Path) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)

@@ -7,7 +7,11 @@ estimate how many aggregation switches the pod needs; per core group, the
 inter-pod flows hashed to that group are packed to size the group. The
 packer is a bin-centric greedy that repeatedly places the fitting item
 minimizing a weighted squared difference to the bin residual, with
-per-dimension weights proportional to total demand mass.
+per-dimension weights proportional to total demand mass. The weights sum to
+1, so by Cauchy-Schwarz the squared difference of the weighted means bounds
+that score from below; the packer scans items by descending weighted mean
+and stops once the bound passes the best score, which skips most items and
+leaves every pick exactly that of a full scan.
 
 Phase 2 materializes paths, which the counts alone do not give: the
 lowest-position switches per layer are activated to the phase-1 counts,
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterator, Sequence
 
 from .baselines import _sample_shortest
@@ -78,6 +83,13 @@ def vbp_greedy(items: Sequence[Sequence[float]]) -> VbpResult:
     sum_k alpha_k * (residual_k - item_k)^2 is packed (ties go to the lowest
     item index); when nothing fits, the bin closes and a fresh one opens.
     The weights alpha are computed once from the whole instance.
+
+    Since the alphas sum to 1, Cauchy-Schwarz bounds an item's score below
+    by (P(residual) - P(item))^2 with P(x) = sum_k alpha_k * x_k, so items
+    are scanned by descending projection P and the scan stops once that
+    bound exceeds the best score found (with a margin for rounding in P);
+    the skipped items cannot score lower or tie, so the pick is exactly the
+    full scan's.
     """
     items = [tuple(float(c) for c in item) for item in items]
     for i, item in enumerate(items):
@@ -87,15 +99,22 @@ def vbp_greedy(items: Sequence[Sequence[float]]) -> VbpResult:
         return VbpResult(0, {}, ())
     alphas = dimension_weights(items)
     dim_range = range(len(alphas))
+    proj = [sum(map(mul, alphas, item)) for item in items]
 
-    remaining = list(range(len(items)))
+    remaining = sorted(range(len(items)), key=lambda i: (-proj[i], i))
     assignment: dict[int, int] = {}
     residuals: list[tuple[float, ...]] = []
     current = [1.0] * len(alphas)
     while remaining:
         best = -1
+        best_pos = -1
         best_score = float("inf")
-        for i in remaining:
+        bound = float("inf")  # gap^2 beyond this rules out every later item
+        p_current = sum(map(mul, alphas, current))
+        for pos, i in enumerate(remaining):
+            gap = p_current - proj[i]
+            if gap > 0.0 and gap * gap > bound:
+                break
             item = items[i]
             score = 0.0
             for k in dim_range:
@@ -106,8 +125,9 @@ def vbp_greedy(items: Sequence[Sequence[float]]) -> VbpResult:
                     break
                 d = r - c
                 score += alphas[k] * d * d
-            if score >= 0.0 and score < best_score:
-                best, best_score = i, score
+            if score >= 0.0 and (score < best_score or (score == best_score and i < best)):
+                best, best_pos, best_score = i, pos, score
+                bound = score * (1.0 + 1e-9) + 1e-12
         if best < 0:
             residuals.append(tuple(current))
             current = [1.0] * len(alphas)
@@ -115,7 +135,7 @@ def vbp_greedy(items: Sequence[Sequence[float]]) -> VbpResult:
         assignment[best] = len(residuals) + 1
         for k in dim_range:
             current[k] -= items[best][k]
-        remaining.remove(best)
+        del remaining[best_pos]
     residuals.append(tuple(current))
     return VbpResult(len(residuals), assignment, tuple(residuals))
 

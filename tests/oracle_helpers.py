@@ -3,15 +3,26 @@
 Most of it is deliberately written with different algorithms than the
 library uses: literal pair enumeration for inversions, exhaustive simple-path
 enumeration for shortest paths, and a subset DP for exact bin packing. The
-frozen routing references at the end are the library's own earlier code,
-kept so its fast or merged paths can be held to byte-identical output.
+frozen routing and packing references at the end are the library's own
+earlier code, kept so its fast or merged paths can be held to
+byte-identical output.
 """
 
 import heapq
 import itertools
 import random
 
-from greenroute import Node, NodeKind, Topology, inv_count, is_connected, node_to_link_weights
+from greenroute import (
+    CAP_TOL,
+    Node,
+    NodeKind,
+    Topology,
+    VbpResult,
+    dimension_weights,
+    inv_count,
+    is_connected,
+    node_to_link_weights,
+)
 
 TOL = 1e-9
 
@@ -304,3 +315,48 @@ def reference_hop_shortest_lex(topology, allowed, s, t):
         path.append(v)
     return path
 
+
+
+# Verbatim copy of the vector bin packer as it stood before its scan was
+# pruned: every placement rescores every remaining item in index order.
+
+def reference_vbp_greedy(items):
+    items = [tuple(float(c) for c in item) for item in items]
+    for i, item in enumerate(items):
+        if not all(0 < c <= 1 for c in item):
+            raise ValueError(f"item {i} does not fit a unit bin: {item}")
+    if not items:
+        return VbpResult(0, {}, ())
+    alphas = dimension_weights(items)
+    dim_range = range(len(alphas))
+
+    remaining = list(range(len(items)))
+    assignment = {}
+    residuals = []
+    current = [1.0] * len(alphas)
+    while remaining:
+        best = -1
+        best_score = float("inf")
+        for i in remaining:
+            item = items[i]
+            score = 0.0
+            for k in dim_range:
+                r = current[k]
+                c = item[k]
+                if r < c - CAP_TOL:
+                    score = -1.0
+                    break
+                d = r - c
+                score += alphas[k] * d * d
+            if score >= 0.0 and score < best_score:
+                best, best_score = i, score
+        if best < 0:
+            residuals.append(tuple(current))
+            current = [1.0] * len(alphas)
+            continue
+        assignment[best] = len(residuals) + 1
+        for k in dim_range:
+            current[k] -= items[best][k]
+        remaining.remove(best)
+    residuals.append(tuple(current))
+    return VbpResult(len(residuals), assignment, tuple(residuals))

@@ -1,11 +1,21 @@
+import csv
 import json
 import subprocess
 import sys
 
 import pytest
 
-from greenroute import Flow, Workload, build_star_reduction, save_topology, save_workload
+from greenroute import (
+    Flow,
+    Workload,
+    build_star_reduction,
+    cell_seed,
+    route_mrg,
+    save_topology,
+    save_workload,
+)
 from greenroute.cli import main
+from greenroute.evaluation import ROUTERS
 
 
 def run_cli(capsys, *argv):
@@ -163,3 +173,48 @@ def test_console_script_installed():
                             capture_output=True, text=True)
     assert result.returncode == 0
     assert "7 nodes" in result.stdout
+
+
+def test_experiment_reports_failed_trials(capsys, monkeypatch, tmp_path):
+    flaky_seed = cell_seed(3, 8, 1)
+
+    def flaky(topology, workload, seed):
+        if seed == flaky_seed:
+            raise RuntimeError("router exploded")
+        return route_mrg(topology, workload, seed)
+
+    def broken(topology, workload, seed):
+        raise ValueError("always")
+
+    monkeypatch.setitem(ROUTERS, "flaky", flaky)
+    monkeypatch.setitem(ROUTERS, "broken", broken)
+    out = tmp_path / "x.csv"
+    code, _, err = run_cli(capsys, "experiment", "--z", "4", "--dims", "2", "--flows", "4:8:4",
+                           "--algos", "flaky,broken", "--trials", "3", "--seed", "3",
+                           "--out", str(out))
+    assert code == 0
+    report = [line for line in err.splitlines() if not line.startswith("[config]")]
+    assert report == [
+        "greenroute: flaky M=8 trial 1 failed: RuntimeError('router exploded')",
+        "greenroute: flaky M=8: summary rows average 2 of 3 trials",
+        "greenroute: broken M=4 trial 0 failed: ValueError('always')",
+        "greenroute: broken M=4 trial 1 failed: ValueError('always')",
+        "greenroute: broken M=4 trial 2 failed: ValueError('always')",
+        "greenroute: broken M=4: summary rows average 0 of 3 trials",
+        "greenroute: broken M=8 trial 0 failed: ValueError('always')",
+        "greenroute: broken M=8 trial 1 failed: ValueError('always')",
+        "greenroute: broken M=8 trial 2 failed: ValueError('always')",
+        "greenroute: broken M=8: summary rows average 0 of 3 trials",
+    ]
+    rows = list(csv.reader(out.read_text().splitlines()))
+    flaky_rows = [r for r in rows if r[0] == "flaky" and r[3] == "8"]
+    assert [r[4] for r in flaky_rows] == ["0", "1", "2", "mean", "std"]
+    assert flaky_rows[1][5:] == ["error"] * 7  # the CSV layout is unchanged
+    assert "error" not in flaky_rows[3]
+
+
+def test_experiment_without_failures_reports_nothing(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "experiment", "--z", "4", "--dims", "2", "--flows", "4",
+                           "--algos", "mrg", "--trials", "2", "--out", str(tmp_path / "x.csv"))
+    assert code == 0
+    assert [line for line in err.splitlines() if not line.startswith("[config]")] == []

@@ -3,13 +3,16 @@
 The greedy router (MRG and SRG), Dijkstra and the hop-minimal search must
 reproduce the earlier implementations kept in ``oracle_helpers`` exactly:
 same paths, same unrouted set, same loads, on light loads (most flows ride
-active nodes) and near saturation (flows go unrouted). HGR's one-bin
-shortcut must give the layer count the packer would.
+active nodes) and near saturation (flows go unrouted). The vector bin
+packer must return the frozen full-scan packer's result bit for bit, and
+HGR's one-bin shortcut must give the layer count the packer would.
 """
 
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from greenroute import (
     Flow,
@@ -20,6 +23,7 @@ from greenroute import (
     Workload,
     build_fat_tree,
     core_group_of_flow,
+    dimension_weights,
     generate_workload,
     online_arrival,
     online_departure,
@@ -38,6 +42,7 @@ from oracle_helpers import (
     reference_route_greedy,
     reference_sample_shortest,
     reference_shortest_path,
+    reference_vbp_greedy,
 )
 
 # (flows, mean, std) per arity: light, then near saturation
@@ -167,6 +172,78 @@ def test_sample_shortest_matches_both_references():
         assert lex == reference_hop_shortest_lex(topology, allowed, s, t)
         found += expected is not None
     assert found > 500
+
+
+QUANTA = (0.1, 0.2, 0.25, 0.3, 0.5)
+
+
+def _uniform_items(rng, n, dims):
+    return [tuple(rng.uniform(0.001, 1.0) for _ in range(dims)) for _ in range(n)]
+
+
+def _tied_items(rng, n, dims):
+    return [tuple(rng.choice(QUANTA) for _ in range(dims)) for _ in range(n)]
+
+
+def _duplicated_items(rng, n, dims):
+    base = _uniform_items(rng, rng.randint(1, 4), dims)
+    return [rng.choice(base) for _ in range(n)]
+
+
+def _exact_fill_items(rng, n, dims):
+    # groups of eighths that sum to exactly 1.0 in every dimension, so a bin
+    # residual can equal an item and score 0
+    items = []
+    while len(items) < n:
+        size = rng.randint(1, 4)
+        columns = []
+        for _ in range(dims):
+            cuts = sorted(rng.sample(range(1, 8), size - 1))
+            columns.append([(b - a) / 8 for a, b in zip([0] + cuts, cuts + [8])])
+        items.extend(zip(*columns))
+    rng.shuffle(items)
+    return items[:n]
+
+
+def _assert_packs_like_reference(items):
+    assert abs(sum(dimension_weights(items)) - 1.0) < 1e-12  # the pruning bound rests on it
+    result = vbp_greedy(items)
+    expected = reference_vbp_greedy(items)
+    assert result.bin_count == expected.bin_count
+    assert result.assignment == expected.assignment
+    assert result.bin_residuals == expected.bin_residuals  # float equality: bit for bit
+
+
+@pytest.mark.parametrize("family", (_uniform_items, _tied_items, _duplicated_items, _exact_fill_items))
+def test_vbp_greedy_matches_reference(family):
+    rng = random.Random(family.__name__)
+    for _ in range(800):
+        n = int(150 ** rng.random())  # log-uniform over 1..150: mostly small, some large
+        _assert_packs_like_reference(family(rng, n, rng.randint(1, 6)))
+
+
+def test_vbp_greedy_matches_reference_on_hgr_layers():
+    topology = build_fat_tree(16)
+    workload = generate_workload(topology, 1440, 5, seed=77)
+    layers = [[] for _ in range(16 + 8)]
+    for flow in workload.flows:
+        src_pod, dst_pod = topology.pod_of_host(flow.src), topology.pod_of_host(flow.dst)
+        if topology.edge_of_host(flow.src) == topology.edge_of_host(flow.dst):
+            continue
+        layers[src_pod].append(flow.demand)
+        if dst_pod != src_pod:
+            layers[dst_pod].append(flow.demand)
+            layers[16 + core_group_of_flow(flow, topology)].append(flow.demand)
+    for items in layers:
+        assert len(items) > 30
+        _assert_packs_like_reference(items)
+
+
+@given(st.integers(1, 6).flatmap(lambda dims: st.lists(
+    st.tuples(*[st.one_of(st.sampled_from(QUANTA), st.floats(0.0, 1.0, exclude_min=True))] * dims),
+    min_size=1, max_size=40)))
+def test_vbp_greedy_matches_reference_property(items):
+    _assert_packs_like_reference(items)
 
 
 def _packer_count(items, half):

@@ -2,11 +2,11 @@
 
 Covers a small ``greenroute experiment`` CSV, the ``route --out`` dump of
 every algorithm on a light workload (most flows ride already-active nodes)
-and on a near-saturation one (flows go unrouted, many nodes wake up), and
-the path trace of a stream of online arrivals and departures. A change that
-moves any path, unrouted set or load on these inputs changes a hash; a
-change meant to alter routing output updates the hashes and says why in
-CHANGES.md.
+and on a near-saturation one (flows go unrouted, many nodes wake up), an HGR
+dump whose layer counts come from the bin packer, and the path trace of a
+stream of online arrivals and departures. A change that moves any path,
+unrouted set or load on these inputs changes a hash; a change meant to
+alter routing output updates the hashes and says why in CHANGES.md.
 """
 
 import hashlib
@@ -25,6 +25,10 @@ WORKLOADS = {
               "--seed", "12"),
 }
 
+# HGR's layers here need 3-4 bins, at most z/2 = 4, so the packer's counts
+# decide the output (light layers fit one bin and skip it; heavy ones cap at z/2)
+MID_HGR = ("--z", "8", "--flows", "480", "--dims", "5", "--seed", "13")
+
 EXPERIMENT = ("experiment", "--z", "4", "--dims", "3", "--flows", "10:40:15", "--trials", "3",
               "--mean", "0.1", "--std", "0.1", "--seed", "9")
 
@@ -40,6 +44,7 @@ GOLDEN = {
     "heavy-mrsp": "7ea4d97d00f39d8bbd9a0a8d4951d2d0634894913532bfd603b761806e2c8298",
     "heavy-srg": "214bce1f600a76c3bd31bbd9e18a4cf1564502136d344bb9006a644c8ebd7815",
     "heavy-srsp": "02a8ca65d724c4166aa14dad60e21e28d74b66b9f464cd874abb72bd7456f1f1",
+    "mid-hgr": "475db2e869c29183359567e3edd22039676cc276f32e0f0b611d36e40ace8fe0",
     "online-z8": "08748455bddb9f6ade85d8a9abc7b96ec5c87b6d42b62dc5114ce0542a4f7da2",
 }
 
@@ -74,19 +79,25 @@ def online_trace_digest() -> str:
     return trace.hexdigest()
 
 
+def _route_digest(workdir, name: str, algo: str) -> str:
+    out = workdir / f"{name}-{algo}.json"
+    _run("route", "--algo", algo, "--workload", str(workdir / f"{name}.jsonl"), "--seed", "5",
+         "--out", str(out))
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
 def golden_digests(workdir) -> dict[str, str]:
     """Produce every pinned artifact under ``workdir`` and return its sha256 by name."""
     digests = {}
     csv_path = workdir / "experiment.csv"
     _run(*EXPERIMENT, "--out", str(csv_path))
     digests["experiment.csv"] = hashlib.sha256(csv_path.read_bytes()).hexdigest()
-    for name, spec in WORKLOADS.items():
-        wpath = workdir / f"{name}.jsonl"
-        _run("workload", *spec, "--out", str(wpath))
+    for name, spec in {**WORKLOADS, "mid": MID_HGR}.items():
+        _run("workload", *spec, "--out", str(workdir / f"{name}.jsonl"))
+    for name in WORKLOADS:
         for algo in ALGOS:
-            out = workdir / f"{name}-{algo}.json"
-            _run("route", "--algo", algo, "--workload", str(wpath), "--seed", "5", "--out", str(out))
-            digests[f"{name}-{algo}"] = hashlib.sha256(out.read_bytes()).hexdigest()
+            digests[f"{name}-{algo}"] = _route_digest(workdir, name, algo)
+    digests["mid-hgr"] = _route_digest(workdir, "mid", "hgr")
     digests["online-z8"] = online_trace_digest()
     return digests
 
