@@ -130,3 +130,13 @@ def test_blocked_sets_deterministic_per_seed(tree4):
     assert first.unrouted == second.unrouted
     assert first == second
     assert route_srsp(tree4, w, seed=9) == route_srsp(tree4, w, seed=9)
+
+
+@pytest.mark.parametrize("router", (route_srsp, route_mrsp, route_mrg, route_srg))
+def test_routers_reject_unknown_endpoints(tree4, router):
+    # -1 must not wrap around to the last node as a negative index
+    for bad in (-1, len(tree4)):
+        for src, dst in ((bad, 0), (0, bad)):
+            w = Workload((Flow(0, src, dst, (0.1,)),), 1, z=4)
+            with pytest.raises(KeyError, match="unknown node id"):
+                router(tree4, w, seed=0)

@@ -174,6 +174,68 @@ def test_sample_shortest_matches_both_references():
     assert found > 500
 
 
+def _asking(allowed, asked):
+    """``allowed.__contains__`` that logs every node it is asked about."""
+    def enterable(v):
+        asked.append(v)
+        return v in allowed
+    return enterable
+
+
+def _assert_asked_once_and_never_a_leaf(topology, asked, s, t):
+    assert len(asked) == len(set(asked))
+    assert all(len(topology._adj[v]) > 1 for v in asked if v not in (s, t))
+
+
+def test_sample_shortest_asks_each_node_once_and_never_a_leaf():
+    rng = random.Random(47)
+    for _ in range(1500):
+        topology = _graph_with_leaves(rng)
+        n = len(topology)
+        allowed = {v for v in range(n) if rng.random() < 0.75}
+        s, t = rng.sample(range(n), 2)
+        for draws in (random.Random(rng.random()), None):
+            asked = []
+            _sample_shortest(topology, _asking(allowed, asked), s, t, draws)
+            _assert_asked_once_and_never_a_leaf(topology, asked, s, t)
+
+
+def test_sample_shortest_meets_in_the_middle_on_an_idle_z16_tree():
+    topology = build_fat_tree(16)
+    asked = []
+    s, t = topology.host_ids[0], topology.host_ids[-1]  # in different pods
+    path = _sample_shortest(topology, _asking(set(topology.processor_ids), asked), s, t, random.Random(5))
+    assert len(path) == 7
+    # a search from t alone asks about all 320 switches; the two balls meet
+    # at the core layer after 96
+    assert len(asked) <= 100
+
+
+@pytest.mark.parametrize("z", (4, 6, 8))
+def test_sample_shortest_matches_references_on_blocked_fat_trees(z):
+    # Switches refuse entry at random, so hop-minimal paths stretch past a
+    # fat-tree's 6 hops or vanish, and the two frontiers are often the same size.
+    topology = build_fat_tree(z)
+    rng = random.Random(53 + z)
+    hops = []
+    for _ in range(400):
+        refused = rng.choice((0.2, 0.35, 0.5))
+        allowed = {v for v in topology.processor_ids if rng.random() >= refused}
+        s, t = rng.sample(range(len(topology)), 2)
+        draws, ref_draws = random.Random(rng.random()), random.Random()
+        ref_draws.setstate(draws.getstate())
+        expected = reference_sample_shortest(topology, allowed, s, t, ref_draws)
+        asked = []
+        assert _sample_shortest(topology, _asking(allowed, asked), s, t, draws) == expected
+        assert draws.getstate() == ref_draws.getstate()
+        _assert_asked_once_and_never_a_leaf(topology, asked, s, t)
+        lex = _sample_shortest(topology, allowed.__contains__, s, t)
+        assert lex == reference_hop_shortest_lex(topology, allowed, s, t)
+        hops.append(-1 if expected is None else len(expected) - 1)
+    assert hops.count(-1) > 20
+    assert sum(h >= 8 for h in hops) > 3
+
+
 QUANTA = (0.1, 0.2, 0.25, 0.3, 0.5)
 
 
