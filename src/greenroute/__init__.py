@@ -26,7 +26,6 @@ from .mrg import (
     RoutingSolution,
     assign_node_weights,
     inv_count,
-    is_capable,
     is_connected,
     node_to_link_weights,
     online_arrival,

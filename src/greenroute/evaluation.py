@@ -8,7 +8,7 @@ import itertools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -232,11 +232,8 @@ class ResultRow:
     def csv_values(self) -> list[str]:
         head = [self.algo, str(self.z), str(self.dims), str(self.flows), self.trial]
         if self.metrics is None:
-            return head + ["error"] * 7
-        m = self.metrics
-        return head + [str(m.routed), str(m.incomplete), str(m.active_processors),
-                       str(m.total_processors), str(m.saving_ratio), str(m.congested),
-                       str(m.runtime_ms)]
+            return head + ["error"] * len(fields(Metrics))
+        return head + [str(v) for v in astuple(self.metrics)]
 
 
 def cell_seed(base_seed: int, flow_count: int, trial: int) -> int:
@@ -254,11 +251,9 @@ def _summary_rows(cell_rows: list[ResultRow], trials: int) -> list[ResultRow]:
     n = len(good)
 
     def agg(fn) -> Metrics:
-        return Metrics(*(fn([getattr(m, f) for m in good])
-                         for f in ("routed", "incomplete", "active_processors",
-                                   "total_processors", "saving_ratio", "congested", "runtime_ms")))
+        return Metrics(*map(fn, zip(*map(astuple, good))))
 
-    def pstd(xs: list[float]) -> float:
+    def pstd(xs: Sequence[float]) -> float:
         mu = sum(xs) / n
         return (sum((x - mu) ** 2 for x in xs) / n) ** 0.5
 

@@ -14,24 +14,26 @@ and stops once the bound passes the best score, which skips most items and
 leaves every pick exactly that of a full scan.
 
 Phase 2 materializes paths, which the counts alone do not give: the
-lowest-position switches per layer are activated to the phase-1 counts,
-flows are routed by lex-min hop-shortest paths over activated nodes that
-fit them (state, capability rule and commit are the shared
-:class:`greenroute.mrg.ResidualState`), and a blocked flow escalates by
-waking the next lowest-position switch in its candidate layers (round-robin
-over core, src-pod aggregation, dst-pod aggregation) until it routes or the
-layers are exhausted; a flow whose edge switch cannot fit it stays unrouted.
-Escalation can wake more nodes than the estimate; the solution reports the
-processors actually carrying load, and the activated set is reported
-alongside the per-layer counts.
+lowest-position switches per layer are activated to the phase-1 counts, and
+each flow is routed by the lex-min hop-shortest path over activated nodes
+that fit it (state, capability rule and commit are the shared
+:class:`greenroute.mrg.ResidualState`). Only if that fails, and both its
+edge switches fit it (otherwise no activation helps and it stays unrouted),
+the flow wakes switches one at a time and retries after each, until it
+routes or its candidate layers run out. The order is fixed before the first
+wake: round-robin over core, src-pod aggregation and dst-pod aggregation
+(cores and the dst pod only for inter-pod flows), lowest position first,
+skipping switches already activated. Waking can go beyond the estimate; the
+solution reports the processors actually carrying load, and the activated
+set is reported alongside the per-layer counts.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import zip_longest
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .baselines import _sample_shortest
 from .mrg import CAP_TOL, ResidualState, RoutingSolution, finalize_solution
@@ -189,26 +191,21 @@ def _route_on_tree(topology: Topology, state: ResidualState, activated: set[int]
     return _sample_shortest(topology, lambda v: v in activated and fits(v, need), src, dst)
 
 
-def _escalation(topology: Topology, activated: set[int], src_pod: int, dst_pod: int,
-                inter_pod: bool) -> Iterator[int]:
-    # Round-robin over the flow's candidate layers, lowest position first.
-    # Cores go first: a blocked inter-pod flow is most often out of core
-    # capacity, and one extra core is cheaper than waking aggregation
-    # switches in two pods.
-    lanes = []
-    if inter_pod:
-        lanes.append(deque(c for c in topology.core_ids() if c not in activated))
-    lanes.append(deque(a for a in topology.aggregation_ids(src_pod) if a not in activated))
-    if dst_pod != src_pod:
-        lanes.append(deque(a for a in topology.aggregation_ids(dst_pod) if a not in activated))
-    while True:
-        progressed = False
-        for lane in lanes:
-            if lane:
-                progressed = True
-                yield lane.popleft()
-        if not progressed:
-            return
+def _wake_order(topology: Topology, activated: set[int], src_pod: int, dst_pod: int) -> list[int]:
+    """Switches to wake, one at a time, for a blocked flow between ``src_pod`` and ``dst_pod``.
+
+    Round-robin over the flow's candidate layers, lowest position first,
+    skipping switches already activated. Cores go first: a blocked
+    inter-pod flow is most often out of core capacity, and one extra core
+    is cheaper than waking aggregation switches in two pods.
+    """
+    aggs = topology._agg_ids
+    if src_pod == dst_pod:
+        lanes = [aggs[src_pod]]
+    else:
+        lanes = [topology._core_ids, aggs[src_pod], aggs[dst_pod]]
+    tiers = zip_longest(*([v for v in lane if v not in activated] for lane in lanes))
+    return [v for tier in tiers for v in tier if v is not None]
 
 
 def _layer_count(items: list[tuple[float, ...]], half: int) -> int:
@@ -237,6 +234,7 @@ def route_hgr(topology: Topology, workload: Workload) -> tuple[RoutingSolution, 
     for flow in flows:
         for h in (flow.src, flow.dst):
             if h not in hosts:
+                topology._check_id(h)
                 raise ValueError(f"node {h} is not a host")
     edge_of = topology._host_edge
     pod_of = topology._host_pod
@@ -277,22 +275,14 @@ def route_hgr(topology: Topology, workload: Workload) -> tuple[RoutingSolution, 
     for flow in flows:
         demand = flow.demand
         need = [d - CAP_TOL for d in demand]
-        wake = None
-        while True:
-            path = _route_on_tree(topology, state, activated, need, flow.src, flow.dst)
-            if path is not None:
-                break
-            if wake is None:
-                # an out-of-capacity edge switch cuts the flow off; no activation helps
-                if not (fits(edge_of[flow.src], need) and fits(edge_of[flow.dst], need)):
+        path = _route_on_tree(topology, state, activated, need, flow.src, flow.dst)
+        # an out-of-capacity edge switch cuts the flow off; no activation helps
+        if path is None and fits(edge_of[flow.src], need) and fits(edge_of[flow.dst], need):
+            for nxt in _wake_order(topology, activated, pod_of[flow.src], pod_of[flow.dst]):
+                activated.add(nxt)
+                path = _route_on_tree(topology, state, activated, need, flow.src, flow.dst)
+                if path is not None:
                     break
-                src_pod = pod_of[flow.src]
-                dst_pod = pod_of[flow.dst]
-                wake = _escalation(topology, activated, src_pod, dst_pod, src_pod != dst_pod)
-            nxt = next(wake, None)
-            if nxt is None:
-                break
-            activated.add(nxt)
         if path is None:
             unrouted.add(flow.id)
             continue

@@ -19,12 +19,15 @@ The batch router computes exactly what that description says, with less
 work. The pick scan skips a flow whose last test failed unless a processor
 activated since then is capable for it; this is exact in batch mode only,
 where residuals only shrink and the active set only grows (online
-departures break both, so ``online_arrival`` tests every time). Its
-reachability test checks capability only on the nodes it touches. Batch
-and online routing weigh only the nodes their Dijkstra reaches, and
-Dijkstra never enters a degree-1 node other than the target. Online
-arrivals differ from batch routing only in that they stay on the active
-capable nodes when those connect the endpoints.
+departures break both). Its reachability test checks capability only on
+the nodes it touches. Batch and online routing weigh only the nodes their
+Dijkstra reaches, and Dijkstra never enters a degree-1 node other than the
+target.
+
+An online arrival has no pick scan and no separate reachability test: it
+runs the greedy step on the active capable nodes alone, which finds a path
+exactly when those connect the endpoints, and falls back to the full
+capable network when that finds none.
 
 Conventions fixed for reproducibility: residuals start at the normalized
 capacity (all ones); a node is incapable of a flow iff some residual
@@ -51,13 +54,6 @@ CAP_TOL = 1e-9
 
 
 # -- vector primitives ---------------------------------------------------------
-
-def is_capable(residual: Sequence[float], demand: Sequence[float]) -> bool:
-    """True iff ``residual`` covers ``demand`` in every dimension (tolerance 1e-9)."""
-    if len(residual) != len(demand):
-        raise ValueError(f"vector length mismatch: {len(residual)} vs {len(demand)}")
-    return all(r >= d - CAP_TOL for r, d in zip(residual, demand))
-
 
 def inv_count(x: Sequence[float], y: Sequence[float]) -> int:
     """Number of index pairs on which ``x`` and ``y`` are ordered oppositely.
@@ -286,9 +282,10 @@ def _active_connected(state: ResidualState, topology: Topology, src: int, dst: i
                       need: Sequence[float]) -> bool:
     """True iff the active processors that fit ``need`` connect ``src`` to ``dst``.
 
-    Equal to :func:`is_connected` over those processors, but it tests only
-    the nodes it touches; ``dst`` can only be entered from ``src`` or from a
-    usable neighbour, so those are checked first.
+    The batch pick scan's test. Equal to :func:`is_connected` over those
+    processors, but it tests only the nodes it touches; ``dst`` can only be
+    entered from ``src`` or from a usable neighbour, so those are checked
+    first.
     """
     adj = topology._adj
     active = state.active
@@ -430,10 +427,10 @@ def route_mrg(topology: Topology, workload: Workload, seed: int = 0) -> RoutingS
 def online_arrival(state: ResidualState, topology: Topology, flow: Flow) -> tuple[int, ...] | None:
     """Route one arriving flow against live state; commit and return its path.
 
-    Tries the subnetwork of active capable nodes first; only if that cannot
-    connect the endpoints does routing fall back to the full capable network
-    with the usual weight assignment. Returns ``None`` (state untouched) when
-    even the full network cannot carry the flow.
+    Routes on the subnetwork of active capable nodes first; only if that
+    finds no path does routing fall back to the full capable network. Both
+    searches use the usual weight assignment. Returns ``None`` (state
+    untouched) when even the full network cannot carry the flow.
     """
     if flow.id in state.committed:
         raise ValueError(f"flow {flow.id} is already routed")
@@ -444,8 +441,8 @@ def online_arrival(state: ResidualState, topology: Topology, flow: Flow) -> tupl
     if dims != len(demand):
         raise ValueError(f"vector length mismatch: {dims} vs {len(demand)}")
     need = [d - CAP_TOL for d in demand]
-    path = _greedy_path(state, topology, src, dst, demand, need,
-                        _active_connected(state, topology, src, dst, need))
+    path = (_greedy_path(state, topology, src, dst, demand, need, True)
+            or _greedy_path(state, topology, src, dst, demand, need, False))
     if path is None:
         return None
     state.commit(flow.id, path, demand)

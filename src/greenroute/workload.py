@@ -147,11 +147,13 @@ def load_workload(path: str | Path) -> Workload:
         header = json.loads(header_text)
         dims = int(header["K"])
         z = header["z"]
-        z = None if z is None else int(z)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise fail(lineno, f"malformed header: {exc}") from None
     if dims < 1:
         raise fail(lineno, f"header K must be >= 1, got {dims}")
+    # z must be a fat-tree arity, or build_fat_tree fails later on it
+    if z is not None and not (type(z) is int and z >= 2 and z % 2 == 0):
+        raise fail(lineno, f"header z must be null or an even integer >= 2, got {z!r}")
     n_hosts = None if z is None else z**3 // 4
 
     flows = []

@@ -10,6 +10,7 @@ from greenroute import (
     route_srg,
     route_srsp,
 )
+from greenroute.evaluation import ROUTERS
 from greenroute.workload import generate_workload
 
 from oracle_helpers import all_simple_paths
@@ -132,7 +133,7 @@ def test_blocked_sets_deterministic_per_seed(tree4):
     assert route_srsp(tree4, w, seed=9) == route_srsp(tree4, w, seed=9)
 
 
-@pytest.mark.parametrize("router", (route_srsp, route_mrsp, route_mrg, route_srg))
+@pytest.mark.parametrize("router", ROUTERS.values())
 def test_routers_reject_unknown_endpoints(tree4, router):
     # -1 must not wrap around to the last node as a negative index
     for bad in (-1, len(tree4)):

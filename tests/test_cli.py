@@ -117,6 +117,15 @@ def test_route_non_finite_demand_is_input_error(capsys, tmp_path):
     assert "line 2" in err and "finite" in err
 
 
+def test_route_bad_arity_is_input_error(capsys, tmp_path):
+    bad = tmp_path / "z5.jsonl"
+    bad.write_text('{"K": 1, "z": 5, "seed": 0, "mean": 0, "std": 0}\n'
+                   '{"id": 0, "src": 0, "dst": 4, "demand": [0.1]}\n')
+    code, _, err = run_cli(capsys, "route", "--algo", "mrg", "--workload", str(bad))
+    assert code == 2
+    assert "line 1" in err and "even integer" in err
+
+
 def test_experiment_rerun_is_byte_identical(capsys, tmp_path):
     args = ("experiment", "--z", "4", "--dims", "2", "--flows", "4:8:4",
             "--algos", "mrg,hgr", "--trials", "2", "--seed", "3")

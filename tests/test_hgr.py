@@ -5,6 +5,7 @@ import pytest
 from greenroute import (
     Flow,
     Workload,
+    build_fat_tree,
     build_star_reduction,
     compute_metrics,
     core_group_of_flow,
@@ -213,6 +214,46 @@ def test_hgr_reports_oversize_flows_unrouted_like_every_router(tree4):
     assert sol.unrouted == route_mrg(tree4, workload).unrouted == {0, 2}
     assert set(sol.paths) == {1}
     assert counts.agg_per_pod == (1, 0, 0, 0) and counts.core_per_group == (0, 0)
+
+
+def test_hgr_wakes_core_then_src_agg_then_dst_agg(tree4):
+    # z=4: hosts 4p..4p+3 in pod p, pod p's aggregation switches 24+2p (position 0)
+    # and 25+2p (position 1), cores 32, 33 (group 0, behind position 0) and 34, 35.
+    # The last flow, 1 -> 7 (pod 0 -> pod 1, demand 0.48), hashes to core group 1,
+    # so the estimate wakes core 34, which only position-1 aggregation switches
+    # reach; every pod packs into one bin (position 0) unless noted.
+    g0 = Flow(0, 0, 4, (0.5,))     # pod 0 -> pod 1 via 24, 32, 26
+    g1 = Flow(1, 8, 12, (0.4,))    # pod 2 -> pod 3 via 28, 32, 30: core 32 left with 0.1
+    g2 = Flow(2, 10, 14, (0.55,))  # group 0 now needs two cores; this one takes 33, left with 0.45
+    x = Flow(3, 5, 6, (0.3,))      # inside pod 1 via 26 (left with 0.2); pod 1 now packs into two bins
+    edges = {16, 18, 19, 20, 22}
+
+    def activated_for(*fillers):
+        flows = fillers + (Flow(len(fillers), 1, 7, (0.48,)),)
+        sol, counts = route_hgr(tree4, Workload(flows, 1, z=4))
+        assert not sol.unrouted
+        return counts.activated
+
+    # 1st wake: core 32 is full for the flow, so the lowest inactive core, 33, opens position 0
+    assert activated_for(g0, g1) == edges | {24, 26, 28, 30, 32, 34} | {33}
+    # cores 32 and 33 are both full: the 1st wake (core 35, skipping active 32-34)
+    # opens nothing, the 2nd (pod 0's agg 25) opens position 1 through the estimated agg 27
+    assert activated_for(g0, g1, g2, x) == edges | {21, 23, 24, 26, 27, 28, 30, 32, 33, 34} | {35, 25}
+    # without x, pod 1 has one agg: only the 3rd wake (pod 1's agg 27) opens position 1
+    assert activated_for(g0, g1, g2) == edges | {21, 23, 24, 26, 28, 30, 32, 33, 34} | {35, 25, 27}
+
+
+def test_hgr_wakes_src_pod_agg_before_dst_pod_agg():
+    # z=6, so a pod has three aggregation switches: pod 0's are 72-74, pod 1's 75-77,
+    # cores 90-92 sit behind position 0 and 93-95 behind position 1. Flow 0 stays in
+    # pod 1 via 75 and leaves it 0.4; pod 1 packs into two bins (75, 76), pod 0 into
+    # one (72). Flow 1 (demand 0.5, core group 1, so core 93 is awake) is blocked at 75.
+    tree6 = build_fat_tree(6)
+    flows = (Flow(0, 9, 12, (0.6,)), Flow(1, 1, 15, (0.5,)))
+    sol, counts = route_hgr(tree6, Workload(flows, 1, z=6))
+    # core 90 opens nothing; pod 0's agg 73 opens position 1 before pod 1's agg 77 is woken
+    assert counts.activated == {54, 57, 58, 59, 72, 75, 76, 93} | {90, 73}
+    assert sol.paths[1] == (1, 54, 73, 93, 76, 59, 15)
 
 
 def test_hgr_rejects_non_fat_tree():

@@ -6,13 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from greenroute import (
+    CAP_TOL,
     Flow,
     ResidualState,
     Workload,
     assign_node_weights,
     build_star_reduction,
     inv_count,
-    is_capable,
     is_connected,
     node_to_link_weights,
     online_arrival,
@@ -34,23 +34,27 @@ from oracle_helpers import (
 TOL = 1e-9
 
 
-# -- is_capable ---------------------------------------------------------------
+# -- the capability rule: ResidualState.fits -----------------------------------
+
+def _fits(residual, demand):
+    state = ResidualState({0: list(residual)}, set())
+    return state.fits(0, [d - CAP_TOL for d in demand])
+
 
 def test_is_capable_fresh_node():
-    assert is_capable((1, 1, 1), (0.1, 0.3, 0.4))
+    assert _fits((1, 1, 1), (0.1, 0.3, 0.4))
 
 
 def test_is_capable_one_dimension_short():
-    assert not is_capable((0.4, 0.6, 0.9), (0.5, 0.1, 0.1))
+    assert not _fits((0.4, 0.6, 0.9), (0.5, 0.1, 0.1))
 
 
 def test_is_capable_boundary_admitted():
-    assert is_capable((0.3, 0.2), (0.3, 0.2))
+    assert _fits((0.3, 0.2), (0.3, 0.2))
 
 
-def test_is_capable_length_mismatch():
-    with pytest.raises(ValueError):
-        is_capable((1.0,), (0.1, 0.2))
+def test_is_capable_rejects_beyond_tolerance():
+    assert not _fits((0.3, 0.2), (0.3, 0.2 + 2e-9))
 
 
 # -- inv_count ----------------------------------------------------------------

@@ -138,6 +138,15 @@ def test_parse_error_names_line(tmp_path):
         load_workload(p)
 
 
+@pytest.mark.parametrize("z", ("5", "1", "0", "4.5"))
+def test_bad_fat_tree_arity_rejected_at_load(tmp_path, z):
+    p = _write(tmp_path / "bad_z.jsonl",
+               '{"K": 1, "z": %s, "seed": 0, "mean": 0.02, "std": 0.02}\n'
+               '{"id": 0, "src": 0, "dst": 1, "demand": [0.1]}\n' % z)
+    with pytest.raises(ParseError, match="line 1.*even integer"):
+        load_workload(p)
+
+
 @pytest.mark.parametrize("bad", ("NaN", "Infinity", "-Infinity"))
 def test_non_finite_demand_rejected_at_load(tmp_path, bad):
     header = '{"K": 2, "z": 4, "seed": 0, "mean": 0.02, "std": 0.02}'
