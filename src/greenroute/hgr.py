@@ -35,8 +35,7 @@ from itertools import zip_longest
 from operator import mul
 from typing import Sequence
 
-from .baselines import _sample_shortest
-from .mrg import CAP_TOL, ResidualState, RoutingSolution, finalize_solution
+from .mrg import CAP_TOL, ResidualState, RoutingSolution, _sample_shortest, finalize_solution
 from .topology import Topology
 from .workload import Flow, Workload
 

@@ -19,10 +19,13 @@ The batch router computes exactly what that description says, with less
 work. The pick scan skips a flow whose last test failed unless a processor
 activated since then is capable for it; this is exact in batch mode only,
 where residuals only shrink and the active set only grows (online
-departures break both). Its reachability test checks capability only on
-the nodes it touches. Batch and online routing weigh only the nodes their
-Dijkstra reaches, and Dijkstra never enters a degree-1 node other than the
-target.
+departures break both). Its reachability test is the hop-minimal search
+:func:`_sample_shortest` over the active capable nodes, which asks
+capability only of the nodes it reaches, the endpoints' edge switches
+first. Batch and online routing weigh only the nodes their Dijkstra
+reaches, and Dijkstra never enters a degree-1 node other than the target.
+Both routing searches live here: that Dijkstra, and the hop search, which
+also serves SRSP, MRSP and HGR's detours.
 
 An online arrival has no pick scan and no separate reachability test: it
 runs the greedy step on the active capable nodes alone, which finds a path
@@ -203,6 +206,107 @@ def _dijkstra(topology: Topology, s: int, t: int, step) -> list[int] | None:
     return None
 
 
+def _sample_shortest(topology: Topology, enterable, s: int, t: int,
+                     rng: random.Random | None = None) -> list[int] | None:
+    """A hop-minimal s-t path whose interior nodes pass ``enterable(v)``, or ``None``.
+
+    With ``rng``, a uniform random draw among all hop-minimal paths; without,
+    the lexicographically smallest (:func:`shortest_path` with unit
+    weights). ``enterable`` is asked at most once per node, and never
+    about a degree-1 node other than s and t: it lies on no simple s-t path.
+
+    The search grows whole BFS levels from s and from t and stops after the
+    first level that reaches a node the other side has labelled. If the
+    labelled levels are 0..a from s and 0..b from t, the hop distance is
+    a + b and every meeting node lies in forward level a and backward level
+    b, so neither side reads the adjacency of the meeting level (the core
+    layer of a fat-tree). Each round grows the side with the smaller
+    frontier; on a tie, the side with fewer levels; then s. So the one
+    neighbour of each degree-1 endpoint (a host's edge switch) is asked
+    before anything else, and a refusal there ends the search after at most
+    two questions: the batch pick scan, which only asks whether a path
+    exists, gets its no at once when an endpoint's edge switch is full.
+    """
+    if s == t:
+        return [s]
+    adj = topology._adj
+    inner = topology._inner_adj
+    # a degree-1 endpoint is reached only from its one neighbour
+    s_gate = adj[s][0] if len(adj[s]) == 1 else -1
+    t_gate = adj[t][0] if len(adj[t]) == 1 else -1
+    from_s: dict[int, int] = {s: 0}  # hop distance from s
+    to_t: dict[int, int] = {t: 0}  # hop distance to t
+    s_levels, t_levels = [[s]], [[t]]
+    blocked: set[int] = set()  # asked and refused
+    met = False
+    while not met:
+        if not s_levels[-1] or not t_levels[-1]:
+            return None
+        if (len(s_levels[-1]), len(s_levels)) <= (len(t_levels[-1]), len(t_levels)):
+            mine, other, levels, gate, end = from_s, to_t, s_levels, t_gate, t
+        else:
+            mine, other, levels, gate, end = to_t, from_s, t_levels, s_gate, s
+        d = len(levels)
+        nxt = []
+        for u in levels[-1]:
+            for v in inner[u]:
+                if v in mine or v in blocked:
+                    continue
+                if v in other:
+                    met = True
+                elif not enterable(v):
+                    blocked.add(v)
+                    continue
+                mine[v] = d
+                nxt.append(v)
+            if u == gate:
+                mine[end] = d
+                nxt.append(end)
+                met = True
+        levels.append(nxt)
+    a, b = len(s_levels) - 1, len(t_levels) - 1
+
+    # The weights of the draw: toward_t[j][v] counts the hop-minimal v-t
+    # paths of each node v in backward level j, pushed outward from t.
+    toward_t = [{t: 1}]
+    for j in range(1, b + 1):
+        count: dict[int, int] = {}
+        for v, c in toward_t[-1].items():
+            for u in inner[v]:
+                if to_t.get(u) == j:
+                    count[u] = count.get(u, 0) + c
+        toward_t.append(count)
+    steps = toward_t[:b][::-1]
+    if a:
+        # The same counts pulled toward s over forward levels a-1..1, kept
+        # only for nodes on a hop-minimal s-t path; the meeting nodes of
+        # level a take theirs from the backward side.
+        count = {m: toward_t[b][m] for m in s_levels[a] if m in to_t}
+        ahead = [count]
+        for level in s_levels[a - 1:0:-1]:
+            pulled = {}
+            for v in level:
+                c = 0
+                for u in adj[v]:
+                    c += count.get(u, 0)
+                if c:
+                    pulled[v] = c
+            count = pulled
+            ahead.append(count)
+        steps = ahead[::-1] + steps
+    # Walk from s. Each step's options are the neighbours one hop further
+    # along some hop-minimal path, in id order (adjacency is sorted), and
+    # stepping with probability proportional to a neighbour's count draws
+    # every hop-minimal s-t path with the same probability.
+    path = [s]
+    v = s
+    for count in steps:
+        options = [u for u in adj[v] if u in count]
+        v = options[0] if rng is None else rng.choices(options, [count[u] for u in options])[0]
+        path.append(v)
+    return path
+
+
 def shortest_path(
     topology: Topology,
     allowed_nodes: Iterable[int],
@@ -278,33 +382,6 @@ def node_to_link_weights(topology: Topology, node_weights: Mapping[int, float]) 
 
 # -- the router --------------------------------------------------------------------
 
-def _active_connected(state: ResidualState, topology: Topology, src: int, dst: int,
-                      need: Sequence[float]) -> bool:
-    """True iff the active processors that fit ``need`` connect ``src`` to ``dst``.
-
-    The batch pick scan's test. Equal to :func:`is_connected` over those
-    processors, but it tests only the nodes it touches; ``dst`` can only be
-    entered from ``src`` or from a usable neighbour, so those are checked
-    first.
-    """
-    adj = topology._adj
-    active = state.active
-    fits = state.fits
-    if not any(u == src or (u in active and fits(u, need)) for u in adj[dst]):
-        return False
-    seen = {src}
-    stack = [src]
-    while stack:
-        for v in adj[stack.pop()]:
-            if v == dst:
-                return True
-            if v not in seen:
-                seen.add(v)
-                if v in active and fits(v, need):
-                    stack.append(v)
-    return False
-
-
 def _greedy_path(state: ResidualState, topology: Topology, src: int, dst: int,
                  demand: Sequence[float], need: Sequence[float], active_only: bool) -> list[int] | None:
     """One greedy routing step: Dijkstra under :func:`assign_node_weights`, weighed lazily.
@@ -346,6 +423,7 @@ def _route_greedy(topology: Topology, workload: Workload, seed: int, view: tuple
     rng = random.Random(seed)
     # The state is kept on the view's dimensions only: nothing else reads them.
     state = ResidualState.fresh(topology, len(view))
+    active = state.active
     fits = state.fits
     demands = [[flow.demand[k] for k in view] for flow in flows]
     needs = [[d - CAP_TOL for d in demand] for demand in demands]
@@ -373,7 +451,8 @@ def _route_greedy(topology: Topology, workload: Workload, seed: int, view: tuple
             if last >= 0 and not any(fits(v, need) for v in log[last:]):
                 stamp[fid] = len(log)
                 continue
-            if _active_connected(state, topology, flow.src, flow.dst, need):
+            if _sample_shortest(topology, lambda v: v in active and fits(v, need),
+                                flow.src, flow.dst) is not None:
                 pick = i
                 break
             stamp[fid] = len(log)

@@ -284,16 +284,24 @@ def save_topology(topology: Topology, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, separators=(", ", ": ")) + "\n")
 
 
+def _json_int(value, name: str) -> int:
+    """``value`` itself if it is a JSON integer; a bool, float or string raises ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def load_topology(path: str | Path) -> Topology:
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
     try:
-        nodes = [Node(int(i), NodeKind(kind), pod if pod is None else int(pod), int(pos))
+        nodes = [Node(_json_int(i, "node id"), NodeKind(kind),
+                      pod if pod is None else _json_int(pod, "node pod"), _json_int(pos, "node pos"))
                  for i, kind, pod, pos in doc["nodes"]]
-        edges = [(int(u), int(v)) for u, v in doc["edges"]]
-        z = doc["z"]
+        edges = [(_json_int(u, "edge end"), _json_int(v, "edge end")) for u, v in doc["edges"]]
+        z = doc["z"] if doc["z"] is None else _json_int(doc["z"], "z")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed topology record: {exc}") from exc
-    return Topology(nodes, edges, z=None if z is None else int(z))
+    return Topology(nodes, edges, z=z)

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .topology import Topology
+from .topology import Topology, _json_int
 
 _MAX_RESAMPLES = 100_000
 
@@ -145,8 +145,11 @@ def load_workload(path: str | Path) -> Workload:
     lineno, header_text = lines[0]
     try:
         header = json.loads(header_text)
-        dims = int(header["K"])
+        dims = _json_int(header["K"], "K")
         z = header["z"]
+        seed = header.get("seed")
+        if seed is not None:
+            _json_int(seed, "seed")
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise fail(lineno, f"malformed header: {exc}") from None
     if dims < 1:
@@ -160,7 +163,7 @@ def load_workload(path: str | Path) -> Workload:
     for lineno, text in lines[1:]:
         try:
             rec = json.loads(text)
-            fid, src, dst = int(rec["id"]), int(rec["src"]), int(rec["dst"])
+            fid, src, dst = (_json_int(rec[key], key) for key in ("id", "src", "dst"))
             demand = tuple(float(c) for c in rec["demand"])
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise fail(lineno, f"malformed flow record: {exc}") from None
@@ -175,8 +178,7 @@ def load_workload(path: str | Path) -> Workload:
         except ValueError as exc:
             raise fail(lineno, str(exc)) from None
     return Workload(
-        tuple(flows), dims, z=z,
-        seed=None if header.get("seed") is None else int(header["seed"]),
+        tuple(flows), dims, z=z, seed=seed,
         mean=None if header.get("mean") is None else float(header["mean"]),
         std=None if header.get("std") is None else float(header["std"]),
     )

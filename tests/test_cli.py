@@ -1,10 +1,12 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import greenroute
 from greenroute import (
     Flow,
     Workload,
@@ -126,6 +128,30 @@ def test_route_bad_arity_is_input_error(capsys, tmp_path):
     assert "line 1" in err and "even integer" in err
 
 
+def test_route_non_integer_host_is_input_error(capsys, tmp_path):
+    bad = tmp_path / "frac.jsonl"
+    bad.write_text('{"K": 1, "z": 4, "seed": 0, "mean": 0, "std": 0}\n'
+                   '{"id": 0, "src": 0.9, "dst": 4, "demand": [0.1]}\n')
+    code, _, err = run_cli(capsys, "route", "--algo", "mrg", "--workload", str(bad))
+    assert code == 2
+    assert "line 2" in err and "src must be an integer" in err
+
+
+def test_oracle_non_integer_topology_is_input_error(capsys, tmp_path):
+    star = build_star_reduction(2)
+    tpath = tmp_path / "star.json"
+    save_topology(star.topology, tpath)
+    doc = json.loads(tpath.read_text())
+    doc["edges"][0] = [0.2, 2.8]
+    tpath.write_text(json.dumps(doc))
+    wpath = tmp_path / "w.jsonl"
+    save_workload(Workload((Flow(0, 0, 1, (0.5,)),), 1, z=None), wpath)
+    code, _, err = run_cli(capsys, "oracle", "--mode", "eemr", "--input", str(wpath),
+                           "--topo", str(tpath))
+    assert code == 2
+    assert "edge end must be an integer" in err
+
+
 def test_experiment_rerun_is_byte_identical(capsys, tmp_path):
     args = ("experiment", "--z", "4", "--dims", "2", "--flows", "4:8:4",
             "--algos", "mrg,hgr", "--trials", "2", "--seed", "3")
@@ -178,8 +204,11 @@ def test_oracle_eemr_infeasible(capsys, tmp_path):
 
 
 def test_console_script_installed():
+    # the subprocess must import the same package as this test, installed or not
+    package_root = os.path.dirname(os.path.dirname(greenroute.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH")))))
     result = subprocess.run([sys.executable, "-m", "greenroute.cli", "topo", "--z", "2"],
-                            capture_output=True, text=True)
+                            capture_output=True, text=True, env=env)
     assert result.returncode == 0
     assert "7 nodes" in result.stdout
 

@@ -25,6 +25,7 @@ from greenroute import (
     core_group_of_flow,
     dimension_weights,
     generate_workload,
+    is_connected,
     online_arrival,
     online_departure,
     route_hgr,
@@ -33,7 +34,7 @@ from greenroute import (
     shortest_path,
     vbp_greedy,
 )
-from greenroute.baselines import _sample_shortest
+from greenroute.mrg import _sample_shortest
 from greenroute.hgr import _layer_count
 
 from oracle_helpers import (
@@ -234,6 +235,60 @@ def test_sample_shortest_matches_references_on_blocked_fat_trees(z):
         hops.append(-1 if expected is None else len(expected) - 1)
     assert hops.count(-1) > 20
     assert sum(h >= 8 for h in hops) > 3
+
+
+def _with_hosts(topology, rng):
+    """The same graph with a random third of its nodes relabelled as hosts."""
+    nodes = [Node(v, NodeKind.HOST if rng.random() < 0.33 else NodeKind.EDGE, None, v)
+             for v in range(len(topology))]
+    return Topology(nodes, topology.edges)
+
+
+def _assert_reachability_agrees(topology, allowed, s, t):
+    asked = []
+    found = _sample_shortest(topology, _asking(allowed, asked), s, t) is not None
+    assert found == is_connected(topology, allowed, s, t)
+    _assert_asked_once_and_never_a_leaf(topology, asked, s, t)
+    assert s not in asked and t not in asked
+    return found
+
+
+def test_sample_shortest_answers_reachability():
+    # The batch pick scan asks only whether a path exists; the answer must be
+    # is_connected's on the endpoints it meets: processors, hosts of degree
+    # >= 2, adjacent endpoints, and a leaf whose only neighbour is the other end.
+    rng = random.Random(59)
+    seen = dict.fromkeys(("host of degree >= 2", "adjacent", "only neighbour", "found", "not found"), 0)
+    for _ in range(1500):
+        topology = _with_hosts(_graph_with_leaves(rng), rng)
+        n = len(topology)
+        allowed = {v for v in range(n) if rng.random() < 0.6}
+        leaves = [v for v in range(n) if len(topology._adj[v]) == 1]
+        if rng.random() < 0.3:
+            t = rng.choice(leaves)
+            s = topology._adj[t][0]
+            if rng.random() < 0.5:
+                s, t = t, s
+        else:
+            s, t = rng.sample(range(n), 2)
+        found = _assert_reachability_agrees(topology, allowed, s, t)
+        seen["found" if found else "not found"] += 1
+        seen["host of degree >= 2"] += any(topology.is_host(v) and len(topology._adj[v]) > 1 for v in (s, t))
+        seen["adjacent"] += t in topology._adj[s]
+        seen["only neighbour"] += topology._adj[t] == (s,) or topology._adj[s] == (t,)
+    assert min(seen.values()) > 200, seen
+
+
+def test_sample_shortest_asks_both_gates_first_on_an_idle_z16_tree():
+    # The pick scan's usual failure: the destination's edge switch is full.
+    # The search asks the source's edge switch, then the destination's, and
+    # stops there.
+    topology = build_fat_tree(16)
+    s, t = topology.host_ids[0], topology.host_ids[-1]
+    allowed = set(topology.processor_ids) - {topology.edge_of_host(t)}
+    asked = []
+    assert _sample_shortest(topology, _asking(allowed, asked), s, t) is None
+    assert asked == [topology.edge_of_host(s), topology.edge_of_host(t)]
 
 
 QUANTA = (0.1, 0.2, 0.25, 0.3, 0.5)

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from greenroute import (
@@ -149,6 +151,23 @@ def test_topology_dump_round_trip(tmp_path, tree4):
     assert loaded.nodes == star.nodes
     assert loaded.edges == star.edges
     assert loaded.z is None
+
+
+@pytest.mark.parametrize("bad", (1.5, True, "4"))
+@pytest.mark.parametrize("field", ("z", "node id", "node pod", "node pos", "edge end"))
+def test_load_topology_rejects_non_integer_fields(tmp_path, tree2, field, bad):
+    path = tmp_path / "topo.json"
+    save_topology(tree2, path)
+    doc = json.loads(path.read_text())
+    if field == "z":
+        doc["z"] = bad
+    elif field == "edge end":
+        doc["edges"][0][1] = bad
+    else:  # node 2 is an edge switch, so its pod is set
+        doc["nodes"][2][("node id", "", "node pod", "node pos").index(field)] = bad
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        load_topology(path)
 
 
 def test_fat_tree_helpers(tree4):

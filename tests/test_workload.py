@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -144,6 +145,18 @@ def test_bad_fat_tree_arity_rejected_at_load(tmp_path, z):
                '{"K": 1, "z": %s, "seed": 0, "mean": 0.02, "std": 0.02}\n'
                '{"id": 0, "src": 0, "dst": 1, "demand": [0.1]}\n' % z)
     with pytest.raises(ParseError, match="line 1.*even integer"):
+        load_workload(p)
+
+
+@pytest.mark.parametrize("bad", (1.5, True, "4"))
+@pytest.mark.parametrize("line, key", ((1, "K"), (1, "seed"), (2, "id"), (2, "src"), (2, "dst")))
+def test_non_integer_fields_rejected_at_load(tmp_path, line, key, bad):
+    # a float, bool or string is never truncated or coerced to an integer
+    header = {"K": 1, "z": 4, "seed": 0, "mean": 0.02, "std": 0.02}
+    record = {"id": 0, "src": 0, "dst": 4, "demand": [0.1]}
+    (header if line == 1 else record)[key] = bad
+    p = _write(tmp_path / "bad.jsonl", json.dumps(header) + "\n" + json.dumps(record) + "\n")
+    with pytest.raises(ParseError, match=f"line {line}.*{key} must be an integer"):
         load_workload(p)
 
 
