@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import zip_longest
-from operator import mul
+from operator import ge, mul
 from typing import Sequence
 
 from .mrg import CAP_TOL, ResidualState, RoutingSolution, _sample_shortest, finalize_solution
@@ -161,31 +161,41 @@ def _route_on_tree(topology: Topology, state: ResidualState, activated: set[int]
     path is out of capacity. ``src`` and ``dst`` must be hosts.
     """
     fits = state.fits
+    residual = state.residual  # fits(v, need) is written out below: this runs for every flow
     e_s = topology._host_edge[src]
     e_t = topology._host_edge[dst]
     if e_s == e_t:
-        return [src, e_s, dst] if e_s in activated and fits(e_s, need) else None
-    if not (e_s in activated and fits(e_s, need) and e_t in activated and fits(e_t, need)):
+        return [src, e_s, dst] if e_s in activated and all(map(ge, residual[e_s], need)) else None
+    if not (e_s in activated and all(map(ge, residual[e_s], need))
+            and e_t in activated and all(map(ge, residual[e_t], need))):
         return None  # both edge switches are cut vertices for this flow
     src_pod = topology._host_pod[src]
     dst_pod = topology._host_pod[dst]
     if src_pod == dst_pod:
         for a in topology._agg_ids[src_pod]:
-            if a in activated and fits(a, need):
+            if a in activated and all(map(ge, residual[a], need)):
                 return [src, e_s, a, e_t, dst]
-    else:
-        half = topology.z // 2
-        cores = topology._core_ids
-        src_aggs = topology._agg_ids[src_pod]
-        dst_aggs = topology._agg_ids[dst_pod]
-        for pos in range(half):
-            a_s = src_aggs[pos]
-            a_t = dst_aggs[pos]
-            if not (a_s in activated and fits(a_s, need) and a_t in activated and fits(a_t, need)):
-                continue
+        return None  # every path leaves e_s through one of these
+    half = topology.z // 2
+    cores = topology._core_ids
+    src_aggs = topology._agg_ids[src_pod]
+    dst_aggs = topology._agg_ids[dst_pod]
+    # Any path leaves each pod through an activated, fitting aggregation switch and core above it.
+    out_s = out_t = False
+    for pos in range(half):
+        a_s = src_aggs[pos]
+        a_t = dst_aggs[pos]
+        up_s = a_s in activated and all(map(ge, residual[a_s], need))
+        up_t = a_t in activated and all(map(ge, residual[a_t], need))
+        if up_s or up_t:
             for core in cores[pos * half:(pos + 1) * half]:
-                if core in activated and fits(core, need):
-                    return [src, e_s, a_s, core, a_t, e_t, dst]
+                if core in activated and all(map(ge, residual[core], need)):
+                    if up_s and up_t:
+                        return [src, e_s, a_s, core, a_t, e_t, dst]
+                    out_s, out_t = out_s or up_s, out_t or up_t
+                    break
+    if not (out_s and out_t):
+        return None
     # every minimum-length path is blocked; look for longer detours
     return _sample_shortest(topology, lambda v: v in activated and fits(v, need), src, dst)
 
@@ -208,17 +218,27 @@ def _wake_order(topology: Topology, activated: set[int], src_pod: int, dst_pod: 
 
 
 def _layer_count(items: list[tuple[float, ...]], half: int) -> int:
-    """``min(vbp_greedy(items).bin_count, half)``, skipping the packer when one bin holds all.
+    """``min(vbp_greedy(items).bin_count, half)``, skipping the packer when the count is sure.
 
     If no dimension's demand sum exceeds 1.0, every item fits the first bin
     (rounding over fewer than a million items stays far below the 1e-9
-    tolerance), so the packer would open exactly one. Items that are too big
-    fail this test and reach ``vbp_greedy``, which rejects them.
+    tolerance): one bin. If one dimension's sum s exceeds 1 beyond the
+    tolerance and every other's sum plus its largest item stays within 1,
+    only that dimension turns items away, so the first bin closes less than
+    its largest item c short of full; if s + c <= 2 the rest fill one more:
+    two bins. Items that are too big fail both tests and reach
+    ``vbp_greedy``, which rejects them.
     """
     if not items:
         return 0
-    if all(total <= 1.0 for total in map(sum, zip(*items))):
+    columns = list(zip(*items))
+    totals = list(map(sum, columns))
+    if all(total <= 1.0 for total in totals):
         return 1
+    spans = [total + max(column) for total, column in zip(totals, columns)]
+    tight = [k for k, span in enumerate(spans) if span > 1.0]
+    if len(tight) == 1 and totals[tight[0]] > 1.0 + 2 * CAP_TOL and spans[tight[0]] <= 2.0:
+        return min(2, half)
     return min(vbp_greedy(items).bin_count, half)
 
 
@@ -237,6 +257,7 @@ def route_hgr(topology: Topology, workload: Workload) -> tuple[RoutingSolution, 
                 raise ValueError(f"node {h} is not a host")
     edge_of = topology._host_edge
     pod_of = topology._host_pod
+    adj = topology._adj
 
     activated: set[int] = set()  # every flow's edge switches, then the phase-1 estimates
     pod_items: list[list[tuple[float, ...]]] = [[] for _ in range(z)]
@@ -279,6 +300,9 @@ def route_hgr(topology: Topology, workload: Workload) -> tuple[RoutingSolution, 
         if path is None and fits(edge_of[flow.src], need) and fits(edge_of[flow.dst], need):
             for nxt in _wake_order(topology, activated, pod_of[flow.src], pod_of[flow.dst]):
                 activated.add(nxt)
+                # a path the last try did not find enters and leaves nxt through usable neighbours
+                if sum(u in activated and fits(u, need) for u in adj[nxt]) < 2:
+                    continue
                 path = _route_on_tree(topology, state, activated, need, flow.src, flow.dst)
                 if path is not None:
                     break

@@ -22,10 +22,11 @@ where residuals only shrink and the active set only grows (online
 departures break both). Its reachability test is the hop-minimal search
 :func:`_sample_shortest` over the active capable nodes, which asks
 capability only of the nodes it reaches, the endpoints' edge switches
-first. Batch and online routing weigh only the nodes their Dijkstra
-reaches, and Dijkstra never enters a degree-1 node other than the target.
-Both routing searches live here: that Dijkstra, and the hop search, which
-also serves SRSP, MRSP and HGR's detours.
+first. The greedy step's Dijkstra labels nodes from the target on doubled
+integer weights and then walks from the source, weighing only the nodes it
+reaches; only the reference :func:`shortest_path` keeps a path per heap
+entry. Both routing searches live here: that Dijkstra, and the hop search,
+which also serves SRSP, MRSP and HGR's detours.
 
 An online arrival has no pick scan and no separate reachability test: it
 runs the greedy step on the active capable nodes alone, which finds a path
@@ -46,6 +47,7 @@ import heapq
 import json
 import random
 from dataclasses import dataclass, field
+from math import inf
 from operator import ge
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -75,6 +77,14 @@ def inv_count(x: Sequence[float], y: Sequence[float]) -> int:
             if (dx > 0 and dy < 0) or (dx < 0 and dy > 0):
                 count += 1
     return count
+
+
+def _inversions_against(y: Sequence[float]):
+    """``inv_count(x, y)`` as a function of ``x``: the number of the pairs with
+    y[a] > y[b], listed once, that ``x`` orders the other way (ties count for nothing)."""
+    dims = range(len(y))
+    pairs = [(a, b) for a in dims for b in dims if y[a] > y[b]]
+    return lambda x: sum([x[a] < x[b] for a, b in pairs])
 
 
 # -- state and solutions ---------------------------------------------------------
@@ -170,40 +180,6 @@ def is_connected(topology: Topology, allowed_nodes: Iterable[int], s: int, t: in
                 seen.add(v)
                 stack.append(v)
     return False
-
-
-def _dijkstra(topology: Topology, s: int, t: int, step) -> list[int] | None:
-    """Lexicographic Dijkstra from ``s`` to ``t``; ``step(u, v)`` prices edge (u, v).
-
-    ``step`` returns the edge's weight, or ``None`` when ``v`` may not be
-    entered. Heap entries are (cost, hops, path), so ties break by fewer
-    hops, then the smallest node id sequence. Degree-1 nodes other than
-    ``t`` are never pushed: such a node lies on no simple s-t path, and
-    popping it would change nothing, so the result is the same on any graph.
-    """
-    inner = topology._inner_adj
-    t_adj = topology._adj[t]
-    t_gate = t_adj[0] if len(t_adj) == 1 else -1  # a degree-1 t is entered only from here
-    done: set[int] = set()
-    heap: list[tuple[float, int, tuple[int, ...]]] = [(0.0, 0, (s,))]
-    while heap:
-        cost, hops, path = heapq.heappop(heap)
-        u = path[-1]
-        if u in done:
-            continue
-        done.add(u)
-        if u == t:
-            return list(path)
-        for v in inner[u]:
-            if v not in done:
-                w = step(u, v)
-                if w is not None:
-                    heapq.heappush(heap, (cost + w, hops + 1, path + (v,)))
-        if u == t_gate:
-            w = step(u, t)
-            if w is not None:
-                heapq.heappush(heap, (cost + w, hops + 1, path + (t,)))
-    return None
 
 
 def _sample_shortest(topology: Topology, enterable, s: int, t: int,
@@ -328,36 +304,30 @@ def shortest_path(
     if s == t:
         return [s]
     allowed = allowed_nodes if isinstance(allowed_nodes, (set, frozenset)) else set(allowed_nodes)
-
-    def step(u: int, v: int) -> float | None:
-        if v != t and v not in allowed:
-            return None
-        if link_weights is None:
-            return 1.0
-        return link_weights[(u, v) if u < v else (v, u)]
-
-    return _dijkstra(topology, s, t, step)
+    # Heap entries carry the whole path, so ties break on the path itself. A
+    # degree-1 node lies on no simple path unless it is t, entered from its one neighbour.
+    inner = topology._inner_adj
+    t_adj = topology._adj[t]
+    t_gate = t_adj[0] if len(t_adj) == 1 else -1
+    done: set[int] = set()
+    heap: list[tuple[float, int, tuple[int, ...]]] = [(0.0, 0, (s,))]
+    while heap:
+        cost, hops, path = heapq.heappop(heap)
+        u = path[-1]
+        if u in done:
+            continue
+        done.add(u)
+        if u == t:
+            return list(path)
+        for v in (*inner[u], t) if u == t_gate else inner[u]:
+            if v in done or (v != t and v not in allowed):
+                continue
+            w = 1.0 if link_weights is None else link_weights[(u, v) if u < v else (v, u)]
+            heapq.heappush(heap, (cost + w, hops + 1, path + (v,)))
+    return None
 
 
 # -- weight assignment -----------------------------------------------------------
-
-def _state_node_weight(state: ResidualState, demand: Sequence[float], topology: Topology):
-    """The node weight rule of :func:`assign_node_weights`, as a function of the node."""
-    dims = len(demand)
-    inactive_w = dims * (dims - 1) // 2 + 1
-    hosts = topology.host_set
-    active = state.active
-    residual = state.residual
-
-    def node_weight(v: int) -> int:
-        if v in hosts:
-            return 0
-        if v in active:
-            return inv_count(residual[v], demand)
-        return inactive_w
-
-    return node_weight
-
 
 def assign_node_weights(state: ResidualState, demand: Sequence[float], topology: Topology) -> dict[int, int]:
     """Per-node routing weights for one flow.
@@ -366,8 +336,10 @@ def assign_node_weights(state: ResidualState, demand: Sequence[float], topology:
     processors get K(K-1)/2 + 1 (strictly above any inversion count), hosts
     get 0.
     """
-    node_weight = _state_node_weight(state, demand, topology)
-    return {v: node_weight(v) for v in range(len(topology))}
+    inactive_w = len(demand) * (len(demand) - 1) // 2 + 1
+    hosts, active, residual = topology.host_set, state.active, state.residual
+    return {v: 0 if v in hosts else inv_count(residual[v], demand) if v in active else inactive_w
+            for v in range(len(topology))}
 
 
 def node_to_link_weights(topology: Topology, node_weights: Mapping[int, float]) -> dict[tuple[int, int], float]:
@@ -384,35 +356,71 @@ def node_to_link_weights(topology: Topology, node_weights: Mapping[int, float]) 
 
 def _greedy_path(state: ResidualState, topology: Topology, src: int, dst: int,
                  demand: Sequence[float], need: Sequence[float], active_only: bool) -> list[int] | None:
-    """One greedy routing step: Dijkstra under :func:`assign_node_weights`, weighed lazily.
+    """One greedy routing step: :func:`shortest_path` under :func:`assign_node_weights`.
 
-    Every edge the search relaxes is priced as ``node_to_link_weights``
-    would, (w_u + w_v) / 2, but a node is weighed only when the search first
-    reaches it. The search enters only processors that fit ``need``: active
-    ones if ``active_only``, else any, plus hosts.
+    Interior nodes are the processors that fit ``need`` (active ones if
+    ``active_only``, else any) plus hosts. A Dijkstra from ``dst`` labels nodes
+    with their least (cost, hops) to it on doubled, integer link weights
+    w_u + w_v, weighing a node when it first reaches it, and stops once
+    ``src`` is settled. Labels strictly decrease along an optimal path, so
+    stepping from ``src`` to the smallest-id neighbour with a tight label
+    gives the lexicographically smallest one. No degree-1 node but ``src`` is entered.
     """
     fits = state.fits
+    active = state.active
+    residual = state.residual
+    hosts = topology.host_set
     if active_only:
-        active = state.active
-
         def enterable(v: int) -> bool:
             return v in active and fits(v, need)
     else:
-        hosts = topology.host_set
-
         def enterable(v: int) -> bool:
             return v in hosts or fits(v, need)
-    node_weight = _state_node_weight(state, demand, topology)
-    nw: list[int | None] = [-1] * len(topology)  # -1: not weighed yet, None: not enterable
-    nw[src] = node_weight(src)
+    dims = len(demand)
+    inactive_w = dims * (dims - 1) // 2 + 1
+    inversions = _inversions_against(demand)
 
-    def step(u: int, v: int) -> float | None:
-        w = nw[v]
-        if w == -1:
-            w = nw[v] = node_weight(v) if v == dst or enterable(v) else None
-        return None if w is None else (nw[u] + w) / 2
+    def weigh(v: int) -> int | None:  # None: v may not be entered
+        if v != src and v != dst and not enterable(v):
+            return None
+        if v in hosts:
+            return 0
+        return inversions(residual[v]) if v in active else inactive_w
 
-    return _dijkstra(topology, src, dst, step)
+    n = len(topology)
+    inner = topology._inner_adj
+    s_adj = topology._adj[src]
+    s_gate = s_adj[0] if len(s_adj) == 1 else -1  # a degree-1 src is entered only from here
+    nw: list[int | None] = [-1] * n  # -1: not weighed yet
+    best = [(inf, -1)] * n  # least (cost, hops) to dst found so far
+    nw[dst] = weigh(dst)
+    best[dst] = (0, 0)
+    heap = [(0, 0, dst)]
+    while heap:
+        cost, hops, u = heapq.heappop(heap)
+        if (cost, hops) > best[u]:
+            continue  # superseded
+        if u == src:
+            break
+        cost += nw[u]
+        hops += 1
+        for v in (*inner[u], src) if u == s_gate else inner[u]:
+            w = nw[v]
+            if w == -1:
+                w = nw[v] = weigh(v)
+            if w is not None and (cost + w, hops) < best[v]:
+                best[v] = (cost + w, hops)
+                heapq.heappush(heap, (cost + w, hops, v))
+    else:
+        return None
+    adj = topology._adj
+    path = [src]
+    u = src
+    while u != dst:
+        cost, hops = best[u][0] - nw[u], best[u][1] - 1
+        u = next(v for v in adj[u] if best[v][1] == hops and best[v][0] + nw[v] == cost)
+        path.append(u)
+    return path
 
 
 def _route_greedy(topology: Topology, workload: Workload, seed: int, view: tuple[int, ...]) -> RoutingSolution:

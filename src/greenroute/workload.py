@@ -8,6 +8,7 @@ in (0, 1]. Generation is seeded and fully deterministic.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import random
@@ -21,6 +22,14 @@ _MAX_RESAMPLES = 100_000
 
 class ParseError(ValueError):
     """A workload file line that cannot be parsed or fails validation."""
+
+
+def _json_number(value, name: str) -> float:
+    """``value`` as a float if it is a JSON number within a float's range, else ValueError."""
+    if type(value) in (int, float):
+        with contextlib.suppress(OverflowError):
+            return float(value)
+    raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -150,6 +159,8 @@ def load_workload(path: str | Path) -> Workload:
         seed = header.get("seed")
         if seed is not None:
             _json_int(seed, "seed")
+        mean, std = (None if header.get(key) is None else _json_number(header[key], key)
+                     for key in ("mean", "std"))
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise fail(lineno, f"malformed header: {exc}") from None
     if dims < 1:
@@ -164,7 +175,7 @@ def load_workload(path: str | Path) -> Workload:
         try:
             rec = json.loads(text)
             fid, src, dst = (_json_int(rec[key], key) for key in ("id", "src", "dst"))
-            demand = tuple(float(c) for c in rec["demand"])
+            demand = tuple(_json_number(c, "demand component") for c in rec["demand"])
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise fail(lineno, f"malformed flow record: {exc}") from None
         if fid != len(flows):
@@ -177,8 +188,4 @@ def load_workload(path: str | Path) -> Workload:
             flows.append(Flow(fid, src, dst, demand))
         except ValueError as exc:
             raise fail(lineno, str(exc)) from None
-    return Workload(
-        tuple(flows), dims, z=z, seed=seed,
-        mean=None if header.get("mean") is None else float(header["mean"]),
-        std=None if header.get("std") is None else float(header["std"]),
-    )
+    return Workload(tuple(flows), dims, z=z, seed=seed, mean=mean, std=std)

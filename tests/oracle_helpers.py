@@ -14,15 +14,20 @@ import random
 
 from greenroute import (
     CAP_TOL,
+    LayerCounts,
     Node,
     NodeKind,
+    ResidualState,
     Topology,
     VbpResult,
     dimension_weights,
     inv_count,
     is_connected,
     node_to_link_weights,
+    vbp_greedy,
 )
+from greenroute.hgr import _wake_order
+from greenroute.mrg import _sample_shortest, finalize_solution
 
 TOL = 1e-9
 
@@ -360,3 +365,188 @@ def reference_vbp_greedy(items):
         remaining.remove(best)
     residuals.append(tuple(current))
     return VbpResult(len(residuals), assignment, tuple(residuals))
+
+
+# Verbatim copy of the greedy step as it stood before its search labelled
+# from t: a Dijkstra from s whose heap entries carry the whole path, so ties
+# break on the path tuple itself, priced in half-sum float link weights.
+
+def _reference_dijkstra(topology, s, t, step):
+    inner = topology._inner_adj
+    t_adj = topology._adj[t]
+    t_gate = t_adj[0] if len(t_adj) == 1 else -1  # a degree-1 t is entered only from here
+    done = set()
+    heap = [(0.0, 0, (s,))]
+    while heap:
+        cost, hops, path = heapq.heappop(heap)
+        u = path[-1]
+        if u in done:
+            continue
+        done.add(u)
+        if u == t:
+            return list(path)
+        for v in inner[u]:
+            if v not in done:
+                w = step(u, v)
+                if w is not None:
+                    heapq.heappush(heap, (cost + w, hops + 1, path + (v,)))
+        if u == t_gate:
+            w = step(u, t)
+            if w is not None:
+                heapq.heappush(heap, (cost + w, hops + 1, path + (t,)))
+    return None
+
+
+def _reference_state_node_weight(state, demand, topology):
+    dims = len(demand)
+    inactive_w = dims * (dims - 1) // 2 + 1
+    hosts = topology.host_set
+    active = state.active
+    residual = state.residual
+
+    def node_weight(v):
+        if v in hosts:
+            return 0
+        if v in active:
+            return inv_count(residual[v], demand)
+        return inactive_w
+
+    return node_weight
+
+
+def reference_greedy_path(state, topology, src, dst, demand, need, active_only):
+    fits = state.fits
+    if active_only:
+        active = state.active
+
+        def enterable(v):
+            return v in active and fits(v, need)
+    else:
+        hosts = topology.host_set
+
+        def enterable(v):
+            return v in hosts or fits(v, need)
+    node_weight = _reference_state_node_weight(state, demand, topology)
+    nw = [-1] * len(topology)  # -1: not weighed yet, None: not enterable
+    nw[src] = node_weight(src)
+
+    def step(u, v):
+        w = nw[v]
+        if w == -1:
+            w = nw[v] = node_weight(v) if v == dst or enterable(v) else None
+        return None if w is None else (nw[u] + w) / 2
+
+    return _reference_dijkstra(topology, src, dst, step)
+
+
+# Verbatim copy of HGR as it stood before its escalation skipped retries
+# that cannot succeed, its detour search was skipped when a pod has no way
+# out, and its layer count skipped the packer for two bins: a flow blocked
+# on the tree reruns the whole search after each switch it wakes (in the
+# library's unchanged wake order), and any layer whose demand overflows one
+# bin is packed.
+
+def _reference_route_on_tree(topology, state, activated, need, src, dst):
+    fits = state.fits
+    e_s = topology._host_edge[src]
+    e_t = topology._host_edge[dst]
+    if e_s == e_t:
+        return [src, e_s, dst] if e_s in activated and fits(e_s, need) else None
+    if not (e_s in activated and fits(e_s, need) and e_t in activated and fits(e_t, need)):
+        return None  # both edge switches are cut vertices for this flow
+    src_pod = topology._host_pod[src]
+    dst_pod = topology._host_pod[dst]
+    if src_pod == dst_pod:
+        for a in topology._agg_ids[src_pod]:
+            if a in activated and fits(a, need):
+                return [src, e_s, a, e_t, dst]
+    else:
+        half = topology.z // 2
+        cores = topology._core_ids
+        src_aggs = topology._agg_ids[src_pod]
+        dst_aggs = topology._agg_ids[dst_pod]
+        for pos in range(half):
+            a_s = src_aggs[pos]
+            a_t = dst_aggs[pos]
+            if not (a_s in activated and fits(a_s, need) and a_t in activated and fits(a_t, need)):
+                continue
+            for core in cores[pos * half:(pos + 1) * half]:
+                if core in activated and fits(core, need):
+                    return [src, e_s, a_s, core, a_t, e_t, dst]
+    # every minimum-length path is blocked; look for longer detours
+    return _sample_shortest(topology, lambda v: v in activated and fits(v, need), src, dst)
+
+
+def _reference_layer_count(items, half):
+    if not items:
+        return 0
+    if all(total <= 1.0 for total in map(sum, zip(*items))):
+        return 1
+    return min(vbp_greedy(items).bin_count, half)
+
+
+def reference_route_hgr(topology, workload):
+    z = topology.z
+    if z is None:
+        raise ValueError("HGR requires a fat-tree topology")
+    half = z // 2
+    flows = workload.flows
+    hosts = topology.host_set
+    for flow in flows:
+        for h in (flow.src, flow.dst):
+            if h not in hosts:
+                topology._check_id(h)
+                raise ValueError(f"node {h} is not a host")
+    edge_of = topology._host_edge
+    pod_of = topology._host_pod
+
+    activated = set()  # every flow's edge switches, then the phase-1 estimates
+    pod_items = [[] for _ in range(z)]
+    group_items = [[] for _ in range(half)]
+    for flow in flows:
+        e_s = edge_of[flow.src]
+        e_t = edge_of[flow.dst]
+        activated.add(e_s)
+        activated.add(e_t)
+        if e_s == e_t:
+            continue  # intra-rack: touches no aggregation or core switch
+        if max(flow.demand) > 1.0:
+            continue  # fits no switch; phase 2 reports it unrouted like any router
+        src_pod = pod_of[flow.src]
+        dst_pod = pod_of[flow.dst]
+        pod_items[src_pod].append(flow.demand)
+        if dst_pod != src_pod:
+            pod_items[dst_pod].append(flow.demand)
+            # same group as core_group_of_flow(flow, topology)
+            group_items[topology._host_index[flow.src] % half].append(flow.demand)
+    # A layer cannot wake more switches than it has; overload surfaces as
+    # unrouted flows in phase 2 instead.
+    agg_per_pod = tuple(_reference_layer_count(items, half) for items in pod_items)
+    core_per_group = tuple(_reference_layer_count(items, half) for items in group_items)
+
+    cores = topology.core_ids()
+    for pod in range(z):
+        activated.update(topology.aggregation_ids(pod)[:agg_per_pod[pod]])
+    for group in range(half):
+        activated.update(cores[group * half:group * half + core_per_group[group]])
+
+    state = ResidualState.fresh(topology, workload.dims)
+    fits = state.fits
+    unrouted = set()
+    for flow in flows:
+        demand = flow.demand
+        need = [d - CAP_TOL for d in demand]
+        path = _reference_route_on_tree(topology, state, activated, need, flow.src, flow.dst)
+        # an out-of-capacity edge switch cuts the flow off; no activation helps
+        if path is None and fits(edge_of[flow.src], need) and fits(edge_of[flow.dst], need):
+            for nxt in _wake_order(topology, activated, pod_of[flow.src], pod_of[flow.dst]):
+                activated.add(nxt)
+                path = _reference_route_on_tree(topology, state, activated, need, flow.src, flow.dst)
+                if path is not None:
+                    break
+        if path is None:
+            unrouted.add(flow.id)
+            continue
+        state.commit(flow.id, path, demand)
+    solution = finalize_solution(topology, workload, state.committed, unrouted)
+    return solution, LayerCounts(agg_per_pod, core_per_group, frozenset(activated))

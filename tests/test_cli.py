@@ -119,6 +119,15 @@ def test_route_non_finite_demand_is_input_error(capsys, tmp_path):
     assert "line 2" in err and "finite" in err
 
 
+def test_route_non_number_demand_is_input_error(capsys, tmp_path):
+    bad = tmp_path / "bool.jsonl"
+    bad.write_text('{"K": 1, "z": 4, "seed": 0, "mean": 0, "std": 0}\n'
+                   '{"id": 0, "src": 0, "dst": 4, "demand": [true]}\n')
+    code, _, err = run_cli(capsys, "route", "--algo", "mrg", "--workload", str(bad))
+    assert code == 2
+    assert "line 2" in err and "demand component must be a number" in err
+
+
 def test_route_bad_arity_is_input_error(capsys, tmp_path):
     bad = tmp_path / "z5.jsonl"
     bad.write_text('{"K": 1, "z": 5, "seed": 0, "mean": 0, "std": 0}\n'

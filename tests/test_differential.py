@@ -1,11 +1,12 @@
 """Differential tests: the fast routing paths against frozen slow references.
 
-The greedy router (MRG and SRG), Dijkstra and the hop-minimal search must
-reproduce the earlier implementations kept in ``oracle_helpers`` exactly:
-same paths, same unrouted set, same loads, on light loads (most flows ride
-active nodes) and near saturation (flows go unrouted). The vector bin
-packer must return the frozen full-scan packer's result bit for bit, and
-HGR's one-bin shortcut must give the layer count the packer would.
+The greedy router (MRG and SRG), its greedy step, Dijkstra and the
+hop-minimal search must reproduce the earlier implementations kept in
+``oracle_helpers`` exactly: same paths, same unrouted set, same loads, on
+light loads (most flows ride active nodes) and near saturation (flows go
+unrouted). The vector bin packer must return the frozen full-scan packer's
+result bit for bit, HGR's one- and two-bin shortcuts must give the layer
+count the packer would, and HGR must route as its frozen copy does.
 """
 
 import random
@@ -15,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from greenroute import (
+    CAP_TOL,
     Flow,
     Node,
     NodeKind,
@@ -34,11 +36,15 @@ from greenroute import (
     shortest_path,
     vbp_greedy,
 )
-from greenroute.mrg import _sample_shortest
+import greenroute.hgr
+import oracle_helpers
 from greenroute.hgr import _layer_count
+from greenroute.mrg import _greedy_path, _sample_shortest
 
 from oracle_helpers import (
+    reference_greedy_path,
     reference_hop_shortest_lex,
+    reference_route_hgr,
     reference_online_arrival,
     reference_route_greedy,
     reference_sample_shortest,
@@ -119,6 +125,74 @@ def test_online_arrivals_match_reference(z, dims):
         else:
             live.append((flow, path))
     assert rejected > 0  # the stream reaches capacity, so the fallback branch runs too
+
+
+def _step_demand(rng, dims):
+    """A demand with equal components half the time, drawn from few levels."""
+    levels = (0.05, 0.1, 0.125, 0.25) if rng.random() < 0.5 else (0.1,)
+    return tuple(rng.choice(levels) if rng.random() < 0.8 else rng.uniform(0.01, 0.3) for _ in range(dims))
+
+
+def _assert_step_matches_reference(state, topology, src, dst, demand):
+    need = [d - CAP_TOL for d in demand]
+    paths = []
+    for active_only in (True, False):
+        path = _greedy_path(state, topology, src, dst, demand, need, active_only)
+        assert path == reference_greedy_path(state, topology, src, dst, demand, need, active_only)
+        paths.append(path)
+    return paths
+
+
+@pytest.mark.parametrize("z", (4, 6, 8))
+@pytest.mark.parametrize("dims", (1, 2, 3, 5, 6))
+def test_greedy_step_matches_reference_mid_run(z, dims):
+    # Random commits build states in between a fresh network and a full one;
+    # demands drawn from few levels commit equal residuals, which tie the
+    # inversion counts, and ties between paths of equal cost are the norm.
+    topology = build_fat_tree(z)
+    rng = random.Random(100 * z + dims)
+    state = ResidualState.fresh(topology, dims)
+    seen = dict.fromkeys(("active path", "full path only", "no path"), 0)
+    for fid in range(60 * z):
+        src, dst = rng.sample(topology.host_ids, 2)
+        demand = _step_demand(rng, dims)
+        on_active, on_full = _assert_step_matches_reference(state, topology, src, dst, demand)
+        seen["active path" if on_active else "full path only" if on_full else "no path"] += 1
+        if on_full is not None and rng.random() < 0.8:
+            state.commit(fid, on_active or on_full, demand)
+    assert min(seen.values()) > 5, seen
+
+
+def test_greedy_step_matches_reference_on_arbitrary_graphs():
+    # Hosts of degree >= 2, processor endpoints, adjacent endpoints, a leaf
+    # whose only neighbour is the other end, src == dst and unreachable pairs.
+    rng = random.Random(61)
+    seen = dict.fromkeys(("processor end", "adjacent", "only neighbour", "same", "found", "none"), 0)
+    for _ in range(2000):
+        topology = _with_hosts(_graph_with_leaves(rng), rng)
+        n = len(topology)
+        dims = rng.randint(1, 4)
+        residual = {v: [rng.choice((0.0, 0.25, 0.5, 0.75, 1.0)) for _ in range(dims)]
+                    for v in topology.processor_ids}
+        state = ResidualState(residual, {v for v in residual if rng.random() < 0.6})
+        leaves = [v for v in range(n) if len(topology._adj[v]) == 1]
+        roll = rng.random()
+        if roll < 0.1:
+            s = t = rng.randrange(n)
+        elif roll < 0.35:
+            t = rng.choice(leaves)
+            s = topology._adj[t][0]
+            if rng.random() < 0.5:
+                s, t = t, s
+        else:
+            s, t = rng.sample(range(n), 2)
+        paths = _assert_step_matches_reference(state, topology, s, t, _step_demand(rng, dims))
+        seen["processor end"] += not (topology.is_host(s) and topology.is_host(t))
+        seen["adjacent"] += t in topology._adj[s]
+        seen["only neighbour"] += topology._adj[t] == (s,) or topology._adj[s] == (t,)
+        seen["same"] += s == t
+        seen["found" if any(paths) else "none"] += 1
+    assert min(seen.values()) > 150, seen
 
 
 def _graph_with_leaves(rng):
@@ -417,3 +491,90 @@ def test_hgr_rejects_non_host_endpoints(tree4):
     workload = Workload((Flow(0, 0, processor, (0.1,)),), 1)
     with pytest.raises(ValueError, match="not a host"):
         route_hgr(tree4, workload)
+
+
+def _layer_count_two_bin_items(rng, dims):
+    """Items small in every dimension but one, whose sum lands in (1, 2]."""
+    n = rng.randint(2, 40)
+    big = rng.randrange(dims)
+    items = [[rng.uniform(0.001, 0.6 / n) for _ in range(dims)] for _ in range(n)]
+    target = rng.uniform(1.0 - 1e-9, 2.0)
+    scale = target / sum(item[big] for item in items)
+    for item in items:
+        item[big] = min(item[big] * scale, 1.0)
+    return [tuple(item) for item in items]
+
+
+def test_layer_count_two_bins_match_packer():
+    rng = random.Random(71)
+    two = 0
+    for _ in range(1500):
+        items = _layer_count_two_bin_items(rng, rng.randint(1, 5))
+        half = rng.choice((1, 2, 3, 4))
+        assert _layer_count(items, half) == _packer_count(items, half)
+        two += vbp_greedy(items).bin_count == 2
+    assert two > 500
+
+
+@given(st.integers(1, 4).flatmap(lambda dims: st.lists(
+    st.tuples(*[st.one_of(st.sampled_from(QUANTA + (0.6, 0.75, 1.0)), st.floats(0.0, 1.0, exclude_min=True))] * dims),
+    min_size=1, max_size=30)))
+def test_layer_count_matches_packer_property(items):
+    assert _layer_count(items, 3) == _packer_count(items, 3)
+
+
+def _random_hgr_workload(rng, topology):
+    dims = rng.randint(1, 3)
+    flows = []
+    for fid in range(rng.randint(4, 6 * topology.z)):
+        src, dst = rng.sample(topology.host_ids, 2)
+        flows.append(Flow(fid, src, dst, tuple(rng.uniform(0.05, 0.7) for _ in range(dims))))
+    return Workload(tuple(flows), dims, z=topology.z)
+
+
+def _assert_hgr_matches_reference(topology, workload):
+    solution, counts = route_hgr(topology, workload)
+    ref_solution, ref_counts = reference_route_hgr(topology, workload)
+    assert solution == ref_solution
+    assert (counts.agg_per_pod, counts.core_per_group, counts.activated) == (
+        ref_counts.agg_per_pod, ref_counts.core_per_group, ref_counts.activated)
+
+
+@pytest.mark.parametrize("z", (4, 6, 8))
+def test_hgr_matches_reference(z):
+    topology = build_fat_tree(z)
+    for seed in range(8):
+        mean = (0.02, 0.05, 0.1, 0.3)[seed % 4]
+        flows = 120 if z == 8 else 20 * z
+        _assert_hgr_matches_reference(topology, generate_workload(topology, flows, 3, mean, mean, seed=seed))
+    rng = random.Random(z)
+    for _ in range(60):
+        _assert_hgr_matches_reference(topology, _random_hgr_workload(rng, topology))
+
+
+def _counted(monkeypatch, module, name, counts, key):
+    inner = getattr(module, name)
+
+    def counting(*args):
+        counts[key] += 1
+        return inner(*args)
+    monkeypatch.setattr(module, name, counting)
+
+
+@pytest.mark.parametrize("z", (4, 6))
+def test_hgr_escalation_skips_retries_that_cannot_succeed(monkeypatch, z):
+    # A switch whose activated, fitting neighbours number fewer than two
+    # carries no path the last try missed, so HGR wakes it without a retry;
+    # a pod with no way out skips the detour search. Same routes, same
+    # activated set, fewer searches than the frozen copy.
+    counts = dict.fromkeys(("tries", "ref tries", "searches", "ref searches"), 0)
+    _counted(monkeypatch, greenroute.hgr, "_route_on_tree", counts, "tries")
+    _counted(monkeypatch, oracle_helpers, "_reference_route_on_tree", counts, "ref tries")
+    _counted(monkeypatch, greenroute.hgr, "_sample_shortest", counts, "searches")
+    _counted(monkeypatch, oracle_helpers, "_sample_shortest", counts, "ref searches")
+    topology = build_fat_tree(z)
+    rng = random.Random(5)
+    for _ in range(150):
+        _assert_hgr_matches_reference(topology, _random_hgr_workload(rng, topology))
+    assert counts["tries"] < counts["ref tries"]
+    assert counts["searches"] < counts["ref searches"]

@@ -20,6 +20,7 @@ from greenroute import (
     route_mrg,
     shortest_path,
 )
+from greenroute.mrg import _inversions_against
 from greenroute.topology import Node, NodeKind, Topology
 from greenroute.workload import generate_workload
 
@@ -101,6 +102,23 @@ def test_inv_count_exhaustive_permutations(n):
             assert c == brute_inversions(x, y)
     increasing = tuple(range(1, n + 1))
     assert inv_count(increasing, increasing[::-1]) == most
+
+
+@pytest.mark.parametrize("dims", range(1, 7))
+def test_pair_sign_count_matches_inv_count(dims):
+    # the greedy step lists the demand's ordered pairs once per flow and
+    # counts, per node, the pairs the residual orders the other way
+    rng = random.Random(dims)
+    levels = (0.0, 0.25, 0.5, 0.75, 1.0)  # few values, so ties are common
+    ties = 0
+    for _ in range(400):
+        demand = [rng.choice(levels) if rng.random() < 0.7 else rng.random() for _ in range(dims)]
+        count = _inversions_against(demand)
+        for _ in range(5):
+            residual = [rng.choice(levels) if rng.random() < 0.7 else rng.random() for _ in range(dims)]
+            assert count(residual) == inv_count(residual, demand) == brute_inversions(residual, demand)
+            ties += len(set(residual)) < dims or len(set(demand)) < dims
+    assert dims == 1 or ties > 300
 
 
 # -- weight assignment ----------------------------------------------------------

@@ -171,6 +171,35 @@ def test_non_finite_demand_rejected_at_load(tmp_path, bad):
         Flow(0, 0, 1, (0.1, float(bad)))
 
 
+@pytest.mark.parametrize("bad", ("true", '"0.5"', "null"))
+def test_non_number_demand_rejected_at_load(tmp_path, bad):
+    # a bool, string or null is never coerced to a demand component
+    header = '{"K": 2, "z": 4, "seed": 0, "mean": 0.02, "std": 0.02}'
+    p = _write(tmp_path / "bad.jsonl",
+               header + "\n" + '{"id": 0, "src": 0, "dst": 1, "demand": [0.1, %s]}\n' % bad)
+    with pytest.raises(ParseError, match="line 2.*demand component must be a number"):
+        load_workload(p)
+
+
+@pytest.mark.parametrize("bad", ("true", '"0.5"', "1" + "0" * 400), ids=("bool", "string", "huge int"))
+@pytest.mark.parametrize("key", ("mean", "std"))
+def test_non_number_header_stats_rejected_at_load(tmp_path, key, bad):
+    header = json.dumps({"K": 1, "z": 4, "seed": 0, "mean": 0.02, "std": 0.02})
+    header = header.replace('"%s": 0.02' % key, '"%s": %s' % (key, bad))
+    p = _write(tmp_path / "bad.jsonl", header + "\n" + '{"id": 0, "src": 0, "dst": 1, "demand": [0.1]}\n')
+    with pytest.raises(ParseError, match=f"line 1.*{key} must be a number"):
+        load_workload(p)
+
+
+def test_integer_header_stats_load_as_floats(tmp_path):
+    p = _write(tmp_path / "ints.jsonl",
+               '{"K": 1, "z": 4, "seed": 0, "mean": 0, "std": 1}\n'
+               '{"id": 0, "src": 0, "dst": 1, "demand": [1]}\n')
+    w = load_workload(p)
+    assert (w.mean, w.std, w.flows[0].demand) == (0.0, 1.0, (1.0,))
+    assert all(type(x) is float for x in (w.mean, w.std, *w.flows[0].demand))
+
+
 def test_star_reduction_workload_without_z(tmp_path):
     # z=null headers skip host validation, so star fixtures round-trip
     star = build_star_reduction(3)
