@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import zip_longest
-from operator import ge, mul
+from operator import mul
 from typing import Sequence
 
 from .mrg import CAP_TOL, ResidualState, RoutingSolution, _sample_shortest, finalize_solution
@@ -161,41 +161,31 @@ def _route_on_tree(topology: Topology, state: ResidualState, activated: set[int]
     path is out of capacity. ``src`` and ``dst`` must be hosts.
     """
     fits = state.fits
-    residual = state.residual  # fits(v, need) is written out below: this runs for every flow
     e_s = topology._host_edge[src]
     e_t = topology._host_edge[dst]
     if e_s == e_t:
-        return [src, e_s, dst] if e_s in activated and all(map(ge, residual[e_s], need)) else None
-    if not (e_s in activated and all(map(ge, residual[e_s], need))
-            and e_t in activated and all(map(ge, residual[e_t], need))):
+        return [src, e_s, dst] if e_s in activated and fits(e_s, need) else None
+    if not (e_s in activated and fits(e_s, need) and e_t in activated and fits(e_t, need)):
         return None  # both edge switches are cut vertices for this flow
     src_pod = topology._host_pod[src]
     dst_pod = topology._host_pod[dst]
     if src_pod == dst_pod:
         for a in topology._agg_ids[src_pod]:
-            if a in activated and all(map(ge, residual[a], need)):
+            if a in activated and fits(a, need):
                 return [src, e_s, a, e_t, dst]
-        return None  # every path leaves e_s through one of these
-    half = topology.z // 2
-    cores = topology._core_ids
-    src_aggs = topology._agg_ids[src_pod]
-    dst_aggs = topology._agg_ids[dst_pod]
-    # Any path leaves each pod through an activated, fitting aggregation switch and core above it.
-    out_s = out_t = False
-    for pos in range(half):
-        a_s = src_aggs[pos]
-        a_t = dst_aggs[pos]
-        up_s = a_s in activated and all(map(ge, residual[a_s], need))
-        up_t = a_t in activated and all(map(ge, residual[a_t], need))
-        if up_s or up_t:
+    else:
+        half = topology.z // 2
+        cores = topology._core_ids
+        src_aggs = topology._agg_ids[src_pod]
+        dst_aggs = topology._agg_ids[dst_pod]
+        for pos in range(half):
+            a_s = src_aggs[pos]
+            a_t = dst_aggs[pos]
+            if not (a_s in activated and fits(a_s, need) and a_t in activated and fits(a_t, need)):
+                continue
             for core in cores[pos * half:(pos + 1) * half]:
-                if core in activated and all(map(ge, residual[core], need)):
-                    if up_s and up_t:
-                        return [src, e_s, a_s, core, a_t, e_t, dst]
-                    out_s, out_t = out_s or up_s, out_t or up_t
-                    break
-    if not (out_s and out_t):
-        return None
+                if core in activated and fits(core, need):
+                    return [src, e_s, a_s, core, a_t, e_t, dst]
     # every minimum-length path is blocked; look for longer detours
     return _sample_shortest(topology, lambda v: v in activated and fits(v, need), src, dst)
 

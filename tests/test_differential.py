@@ -564,9 +564,9 @@ def _counted(monkeypatch, module, name, counts, key):
 @pytest.mark.parametrize("z", (4, 6))
 def test_hgr_escalation_skips_retries_that_cannot_succeed(monkeypatch, z):
     # A switch whose activated, fitting neighbours number fewer than two
-    # carries no path the last try missed, so HGR wakes it without a retry;
-    # a pod with no way out skips the detour search. Same routes, same
-    # activated set, fewer searches than the frozen copy.
+    # carries no path the last try missed, so HGR wakes it without a retry.
+    # Same routes, same activated set, fewer tries and detour searches than
+    # the frozen copy.
     counts = dict.fromkeys(("tries", "ref tries", "searches", "ref searches"), 0)
     _counted(monkeypatch, greenroute.hgr, "_route_on_tree", counts, "tries")
     _counted(monkeypatch, oracle_helpers, "_reference_route_on_tree", counts, "ref tries")
