@@ -19,7 +19,7 @@ from .evaluation import (
     run_experiment,
     write_results_csv,
 )
-from .hgr import LayerCounts, VbpResult, core_group_of_flow, dimension_weights, route_hgr, vbp_greedy
+from .hgr import LayerCounts, VbpResult, dimension_weights, route_hgr, vbp_greedy
 from .mrg import (
     CAP_TOL,
     ResidualState,

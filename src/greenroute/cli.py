@@ -184,20 +184,22 @@ def _cmd_experiment(args) -> int:
 def _cmd_oracle(args) -> int:
     workload = _load_workload(args.input)
     if args.mode == "vbp":
-        print(oracle_min_bins([f.demand for f in workload.flows]))
-        return 0
-    if args.topo:
-        try:
-            topology = load_topology(args.topo)
-        except (OSError, ValueError) as exc:
-            raise _InputError(f"cannot load topology {args.topo}: {exc}") from exc
-    elif workload.z is not None:
-        topology = build_fat_tree(workload.z)
+        opt = oracle_min_bins([f.demand for f in workload.flows])
     else:
-        raise _InputError(f"{args.input}: header has no z and no --topo was given")
-    opt = oracle_min_active(topology, workload)
+        opt = oracle_min_active(_oracle_topology(args, workload), workload)
     print("infeasible" if opt is None else opt)
     return 0
+
+
+def _oracle_topology(args, workload):
+    if args.topo:
+        try:
+            return load_topology(args.topo)
+        except (OSError, ValueError) as exc:
+            raise _InputError(f"cannot load topology {args.topo}: {exc}") from exc
+    if workload.z is None:
+        raise _InputError(f"{args.input}: header has no z and no --topo was given")
+    return build_fat_tree(workload.z)
 
 
 def main(argv: list[str] | None = None) -> int:

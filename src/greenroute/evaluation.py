@@ -131,14 +131,16 @@ def oracle_min_active(topology: Topology, workload: Workload) -> int | None:
     return None
 
 
-def oracle_min_bins(items: Sequence[Sequence[float]]) -> int:
-    """Exact minimum bin count for unit vector bin packing (at most 8 items)."""
+def oracle_min_bins(items: Sequence[Sequence[float]]) -> int | None:
+    """Exact minimum unit-bin count (at most 8 items); ``None`` if an item has a component above 1."""
     items = [tuple(float(c) for c in item) for item in items]
     if len(items) > _MAX_ORACLE_ITEMS:
         raise ValueError(f"instance too large: {len(items)} items (limit {_MAX_ORACLE_ITEMS})")
     for i, item in enumerate(items):
-        if any(c <= 0 or c > 1 for c in item):
-            raise ValueError(f"item {i} does not fit a unit bin: {item}")
+        if any(c <= 0 for c in item):
+            raise ValueError(f"item {i} has a component that is not positive: {item}")
+    if any(c > 1 for item in items for c in item):
+        return None
     if not items:
         return 0
     dims = len(items[0])

@@ -3,9 +3,9 @@
 Phase 1 sizes each layer independently: per pod, the flows entering or
 leaving the pod (intra-rack traffic and flows with a demand component above
 1, which no switch can carry, excluded) are packed into unit bins to
-estimate how many aggregation switches the pod needs; per core group, the
-inter-pod flows hashed to that group are packed to size the group. The
-packer is a bin-centric greedy that repeatedly places the fitting item
+estimate how many aggregation switches the pod needs; per core group, its
+inter-pod flows (see :class:`LayerCounts`) are packed to size the group.
+The packer is a bin-centric greedy that repeatedly places the fitting item
 minimizing a weighted squared difference to the bin residual, with
 per-dimension weights proportional to total demand mass. The weights sum to
 1, so by Cauchy-Schwarz the squared difference of the weighted means bounds
@@ -37,7 +37,7 @@ from typing import Sequence
 
 from .mrg import CAP_TOL, ResidualState, RoutingSolution, _sample_shortest, finalize_solution
 from .topology import Topology
-from .workload import Flow, Workload
+from .workload import Workload
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,11 @@ class VbpResult:
 
 @dataclass(frozen=True)
 class LayerCounts:
-    """Per-layer activation estimates plus the set phase 2 actually woke up."""
+    """Per-layer activation estimates plus the set phase 2 actually woke up.
+
+    ``core_per_group[g]`` sizes the cores behind aggregation position g from
+    the inter-pod flows whose source host's index in its pod, mod z/2, is g.
+    """
 
     agg_per_pod: tuple[int, ...]
     core_per_group: tuple[int, ...]
@@ -139,16 +143,6 @@ def vbp_greedy(items: Sequence[Sequence[float]]) -> VbpResult:
         del remaining[best_pos]
     residuals.append(tuple(current))
     return VbpResult(len(residuals), assignment, tuple(residuals))
-
-
-def core_group_of_flow(flow: Flow, topology: Topology) -> int:
-    """Deterministic core group of an inter-pod flow: src host index in its pod, mod z/2."""
-    z = topology.z
-    if z is None:
-        raise ValueError("core groups exist only on fat-trees")
-    if topology.pod_of_host(flow.src) == topology.pod_of_host(flow.dst):
-        raise ValueError(f"flow {flow.id} stays inside one pod and uses no core switch")
-    return topology.host_index_in_pod(flow.src) % (z // 2)
 
 
 def _route_on_tree(topology: Topology, state: ResidualState, activated: set[int],
@@ -266,18 +260,16 @@ def route_hgr(topology: Topology, workload: Workload) -> tuple[RoutingSolution, 
         pod_items[src_pod].append(flow.demand)
         if dst_pod != src_pod:
             pod_items[dst_pod].append(flow.demand)
-            # same group as core_group_of_flow(flow, topology)
             group_items[topology._host_index[flow.src] % half].append(flow.demand)
     # A layer cannot wake more switches than it has; overload surfaces as
     # unrouted flows in phase 2 instead.
     agg_per_pod = tuple(_layer_count(items, half) for items in pod_items)
     core_per_group = tuple(_layer_count(items, half) for items in group_items)
 
-    cores = topology.core_ids()
-    for pod in range(z):
-        activated.update(topology.aggregation_ids(pod)[:agg_per_pod[pod]])
-    for group in range(half):
-        activated.update(cores[group * half:group * half + core_per_group[group]])
+    for aggs, count in zip(topology._agg_ids, agg_per_pod):
+        activated.update(aggs[:count])
+    for group, count in enumerate(core_per_group):
+        activated.update(topology._core_ids[group * half:group * half + count])
 
     state = ResidualState.fresh(topology, workload.dims)
     fits = state.fits

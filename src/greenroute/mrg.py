@@ -107,9 +107,6 @@ class ResidualState:
     def fresh(cls, topology: Topology, dims: int) -> "ResidualState":
         return cls({v: [1.0] * dims for v in topology.processor_ids}, set())
 
-    def load_of(self, node_id: int) -> tuple[float, ...]:
-        return tuple(1.0 - r for r in self.residual[node_id])
-
     def fits(self, v: int, need: Sequence[float]) -> bool:
         """The capability rule: processor ``v`` covers ``need`` = demand - CAP_TOL in every dimension."""
         return all(map(ge, self.residual[v], need))

@@ -4,6 +4,11 @@ Node id layout is fixed so that workloads and results are reproducible:
 hosts come first, then edge, aggregation and core switches, each layer in
 pod/position order. Only edge/aggregation/core nodes ("packet processors")
 carry capacity; hosts are pure traffic endpoints.
+
+Routers, after checking their endpoints once, index one table per fact:
+``_adj``, ``_inner_adj`` and, on fat-trees, ``_host_edge``, ``_host_pod``,
+``_host_index`` (position in the pod), ``_agg_ids[pod][pos]`` and
+``_core_ids[g * z/2 + i]`` (group g is behind aggregation position g).
 """
 
 from __future__ import annotations
@@ -68,13 +73,20 @@ class Topology:
         self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in adj)
         self.host_ids = tuple(nd.id for nd in self.nodes if nd.kind is NodeKind.HOST)
         self.processor_ids = tuple(nd.id for nd in self.nodes if nd.kind is not NodeKind.HOST)
-        self._host_set = frozenset(self.host_ids)
+        self.host_set = frozenset(self.host_ids)
         if z is not None:
             half = z // 2
             base = z**3 // 4 + z * half
             self._agg_ids = tuple(tuple(base + p * half + a for a in range(half)) for p in range(z))
             core_base = base + z * half
             self._core_ids = tuple(core_base + i for i in range(half * half))
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    def _check_id(self, node_id: int) -> None:
+        if not (isinstance(node_id, int) and 0 <= node_id < len(self.nodes)):
+            raise KeyError(f"unknown node id {node_id!r}")
 
     # -- lookup tables for routing hot loops, built on first use ---------------
 
@@ -89,111 +101,17 @@ class Topology:
         return tuple(nbrs if leaves.isdisjoint(nbrs) else tuple(v for v in nbrs if v not in leaves)
                      for nbrs in self._adj)
 
-    # Per-host fat-tree tables: callers validate their endpoints once instead
-    # of on every query.
-
     @cached_property
     def _host_edge(self) -> dict[int, int]:
         return {h: self._adj[h][0] for h in self.host_ids if self._adj[h]}
 
     @cached_property
     def _host_pod(self) -> dict[int, int]:
-        per_pod = self.hosts_per_pod
-        return {h: h // per_pod for h in self.host_ids}
+        return {h: h // (self.z * self.z // 4) for h in self.host_ids}
 
     @cached_property
     def _host_index(self) -> dict[int, int]:
-        per_pod = self.hosts_per_pod
-        return {h: h % per_pod for h in self.host_ids}
-
-    # -- generic queries ----------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def neighbors(self, node_id: int) -> frozenset[int]:
-        """Symmetric adjacency set of ``node_id`` (KeyError on unknown id)."""
-        self._check_id(node_id)
-        return frozenset(self._adj[node_id])
-
-    def kind(self, node_id: int) -> NodeKind:
-        self._check_id(node_id)
-        return self.nodes[node_id].kind
-
-    def is_host(self, node_id: int) -> bool:
-        return node_id in self._host_set
-
-    def is_processor(self, node_id: int) -> bool:
-        self._check_id(node_id)
-        return node_id not in self._host_set
-
-    @property
-    def host_set(self) -> frozenset[int]:
-        return self._host_set
-
-    def _check_id(self, node_id: int) -> None:
-        if not (isinstance(node_id, int) and 0 <= node_id < len(self.nodes)):
-            raise KeyError(f"unknown node id {node_id!r}")
-
-    # -- fat-tree structure -------------------------------------------------
-
-    def _require_fat_tree(self) -> int:
-        if self.z is None:
-            raise ValueError("operation requires a fat-tree topology")
-        return self.z
-
-    @property
-    def hosts_per_pod(self) -> int:
-        z = self._require_fat_tree()
-        return z * z // 4
-
-    def _require_host(self, host_id: int) -> None:
-        self._require_fat_tree()
-        if not self.is_host(host_id):
-            raise ValueError(f"node {host_id} is not a host")
-
-    def pod_of_host(self, host_id: int) -> int:
-        self._require_host(host_id)
-        return self._host_pod[host_id]
-
-    def host_index_in_pod(self, host_id: int) -> int:
-        self._require_host(host_id)
-        return self._host_index[host_id]
-
-    def edge_of_host(self, host_id: int) -> int:
-        """The unique edge switch a host hangs off."""
-        self._require_host(host_id)
-        return self._adj[host_id][0]
-
-    def aggregation_id(self, pod: int, pos: int) -> int:
-        z = self._require_fat_tree()
-        half = z // 2
-        if not (0 <= pod < z and 0 <= pos < half):
-            raise ValueError(f"no aggregation switch at pod {pod}, position {pos}")
-        return self._agg_ids[pod][pos]
-
-    def aggregation_ids(self, pod: int) -> tuple[int, ...]:
-        self._require_fat_tree()
-        return self._agg_ids[pod]
-
-    def core_id(self, group: int, index: int) -> int:
-        z = self._require_fat_tree()
-        half = z // 2
-        if not (0 <= group < half and 0 <= index < half):
-            raise ValueError(f"no core switch at group {group}, index {index}")
-        return self._core_ids[group * half + index]
-
-    def core_ids(self) -> tuple[int, ...]:
-        """All core switches in global position order (group-major)."""
-        self._require_fat_tree()
-        return self._core_ids
-
-    def core_group(self, core_id: int) -> int:
-        """Core group of a core switch; group g attaches to aggregation position g in every pod."""
-        z = self._require_fat_tree()
-        if self.kind(core_id) is not NodeKind.CORE:
-            raise ValueError(f"node {core_id} is not a core switch")
-        return self.nodes[core_id].pos // (z // 2)
+        return {h: h % (self.z * self.z // 4) for h in self.host_ids}
 
 
 @dataclass(frozen=True)
@@ -304,4 +222,12 @@ def load_topology(path: str | Path) -> Topology:
         z = doc["z"] if doc["z"] is None else _json_int(doc["z"], "z")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed topology record: {exc}") from exc
-    return Topology(nodes, edges, z=z)
+    topology = Topology(nodes, edges)
+    if z is None:
+        return topology
+    # routers read the tables z implies, not the graph; the size test spares building a huge tree
+    sized = z >= 2 and z % 2 == 0 and len(topology) == z**3 // 4 + 5 * z * z // 4
+    fat_tree = build_fat_tree(z) if sized else None
+    if fat_tree is None or (fat_tree.nodes, fat_tree.edges) != (topology.nodes, topology.edges):
+        raise ValueError(f"{path}: graph is not the z={z} fat-tree its header names")
+    return fat_tree

@@ -47,7 +47,7 @@ def all_simple_paths(topology, s, t, allowed=None):
     paths = []
 
     def walk(u, seen, path):
-        for v in topology.neighbors(u):
+        for v in topology._adj[u]:
             if v == t:
                 paths.append(path + [t])
             elif v in allowed and v not in seen:
@@ -143,7 +143,7 @@ def _reference_node_weights(residual, active, demand, topology, view):
     demand_view = [demand[k] for k in view]
     weights = {}
     for v in range(len(topology)):
-        if topology.is_host(v):
+        if v in topology.host_set:
             weights[v] = 0
         elif v in active:
             r = residual[v]
@@ -220,7 +220,7 @@ def reference_online_arrival(state, topology, flow):
     if path is None:
         return None
     for v in path:
-        if not topology.is_host(v):
+        if v not in topology.host_set:
             r = state.residual[v]
             for k, d in enumerate(demand):
                 r[k] -= d
@@ -517,16 +517,15 @@ def reference_route_hgr(topology, workload):
         pod_items[src_pod].append(flow.demand)
         if dst_pod != src_pod:
             pod_items[dst_pod].append(flow.demand)
-            # same group as core_group_of_flow(flow, topology)
             group_items[topology._host_index[flow.src] % half].append(flow.demand)
     # A layer cannot wake more switches than it has; overload surfaces as
     # unrouted flows in phase 2 instead.
     agg_per_pod = tuple(_reference_layer_count(items, half) for items in pod_items)
     core_per_group = tuple(_reference_layer_count(items, half) for items in group_items)
 
-    cores = topology.core_ids()
+    cores = topology._core_ids
     for pod in range(z):
-        activated.update(topology.aggregation_ids(pod)[:agg_per_pod[pod]])
+        activated.update(topology._agg_ids[pod][:agg_per_pod[pod]])
     for group in range(half):
         activated.update(cores[group * half:group * half + core_per_group[group]])
 

@@ -212,6 +212,29 @@ def test_oracle_eemr_infeasible(capsys, tmp_path):
     assert code == 0 and out.strip() == "infeasible"
 
 
+def test_oracle_vbp_infeasible(capsys, tmp_path):
+    # the same item as the eemr case: no unit bin holds a component of 1.5
+    w = Workload((Flow(0, 0, 1, (1.5,)),), 1, z=None)
+    wpath = tmp_path / "w.jsonl"
+    save_workload(w, wpath)
+    code, out, _ = run_cli(capsys, "oracle", "--mode", "vbp", "--input", str(wpath))
+    assert code == 0 and out.strip() == "infeasible"
+
+
+def test_oracle_topology_whose_z_does_not_match_graph_is_input_error(capsys, tmp_path):
+    tpath = tmp_path / "star.json"
+    save_topology(build_star_reduction(5).topology, tpath)
+    doc = json.loads(tpath.read_text())
+    doc["z"] = 2
+    tpath.write_text(json.dumps(doc))
+    wpath = tmp_path / "w.jsonl"
+    save_workload(Workload((Flow(0, 0, 1, (0.5,)),), 1, z=None), wpath)
+    code, out, err = run_cli(capsys, "oracle", "--mode", "eemr", "--input", str(wpath),
+                             "--topo", str(tpath))
+    assert code == 2 and out == ""
+    assert "graph is not the z=2 fat-tree" in err
+
+
 def test_console_script_installed():
     # the subprocess must import the same package as this test, installed or not
     package_root = os.path.dirname(os.path.dirname(greenroute.__file__))

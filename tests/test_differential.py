@@ -24,7 +24,6 @@ from greenroute import (
     Topology,
     Workload,
     build_fat_tree,
-    core_group_of_flow,
     dimension_weights,
     generate_workload,
     is_connected,
@@ -187,7 +186,7 @@ def test_greedy_step_matches_reference_on_arbitrary_graphs():
         else:
             s, t = rng.sample(range(n), 2)
         paths = _assert_step_matches_reference(state, topology, s, t, _step_demand(rng, dims))
-        seen["processor end"] += not (topology.is_host(s) and topology.is_host(t))
+        seen["processor end"] += not (s in topology.host_set and t in topology.host_set)
         seen["adjacent"] += t in topology._adj[s]
         seen["only neighbour"] += topology._adj[t] == (s,) or topology._adj[s] == (t,)
         seen["same"] += s == t
@@ -347,7 +346,7 @@ def test_sample_shortest_answers_reachability():
             s, t = rng.sample(range(n), 2)
         found = _assert_reachability_agrees(topology, allowed, s, t)
         seen["found" if found else "not found"] += 1
-        seen["host of degree >= 2"] += any(topology.is_host(v) and len(topology._adj[v]) > 1 for v in (s, t))
+        seen["host of degree >= 2"] += any(v in topology.host_set and len(topology._adj[v]) > 1 for v in (s, t))
         seen["adjacent"] += t in topology._adj[s]
         seen["only neighbour"] += topology._adj[t] == (s,) or topology._adj[s] == (t,)
     assert min(seen.values()) > 200, seen
@@ -359,10 +358,10 @@ def test_sample_shortest_asks_both_gates_first_on_an_idle_z16_tree():
     # stops there.
     topology = build_fat_tree(16)
     s, t = topology.host_ids[0], topology.host_ids[-1]
-    allowed = set(topology.processor_ids) - {topology.edge_of_host(t)}
+    allowed = set(topology.processor_ids) - {topology._host_edge[t]}
     asked = []
     assert _sample_shortest(topology, _asking(allowed, asked), s, t) is None
-    assert asked == [topology.edge_of_host(s), topology.edge_of_host(t)]
+    assert asked == [topology._host_edge[s], topology._host_edge[t]]
 
 
 QUANTA = (0.1, 0.2, 0.25, 0.3, 0.5)
@@ -418,13 +417,13 @@ def test_vbp_greedy_matches_reference_on_hgr_layers():
     workload = generate_workload(topology, 1440, 5, seed=77)
     layers = [[] for _ in range(16 + 8)]
     for flow in workload.flows:
-        src_pod, dst_pod = topology.pod_of_host(flow.src), topology.pod_of_host(flow.dst)
-        if topology.edge_of_host(flow.src) == topology.edge_of_host(flow.dst):
+        src_pod, dst_pod = topology._host_pod[flow.src], topology._host_pod[flow.dst]
+        if topology._host_edge[flow.src] == topology._host_edge[flow.dst]:
             continue
         layers[src_pod].append(flow.demand)
         if dst_pod != src_pod:
             layers[dst_pod].append(flow.demand)
-            layers[16 + core_group_of_flow(flow, topology)].append(flow.demand)
+            layers[16 + topology._host_index[flow.src] % 8].append(flow.demand)
     for items in layers:
         assert len(items) > 30
         _assert_packs_like_reference(items)
@@ -474,13 +473,13 @@ def test_hgr_layer_counts_match_packer(z):
         pod_items = [[] for _ in range(z)]
         group_items = [[] for _ in range(half)]
         for flow in workload.flows:
-            if topology.edge_of_host(flow.src) == topology.edge_of_host(flow.dst):
+            if topology._host_edge[flow.src] == topology._host_edge[flow.dst]:
                 continue
-            src_pod, dst_pod = topology.pod_of_host(flow.src), topology.pod_of_host(flow.dst)
+            src_pod, dst_pod = topology._host_pod[flow.src], topology._host_pod[flow.dst]
             pod_items[src_pod].append(flow.demand)
             if dst_pod != src_pod:
                 pod_items[dst_pod].append(flow.demand)
-                group_items[core_group_of_flow(flow, topology)].append(flow.demand)
+                group_items[topology._host_index[flow.src] % half].append(flow.demand)
         _, counts = route_hgr(topology, workload)
         assert counts.agg_per_pod == tuple(_packer_count(items, half) for items in pod_items)
         assert counts.core_per_group == tuple(_packer_count(items, half) for items in group_items)

@@ -113,6 +113,10 @@ def test_star_reduction_oracles_agree():
         star = build_star_reduction(n)
         w = Workload(tuple(Flow(i, 0, 1, d) for i, d in enumerate(items)), dims)
         assert oracle_min_active(star.topology, w) == oracle_min_bins(items)
+    # an item no unit bin holds makes both infeasible
+    items = [(0.4, 0.3), (0.2, 1.5)]
+    w = Workload(tuple(Flow(i, 0, 1, d) for i, d in enumerate(items)), 2)
+    assert oracle_min_active(build_star_reduction(2).topology, w) is None is oracle_min_bins(items)
 
 
 def test_oracle_on_smallest_fat_tree(tree2):

@@ -8,7 +8,6 @@ from greenroute import (
     build_fat_tree,
     build_star_reduction,
     compute_metrics,
-    core_group_of_flow,
     dimension_weights,
     route_hgr,
     route_mrg,
@@ -107,25 +106,15 @@ def test_vbp_never_beats_oracle_and_loads_fit():
 
 # -- core groups -------------------------------------------------------------------
 
+def _core_group_of_single_flow(topology, src, dst):
+    _, counts = route_hgr(topology, Workload((Flow(0, src, dst, (0.1,)),), 1, z=topology.z))
+    assert sum(counts.core_per_group) == 1
+    return counts.core_per_group.index(1)
+
+
 def test_core_group_mapping_z4(tree4):
-    groups = [core_group_of_flow(Flow(0, h, 4, (0.1,)), tree4) for h in range(4)]
+    groups = [_core_group_of_single_flow(tree4, h, 4) for h in range(4)]
     assert groups == [0, 1, 0, 1]
-
-
-def test_core_group_deterministic(tree4):
-    flow = Flow(0, 3, 12, (0.1,))
-    assert core_group_of_flow(flow, tree4) == core_group_of_flow(flow, tree4)
-
-
-def test_core_group_rejects_intra_pod(tree4):
-    with pytest.raises(ValueError):
-        core_group_of_flow(Flow(0, 0, 2, (0.1,)), tree4)
-
-
-def test_core_group_rejects_non_fat_tree():
-    star = build_star_reduction(2)
-    with pytest.raises(ValueError):
-        core_group_of_flow(Flow(0, 0, 1, (0.1,)), star.topology)
 
 
 def test_core_group_mapping_balanced(tree8):
@@ -135,9 +124,9 @@ def test_core_group_mapping_balanced(tree8):
     n = 2000
     for i in range(n):
         src, dst = rng.sample(tree8.host_ids, 2)
-        if tree8.pod_of_host(src) == tree8.pod_of_host(dst):
+        if tree8._host_pod[src] == tree8._host_pod[dst]:
             continue
-        counts[core_group_of_flow(Flow(i, src, dst, (0.1,)), tree8)] += 1
+        counts[_core_group_of_single_flow(tree8, src, dst)] += 1
     total = sum(counts)
     expected = total / 4
     chi2 = sum((c - expected) ** 2 / expected for c in counts)
@@ -162,7 +151,7 @@ def test_hgr_single_inter_pod_flow(tree4):
         path = sol.paths[0]
         assert len(path) == 7
         assert len(sol.active) == 5
-        kinds = [tree4.kind(v).value for v in path]
+        kinds = [tree4.nodes[v].kind.value for v in path]
         assert kinds == ["host", "edge", "aggregation", "core", "aggregation", "edge", "host"]
 
 
@@ -170,7 +159,7 @@ def test_hgr_estimate_never_exceeds_activated(tree4):
     for seed in range(25):
         w = generate_workload(tree4, 20, 3, seed=seed)
         sol, counts = route_hgr(tree4, w)
-        touched_edges = {v for v in counts.activated if tree4.kind(v).value == "edge"}
+        touched_edges = {v for v in counts.activated if tree4.nodes[v].kind.value == "edge"}
         assert counts.estimate + len(touched_edges) <= len(counts.activated)
         assert sol.active <= counts.activated
 
@@ -275,8 +264,8 @@ def test_constructive_path_matches_generic_search(tree4):
                     for v in tree4.processor_ids}
         activated = {v for v in tree4.processor_ids if rng.random() < rng.uniform(0.2, 1.0)}
         src, dst = rng.sample(tree4.host_ids, 2)
-        activated.add(tree4.edge_of_host(src))
-        activated.add(tree4.edge_of_host(dst))
+        activated.add(tree4._host_edge[src])
+        activated.add(tree4._host_edge[dst])
         demand = tuple(rng.uniform(0.01, 0.6) for _ in range(dims))
         allowed = {
             v for v in activated

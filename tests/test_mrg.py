@@ -301,8 +301,8 @@ def test_committing_flow_updates_loads_like_worked_example():
     state = _state_with(topo, 3, {2: (0.6, 0.4, 0.1), 3: (0.4, 0.4, 0.3)})
     path = online_arrival(state, topo, Flow(0, 0, 1, (0.1, 0.3, 0.4)))
     assert path == (0, 2, 3, 1)
-    assert state.load_of(2) == pytest.approx((0.7, 0.7, 0.5), abs=TOL)
-    assert state.load_of(3) == pytest.approx((0.5, 0.7, 0.7), abs=TOL)
+    assert [1 - r for r in state.residual[2]] == pytest.approx((0.7, 0.7, 0.5), abs=TOL)
+    assert [1 - r for r in state.residual[3]] == pytest.approx((0.5, 0.7, 0.7), abs=TOL)
 
 
 def test_route_mrg_feasible_and_partitioned(tree4):
@@ -317,7 +317,7 @@ def test_route_mrg_feasible_and_partitioned(tree4):
         expect = {v: [0.0] * 3 for v in tree4.processor_ids}
         for fid, path in sol.paths.items():
             for v in path:
-                if tree4.is_processor(v):
+                if v in expect:
                     for k in range(3):
                         expect[v][k] += w.flows[fid].demand[k]
         for v in tree4.processor_ids:
@@ -333,7 +333,7 @@ def test_route_mrg_path_invariants(tree4):
         assert path[0] == flow.src and path[-1] == flow.dst
         assert len(set(path)) == len(path)
         for u, v in zip(path, path[1:]):
-            assert v in tree4.neighbors(u)
+            assert v in tree4._adj[u]
 
 
 def test_route_mrg_deterministic(tree4):
@@ -401,15 +401,20 @@ def test_arrival_stream_stays_feasible(tree4):
     state = ResidualState.fresh(tree4, 3)
     rng = random.Random(21)
     hosts = tree4.host_ids
+    demands = {}
     for fid in range(30):
         src, dst = rng.sample(hosts, 2)
-        demand = tuple(rng.uniform(0.01, 0.3) for _ in range(3))
-        online_arrival(state, tree4, Flow(fid, src, dst, demand))
+        demands[fid] = tuple(rng.uniform(0.01, 0.3) for _ in range(3))
+        online_arrival(state, tree4, Flow(fid, src, dst, demands[fid]))
+        # residual identity holds as the state evolves: 1 minus the committed load
+        load = {v: [0.0] * 3 for v in tree4.processor_ids}
+        for committed_id, path in state.committed.items():
+            for v in path:
+                if v in load:
+                    load[v] = [c + d for c, d in zip(load[v], demands[committed_id])]
         for v in tree4.processor_ids:
-            load = state.load_of(v)
-            assert all(c <= 1 + TOL for c in load)
-            # residual identity holds as the state evolves
-            assert all(abs(r - (1 - c)) <= TOL for r, c in zip(state.residual[v], load))
+            assert all(c <= 1 + TOL for c in load[v])
+            assert all(abs(r - (1 - c)) <= TOL for r, c in zip(state.residual[v], load[v]))
 
 
 def test_arrival_prefers_active_subnetwork(tree4):

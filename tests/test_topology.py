@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -17,7 +18,7 @@ from oracle_helpers import all_simple_paths
 @pytest.mark.parametrize("z", [2, 4, 6, 8])
 def test_layer_counts_match_formulas(z):
     t = build_fat_tree(z)
-    kinds = [t.kind(v) for v in range(len(t))]
+    kinds = [nd.kind for nd in t.nodes]
     assert kinds.count(NodeKind.HOST) == z**3 // 4
     assert kinds.count(NodeKind.EDGE) == z**2 // 2
     assert kinds.count(NodeKind.AGGREGATION) == z**2 // 2
@@ -33,9 +34,10 @@ def test_counts_z8_match_reported_network(tree8):
 
 def test_counts_z2_smallest_tree(tree2):
     assert len(tree2.host_ids) == 2
-    assert sum(1 for v in tree2.processor_ids if tree2.kind(v) is NodeKind.EDGE) == 2
-    assert sum(1 for v in tree2.processor_ids if tree2.kind(v) is NodeKind.AGGREGATION) == 2
-    assert sum(1 for v in tree2.processor_ids if tree2.kind(v) is NodeKind.CORE) == 1
+    kinds = [tree2.nodes[v].kind for v in tree2.processor_ids]
+    assert kinds.count(NodeKind.EDGE) == 2
+    assert kinds.count(NodeKind.AGGREGATION) == 2
+    assert kinds.count(NodeKind.CORE) == 1
 
 
 def test_counts_z4(tree4):
@@ -47,32 +49,61 @@ def test_counts_z4(tree4):
 def test_degrees(z):
     t = build_fat_tree(z)
     for h in t.host_ids:
-        assert len(t.neighbors(h)) == 1
+        assert len(t._adj[h]) == 1
     for v in t.processor_ids:
-        assert len(t.neighbors(v)) == z
+        assert len(t._adj[v]) == z
 
 
 def test_edge_switch_wiring(tree4):
+    nodes = tree4.nodes
     for v in tree4.processor_ids:
-        if tree4.kind(v) is not NodeKind.EDGE:
+        if nodes[v].kind is not NodeKind.EDGE:
             continue
-        nbrs = tree4.neighbors(v)
-        hosts = [u for u in nbrs if tree4.is_host(u)]
-        aggs = [u for u in nbrs if tree4.kind(u) is NodeKind.AGGREGATION]
+        nbrs = tree4._adj[v]
+        hosts = [u for u in nbrs if nodes[u].kind is NodeKind.HOST]
+        aggs = [u for u in nbrs if nodes[u].kind is NodeKind.AGGREGATION]
         assert len(hosts) == 2 and len(aggs) == 2
-        pod = tree4.nodes[v].pod
-        assert all(tree4.nodes[a].pod == pod for a in aggs)
-        assert all(tree4.pod_of_host(h) == pod for h in hosts)
+        pod = nodes[v].pod
+        assert all(nodes[a].pod == pod for a in aggs)
+        assert all(h // 4 == pod for h in hosts)  # hosts 4p..4p+3 live in pod p
 
 
 def test_aggregation_core_group_wiring(tree4):
+    nodes = tree4.nodes
     for v in tree4.processor_ids:
-        if tree4.kind(v) is not NodeKind.AGGREGATION:
+        if nodes[v].kind is not NodeKind.AGGREGATION:
             continue
-        pos_in_pod = tree4.nodes[v].pos % 2
-        cores = [u for u in tree4.neighbors(v) if tree4.kind(u) is NodeKind.CORE]
-        assert sorted(cores) == list(tree4.core_ids()[pos_in_pod * 2:pos_in_pod * 2 + 2])
-        assert all(tree4.core_group(c) == pos_in_pod for c in cores)
+        pos_in_pod = nodes[v].pos % 2
+        cores = [u for u in tree4._adj[v] if nodes[u].kind is NodeKind.CORE]
+        assert cores == list(range(32 + pos_in_pod * 2, 34 + pos_in_pod * 2))
+        assert all(nodes[c].pos // 2 == pos_in_pod for c in cores)  # core group g = pos // (z/2)
+
+
+@pytest.mark.parametrize("z", [2, 4, 6, 8])
+def test_fat_tree_tables_match_graph(z):
+    t = build_fat_tree(z)
+    nodes, adj, half = t.nodes, t._adj, z // 2
+    per_pod = {}
+    for h in t.host_ids:
+        (edge,) = adj[h]
+        assert nodes[edge].kind is NodeKind.EDGE and t._host_edge[h] == edge
+        assert t._host_pod[h] == nodes[edge].pod
+        per_pod.setdefault(t._host_pod[h], []).append(h)
+    assert sorted(per_pod) == list(range(z))
+    for hosts in per_pod.values():
+        assert hosts == sorted(hosts)
+        assert [t._host_index[h] for h in hosts] == list(range(z * z // 4))
+    assert len(t._agg_ids) == z
+    for p, aggs in enumerate(t._agg_ids):
+        in_pod = [v for v in t.processor_ids
+                  if nodes[v].kind is NodeKind.AGGREGATION and nodes[v].pod == p]
+        assert list(aggs) == sorted(in_pod, key=lambda v: nodes[v].pos)
+    assert sorted(t._core_ids) == [v for v in t.processor_ids if nodes[v].kind is NodeKind.CORE]
+    for g in range(half):
+        for i in range(half):
+            core = t._core_ids[g * half + i]
+            assert nodes[core].kind is NodeKind.CORE
+            assert all(core in adj[t._agg_ids[p][g]] for p in range(z))
 
 
 @pytest.mark.parametrize("z", [3, 0, -2, 1])
@@ -99,22 +130,16 @@ def test_all_host_pairs_connected(z):
 
 
 def test_neighbors_z2_core(tree2):
-    core = [v for v in tree2.processor_ids if tree2.kind(v) is NodeKind.CORE][0]
-    aggs = {v for v in tree2.processor_ids if tree2.kind(v) is NodeKind.AGGREGATION}
-    assert tree2.neighbors(core) == aggs
+    kinds = {v: tree2.nodes[v].kind for v in tree2.processor_ids}
+    (core,) = [v for v, kind in kinds.items() if kind is NodeKind.CORE]
+    aggs = [v for v, kind in kinds.items() if kind is NodeKind.AGGREGATION]
+    assert list(tree2._adj[core]) == aggs
 
 
 def test_neighbors_symmetric(tree4):
     for a in range(len(tree4)):
-        for b in tree4.neighbors(a):
-            assert a in tree4.neighbors(b)
-
-
-def test_neighbors_unknown_id(tree4):
-    with pytest.raises(KeyError):
-        tree4.neighbors(999)
-    with pytest.raises(KeyError):
-        tree4.neighbors(-1)
+        for b in tree4._adj[a]:
+            assert a in tree4._adj[b]
 
 
 def test_star_reduction_single_middle():
@@ -170,16 +195,39 @@ def test_load_topology_rejects_non_integer_fields(tmp_path, tree2, field, bad):
         load_topology(path)
 
 
+@pytest.mark.parametrize("z", (2, 4, 3, 0, -2, 10**6))
+def test_load_topology_rejects_z_that_does_not_match_graph(tmp_path, z):
+    # HGR reads z's fat-tree tables, so a star labelled as a fat-tree would be routed as one
+    path = tmp_path / "topo.json"
+    save_topology(build_star_reduction(5).topology, path)
+    doc = json.loads(path.read_text())
+    doc["z"] = z
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: graph is not the z={z} fat-tree")):
+        load_topology(path)
+
+
+def test_load_topology_rejects_fat_tree_with_other_z_or_edges(tmp_path):
+    path = tmp_path / "topo.json"
+    save_topology(build_fat_tree(4), path)
+    doc = json.loads(path.read_text())
+    doc["z"] = 2
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="graph is not the z=2 fat-tree"):
+        load_topology(path)
+    doc["z"] = 4
+    del doc["edges"][0]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="graph is not the z=4 fat-tree"):
+        load_topology(path)
+
+
 def test_fat_tree_helpers(tree4):
-    assert tree4.hosts_per_pod == 4
-    assert tree4.pod_of_host(0) == 0
-    assert tree4.pod_of_host(15) == 3
-    assert tree4.host_index_in_pod(5) == 1
-    assert tree4.edge_of_host(0) == 16
-    assert tree4.aggregation_id(0, 0) == 24
-    assert tree4.aggregation_ids(1) == (26, 27)
-    assert tree4.core_id(0, 0) == 32
-    assert tree4.core_ids() == (32, 33, 34, 35)
-    assert tree4.core_group(34) == 1
-    with pytest.raises(ValueError):
-        tree4.pod_of_host(20)  # not a host
+    assert tree4._host_pod[0] == 0
+    assert tree4._host_pod[15] == 3
+    assert tree4._host_index[5] == 1
+    assert tree4._host_edge[0] == 16
+    assert tree4._agg_ids[0][0] == 24
+    assert tree4._agg_ids[1] == (26, 27)
+    assert tree4._core_ids == (32, 33, 34, 35)
+    assert 20 not in tree4._host_pod  # node 20 is an edge switch, not a host
