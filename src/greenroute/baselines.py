@@ -4,57 +4,56 @@ The shortest-path baselines are energy-oblivious: each flow, in list order,
 takes a hop-minimal path chosen uniformly at random among all hop-minimal
 paths whose nodes pass the capability check (ECMP-style spreading, seeded
 and deterministic), drawn by the shared hop-minimal search
-:func:`greenroute.mrg._sample_shortest`. "Single-resource" variants keep
-their routing state on dimension 1 only, so capability is checked there;
-committed loads are always summed in all dimensions so congestion stays
-measurable. SRG is the greedy router run on the dimension-1 projection of
-every vector.
+:func:`greenroute.mrg._sample_shortest`. "Single-resource" variants see
+dimension 1 only: capability is checked there, and SRG's node weights
+compare only that dimension. Loads are always kept in all dimensions, so
+congestion in the others stays measurable. SRG is the greedy router run on
+the dimension-1 view.
 """
 
 from __future__ import annotations
 
 import random
 
-from .mrg import CAP_TOL, ResidualState, RoutingSolution, _route_greedy, _sample_shortest, finalize_solution
+from .mrg import CAP_TOL, ResidualState, RoutingSolution, _route_greedy, _sample_shortest
 from .topology import Topology
 from .workload import Workload
 
 
-def _route_shortest(topology: Topology, workload: Workload, seed: int,
-                    view: tuple[int, ...]) -> RoutingSolution:
+def _route_shortest(topology: Topology, workload: Workload, seed: int, dims: int) -> RoutingSolution:
+    """Hop-minimal routing with capability checked on the first ``dims`` dimensions."""
     for flow in workload.flows:
         topology._check_id(flow.src)
         topology._check_id(flow.dst)
     rng = random.Random(seed)
     hosts = topology.host_set
-    state = ResidualState.fresh(topology, len(view))
+    state = ResidualState.fresh(topology, workload.dims)
     fits = state.fits
     unrouted: set[int] = set()
     for flow in workload.flows:
-        demand = [flow.demand[k] for k in view]
-        need = [d - CAP_TOL for d in demand]
+        room = [1.0 + CAP_TOL - d for d in flow.demand[:dims]]
 
         def enterable(v: int) -> bool:
-            return v not in hosts and fits(v, need)
+            return v not in hosts and fits(v, room)
 
         path = _sample_shortest(topology, enterable, flow.src, flow.dst, rng)
         if path is None:
             unrouted.add(flow.id)
             continue
-        state.commit(flow.id, path, demand)
-    return finalize_solution(topology, workload, state.committed, unrouted)
+        state.commit(flow.id, path, flow.demand)
+    return state.solution(unrouted)
 
 
 def route_srsp(topology: Topology, workload: Workload, seed: int = 0) -> RoutingSolution:
     """Single-Resource Shortest Path: hop-minimal routing, capability on dimension 1 only."""
-    return _route_shortest(topology, workload, seed, (0,))
+    return _route_shortest(topology, workload, seed, 1)
 
 
 def route_mrsp(topology: Topology, workload: Workload, seed: int = 0) -> RoutingSolution:
     """Multi-Resource Shortest Path: hop-minimal routing, capability in all dimensions."""
-    return _route_shortest(topology, workload, seed, tuple(range(workload.dims)))
+    return _route_shortest(topology, workload, seed, workload.dims)
 
 
 def route_srg(topology: Topology, workload: Workload, seed: int = 0) -> RoutingSolution:
     """Single-Resource Green: the greedy router with every vector projected to dimension 1."""
-    return _route_greedy(topology, workload, seed, (0,))
+    return _route_greedy(topology, workload, seed, 1)

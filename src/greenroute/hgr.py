@@ -35,7 +35,7 @@ from itertools import zip_longest
 from operator import mul
 from typing import Sequence
 
-from .mrg import CAP_TOL, ResidualState, RoutingSolution, _sample_shortest, finalize_solution
+from .mrg import CAP_TOL, ResidualState, RoutingSolution, _sample_shortest
 from .topology import Topology
 from .workload import Workload
 
@@ -146,8 +146,8 @@ def vbp_greedy(items: Sequence[Sequence[float]]) -> VbpResult:
 
 
 def _route_on_tree(topology: Topology, state: ResidualState, activated: set[int],
-                   need: Sequence[float], src: int, dst: int) -> list[int] | None:
-    """Lex-min hop-shortest path over activated nodes that fit ``need``, built structurally.
+                   room: Sequence[float], src: int, dst: int) -> list[int] | None:
+    """Lex-min hop-shortest path over activated nodes that fit ``room``, built structurally.
 
     Fat-tree shortest paths have fixed shapes (2, 4, or 6 hops), so the
     lex-min one can be picked by scanning switch positions in id order; a
@@ -158,14 +158,14 @@ def _route_on_tree(topology: Topology, state: ResidualState, activated: set[int]
     e_s = topology._host_edge[src]
     e_t = topology._host_edge[dst]
     if e_s == e_t:
-        return [src, e_s, dst] if e_s in activated and fits(e_s, need) else None
-    if not (e_s in activated and fits(e_s, need) and e_t in activated and fits(e_t, need)):
+        return [src, e_s, dst] if e_s in activated and fits(e_s, room) else None
+    if not (e_s in activated and fits(e_s, room) and e_t in activated and fits(e_t, room)):
         return None  # both edge switches are cut vertices for this flow
     src_pod = topology._host_pod[src]
     dst_pod = topology._host_pod[dst]
     if src_pod == dst_pod:
         for a in topology._agg_ids[src_pod]:
-            if a in activated and fits(a, need):
+            if a in activated and fits(a, room):
                 return [src, e_s, a, e_t, dst]
     else:
         half = topology.z // 2
@@ -175,13 +175,13 @@ def _route_on_tree(topology: Topology, state: ResidualState, activated: set[int]
         for pos in range(half):
             a_s = src_aggs[pos]
             a_t = dst_aggs[pos]
-            if not (a_s in activated and fits(a_s, need) and a_t in activated and fits(a_t, need)):
+            if not (a_s in activated and fits(a_s, room) and a_t in activated and fits(a_t, room)):
                 continue
             for core in cores[pos * half:(pos + 1) * half]:
-                if core in activated and fits(core, need):
+                if core in activated and fits(core, room):
                     return [src, e_s, a_s, core, a_t, e_t, dst]
     # every minimum-length path is blocked; look for longer detours
-    return _sample_shortest(topology, lambda v: v in activated and fits(v, need), src, dst)
+    return _sample_shortest(topology, lambda v: v in activated and fits(v, room), src, dst)
 
 
 def _wake_order(topology: Topology, activated: set[int], src_pod: int, dst_pod: int) -> list[int]:
@@ -275,22 +275,20 @@ def route_hgr(topology: Topology, workload: Workload) -> tuple[RoutingSolution, 
     fits = state.fits
     unrouted: set[int] = set()
     for flow in flows:
-        demand = flow.demand
-        need = [d - CAP_TOL for d in demand]
-        path = _route_on_tree(topology, state, activated, need, flow.src, flow.dst)
+        room = [1.0 + CAP_TOL - d for d in flow.demand]
+        path = _route_on_tree(topology, state, activated, room, flow.src, flow.dst)
         # an out-of-capacity edge switch cuts the flow off; no activation helps
-        if path is None and fits(edge_of[flow.src], need) and fits(edge_of[flow.dst], need):
+        if path is None and fits(edge_of[flow.src], room) and fits(edge_of[flow.dst], room):
             for nxt in _wake_order(topology, activated, pod_of[flow.src], pod_of[flow.dst]):
                 activated.add(nxt)
                 # a path the last try did not find enters and leaves nxt through usable neighbours
-                if sum(u in activated and fits(u, need) for u in adj[nxt]) < 2:
+                if sum(u in activated and fits(u, room) for u in adj[nxt]) < 2:
                     continue
-                path = _route_on_tree(topology, state, activated, need, flow.src, flow.dst)
+                path = _route_on_tree(topology, state, activated, room, flow.src, flow.dst)
                 if path is not None:
                     break
         if path is None:
             unrouted.add(flow.id)
             continue
-        state.commit(flow.id, path, demand)
-    solution = finalize_solution(topology, workload, state.committed, unrouted)
-    return solution, LayerCounts(agg_per_pod, core_per_group, frozenset(activated))
+        state.commit(flow.id, path, flow.demand)
+    return state.solution(unrouted), LayerCounts(agg_per_pod, core_per_group, frozenset(activated))

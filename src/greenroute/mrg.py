@@ -2,23 +2,25 @@
 
 The router works through the flow list progressively. Each iteration first
 searches, in list order, for a flow whose endpoints are already connected by
-active nodes with enough residual capacity; failing that it picks a pending
-flow uniformly at random (more nodes will have to wake up for it). The chosen
+active nodes with enough room left; failing that it picks a pending flow
+uniformly at random (more nodes will have to wake up for it). The chosen
 flow is then routed on the full capacity-feasible network by a weighted
-shortest path, where active nodes are scored by how badly their residual
-profile mismatches the flow's demand profile (inversion count) and inactive
-nodes carry a weight strictly above any possible inversion count. Node
-weights are turned into link weights by halving, which preserves the argmin
-over paths, so plain Dijkstra applies.
+shortest path, where active nodes are scored by how badly their load
+profile clashes with the flow's demand profile (the inversion count between
+the room they have left and the demand) and inactive nodes carry a weight
+strictly above any possible inversion count. Node weights are turned into
+link weights by halving, which preserves the argmin over paths, so plain
+Dijkstra applies.
 
 Every router and the online path keep their state in one
-:class:`ResidualState` (one capability rule, one commit); loads are summed
-once from the committed paths by :func:`finalize_solution`.
+:class:`ResidualState`: per-processor loads in every workload dimension,
+summed once as flows commit, with one capability rule and one commit.
+Each router's solution reads its loads from that state.
 
 The batch router computes exactly what that description says, with less
 work. The pick scan skips a flow whose last test failed unless a processor
 activated since then is capable for it; this is exact in batch mode only,
-where residuals only shrink and the active set only grows (online
+where loads only grow and the active set only grows (online
 departures break both). Its reachability test is the hop-minimal search
 :func:`_sample_shortest` over the active capable nodes, which asks
 capability only of the nodes it reaches, the endpoints' edge switches
@@ -33,12 +35,12 @@ runs the greedy step on the active capable nodes alone, which finds a path
 exactly when those connect the endpoints, and falls back to the full
 capable network when that finds none.
 
-Conventions fixed for reproducibility: residuals start at the normalized
-capacity (all ones); a node is incapable of a flow iff some residual
-dimension falls short of the demand (absolute tolerance 1e-9); hosts carry
-no capacity, weigh 0, and never count as active; Dijkstra breaks ties by
-fewer hops, then the lexicographically smallest node id sequence; the random
-pick uses Python's Mersenne Twister seeded from the run seed.
+Conventions fixed for reproducibility: capacity is normalized to 1 in every
+dimension and loads start at 0; a node is incapable of a flow iff some
+load dimension exceeds (1 + 1e-9) - demand; hosts carry no capacity, weigh
+0, and never count as active; Dijkstra breaks ties by fewer hops, then the
+lexicographically smallest node id sequence; the random pick uses Python's
+Mersenne Twister seeded from the run seed.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from math import inf
-from operator import ge
+from operator import le
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -79,62 +81,82 @@ def inv_count(x: Sequence[float], y: Sequence[float]) -> int:
     return count
 
 
-def _inversions_against(y: Sequence[float]):
-    """``inv_count(x, y)`` as a function of ``x``: the number of the pairs with
-    y[a] > y[b], listed once, that ``x`` orders the other way (ties count for nothing)."""
-    dims = range(len(y))
-    pairs = [(a, b) for a in dims for b in dims if y[a] > y[b]]
-    return lambda x: sum([x[a] < x[b] for a, b in pairs])
+def _inversions_against(demand: Sequence[float]):
+    """A node weight as a function of its load: the demand pairs with demand[a] >
+    demand[b], listed once, that the load orders the same way (ties count for
+    nothing). That is ``inv_count`` of the room left, 1 - load, against the demand."""
+    dims = range(len(demand))
+    pairs = [(a, b) for a in dims for b in dims if demand[a] > demand[b]]
+    return lambda load: sum([load[a] > load[b] for a, b in pairs])
 
 
 # -- state and solutions ---------------------------------------------------------
 
 @dataclass
 class ResidualState:
-    """Mutable per-processor residual capacities plus the active set.
+    """Mutable per-processor loads in every workload dimension, plus the active set.
 
-    ``committed`` maps each routed flow to its path in commit order, so
-    loads can be summed from it and online departures validated and
-    reversed. All vectors have the state's dimension count: the workload's,
-    or a router's projection of it.
+    Capacity is 1 in every dimension. ``load[v][k]`` is the running sum of
+    the demands committed on processor ``v`` in dimension ``k``, in commit
+    order; ``committed`` maps each routed flow to its path in that order,
+    so online departures can be validated and reversed.
     """
 
-    residual: dict[int, list[float]]
+    load: dict[int, list[float]]
     active: set[int]
     committed: dict[int, tuple[int, ...]] = field(default_factory=dict)
 
     @classmethod
     def fresh(cls, topology: Topology, dims: int) -> "ResidualState":
-        return cls({v: [1.0] * dims for v in topology.processor_ids}, set())
+        return cls({v: [0.0] * dims for v in topology.processor_ids}, set())
 
-    def fits(self, v: int, need: Sequence[float]) -> bool:
-        """The capability rule: processor ``v`` covers ``need`` = demand - CAP_TOL in every dimension."""
-        return all(map(ge, self.residual[v], need))
+    @property
+    def residual(self) -> dict[int, list[float]]:
+        """The room left, 1 - load per entry: a copy, for readers outside the routers."""
+        return {v: [1.0 - c for c in l] for v, l in self.load.items()}
+
+    def fits(self, v: int, room: Sequence[float]) -> bool:
+        """The capability rule: ``v``'s load is within ``room`` = (1 + CAP_TOL) - demand.
+
+        A router that sees only a prefix of the dimensions passes a shorter ``room``.
+        """
+        return all(map(le, self.load[v], room))
 
     def commit(self, flow_id: int, path: Sequence[int], demand: Sequence[float]) -> list[int]:
-        """Reserve ``demand`` on the path's processors; return those it woke, in path order."""
-        residual = self.residual
+        """Add ``demand`` to the path's processors; return those it woke, in path order."""
+        load = self.load
         active = self.active
         dim_range = range(len(demand))
         woke = []
         for v in path:
-            r = residual.get(v)
-            if r is not None:
+            l = load.get(v)
+            if l is not None:
                 for k in dim_range:
-                    r[k] -= demand[k]
+                    l[k] += demand[k]
                 if v not in active:
                     active.add(v)
                     woke.append(v)
         self.committed[flow_id] = tuple(path)
         return woke
 
+    def solution(self, unrouted: set[int]) -> RoutingSolution:
+        """The committed paths and the loads as an immutable solution."""
+        return RoutingSolution(
+            paths=dict(self.committed),
+            active=frozenset(self.active),
+            unrouted=frozenset(unrouted),
+            load={v: tuple(l) for v, l in self.load.items()},
+        )
+
 
 @dataclass(frozen=True)
 class RoutingSolution:
     """Result of routing one workload: committed paths, the carrying set, and loads.
 
-    ``active`` is exactly the set of processors with a nonzero aggregate
-    load; every flow id appears either in ``paths`` or in ``unrouted``.
+    ``load`` holds every processor's load in all workload dimensions, summed
+    in commit order, whatever dimensions the router checked. ``active`` is
+    exactly the set of processors with a nonzero load (demands are
+    positive); every flow id appears either in ``paths`` or in ``unrouted``.
     """
 
     paths: dict[int, tuple[int, ...]]
@@ -329,13 +351,14 @@ def shortest_path(
 def assign_node_weights(state: ResidualState, demand: Sequence[float], topology: Topology) -> dict[int, int]:
     """Per-node routing weights for one flow.
 
-    Active processors get their inversion count against the demand, inactive
-    processors get K(K-1)/2 + 1 (strictly above any inversion count), hosts
-    get 0.
+    Active processors get the inversion count of the room they have left
+    against the demand, inactive processors get K(K-1)/2 + 1 (strictly above
+    any inversion count), hosts get 0. Room is 1 - load, so it orders any two
+    dimensions as the negated load does.
     """
     inactive_w = len(demand) * (len(demand) - 1) // 2 + 1
-    hosts, active, residual = topology.host_set, state.active, state.residual
-    return {v: 0 if v in hosts else inv_count(residual[v], demand) if v in active else inactive_w
+    hosts, active, load = topology.host_set, state.active, state.load
+    return {v: 0 if v in hosts else inv_count([-c for c in load[v]], demand) if v in active else inactive_w
             for v in range(len(topology))}
 
 
@@ -352,10 +375,11 @@ def node_to_link_weights(topology: Topology, node_weights: Mapping[int, float]) 
 # -- the router --------------------------------------------------------------------
 
 def _greedy_path(state: ResidualState, topology: Topology, src: int, dst: int,
-                 demand: Sequence[float], need: Sequence[float], active_only: bool) -> list[int] | None:
+                 demand: Sequence[float], room: Sequence[float], active_only: bool) -> list[int] | None:
     """One greedy routing step: :func:`shortest_path` under :func:`assign_node_weights`.
 
-    Interior nodes are the processors that fit ``need`` (active ones if
+    ``demand`` and ``room`` cover the dimensions the router sees. Interior
+    nodes are the processors that fit ``room`` (active ones if
     ``active_only``, else any) plus hosts. A Dijkstra from ``dst`` labels nodes
     with their least (cost, hops) to it on doubled, integer link weights
     w_u + w_v, weighing a node when it first reaches it, and stops once
@@ -365,14 +389,14 @@ def _greedy_path(state: ResidualState, topology: Topology, src: int, dst: int,
     """
     fits = state.fits
     active = state.active
-    residual = state.residual
+    load = state.load
     hosts = topology.host_set
     if active_only:
         def enterable(v: int) -> bool:
-            return v in active and fits(v, need)
+            return v in active and fits(v, room)
     else:
         def enterable(v: int) -> bool:
-            return v in hosts or fits(v, need)
+            return v in hosts or fits(v, room)
     dims = len(demand)
     inactive_w = dims * (dims - 1) // 2 + 1
     inversions = _inversions_against(demand)
@@ -382,7 +406,7 @@ def _greedy_path(state: ResidualState, topology: Topology, src: int, dst: int,
             return None
         if v in hosts:
             return 0
-        return inversions(residual[v]) if v in active else inactive_w
+        return inversions(load[v]) if v in active else inactive_w
 
     n = len(topology)
     inner = topology._inner_adj
@@ -420,18 +444,18 @@ def _greedy_path(state: ResidualState, topology: Topology, src: int, dst: int,
     return path
 
 
-def _route_greedy(topology: Topology, workload: Workload, seed: int, view: tuple[int, ...]) -> RoutingSolution:
+def _route_greedy(topology: Topology, workload: Workload, seed: int, dims: int) -> RoutingSolution:
+    """The greedy router on the first ``dims`` dimensions; loads are kept in all of them."""
     flows = workload.flows
     for flow in flows:
         topology._check_id(flow.src)
         topology._check_id(flow.dst)
     rng = random.Random(seed)
-    # The state is kept on the view's dimensions only: nothing else reads them.
-    state = ResidualState.fresh(topology, len(view))
+    state = ResidualState.fresh(topology, workload.dims)
     active = state.active
     fits = state.fits
-    demands = [[flow.demand[k] for k in view] for flow in flows]
-    needs = [[d - CAP_TOL for d in demand] for demand in demands]
+    demands = [flow.demand[:dims] for flow in flows]
+    rooms = [[1.0 + CAP_TOL - d for d in demand] for demand in demands]
     log: list[int] = []  # processors in activation order
     # stamp[f]: len(log) when flow f last failed the pick test; -1 until tested
     stamp = [-1] * len(flows)
@@ -440,23 +464,23 @@ def _route_greedy(topology: Topology, workload: Workload, seed: int, view: tuple
 
     while pending:
         # Pick the first pending flow whose endpoints the active capable nodes
-        # connect. Skip rule, exact in batch mode only: residuals only shrink
-        # and the active set only grows, so a flow's usable set now lies within
+        # connect. Skip rule, exact in batch mode only: loads only grow and
+        # the active set only grows, so a flow's usable set now lies within
         # its usable set at its last failed test plus the processors activated
         # since then that are still capable for it. If none of those is, the
         # test fails again, and it keeps failing until a later activation
-        # qualifies, so the stamp may advance. Online departures raise
-        # residuals and shrink the active set, which breaks the premise:
+        # qualifies, so the stamp may advance. Online departures lower loads
+        # and shrink the active set, which breaks the premise:
         # online_arrival must not reuse this rule.
         pick = None
         for i, flow in enumerate(pending):
             fid = flow.id
-            need = needs[fid]
+            room = rooms[fid]
             last = stamp[fid]
-            if last >= 0 and not any(fits(v, need) for v in log[last:]):
+            if last >= 0 and not any(fits(v, room) for v in log[last:]):
                 stamp[fid] = len(log)
                 continue
-            if _sample_shortest(topology, lambda v: v in active and fits(v, need),
+            if _sample_shortest(topology, lambda v: v in active and fits(v, room),
                                 flow.src, flow.dst) is not None:
                 pick = i
                 break
@@ -464,46 +488,17 @@ def _route_greedy(topology: Topology, workload: Workload, seed: int, view: tuple
         if pick is None:
             pick = rng.randrange(len(pending))
         flow = pending.pop(pick)
-        demand = demands[flow.id]
-        path = _greedy_path(state, topology, flow.src, flow.dst, demand, needs[flow.id], False)
+        path = _greedy_path(state, topology, flow.src, flow.dst, demands[flow.id], rooms[flow.id], False)
         if path is None:
             unrouted.add(flow.id)
             continue
-        log += state.commit(flow.id, path, demand)
-    return finalize_solution(topology, workload, state.committed, unrouted)
-
-
-def finalize_solution(
-    topology: Topology,
-    workload: Workload,
-    committed: Mapping[int, Sequence[int]],
-    unrouted: set[int],
-) -> RoutingSolution:
-    """Package committed paths into an immutable solution with full-dimension loads.
-
-    Loads are summed over ``committed`` in its order, which is commit order,
-    so every load float is the running sum a router would have kept.
-    """
-    flows = workload.flows
-    dim_range = range(workload.dims)
-    load = {v: [0.0] * workload.dims for v in topology.processor_ids}
-    for fid, path in committed.items():
-        demand = flows[fid].demand
-        for l in map(load.get, path):
-            if l is not None:
-                for k in dim_range:
-                    l[k] += demand[k]
-    return RoutingSolution(
-        paths=dict(committed),
-        active=frozenset(v for v, l in load.items() if any(l)),
-        unrouted=frozenset(unrouted),
-        load={v: tuple(l) for v, l in load.items()},
-    )
+        log += state.commit(flow.id, path, flow.demand)
+    return state.solution(unrouted)
 
 
 def route_mrg(topology: Topology, workload: Workload, seed: int = 0) -> RoutingSolution:
     """Route a workload with the greedy multi-resource scheme (all dimensions)."""
-    return _route_greedy(topology, workload, seed, tuple(range(workload.dims)))
+    return _route_greedy(topology, workload, seed, workload.dims)
 
 
 # -- online extension ----------------------------------------------------------------
@@ -521,12 +516,12 @@ def online_arrival(state: ResidualState, topology: Topology, flow: Flow) -> tupl
     src, dst, demand = flow.src, flow.dst, flow.demand
     topology._check_id(src)
     topology._check_id(dst)
-    dims = len(next(iter(state.residual.values()), demand))
+    dims = len(next(iter(state.load.values()), demand))
     if dims != len(demand):
         raise ValueError(f"vector length mismatch: {dims} vs {len(demand)}")
-    need = [d - CAP_TOL for d in demand]
-    path = (_greedy_path(state, topology, src, dst, demand, need, True)
-            or _greedy_path(state, topology, src, dst, demand, need, False))
+    room = [1.0 + CAP_TOL - d for d in demand]
+    path = (_greedy_path(state, topology, src, dst, demand, room, True)
+            or _greedy_path(state, topology, src, dst, demand, room, False))
     if path is None:
         return None
     state.commit(flow.id, path, demand)
@@ -536,8 +531,8 @@ def online_arrival(state: ResidualState, topology: Topology, flow: Flow) -> tupl
 def online_departure(state: ResidualState, topology: Topology, flow: Flow, path: Sequence[int]) -> None:
     """Undo :meth:`ResidualState.commit` for a departed flow and deactivate drained processors.
 
-    Residuals that return to full capacity (within 1e-9) are snapped to
-    exactly 1.0, so an arrival followed by its departure restores the
+    A load that returns to 0 in every dimension (within 1e-9) is snapped to
+    exactly 0.0, so an arrival followed by its departure restores the
     initial state bit for bit.
     """
     committed = state.committed.get(flow.id)
@@ -546,11 +541,11 @@ def online_departure(state: ResidualState, topology: Topology, flow: Flow, path:
     if committed != tuple(path):
         raise ValueError(f"flow {flow.id}: departure path does not match the committed path")
     for v in path:
-        r = state.residual.get(v)
-        if r is not None:
+        l = state.load.get(v)
+        if l is not None:
             for k, d in enumerate(flow.demand):
-                r[k] += d
-            if all(abs(x - 1.0) <= CAP_TOL for x in r):
-                state.residual[v] = [1.0] * len(r)
+                l[k] -= d
+            if all(abs(x) <= CAP_TOL for x in l):
+                state.load[v] = [0.0] * len(l)
                 state.active.discard(v)
     del state.committed[flow.id]

@@ -41,18 +41,14 @@ class Node:
 class Topology:
     """Immutable undirected graph of end hosts and packet processors.
 
-    ``z`` is the fat-tree arity for trees built by :func:`build_fat_tree`
-    and ``None`` for arbitrary graphs (star fixtures, test graphs). The
-    graph is never mutated after construction and is safe for concurrent
-    reads; derived lookup tables are computed on first use.
+    ``z`` is the fat-tree arity for trees built by :func:`build_fat_tree`,
+    the only code that sets it, and ``None`` for every other graph (star
+    fixtures, test graphs). The graph is never mutated after construction
+    and is safe for concurrent reads; derived lookup tables are computed on
+    first use.
     """
 
-    def __init__(
-        self,
-        nodes: Sequence[Node],
-        edges: Iterable[tuple[int, int]],
-        z: int | None = None,
-    ):
+    def __init__(self, nodes: Sequence[Node], edges: Iterable[tuple[int, int]]):
         self.nodes = tuple(nodes)
         for i, node in enumerate(self.nodes):
             if node.id != i:
@@ -68,18 +64,12 @@ class Topology:
             adj[u].add(v)
             adj[v].add(u)
             canonical.add((u, v) if u < v else (v, u))
-        self.z = z
+        self.z: int | None = None
         self.edges: tuple[tuple[int, int], ...] = tuple(sorted(canonical))
         self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in adj)
         self.host_ids = tuple(nd.id for nd in self.nodes if nd.kind is NodeKind.HOST)
         self.processor_ids = tuple(nd.id for nd in self.nodes if nd.kind is not NodeKind.HOST)
         self.host_set = frozenset(self.host_ids)
-        if z is not None:
-            half = z // 2
-            base = z**3 // 4 + z * half
-            self._agg_ids = tuple(tuple(base + p * half + a for a in range(half)) for p in range(z))
-            core_base = base + z * half
-            self._core_ids = tuple(core_base + i for i in range(half * half))
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -112,6 +102,17 @@ class Topology:
     @cached_property
     def _host_index(self) -> dict[int, int]:
         return {h: h % (self.z * self.z // 4) for h in self.host_ids}
+
+    @cached_property
+    def _agg_ids(self) -> tuple[tuple[int, ...], ...]:
+        half = self.z // 2
+        base = len(self.host_ids) + self.z * half
+        return tuple(tuple(range(base + p * half, base + (p + 1) * half)) for p in range(self.z))
+
+    @cached_property
+    def _core_ids(self) -> tuple[int, ...]:
+        n = len(self.nodes)
+        return tuple(range(n - self.z * self.z // 4, n))
 
 
 @dataclass(frozen=True)
@@ -170,7 +171,9 @@ def build_fat_tree(z: int) -> Topology:
             agg_id = n_hosts + n_edge + p * half + a
             for c in range(half):
                 edges.append((agg_id, n_hosts + n_edge + n_agg + a * half + c))
-    return Topology(nodes, edges, z=z)
+    tree = Topology(nodes, edges)
+    tree.z = z
+    return tree
 
 
 def build_star_reduction(item_count: int) -> StarReduction:
@@ -186,7 +189,7 @@ def build_star_reduction(item_count: int) -> StarReduction:
         edges.append((0, mid))
         edges.append((mid, 1))
         middles.append(mid)
-    return StarReduction(Topology(nodes, edges, z=None), 0, 1, tuple(middles))
+    return StarReduction(Topology(nodes, edges), 0, 1, tuple(middles))
 
 
 # -- dump / load --------------------------------------------------------------

@@ -5,7 +5,9 @@ library uses: literal pair enumeration for inversions, exhaustive simple-path
 enumeration for shortest paths, and a subset DP for exact bin packing. The
 frozen routing and packing references at the end are the library's own
 earlier code, kept so its fast or merged paths can be held to
-byte-identical output.
+byte-identical output. The frozen routers keep the earlier routing state:
+residual capacities, reduced on commit, with loads summed afterwards from
+the committed paths.
 """
 
 import heapq
@@ -17,7 +19,7 @@ from greenroute import (
     LayerCounts,
     Node,
     NodeKind,
-    ResidualState,
+    RoutingSolution,
     Topology,
     VbpResult,
     dimension_weights,
@@ -27,7 +29,7 @@ from greenroute import (
     vbp_greedy,
 )
 from greenroute.hgr import _wake_order
-from greenroute.mrg import _sample_shortest, finalize_solution
+from greenroute.mrg import _sample_shortest
 
 TOL = 1e-9
 
@@ -201,8 +203,69 @@ def reference_route_greedy(topology, workload, seed, view):
     return paths, frozenset(unrouted), {v: tuple(load[v]) for v in procs}
 
 
+class ReferenceState:
+    """The earlier routing state: residual capacities that commits reduce.
+
+    ``load`` keeps the running sums the library keeps, in the same order,
+    so the two states can be compared bit for bit; no decision reads it.
+    """
+
+    def __init__(self, topology, dims):
+        self.residual = {v: [1.0] * dims for v in topology.processor_ids}
+        self.load = {v: [0.0] * dims for v in topology.processor_ids}
+        self.active = set()
+        self.committed = {}
+
+    def fits(self, v, need):
+        """Processor ``v`` covers ``need`` = demand - CAP_TOL in every dimension."""
+        return all(r >= d for r, d in zip(self.residual[v], need))
+
+    def commit(self, flow_id, path, demand):
+        for v in path:
+            r = self.residual.get(v)
+            if r is not None:
+                l = self.load[v]
+                for k, d in enumerate(demand):
+                    r[k] -= d
+                    l[k] += d
+                self.active.add(v)
+        self.committed[flow_id] = tuple(path)
+
+
+def reference_online_departure(state, flow, path):
+    """Return the demand to the residuals; a processor whose residuals are all
+    back at 1 (within CAP_TOL) is snapped to exactly 1 and 0 load and deactivated."""
+    for v in path:
+        r = state.residual.get(v)
+        if r is not None:
+            l = state.load[v]
+            for k, d in enumerate(flow.demand):
+                r[k] += d
+                l[k] -= d
+            if all(abs(x - 1.0) <= CAP_TOL for x in r):
+                state.residual[v] = [1.0] * len(r)
+                state.load[v] = [0.0] * len(r)
+                state.active.discard(v)
+    del state.committed[flow.id]
+
+
+def reference_solution_loads(topology, workload, paths):
+    """Loads summed over ``paths`` in its order: the summation the routers once ran
+    after routing. In commit order, every float is the running sum a router keeps."""
+    flows = workload.flows
+    dims = workload.dims
+    load = {v: [0.0] * dims for v in topology.processor_ids}
+    for fid, path in paths.items():
+        demand = flows[fid].demand
+        for l in map(load.get, path):
+            if l is not None:
+                for k in range(dims):
+                    l[k] += demand[k]
+    return {v: tuple(l) for v, l in load.items()}
+
+
 def reference_online_arrival(state, topology, flow):
-    """Online arrival with full weight and link-weight tables per flow; commits like the library."""
+    """Online arrival with full weight and link-weight tables per flow, on a :class:`ReferenceState`."""
     demand = flow.demand
     dims = len(demand)
 
@@ -219,13 +282,7 @@ def reference_online_arrival(state, topology, flow):
         path = reference_shortest_path(topology, allowed, link_w, flow.src, flow.dst)
     if path is None:
         return None
-    for v in path:
-        if v not in topology.host_set:
-            r = state.residual[v]
-            for k, d in enumerate(demand):
-                r[k] -= d
-            state.active.add(v)
-    state.committed[flow.id] = tuple(path)
+    state.commit(flow.id, path, demand)
     return tuple(path)
 
 
@@ -402,30 +459,32 @@ def _reference_state_node_weight(state, demand, topology):
     inactive_w = dims * (dims - 1) // 2 + 1
     hosts = topology.host_set
     active = state.active
-    residual = state.residual
+    load = state.load
 
     def node_weight(v):
         if v in hosts:
             return 0
         if v in active:
-            return inv_count(residual[v], demand)
+            # the room left, 1 - load, orders every pair as the negated load does
+            return inv_count([-c for c in load[v]], demand)
         return inactive_w
 
     return node_weight
 
 
-def reference_greedy_path(state, topology, src, dst, demand, need, active_only):
+def reference_greedy_path(state, topology, src, dst, demand, room, active_only):
+    """The greedy step on a library state, searching forward with a path per heap entry."""
     fits = state.fits
     if active_only:
         active = state.active
 
         def enterable(v):
-            return v in active and fits(v, need)
+            return v in active and fits(v, room)
     else:
         hosts = topology.host_set
 
         def enterable(v):
-            return v in hosts or fits(v, need)
+            return v in hosts or fits(v, room)
     node_weight = _reference_state_node_weight(state, demand, topology)
     nw = [-1] * len(topology)  # -1: not weighed yet, None: not enterable
     nw[src] = node_weight(src)
@@ -529,7 +588,7 @@ def reference_route_hgr(topology, workload):
     for group in range(half):
         activated.update(cores[group * half:group * half + core_per_group[group]])
 
-    state = ResidualState.fresh(topology, workload.dims)
+    state = ReferenceState(topology, workload.dims)
     fits = state.fits
     unrouted = set()
     for flow in flows:
@@ -547,5 +606,7 @@ def reference_route_hgr(topology, workload):
             unrouted.add(flow.id)
             continue
         state.commit(flow.id, path, demand)
-    solution = finalize_solution(topology, workload, state.committed, unrouted)
+    load = reference_solution_loads(topology, workload, state.committed)
+    active = frozenset(v for v, l in load.items() if any(l))
+    solution = RoutingSolution(dict(state.committed), active, frozenset(unrouted), load)
     return solution, LayerCounts(agg_per_pod, core_per_group, frozenset(activated))

@@ -6,7 +6,9 @@ hop-minimal search must reproduce the earlier implementations kept in
 light loads (most flows ride active nodes) and near saturation (flows go
 unrouted). The vector bin packer must return the frozen full-scan packer's
 result bit for bit, HGR's one- and two-bin shortcuts must give the layer
-count the packer would, and HGR must route as its frozen copy does.
+count the packer would, and HGR must route as its frozen copy does. Every
+router's loads, kept as running sums while it routes, must equal the sums
+over its paths bit for bit.
 """
 
 import random
@@ -37,17 +39,21 @@ from greenroute import (
 )
 import greenroute.hgr
 import oracle_helpers
+from greenroute.evaluation import ROUTERS
 from greenroute.hgr import _layer_count
 from greenroute.mrg import _greedy_path, _sample_shortest
 
 from oracle_helpers import (
+    ReferenceState,
     reference_greedy_path,
     reference_hop_shortest_lex,
     reference_route_hgr,
     reference_online_arrival,
+    reference_online_departure,
     reference_route_greedy,
     reference_sample_shortest,
     reference_shortest_path,
+    reference_solution_loads,
     reference_vbp_greedy,
 )
 
@@ -108,22 +114,42 @@ def test_online_arrivals_match_reference(z, dims):
     workload = generate_workload(topology, 300, dims, 0.08, 0.08, seed=z * 10 + dims)
     rng = random.Random(dims)
     state = ResidualState.fresh(topology, dims)
-    ref_state = ResidualState.fresh(topology, dims)
+    ref_state = ReferenceState(topology, dims)
     live = []
     rejected = 0
     for flow in workload.flows:
         if len(live) >= 60:
             gone, gone_path = live.pop(rng.randrange(len(live)))
             online_departure(state, topology, gone, gone_path)
-            online_departure(ref_state, topology, gone, gone_path)
+            reference_online_departure(ref_state, gone, gone_path)
         path = online_arrival(state, topology, flow)
         assert path == reference_online_arrival(ref_state, topology, flow)
-        assert state.residual == ref_state.residual and state.active == ref_state.active
+        assert state.load == ref_state.load and state.active == ref_state.active
         if path is None:
             rejected += 1
         else:
             live.append((flow, path))
     assert rejected > 0  # the stream reaches capacity, so the fallback branch runs too
+
+
+def test_solution_loads_match_sums_over_paths():
+    # criterion 1's fuzzed instances: every router's loads equal the sums of
+    # the demands over its paths in commit order, and its active set is the
+    # processors with a nonzero load
+    rng = random.Random(2025)
+    routed = 0
+    for run in range(120):
+        z = rng.choice((2, 4))
+        dims = rng.choice((1, 3, 5))
+        topology = build_fat_tree(z)
+        workload = generate_workload(topology, rng.randint(1, 60), dims, rng.uniform(0.01, 0.3),
+                                     rng.uniform(0.0, 0.3), seed=rng.randrange(10**9))
+        for router in ROUTERS.values():
+            solution = router(topology, workload, run)
+            assert solution.load == reference_solution_loads(topology, workload, solution.paths)
+            assert solution.active == {v for v, load in solution.load.items() if any(load)}
+            routed += len(solution.paths)
+    assert routed > 5000
 
 
 def _step_demand(rng, dims):
@@ -133,11 +159,11 @@ def _step_demand(rng, dims):
 
 
 def _assert_step_matches_reference(state, topology, src, dst, demand):
-    need = [d - CAP_TOL for d in demand]
+    room = [1 + CAP_TOL - d for d in demand]
     paths = []
     for active_only in (True, False):
-        path = _greedy_path(state, topology, src, dst, demand, need, active_only)
-        assert path == reference_greedy_path(state, topology, src, dst, demand, need, active_only)
+        path = _greedy_path(state, topology, src, dst, demand, room, active_only)
+        assert path == reference_greedy_path(state, topology, src, dst, demand, room, active_only)
         paths.append(path)
     return paths
 
@@ -146,7 +172,7 @@ def _assert_step_matches_reference(state, topology, src, dst, demand):
 @pytest.mark.parametrize("dims", (1, 2, 3, 5, 6))
 def test_greedy_step_matches_reference_mid_run(z, dims):
     # Random commits build states in between a fresh network and a full one;
-    # demands drawn from few levels commit equal residuals, which tie the
+    # demands drawn from few levels commit equal loads, which tie the
     # inversion counts, and ties between paths of equal cost are the norm.
     topology = build_fat_tree(z)
     rng = random.Random(100 * z + dims)
@@ -171,9 +197,9 @@ def test_greedy_step_matches_reference_on_arbitrary_graphs():
         topology = _with_hosts(_graph_with_leaves(rng), rng)
         n = len(topology)
         dims = rng.randint(1, 4)
-        residual = {v: [rng.choice((0.0, 0.25, 0.5, 0.75, 1.0)) for _ in range(dims)]
-                    for v in topology.processor_ids}
-        state = ResidualState(residual, {v for v in residual if rng.random() < 0.6})
+        load = {v: [rng.choice((0.0, 0.25, 0.5, 0.75, 1.0)) for _ in range(dims)]
+                for v in topology.processor_ids}
+        state = ResidualState(load, {v for v in load if rng.random() < 0.6})
         leaves = [v for v in range(n) if len(topology._adj[v]) == 1]
         roll = rng.random()
         if roll < 0.1:

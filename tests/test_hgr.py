@@ -260,8 +260,8 @@ def test_constructive_path_matches_generic_search(tree4):
     rng = random.Random(7)
     dims = 3
     for _ in range(300):
-        residual = {v: [rng.choice([1.0, rng.uniform(0, 1)]) for _ in range(dims)]
-                    for v in tree4.processor_ids}
+        load = {v: [rng.choice([0.0, rng.uniform(0, 1)]) for _ in range(dims)]
+                for v in tree4.processor_ids}
         activated = {v for v in tree4.processor_ids if rng.random() < rng.uniform(0.2, 1.0)}
         src, dst = rng.sample(tree4.host_ids, 2)
         activated.add(tree4._host_edge[src])
@@ -269,9 +269,9 @@ def test_constructive_path_matches_generic_search(tree4):
         demand = tuple(rng.uniform(0.01, 0.6) for _ in range(dims))
         allowed = {
             v for v in activated
-            if all(residual[v][k] >= demand[k] - CAP_TOL for k in range(dims))
+            if all(load[v][k] + demand[k] <= 1 + CAP_TOL for k in range(dims))
         }
-        need = [d - CAP_TOL for d in demand]
-        constructive = _route_on_tree(tree4, ResidualState(residual, set()), activated, need, src, dst)
+        room = [1 + CAP_TOL - d for d in demand]
+        constructive = _route_on_tree(tree4, ResidualState(load, set()), activated, room, src, dst)
         generic = shortest_path(tree4, allowed, None, src, dst)
         assert constructive == generic

@@ -18,6 +18,9 @@ from greenroute import (
     online_arrival,
     online_departure,
     route_mrg,
+    route_mrsp,
+    route_srg,
+    route_srsp,
     shortest_path,
 )
 from greenroute.mrg import _inversions_against
@@ -37,25 +40,71 @@ TOL = 1e-9
 
 # -- the capability rule: ResidualState.fits -----------------------------------
 
-def _fits(residual, demand):
-    state = ResidualState({0: list(residual)}, set())
-    return state.fits(0, [d - CAP_TOL for d in demand])
+def _room(demand):
+    return [1 + CAP_TOL - d for d in demand]
+
+
+def _fits(load, demand):
+    state = ResidualState({0: list(load)}, set())
+    return state.fits(0, _room(demand))
 
 
 def test_is_capable_fresh_node():
-    assert _fits((1, 1, 1), (0.1, 0.3, 0.4))
+    assert _fits((0, 0, 0), (0.1, 0.3, 0.4))
 
 
 def test_is_capable_one_dimension_short():
-    assert not _fits((0.4, 0.6, 0.9), (0.5, 0.1, 0.1))
+    assert not _fits((0.6, 0.4, 0.1), (0.5, 0.1, 0.1))
 
 
 def test_is_capable_boundary_admitted():
-    assert _fits((0.3, 0.2), (0.3, 0.2))
+    assert _fits((0.7, 0.8), (0.3, 0.2))
 
 
 def test_is_capable_rejects_beyond_tolerance():
-    assert not _fits((0.3, 0.2), (0.3, 0.2 + 2e-9))
+    assert not _fits((0.7, 0.8), (0.3, 0.2 + 2e-9))
+
+
+def _boundary_demands():
+    rng = random.Random(13)
+    return [tuple(rng.uniform(0.001, 1.0) for _ in range(dims)) for dims in (1, 2, 3, 5) for _ in range(200)]
+
+
+def test_capability_boundary_full_room():
+    # a load of exactly 1 - d in every dimension leaves room for d; 2*CAP_TOL
+    # more in any one dimension does not
+    for demand in _boundary_demands():
+        full = [1 - d for d in demand]
+        assert _fits(full, demand)
+        for k in range(len(demand)):
+            over = list(full)
+            over[k] = 1 - demand[k] + 2 * CAP_TOL
+            assert not _fits(over, demand)
+
+
+def test_capability_boundary_one_entry_room():
+    # SRSP and SRG pass a room for dimension 1 only: the other dimensions'
+    # loads are never read, however high they are
+    for demand in _boundary_demands():
+        room = _room(demand[:1])
+        others = [5.0] * (len(demand) - 1)
+        assert ResidualState({0: [1 - demand[0], *others]}, set()).fits(0, room)
+        assert not ResidualState({0: [1 - demand[0] + 2 * CAP_TOL, *others]}, set()).fits(0, room)
+
+
+@pytest.mark.parametrize("router, checked", ((route_srsp, 1), (route_srg, 1), (route_mrsp, 2), (route_mrg, 2)))
+def test_routers_admit_a_flow_at_exactly_full_and_refuse_it_past_tolerance(router, checked):
+    # one middle processor: flows of 0.75 and 0.25 fill it exactly and both
+    # are routed, whichever goes first; with 2*CAP_TOL more in a dimension the
+    # router checks, only one of them is
+    star = build_star_reduction(1)
+    for k in range(2):
+        for extra, both in ((0.0, True), (2 * CAP_TOL, k >= checked)):
+            demand = [0.25, 0.25]
+            demand[k] += extra
+            flows = (Flow(0, 0, 1, (0.75, 0.75)), Flow(1, 0, 1, tuple(demand)))
+            sol = router(star.topology, Workload(flows, 2), 0)
+            assert len(sol.paths) == (2 if both else 1)
 
 
 # -- inv_count ----------------------------------------------------------------
@@ -107,7 +156,8 @@ def test_inv_count_exhaustive_permutations(n):
 @pytest.mark.parametrize("dims", range(1, 7))
 def test_pair_sign_count_matches_inv_count(dims):
     # the greedy step lists the demand's ordered pairs once per flow and
-    # counts, per node, the pairs the residual orders the other way
+    # counts, per node, the pairs the load orders the same way: the pairs
+    # the room left (ordered as the negated load) orders the other way
     rng = random.Random(dims)
     levels = (0.0, 0.25, 0.5, 0.75, 1.0)  # few values, so ties are common
     ties = 0
@@ -115,9 +165,10 @@ def test_pair_sign_count_matches_inv_count(dims):
         demand = [rng.choice(levels) if rng.random() < 0.7 else rng.random() for _ in range(dims)]
         count = _inversions_against(demand)
         for _ in range(5):
-            residual = [rng.choice(levels) if rng.random() < 0.7 else rng.random() for _ in range(dims)]
-            assert count(residual) == inv_count(residual, demand) == brute_inversions(residual, demand)
-            ties += len(set(residual)) < dims or len(set(demand)) < dims
+            load = [rng.choice(levels) if rng.random() < 0.7 else rng.random() for _ in range(dims)]
+            room = [-c for c in load]
+            assert count(load) == inv_count(room, demand) == brute_inversions(room, demand)
+            ties += len(set(load)) < dims or len(set(demand)) < dims
     assert dims == 1 or ties > 300
 
 
@@ -126,7 +177,7 @@ def test_pair_sign_count_matches_inv_count(dims):
 def _state_with(topology, dims, loads):
     state = ResidualState.fresh(topology, dims)
     for v, load in loads.items():
-        state.residual[v] = [1.0 - c for c in load]
+        state.load[v] = list(load)
         state.active.add(v)
     return state
 
@@ -148,7 +199,7 @@ def test_assign_weights_one_dimension(tree4):
 
 
 def test_assign_weights_active_inversion(tree4):
-    state = _state_with(tree4, 2, {16: (0.1, 0.8)})  # residual (0.9, 0.2)
+    state = _state_with(tree4, 2, {16: (0.1, 0.8)})  # room (0.9, 0.2)
     weights = assign_node_weights(state, (0.1, 0.2), tree4)
     assert weights[16] == 1
 
@@ -301,8 +352,8 @@ def test_committing_flow_updates_loads_like_worked_example():
     state = _state_with(topo, 3, {2: (0.6, 0.4, 0.1), 3: (0.4, 0.4, 0.3)})
     path = online_arrival(state, topo, Flow(0, 0, 1, (0.1, 0.3, 0.4)))
     assert path == (0, 2, 3, 1)
-    assert [1 - r for r in state.residual[2]] == pytest.approx((0.7, 0.7, 0.5), abs=TOL)
-    assert [1 - r for r in state.residual[3]] == pytest.approx((0.5, 0.7, 0.7), abs=TOL)
+    assert state.load[2] == pytest.approx((0.7, 0.7, 0.5), abs=TOL)
+    assert state.load[3] == pytest.approx((0.5, 0.7, 0.7), abs=TOL)
 
 
 def test_route_mrg_feasible_and_partitioned(tree4):
@@ -366,7 +417,7 @@ def test_arrival_then_departure_restores_state_bitwise(tree4):
     assert state.active == set()
     assert state.committed == {}
     for v in tree4.processor_ids:
-        assert state.residual[v] == [1.0, 1.0, 1.0]
+        assert state.load[v] == [0.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("busy", (False, True))
@@ -374,11 +425,11 @@ def test_arrival_with_wrong_dimension_count_rejected(tree4, busy):
     state = ResidualState.fresh(tree4, 2)
     if busy:
         online_arrival(state, tree4, Flow(0, 0, 4, (0.1, 0.1)))
-    before = ({v: list(r) for v, r in state.residual.items()}, set(state.active), dict(state.committed))
+    before = ({v: list(l) for v, l in state.load.items()}, set(state.active), dict(state.committed))
     for demand in ((0.1,), (0.1, 0.1, 0.1)):
         with pytest.raises(ValueError, match="length mismatch"):
             online_arrival(state, tree4, Flow(1, 0, 4, demand))
-    assert (state.residual, state.active, state.committed) == before
+    assert (state.load, state.active, state.committed) == before
 
 
 def test_commit_returns_woken_processors_and_departure_reverses_it(tree4):
@@ -386,9 +437,9 @@ def test_commit_returns_woken_processors_and_departure_reverses_it(tree4):
     assert state.commit(0, (0, 16, 24, 17, 2), (0.25,)) == [16, 24, 17]
     assert state.commit(1, (1, 16, 1), (0.25,)) == []
     assert state.committed == {0: (0, 16, 24, 17, 2), 1: (1, 16, 1)}
-    assert state.residual[16] == [0.5] and state.active == {16, 24, 17}
+    assert state.load[16] == [0.5] and state.active == {16, 24, 17}
     online_departure(state, tree4, Flow(0, 0, 2, (0.25,)), (0, 16, 24, 17, 2))
-    assert state.active == {16} and state.residual[24] == [1.0]
+    assert state.active == {16} and state.load[24] == [0.0] and state.load[16] == [0.25]
 
 
 def test_departure_of_unknown_flow_rejected(tree4):
@@ -406,7 +457,7 @@ def test_arrival_stream_stays_feasible(tree4):
         src, dst = rng.sample(hosts, 2)
         demands[fid] = tuple(rng.uniform(0.01, 0.3) for _ in range(3))
         online_arrival(state, tree4, Flow(fid, src, dst, demands[fid]))
-        # residual identity holds as the state evolves: 1 minus the committed load
+        # the state's loads are the committed demands' sums as the state evolves
         load = {v: [0.0] * 3 for v in tree4.processor_ids}
         for committed_id, path in state.committed.items():
             for v in path:
@@ -414,7 +465,7 @@ def test_arrival_stream_stays_feasible(tree4):
                     load[v] = [c + d for c, d in zip(load[v], demands[committed_id])]
         for v in tree4.processor_ids:
             assert all(c <= 1 + TOL for c in load[v])
-            assert all(abs(r - (1 - c)) <= TOL for r, c in zip(state.residual[v], load[v]))
+            assert state.load[v] == load[v]
 
 
 def test_arrival_prefers_active_subnetwork(tree4):
@@ -424,3 +475,26 @@ def test_arrival_prefers_active_subnetwork(tree4):
     assert state.active == {16, 24, 17}
     path = online_arrival(state, tree4, Flow(1, 1, 3, (0.2,)))
     assert path == (1, 16, 24, 17, 3)
+
+
+def test_residual_view_follows_loads_and_drains_to_exact_capacity(tree8):
+    # what the benchmark reads of a live state: the residual view is 1 - load
+    # after every event, and a drained state is exactly idle again
+    dims = 3
+    workload = generate_workload(tree8, 300, dims, 0.08, 0.08, seed=31)
+    state = ResidualState.fresh(tree8, dims)
+    rng = random.Random(32)
+    live = []
+    for flow in workload.flows:
+        if len(live) >= 50:
+            online_departure(state, tree8, *live.pop(rng.randrange(len(live))))
+        path = online_arrival(state, tree8, flow)
+        if path is not None:
+            live.append((flow, path))
+        residual = state.residual
+        assert all(residual[v] == [1.0 - c for c in state.load[v]] for v in tree8.processor_ids)
+    for flow, path in live:
+        online_departure(state, tree8, flow, path)
+    assert not state.active and not state.committed
+    assert all(load == [0.0] * dims for load in state.load.values())
+    assert all(r == [1.0] * dims for r in state.residual.values())

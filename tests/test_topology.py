@@ -4,10 +4,14 @@ import re
 import pytest
 
 from greenroute import (
+    Flow,
     NodeKind,
+    Topology,
+    Workload,
     build_fat_tree,
     build_star_reduction,
     load_topology,
+    route_hgr,
     save_topology,
 )
 from greenroute.mrg import is_connected
@@ -220,6 +224,18 @@ def test_load_topology_rejects_fat_tree_with_other_z_or_edges(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="graph is not the z=4 fat-tree"):
         load_topology(path)
+
+
+def test_only_build_fat_tree_sets_z():
+    # Topology takes no z: a star cannot be labelled a fat-tree and routed as one
+    star = build_star_reduction(5).topology
+    with pytest.raises(TypeError):
+        Topology(star.nodes, star.edges, z=2)
+    tree = build_fat_tree(4)
+    assert Topology(tree.nodes, tree.edges).z is None
+    assert Topology(star.nodes, star.edges).z is None
+    with pytest.raises(ValueError, match="requires a fat-tree"):
+        route_hgr(Topology(tree.nodes, tree.edges), Workload((Flow(0, 0, 4, (0.1,)),), 1))
 
 
 def test_fat_tree_helpers(tree4):
