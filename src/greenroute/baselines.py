@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 
-from .mrg import CAP_TOL, ResidualState, RoutingSolution, _route_greedy, _sample_shortest
+from .mrg import ResidualState, RoutingSolution, _route_greedy, _sample_shortest
 from .topology import Topology
 from .workload import Workload
 
@@ -29,19 +29,16 @@ def _route_shortest(topology: Topology, workload: Workload, seed: int, dims: int
     hosts = topology.host_set
     state = ResidualState.fresh(topology, workload.dims)
     fits = state.fits
-    unrouted: set[int] = set()
     for flow in workload.flows:
-        room = [1.0 + CAP_TOL - d for d in flow.demand[:dims]]
+        room = state.room(flow.demand[:dims])
 
         def enterable(v: int) -> bool:
             return v not in hosts and fits(v, room)
 
         path = _sample_shortest(topology, enterable, flow.src, flow.dst, rng)
-        if path is None:
-            unrouted.add(flow.id)
-            continue
-        state.commit(flow.id, path, flow.demand)
-    return state.solution(unrouted)
+        if path is not None:
+            state.commit(flow.id, path, flow.demand)
+    return state.solution(workload.flows)
 
 
 def route_srsp(topology: Topology, workload: Workload, seed: int = 0) -> RoutingSolution:

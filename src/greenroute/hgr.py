@@ -17,15 +17,15 @@ Phase 2 materializes paths, which the counts alone do not give: the
 lowest-position switches per layer are activated to the phase-1 counts, and
 each flow is routed by the lex-min hop-shortest path over activated nodes
 that fit it (state, capability rule and commit are the shared
-:class:`greenroute.mrg.ResidualState`). Only if that fails, and both its
-edge switches fit it (otherwise no activation helps and it stays unrouted),
-the flow wakes switches one at a time and retries after each, until it
-routes or its candidate layers run out. The order is fixed before the first
-wake: round-robin over core, src-pod aggregation and dst-pod aggregation
-(cores and the dst pod only for inter-pod flows), lowest position first,
-skipping switches already activated. Waking can go beyond the estimate; the
-solution reports the processors actually carrying load, and the activated
-set is reported alongside the per-layer counts.
+:class:`greenroute.mrg.ResidualState`). A flow whose edge switches do not
+both fit it stays unrouted and wakes nothing: no activation helps it. Any
+other flow whose first try fails wakes switches one at a time and retries
+after each, until it routes or its candidate layers run out. The order is
+fixed before the first wake: round-robin over core, src-pod aggregation and
+dst-pod aggregation (cores and the dst pod only for inter-pod flows),
+lowest position first, skipping switches already activated. Waking can go
+beyond the estimate; the solution reports the processors actually carrying
+load, and the activated set is reported alongside the per-layer counts.
 """
 
 from __future__ import annotations
@@ -152,15 +152,14 @@ def _route_on_tree(topology: Topology, state: ResidualState, activated: set[int]
     Fat-tree shortest paths have fixed shapes (2, 4, or 6 hops), so the
     lex-min one can be picked by scanning switch positions in id order; a
     graph search is only needed for longer detours when every minimum-length
-    path is out of capacity. ``src`` and ``dst`` must be hosts.
+    path is out of capacity. ``src`` and ``dst`` must be hosts whose edge
+    switches are activated and fit ``room``; they are not tested again.
     """
     fits = state.fits
     e_s = topology._host_edge[src]
     e_t = topology._host_edge[dst]
     if e_s == e_t:
-        return [src, e_s, dst] if e_s in activated and fits(e_s, room) else None
-    if not (e_s in activated and fits(e_s, room) and e_t in activated and fits(e_t, room)):
-        return None  # both edge switches are cut vertices for this flow
+        return [src, e_s, dst]
     src_pod = topology._host_pod[src]
     dst_pod = topology._host_pod[dst]
     if src_pod == dst_pod:
@@ -241,7 +240,6 @@ def route_hgr(topology: Topology, workload: Workload) -> tuple[RoutingSolution, 
                 raise ValueError(f"node {h} is not a host")
     edge_of = topology._host_edge
     pod_of = topology._host_pod
-    adj = topology._adj
 
     activated: set[int] = set()  # every flow's edge switches, then the phase-1 estimates
     pod_items: list[list[tuple[float, ...]]] = [[] for _ in range(z)]
@@ -273,22 +271,19 @@ def route_hgr(topology: Topology, workload: Workload) -> tuple[RoutingSolution, 
 
     state = ResidualState.fresh(topology, workload.dims)
     fits = state.fits
-    unrouted: set[int] = set()
     for flow in flows:
-        room = [1.0 + CAP_TOL - d for d in flow.demand]
-        path = _route_on_tree(topology, state, activated, room, flow.src, flow.dst)
+        src, dst = flow.src, flow.dst
+        room = state.room(flow.demand)
         # an out-of-capacity edge switch cuts the flow off; no activation helps
-        if path is None and fits(edge_of[flow.src], room) and fits(edge_of[flow.dst], room):
-            for nxt in _wake_order(topology, activated, pod_of[flow.src], pod_of[flow.dst]):
+        if not (fits(edge_of[src], room) and fits(edge_of[dst], room)):
+            continue
+        path = _route_on_tree(topology, state, activated, room, src, dst)
+        if path is None:
+            for nxt in _wake_order(topology, activated, pod_of[src], pod_of[dst]):
                 activated.add(nxt)
-                # a path the last try did not find enters and leaves nxt through usable neighbours
-                if sum(u in activated and fits(u, room) for u in adj[nxt]) < 2:
-                    continue
-                path = _route_on_tree(topology, state, activated, room, flow.src, flow.dst)
+                path = _route_on_tree(topology, state, activated, room, src, dst)
                 if path is not None:
                     break
-        if path is None:
-            unrouted.add(flow.id)
-            continue
-        state.commit(flow.id, path, flow.demand)
-    return state.solution(unrouted), LayerCounts(agg_per_pod, core_per_group, frozenset(activated))
+        if path is not None:
+            state.commit(flow.id, path, flow.demand)
+    return state.solution(flows), LayerCounts(agg_per_pod, core_per_group, frozenset(activated))

@@ -14,8 +14,8 @@ Dijkstra applies.
 
 Every router and the online path keep their state in one
 :class:`ResidualState`: per-processor loads in every workload dimension,
-summed once as flows commit, with one capability rule and one commit.
-Each router's solution reads its loads from that state.
+summed once as flows commit, one capability rule, and one commit. Each
+router's solution reads its loads and its unrouted flows from that state.
 
 The batch router computes exactly what that description says, with less
 work. The pick scan skips a flow whose last test failed unless a processor
@@ -115,12 +115,23 @@ class ResidualState:
         """The room left, 1 - load per entry: a copy, for readers outside the routers."""
         return {v: [1.0 - c for c in l] for v, l in self.load.items()}
 
+    @staticmethod
+    def room(demand: Sequence[float]) -> list[float]:
+        """The most load a processor may carry and still take ``demand``: (1 + CAP_TOL) - demand."""
+        return [1.0 + CAP_TOL - d for d in demand]
+
     def fits(self, v: int, room: Sequence[float]) -> bool:
-        """The capability rule: ``v``'s load is within ``room`` = (1 + CAP_TOL) - demand.
+        """The capability rule: ``v``'s load is within ``room`` (see :meth:`room`).
 
         A router that sees only a prefix of the dimensions passes a shorter ``room``.
         """
         return all(map(le, self.load[v], room))
+
+    def _check_dims(self, demand: Sequence[float]) -> None:
+        """Raise ValueError unless ``demand`` has one component per load dimension."""
+        dims = len(next(iter(self.load.values()), demand))
+        if dims != len(demand):
+            raise ValueError(f"vector length mismatch: {dims} vs {len(demand)}")
 
     def commit(self, flow_id: int, path: Sequence[int], demand: Sequence[float]) -> list[int]:
         """Add ``demand`` to the path's processors; return those it woke, in path order."""
@@ -139,12 +150,13 @@ class ResidualState:
         self.committed[flow_id] = tuple(path)
         return woke
 
-    def solution(self, unrouted: set[int]) -> RoutingSolution:
-        """The committed paths and the loads as an immutable solution."""
+    def solution(self, flows: Iterable[Flow]) -> RoutingSolution:
+        """The committed paths and the loads as an immutable solution; other ``flows`` are unrouted."""
+        committed = self.committed
         return RoutingSolution(
-            paths=dict(self.committed),
+            paths=dict(committed),
             active=frozenset(self.active),
-            unrouted=frozenset(unrouted),
+            unrouted=frozenset(flow.id for flow in flows if flow.id not in committed),
             load={v: tuple(l) for v, l in self.load.items()},
         )
 
@@ -156,7 +168,7 @@ class RoutingSolution:
     ``load`` holds every processor's load in all workload dimensions, summed
     in commit order, whatever dimensions the router checked. ``active`` is
     exactly the set of processors with a nonzero load (demands are
-    positive); every flow id appears either in ``paths`` or in ``unrouted``.
+    positive); ``unrouted`` holds the flow ids that are not in ``paths``.
     """
 
     paths: dict[int, tuple[int, ...]]
@@ -374,29 +386,22 @@ def node_to_link_weights(topology: Topology, node_weights: Mapping[int, float]) 
 
 # -- the router --------------------------------------------------------------------
 
-def _greedy_path(state: ResidualState, topology: Topology, src: int, dst: int,
-                 demand: Sequence[float], room: Sequence[float], active_only: bool) -> list[int] | None:
+def _greedy_path(state: ResidualState, topology: Topology, enterable, src: int, dst: int,
+                 demand: Sequence[float]) -> list[int] | None:
     """One greedy routing step: :func:`shortest_path` under :func:`assign_node_weights`.
 
-    ``demand`` and ``room`` cover the dimensions the router sees. Interior
-    nodes are the processors that fit ``room`` (active ones if
-    ``active_only``, else any) plus hosts. A Dijkstra from ``dst`` labels nodes
+    ``demand`` covers the dimensions the router sees. Interior nodes are
+    those that pass ``enterable(v)``, which is asked at most once per node,
+    as in :func:`_sample_shortest`. A Dijkstra from ``dst`` labels nodes
     with their least (cost, hops) to it on doubled, integer link weights
     w_u + w_v, weighing a node when it first reaches it, and stops once
     ``src`` is settled. Labels strictly decrease along an optimal path, so
     stepping from ``src`` to the smallest-id neighbour with a tight label
     gives the lexicographically smallest one. No degree-1 node but ``src`` is entered.
     """
-    fits = state.fits
     active = state.active
     load = state.load
     hosts = topology.host_set
-    if active_only:
-        def enterable(v: int) -> bool:
-            return v in active and fits(v, room)
-    else:
-        def enterable(v: int) -> bool:
-            return v in hosts or fits(v, room)
     dims = len(demand)
     inactive_w = dims * (dims - 1) // 2 + 1
     inversions = _inversions_against(demand)
@@ -454,13 +459,13 @@ def _route_greedy(topology: Topology, workload: Workload, seed: int, dims: int) 
     state = ResidualState.fresh(topology, workload.dims)
     active = state.active
     fits = state.fits
+    hosts = topology.host_set
     demands = [flow.demand[:dims] for flow in flows]
-    rooms = [[1.0 + CAP_TOL - d for d in demand] for demand in demands]
+    rooms = [state.room(demand) for demand in demands]
     log: list[int] = []  # processors in activation order
     # stamp[f]: len(log) when flow f last failed the pick test; -1 until tested
     stamp = [-1] * len(flows)
     pending = list(flows)
-    unrouted: set[int] = set()
 
     while pending:
         # Pick the first pending flow whose endpoints the active capable nodes
@@ -488,12 +493,12 @@ def _route_greedy(topology: Topology, workload: Workload, seed: int, dims: int) 
         if pick is None:
             pick = rng.randrange(len(pending))
         flow = pending.pop(pick)
-        path = _greedy_path(state, topology, flow.src, flow.dst, demands[flow.id], rooms[flow.id], False)
-        if path is None:
-            unrouted.add(flow.id)
-            continue
-        log += state.commit(flow.id, path, flow.demand)
-    return state.solution(unrouted)
+        room = rooms[flow.id]
+        path = _greedy_path(state, topology, lambda v: v in hosts or fits(v, room),
+                            flow.src, flow.dst, demands[flow.id])
+        if path is not None:
+            log += state.commit(flow.id, path, flow.demand)
+    return state.solution(flows)
 
 
 def route_mrg(topology: Topology, workload: Workload, seed: int = 0) -> RoutingSolution:
@@ -516,12 +521,11 @@ def online_arrival(state: ResidualState, topology: Topology, flow: Flow) -> tupl
     src, dst, demand = flow.src, flow.dst, flow.demand
     topology._check_id(src)
     topology._check_id(dst)
-    dims = len(next(iter(state.load.values()), demand))
-    if dims != len(demand):
-        raise ValueError(f"vector length mismatch: {dims} vs {len(demand)}")
-    room = [1.0 + CAP_TOL - d for d in demand]
-    path = (_greedy_path(state, topology, src, dst, demand, room, True)
-            or _greedy_path(state, topology, src, dst, demand, room, False))
+    state._check_dims(demand)
+    room = state.room(demand)
+    fits, active, hosts = state.fits, state.active, topology.host_set
+    path = (_greedy_path(state, topology, lambda v: v in active and fits(v, room), src, dst, demand)
+            or _greedy_path(state, topology, lambda v: v in hosts or fits(v, room), src, dst, demand))
     if path is None:
         return None
     state.commit(flow.id, path, demand)
@@ -540,6 +544,7 @@ def online_departure(state: ResidualState, topology: Topology, flow: Flow, path:
         raise ValueError(f"flow {flow.id} was never routed on this state")
     if committed != tuple(path):
         raise ValueError(f"flow {flow.id}: departure path does not match the committed path")
+    state._check_dims(flow.demand)
     for v in path:
         l = state.load.get(v)
         if l is not None:

@@ -47,6 +47,8 @@ class Flow:
     demand: tuple[float, ...]
 
     def __post_init__(self):
+        if type(self.src) is not int or type(self.dst) is not int:  # a bool is not a node id
+            raise ValueError(f"flow {self.id}: src and dst must be int node ids")
         if self.src == self.dst:
             raise ValueError(f"flow {self.id}: src and dst must differ")
         if not self.demand:

@@ -1,9 +1,12 @@
 
+import random
+
 import pytest
 
 from greenroute import (
     Flow,
     Workload,
+    build_fat_tree,
     compute_metrics,
     route_mrg,
     route_mrsp,
@@ -132,6 +135,23 @@ def test_blocked_sets_deterministic_per_seed(tree4):
     assert first.unrouted == second.unrouted
     assert first == second
     assert route_srsp(tree4, w, seed=9) == route_srsp(tree4, w, seed=9)
+
+
+@pytest.mark.parametrize("name", sorted(ROUTERS))
+def test_paths_and_unrouted_partition_the_flows(name):
+    # criterion 1's fuzzed instances: every flow id is routed or unrouted, never both
+    router = ROUTERS[name]
+    rng = random.Random(2026)
+    unrouted = 0
+    for run in range(100):
+        topology = build_fat_tree(rng.choice((2, 4)))
+        workload = generate_workload(topology, rng.randint(1, 60), rng.choice((1, 3, 5)),
+                                     rng.uniform(0.01, 0.3), rng.uniform(0.0, 0.3), seed=rng.randrange(10**9))
+        solution = router(topology, workload, run)
+        assert not solution.paths.keys() & solution.unrouted
+        assert solution.paths.keys() | solution.unrouted == {flow.id for flow in workload.flows}
+        unrouted += len(solution.unrouted)
+    assert unrouted > 0
 
 
 @pytest.mark.parametrize("router", ROUTERS.values())

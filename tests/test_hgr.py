@@ -245,6 +245,17 @@ def test_hgr_wakes_src_pod_agg_before_dst_pod_agg():
     assert sol.paths[1] == (1, 54, 73, 93, 76, 59, 15)
 
 
+def test_hgr_flow_with_full_edge_switch_is_unrouted_and_wakes_nothing(tree4):
+    # flow 0 fills edge switch 16 exactly; flow 1 leaves through it and flow 2
+    # enters through it, so neither fits, and phase 2 wakes nothing for them
+    flows = (Flow(0, 0, 1, (1.0,)), Flow(1, 0, 4, (0.5,)), Flow(2, 5, 1, (0.5,)))
+    sol, counts = route_hgr(tree4, Workload(flows, 1, z=4))
+    assert sol.unrouted == {1, 2} and sol.paths == {0: (0, 16, 1)}
+    assert (counts.agg_per_pod, counts.core_per_group) == ((1, 1, 0, 0), (1, 1))
+    # the phase-1 set: every flow's edge switches, then the estimates' aggregation switches and cores
+    assert counts.activated == {16, 18} | {24, 26} | {32, 34}
+
+
 def test_hgr_rejects_non_fat_tree():
     star = build_star_reduction(2)
     with pytest.raises(ValueError):
@@ -253,25 +264,33 @@ def test_hgr_rejects_non_fat_tree():
 
 def test_constructive_path_matches_generic_search(tree4):
     # the structural fat-tree path picker must agree with the generic
-    # hop-shortest lexicographic search on arbitrary capability states
+    # hop-shortest lexicographic search on arbitrary capability states in
+    # which both edge switches are activated and fit the flow, as route_hgr
+    # guarantees before it asks
     from greenroute.hgr import _route_on_tree
     from greenroute.mrg import CAP_TOL, ResidualState, shortest_path
 
     rng = random.Random(7)
     dims = 3
-    for _ in range(300):
+    tried = found = 0
+    while tried < 300:
         load = {v: [rng.choice([0.0, rng.uniform(0, 1)]) for _ in range(dims)]
                 for v in tree4.processor_ids}
         activated = {v for v in tree4.processor_ids if rng.random() < rng.uniform(0.2, 1.0)}
         src, dst = rng.sample(tree4.host_ids, 2)
-        activated.add(tree4._host_edge[src])
-        activated.add(tree4._host_edge[dst])
+        edges = {tree4._host_edge[src], tree4._host_edge[dst]}
+        activated |= edges
         demand = tuple(rng.uniform(0.01, 0.6) for _ in range(dims))
         allowed = {
             v for v in activated
             if all(load[v][k] + demand[k] <= 1 + CAP_TOL for k in range(dims))
         }
+        if not edges <= allowed:
+            continue
+        tried += 1
         room = [1 + CAP_TOL - d for d in demand]
         constructive = _route_on_tree(tree4, ResidualState(load, set()), activated, room, src, dst)
         generic = shortest_path(tree4, allowed, None, src, dst)
         assert constructive == generic
+        found += generic is not None
+    assert 0 < found < tried  # both outcomes are exercised

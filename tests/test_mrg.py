@@ -442,6 +442,18 @@ def test_commit_returns_woken_processors_and_departure_reverses_it(tree4):
     assert state.active == {16} and state.load[24] == [0.0] and state.load[16] == [0.25]
 
 
+def test_departure_with_wrong_dimension_count_rejected(tree4):
+    # a demand of the wrong length is refused before any load, the active set
+    # or the committed paths change, whether it is too long or too short
+    state = ResidualState.fresh(tree4, 2)
+    path = online_arrival(state, tree4, Flow(0, 0, 4, (0.1, 0.2)))
+    before = ({v: list(l) for v, l in state.load.items()}, set(state.active), dict(state.committed))
+    for demand in ((0.1,), (0.1, 0.2, 0.3)):
+        with pytest.raises(ValueError, match="length mismatch"):
+            online_departure(state, tree4, Flow(0, 0, 4, demand), path)
+    assert (state.load, state.active, state.committed) == before
+
+
 def test_departure_of_unknown_flow_rejected(tree4):
     state = ResidualState.fresh(tree4, 1)
     with pytest.raises(ValueError):

@@ -62,6 +62,10 @@ def test_flow_validation():
         Flow(0, 0, 1, (0.0,))
     with pytest.raises(ValueError):
         Flow(0, 0, 1, ())
+    # a bool is an int subclass but not a node id
+    for src, dst in ((0, True), (False, 15), (0, 1.0), ("0", 1)):
+        with pytest.raises(ValueError, match="int node ids"):
+            Flow(0, src, dst, (0.1,))
 
 
 def test_round_trip_empty_and_single(tmp_path):
