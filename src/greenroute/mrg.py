@@ -18,10 +18,10 @@ summed once as flows commit, one capability rule, and one commit. Each
 router's solution reads its loads and its unrouted flows from that state.
 
 The batch router computes exactly what that description says, with less
-work. The pick scan skips a flow whose last test failed unless a processor
-activated since then is capable for it; this is exact in batch mode only,
-where loads only grow and the active set only grows (online
-departures break both). Its reachability test is the hop-minimal search
+work. The pick scan resumes at the flow it stopped at until a processor
+wakes: in batch mode loads and the active set only grow, so a flow that
+failed keeps failing until then (online departures break this). Its
+reachability test is the hop-minimal search
 :func:`_sample_shortest` over the active capable nodes, which asks
 capability only of the nodes it reaches, the endpoints' edge switches
 first. The greedy step's Dijkstra labels nodes from the target on doubled
@@ -133,22 +133,18 @@ class ResidualState:
         if dims != len(demand):
             raise ValueError(f"vector length mismatch: {dims} vs {len(demand)}")
 
-    def commit(self, flow_id: int, path: Sequence[int], demand: Sequence[float]) -> list[int]:
-        """Add ``demand`` to the path's processors; return those it woke, in path order."""
+    def commit(self, flow_id: int, path: Sequence[int], demand: Sequence[float]) -> None:
+        """Add ``demand`` to the path's processors, mark them active and record the path."""
         load = self.load
         active = self.active
         dim_range = range(len(demand))
-        woke = []
         for v in path:
             l = load.get(v)
             if l is not None:
                 for k in dim_range:
                     l[k] += demand[k]
-                if v not in active:
-                    active.add(v)
-                    woke.append(v)
+                active.add(v)
         self.committed[flow_id] = tuple(path)
-        return woke
 
     def solution(self, flows: Iterable[Flow]) -> RoutingSolution:
         """The committed paths and the loads as an immutable solution; other ``flows`` are unrouted."""
@@ -462,42 +458,30 @@ def _route_greedy(topology: Topology, workload: Workload, seed: int, dims: int) 
     hosts = topology.host_set
     demands = [flow.demand[:dims] for flow in flows]
     rooms = [state.room(demand) for demand in demands]
-    log: list[int] = []  # processors in activation order
-    # stamp[f]: len(log) when flow f last failed the pick test; -1 until tested
-    stamp = [-1] * len(flows)
     pending = list(flows)
+    start = 0  # pending[:start] failed the pick test since the last processor woke
 
     while pending:
-        # Pick the first pending flow whose endpoints the active capable nodes
-        # connect. Skip rule, exact in batch mode only: loads only grow and
-        # the active set only grows, so a flow's usable set now lies within
-        # its usable set at its last failed test plus the processors activated
-        # since then that are still capable for it. If none of those is, the
-        # test fails again, and it keeps failing until a later activation
-        # qualifies, so the stamp may advance. Online departures lower loads
-        # and shrink the active set, which breaks the premise:
-        # online_arrival must not reuse this rule.
-        pick = None
-        for i, flow in enumerate(pending):
-            fid = flow.id
-            room = rooms[fid]
-            last = stamp[fid]
-            if last >= 0 and not any(fits(v, room) for v in log[last:]):
-                stamp[fid] = len(log)
-                continue
+        # Pick the first pending flow whose endpoints the active capable nodes connect.
+        for i in range(start, len(pending)):
+            flow = pending[i]
+            room = rooms[flow.id]
             if _sample_shortest(topology, lambda v: v in active and fits(v, room),
                                 flow.src, flow.dst) is not None:
-                pick = i
+                pick = start = i
                 break
-            stamp[fid] = len(log)
-        if pick is None:
+        else:
+            start = len(pending) - 1
             pick = rng.randrange(len(pending))
         flow = pending.pop(pick)
         room = rooms[flow.id]
         path = _greedy_path(state, topology, lambda v: v in hosts or fits(v, room),
                             flow.src, flow.dst, demands[flow.id])
         if path is not None:
-            log += state.commit(flow.id, path, flow.demand)
+            before = len(active)
+            state.commit(flow.id, path, flow.demand)
+            if len(active) > before:
+                start = 0
     return state.solution(flows)
 
 

@@ -75,7 +75,7 @@ class Topology:
         return len(self.nodes)
 
     def _check_id(self, node_id: int) -> None:
-        if not (isinstance(node_id, int) and 0 <= node_id < len(self.nodes)):
+        if not (type(node_id) is int and 0 <= node_id < len(self.nodes)):  # a bool is not a node id
             raise KeyError(f"unknown node id {node_id!r}")
 
     # -- lookup tables for routing hot loops, built on first use ---------------

@@ -47,13 +47,15 @@ class Flow:
     demand: tuple[float, ...]
 
     def __post_init__(self):
-        if type(self.src) is not int or type(self.dst) is not int:  # a bool is not a node id
+        if type(self.id) is not int:  # a bool is not an id
+            raise ValueError(f"flow id must be an int, got {self.id!r}")
+        if type(self.src) is not int or type(self.dst) is not int:  # nor a node id
             raise ValueError(f"flow {self.id}: src and dst must be int node ids")
         if self.src == self.dst:
             raise ValueError(f"flow {self.id}: src and dst must differ")
         if not self.demand:
             raise ValueError(f"flow {self.id}: empty demand vector")
-        if not all(0 < c < math.inf for c in self.demand):  # also rejects NaN
+        if not all(type(c) is not bool and 0 < c < math.inf for c in self.demand):  # also rejects NaN
             raise ValueError(f"flow {self.id}: demand components must be finite and strictly positive")
 
 

@@ -105,10 +105,10 @@ def random_topology(rng, n, edge_prob=0.4):
 
 # -- frozen routing references -------------------------------------------------------
 # Verbatim copies of the greedy router and Dijkstra as they stood before the
-# stamped pick scan, lazy reachability and dead-end skip. They are slow on
-# purpose (a set and a BFS per pending flow per iteration, a link-weight
-# dict over every edge per flow); the differential tests require the
-# library to reproduce them exactly.
+# pick scan skipped flows bound to fail again, lazy reachability and the
+# dead-end skip. They are slow on purpose (a set and a BFS per pending flow
+# per iteration, a link-weight dict over every edge per flow); the
+# differential tests require the library to reproduce them exactly.
 
 def reference_shortest_path(topology, allowed_nodes, link_weights, s, t):
     if link_weights is not None and link_weights and min(link_weights.values()) < 0:

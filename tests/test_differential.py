@@ -106,6 +106,74 @@ def test_greedy_router_matches_reference_on_arbitrary_graphs():
             assert (solution.paths, solution.unrouted, solution.load) == (paths, ref_unrouted, ref_load)
 
 
+def test_greedy_router_matches_reference_with_unroutable_flows(tree4):
+    # Flows with a demand component above 1 fit no processor, so a random pick
+    # of one wakes nothing and the scan must resume, not restart. Seeds where
+    # that pick comes first, on the idle network, are kept in.
+    hosts = tree4.host_ids
+    demands = [(0.3, 0.2), (1.5, 0.1), (0.2, 0.4), (0.1, 0.1), (0.4, 1.2), (0.25, 0.3),
+               (0.2, 0.2), (0.1, 2.0), (0.35, 0.15), (0.3, 0.3)]
+    flows = tuple(Flow(fid, hosts[fid], hosts[(5 * fid + 3) % len(hosts)], demand)
+                  for fid, demand in enumerate(demands))
+    workload = Workload(flows, 2, z=4)
+    never = {fid for fid, demand in enumerate(demands) if max(demand) > 1}
+    first_pick_unroutable = 0
+    for seed in range(40):
+        first_pick_unroutable += random.Random(seed).randrange(len(flows)) in never
+        for router, view in ((route_mrg, (0, 1)), (route_srg, (0,))):
+            solution = router(tree4, workload, seed)
+            paths, ref_unrouted, ref_load = reference_route_greedy(tree4, workload, seed, view)
+            assert (solution.paths, solution.unrouted, solution.load) == (paths, ref_unrouted, ref_load)
+            assert solution.unrouted >= {fid for fid in never if any(demands[fid][k] > 1 for k in view)}
+    assert first_pick_unroutable > 5
+
+
+def _distinct_pair_workload(topology, flows, dims, mean, std, seed):
+    """A generated workload whose flows each get their own (src, dst) pair."""
+    hosts = topology.host_ids
+    pairs = random.Random(seed).sample([(s, t) for s in hosts for t in hosts if s != t], flows)
+    base = generate_workload(topology, flows, dims, mean, std, seed=seed)
+    return Workload(tuple(Flow(f.id, s, t, f.demand) for f, (s, t) in zip(base.flows, pairs)), dims)
+
+
+@pytest.mark.parametrize("z", (4, 8))
+def test_pick_scan_tests_a_flow_once_until_a_processor_wakes(monkeypatch, z):
+    # Loads and the active set only grow in batch mode, so a flow that failed
+    # the pick test fails it again until a processor wakes: the scan must not
+    # search any flow (its endpoint pair) twice at the same active-set size.
+    size = [0]  # len(active) of the state being routed
+    searched: list[tuple[int, tuple[int, int]]] = []
+    commit = ResidualState.commit
+
+    def recording_search(topology, enterable, s, t):
+        searched.append((size[0], (s, t)))
+        return _sample_shortest(topology, enterable, s, t)
+
+    def recording_commit(state, *args):
+        result = commit(state, *args)
+        size[0] = len(state.active)
+        return result
+
+    monkeypatch.setattr("greenroute.mrg._sample_shortest", recording_search)
+    monkeypatch.setattr(ResidualState, "commit", recording_commit)
+    topology = build_fat_tree(z)
+    flows, mean, std = LOADS[z][1]
+    retested = unrouted = 0
+    for trial in range(3):
+        seed = 7000 + 10 * z + trial
+        workload = _distinct_pair_workload(topology, flows, 3, mean, std, seed)
+        for router, view in ((route_mrg, (0, 1, 2)), (route_srg, (0,))):
+            size[0] = 0
+            searched.clear()
+            solution = router(topology, workload, seed)
+            paths, ref_unrouted, ref_load = reference_route_greedy(topology, workload, seed, view)
+            assert (solution.paths, solution.unrouted, solution.load) == (paths, ref_unrouted, ref_load)
+            assert len(set(searched)) == len(searched)
+            retested += len(searched) - len({pair for _, pair in searched})
+            unrouted += len(solution.unrouted)
+    assert retested > 0 and unrouted > 0  # flows are retested after wakes, and capacity is reached
+
+
 @pytest.mark.parametrize("z, dims", ((4, 1), (4, 3), (8, 2), (8, 5)))
 def test_online_arrivals_match_reference(z, dims):
     topology = build_fat_tree(z)

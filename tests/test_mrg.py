@@ -265,6 +265,19 @@ def test_is_connected_star_fixture():
     assert not is_connected(star.topology, set(), star.src, star.dst)
 
 
+def test_bool_is_neither_a_flow_id_a_demand_nor_a_node_id(tree4):
+    # True == 1, but it names no flow, no node and no demand: MRG once routed
+    # this workload as {True: (1, 16, ..., 5)} with demand 1.0
+    with pytest.raises(ValueError):
+        Workload((Flow(0, 0, 4, (0.1,)), Flow(True, 1, 5, (True,))), 1, z=4)
+    everything = set(range(len(tree4)))
+    for s, t in ((True, 5), (5, True), (False, 5)):
+        with pytest.raises(KeyError, match="unknown node id"):
+            is_connected(tree4, everything, s, t)
+        with pytest.raises(KeyError, match="unknown node id"):
+            shortest_path(tree4, everything, None, s, t)
+
+
 # -- shortest path ----------------------------------------------------------------
 
 def _parallel_two_hop(weights_mid):
@@ -432,10 +445,12 @@ def test_arrival_with_wrong_dimension_count_rejected(tree4, busy):
     assert (state.load, state.active, state.committed) == before
 
 
-def test_commit_returns_woken_processors_and_departure_reverses_it(tree4):
+def test_commit_wakes_path_processors_and_departure_reverses_it(tree4):
     state = ResidualState.fresh(tree4, 1)
-    assert state.commit(0, (0, 16, 24, 17, 2), (0.25,)) == [16, 24, 17]
-    assert state.commit(1, (1, 16, 1), (0.25,)) == []
+    assert state.commit(0, (0, 16, 24, 17, 2), (0.25,)) is None
+    assert state.active == {16, 24, 17}
+    assert state.commit(1, (1, 16, 1), (0.25,)) is None
+    assert state.active == {16, 24, 17}
     assert state.committed == {0: (0, 16, 24, 17, 2), 1: (1, 16, 1)}
     assert state.load[16] == [0.5] and state.active == {16, 24, 17}
     online_departure(state, tree4, Flow(0, 0, 2, (0.25,)), (0, 16, 24, 17, 2))

@@ -1,12 +1,17 @@
-"""The benchmark's tracing hooks must find every name they wrap.
+"""The benchmark's tracing hooks and output checks must keep working.
 
 ``perfbench/tracing.py`` wraps greenroute functions by name (see its
-``TRACED`` table). Deleting or renaming one of them breaks the benchmark
-run; this test makes it break the test suite first. The module uses only
-the standard library, so it is loaded by path.
+``TRACED`` table) and reads HGR's ``(solution, counts)`` pair;
+``perfbench/validate.py`` checks solutions and live online state. Deleting
+or renaming a traced name, or changing what those modules read (the
+routers' returns, ``ResidualState.fresh`` and ``residual``, the online
+signatures), breaks the benchmark run; these tests make it break the test
+suite first. Both modules use only the standard library, so they are
+loaded by path.
 """
 
 import importlib.util
+import random
 import sys
 from pathlib import Path
 
@@ -17,13 +22,13 @@ import greenroute.hgr
 import greenroute.mrg
 import greenroute.topology
 import greenroute.workload
-from greenroute import Flow, Workload
+from greenroute import Flow, Workload, generate_workload
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_tracing(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(monkeypatch, name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up
     spec.loader.exec_module(module)
@@ -31,7 +36,7 @@ def _load_tracing(monkeypatch):
 
 
 def test_tracer_installs_and_uninstalls_on_every_traced_name(monkeypatch, tree4):
-    tracing = _load_tracing(monkeypatch)
+    tracing = _load(monkeypatch, "tracing")
     originals = {(name, attr): getattr(getattr(greenroute, name), attr) for name, attr in tracing.TRACED}
     tracer = tracing.Tracer()
     tracer.install()
@@ -44,3 +49,51 @@ def test_tracer_installs_and_uninstalls_on_every_traced_name(monkeypatch, tree4)
     for (name, attr), original in originals.items():
         assert getattr(getattr(greenroute, name), attr) is original
     assert tracer.spans["mrg.route_mrg"].calls == 1
+
+
+# (module, router, its contract keeps every processor within capacity), as the benchmark runs them
+ROUTERS = (
+    ("mrg", "route_mrg", True),
+    ("baselines", "route_srg", False),
+    ("hgr", "route_hgr", True),
+    ("baselines", "route_srsp", False),
+    ("baselines", "route_mrsp", True),
+)
+
+
+def test_traced_routers_and_online_stream_pass_the_benchmark_checks(monkeypatch, tree4):
+    tracing = _load(monkeypatch, "tracing")
+    validate = _load(monkeypatch, "validate")
+    adj = validate.adjacency(tree4)
+    workload = generate_workload(tree4, 60, 3, 0.1, 0.1, seed=13)
+    rng = random.Random(13)
+    with tracing.Tracer() as tracer:
+        for module, attr, capacity in ROUTERS:
+            router = getattr(getattr(greenroute, module), attr)  # looked up late, so the span applies
+            if attr == "route_hgr":
+                solution, counts = router(tree4, workload)
+                activated = counts.activated
+            else:
+                solution, activated = router(tree4, workload, 5), None
+            out = validate.check_solution(tree4, adj, workload, solution, capacity=capacity, activated=activated)
+            assert out.errors == [], attr
+        state = greenroute.mrg.ResidualState.fresh(tree4, workload.dims)
+        live = {}
+        departures = rejected = 0
+        for flow in workload.flows:
+            if len(live) >= 20:
+                greenroute.mrg.online_departure(state, tree4, *live.pop(rng.choice(sorted(live))))
+                departures += 1
+            path = greenroute.mrg.online_arrival(state, tree4, flow)
+            if path is None:
+                rejected += 1
+            else:
+                live[flow.id] = (flow, path)
+        assert validate.check_online_state(tree4, state, live) == []
+    for module, attr, _ in ROUTERS:
+        assert tracer.spans[f"{module}.{attr}"].calls == 1
+    metrics = tracer.layer_metrics()
+    assert metrics["mrg.online_arrival.calls"] == len(workload.flows)
+    assert metrics["mrg.online_arrival.rejected"] == rejected
+    assert metrics["mrg.online_departure.calls"] == departures > 0
+    assert metrics["hgr.woken_beyond_estimate"] >= 0

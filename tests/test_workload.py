@@ -66,6 +66,14 @@ def test_flow_validation():
     for src, dst in ((0, True), (False, 15), (0, 1.0), ("0", 1)):
         with pytest.raises(ValueError, match="int node ids"):
             Flow(0, src, dst, (0.1,))
+    # nor is a bool a flow id or a demand component
+    for fid in (True, False, 1.0, "0"):
+        with pytest.raises(ValueError, match="flow id must be an int"):
+            Flow(fid, 0, 1, (0.1,))
+    for demand in ((True,), (0.1, False), (True, 0.5)):
+        with pytest.raises(ValueError, match="strictly positive"):
+            Flow(0, 0, 1, demand)
+    Flow(0, 0, 1, (1, 0.5))  # an int demand component is still a number
 
 
 def test_round_trip_empty_and_single(tmp_path):
