@@ -26,16 +26,11 @@ def _route_shortest(topology: Topology, workload: Workload, seed: int, dims: int
         topology._check_id(flow.src)
         topology._check_id(flow.dst)
     rng = random.Random(seed)
-    hosts = topology.host_set
     state = ResidualState.fresh(topology, workload.dims)
     fits = state.fits
     for flow in workload.flows:
         room = state.room(flow.demand[:dims])
-
-        def enterable(v: int) -> bool:
-            return v not in hosts and fits(v, room)
-
-        path = _sample_shortest(topology, enterable, flow.src, flow.dst, rng)
+        path = _sample_shortest(topology, lambda v: fits(v, room), flow.src, flow.dst, rng)
         if path is not None:
             state.commit(flow.id, path, flow.demand)
     return state.solution(workload.flows)

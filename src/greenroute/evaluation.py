@@ -83,14 +83,13 @@ def _simple_paths(topology: Topology, allowed_interior: frozenset[int], s: int, 
 
 
 def _subset_feasible(topology: Topology, subset: frozenset[int], flows, dims: int) -> bool:
-    allowed_interior = subset | topology.host_set
     loads = {v: [0.0] * dims for v in subset}
 
     def place(i: int) -> bool:
         if i == len(flows):
             return True
         flow = flows[i]
-        for path in _simple_paths(topology, allowed_interior, flow.src, flow.dst):
+        for path in _simple_paths(topology, subset, flow.src, flow.dst):
             on_path = [v for v in path if v in subset]
             if any(loads[v][k] + flow.demand[k] > 1.0 + CAP_TOL
                    for v in on_path for k in range(dims)):
@@ -114,8 +113,8 @@ def oracle_min_active(topology: Topology, workload: Workload) -> int | None:
     """Exact minimum number of load-carrying processors, or ``None`` if infeasible.
 
     Enumerates processor subsets by increasing size and decides each by an
-    exhaustive single-path assignment search. Refuses instances beyond
-    12 processors or 6 flows.
+    exhaustive search over single paths through the subset: hosts never
+    relay. Refuses instances beyond 12 processors or 6 flows.
     """
     procs = topology.processor_ids
     if len(procs) > _MAX_ORACLE_PROCESSORS:
@@ -214,6 +213,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if not self.flow_counts:
             raise ValueError("flow_counts must be nonempty")
+        if not self.algorithms or len(set(self.algorithms)) != len(self.algorithms):
+            raise ValueError(f"algorithms must be nonempty and distinct, got {list(self.algorithms)}")
         unknown = [a for a in self.algorithms if a not in ROUTERS]
         if unknown:
             raise ValueError(f"unknown algorithms: {unknown}")

@@ -38,9 +38,10 @@ capable network when that finds none.
 Conventions fixed for reproducibility: capacity is normalized to 1 in every
 dimension and loads start at 0; a node is incapable of a flow iff some
 load dimension exceeds (1 + 1e-9) - demand; hosts carry no capacity, weigh
-0, and never count as active; Dijkstra breaks ties by fewer hops, then the
-lexicographically smallest node id sequence; the random pick uses Python's
-Mersenne Twister seeded from the run seed.
+0, never relay a flow (``Topology._inner_adj``) and never count as active;
+Dijkstra breaks ties by fewer hops, then the lexicographically smallest node
+id sequence; the random pick uses Python's Mersenne Twister seeded from the
+run seed.
 """
 
 from __future__ import annotations
@@ -215,8 +216,9 @@ def _sample_shortest(topology: Topology, enterable, s: int, t: int,
 
     With ``rng``, a uniform random draw among all hop-minimal paths; without,
     the lexicographically smallest (:func:`shortest_path` with unit
-    weights). ``enterable`` is asked at most once per node, and never
-    about a degree-1 node other than s and t: it lies on no simple s-t path.
+    weights). ``enterable`` is asked at most once per node, never about s or
+    t, and only about the relays of ``Topology._inner_adj`` (processors of
+    degree >= 2); an endpoint is entered from any of its neighbours.
 
     The search grows whole BFS levels from s and from t and stops after the
     first level that reaches a node the other side has labelled. If the
@@ -234,9 +236,6 @@ def _sample_shortest(topology: Topology, enterable, s: int, t: int,
         return [s]
     adj = topology._adj
     inner = topology._inner_adj
-    # a degree-1 endpoint is reached only from its one neighbour
-    s_gate = adj[s][0] if len(adj[s]) == 1 else -1
-    t_gate = adj[t][0] if len(adj[t]) == 1 else -1
     from_s: dict[int, int] = {s: 0}  # hop distance from s
     to_t: dict[int, int] = {t: 0}  # hop distance to t
     s_levels, t_levels = [[s]], [[t]]
@@ -246,10 +245,11 @@ def _sample_shortest(topology: Topology, enterable, s: int, t: int,
         if not s_levels[-1] or not t_levels[-1]:
             return None
         if (len(s_levels[-1]), len(s_levels)) <= (len(t_levels[-1]), len(t_levels)):
-            mine, other, levels, gate, end = from_s, to_t, s_levels, t_gate, t
+            mine, other, levels, end = from_s, to_t, s_levels, t
         else:
-            mine, other, levels, gate, end = to_t, from_s, t_levels, s_gate, s
+            mine, other, levels, end = to_t, from_s, t_levels, s
         d = len(levels)
+        end_adj = adj[end]
         nxt = []
         for u in levels[-1]:
             for v in inner[u]:
@@ -262,7 +262,7 @@ def _sample_shortest(topology: Topology, enterable, s: int, t: int,
                     continue
                 mine[v] = d
                 nxt.append(v)
-            if u == gate:
+            if u in end_adj and end not in mine:  # a relay endpoint may be in from inner[u]
                 mine[end] = d
                 nxt.append(end)
                 met = True
@@ -317,12 +317,14 @@ def shortest_path(
     s: int,
     t: int,
 ) -> list[int] | None:
-    """Minimum-weight simple path from ``s`` to ``t`` with interior nodes in ``allowed_nodes``.
+    """Minimum-weight simple s-t path whose interior nodes are processors in ``allowed_nodes``.
 
-    ``link_weights`` maps each undirected edge (u, v) with u < v to a
-    nonnegative weight; ``None`` means unit weights (hop count). Ties break
-    by fewer hops, then the lexicographically smallest node id sequence.
-    Returns ``None`` when no such path exists.
+    A host is never interior, even if ``allowed_nodes`` holds it (a change
+    of contract: hosts of degree >= 2 once were). ``link_weights`` maps each
+    undirected edge (u, v) with u < v to a nonnegative weight; ``None``
+    means unit weights (hop count). Ties break by fewer hops, then the
+    lexicographically smallest node id sequence. Returns ``None`` when no
+    such path exists.
     """
     topology._check_id(s)
     topology._check_id(t)
@@ -331,11 +333,9 @@ def shortest_path(
     if s == t:
         return [s]
     allowed = allowed_nodes if isinstance(allowed_nodes, (set, frozenset)) else set(allowed_nodes)
-    # Heap entries carry the whole path, so ties break on the path itself. A
-    # degree-1 node lies on no simple path unless it is t, entered from its one neighbour.
+    # Heap entries carry the whole path, so ties break on the path itself.
     inner = topology._inner_adj
     t_adj = topology._adj[t]
-    t_gate = t_adj[0] if len(t_adj) == 1 else -1
     done: set[int] = set()
     heap: list[tuple[float, int, tuple[int, ...]]] = [(0.0, 0, (s,))]
     while heap:
@@ -346,7 +346,7 @@ def shortest_path(
         done.add(u)
         if u == t:
             return list(path)
-        for v in (*inner[u], t) if u == t_gate else inner[u]:
+        for v in (*inner[u], t) if u in t_adj else inner[u]:
             if v in done or (v != t and v not in allowed):
                 continue
             w = 1.0 if link_weights is None else link_weights[(u, v) if u < v else (v, u)]
@@ -387,35 +387,32 @@ def _greedy_path(state: ResidualState, topology: Topology, enterable, src: int, 
     """One greedy routing step: :func:`shortest_path` under :func:`assign_node_weights`.
 
     ``demand`` covers the dimensions the router sees. Interior nodes are
-    those that pass ``enterable(v)``, which is asked at most once per node,
-    as in :func:`_sample_shortest`. A Dijkstra from ``dst`` labels nodes
-    with their least (cost, hops) to it on doubled, integer link weights
-    w_u + w_v, weighing a node when it first reaches it, and stops once
-    ``src`` is settled. Labels strictly decrease along an optimal path, so
-    stepping from ``src`` to the smallest-id neighbour with a tight label
-    gives the lexicographically smallest one. No degree-1 node but ``src`` is entered.
+    the relays of ``Topology._inner_adj`` that pass ``enterable(v)``, asked
+    at most once per node, as in :func:`_sample_shortest`. A Dijkstra from
+    ``dst`` labels nodes with their least (cost, hops) to it on doubled,
+    integer link weights w_u + w_v (both endpoints weigh 0: every path holds
+    them), weighing a node when it first reaches it, and stops once ``src``
+    is settled. Labels strictly decrease along an optimal path, so stepping
+    from ``src`` to the smallest-id neighbour with a tight label gives the
+    lexicographically smallest one.
     """
     active = state.active
     load = state.load
-    hosts = topology.host_set
     dims = len(demand)
     inactive_w = dims * (dims - 1) // 2 + 1
     inversions = _inversions_against(demand)
 
     def weigh(v: int) -> int | None:  # None: v may not be entered
-        if v != src and v != dst and not enterable(v):
+        if not enterable(v):
             return None
-        if v in hosts:
-            return 0
         return inversions(load[v]) if v in active else inactive_w
 
     n = len(topology)
     inner = topology._inner_adj
     s_adj = topology._adj[src]
-    s_gate = s_adj[0] if len(s_adj) == 1 else -1  # a degree-1 src is entered only from here
     nw: list[int | None] = [-1] * n  # -1: not weighed yet
     best = [(inf, -1)] * n  # least (cost, hops) to dst found so far
-    nw[dst] = weigh(dst)
+    nw[src] = nw[dst] = 0
     best[dst] = (0, 0)
     heap = [(0, 0, dst)]
     while heap:
@@ -426,7 +423,7 @@ def _greedy_path(state: ResidualState, topology: Topology, enterable, src: int, 
             break
         cost += nw[u]
         hops += 1
-        for v in (*inner[u], src) if u == s_gate else inner[u]:
+        for v in (*inner[u], src) if u in s_adj else inner[u]:
             w = nw[v]
             if w == -1:
                 w = nw[v] = weigh(v)
@@ -455,7 +452,6 @@ def _route_greedy(topology: Topology, workload: Workload, seed: int, dims: int) 
     state = ResidualState.fresh(topology, workload.dims)
     active = state.active
     fits = state.fits
-    hosts = topology.host_set
     demands = [flow.demand[:dims] for flow in flows]
     rooms = [state.room(demand) for demand in demands]
     pending = list(flows)
@@ -475,8 +471,7 @@ def _route_greedy(topology: Topology, workload: Workload, seed: int, dims: int) 
             pick = rng.randrange(len(pending))
         flow = pending.pop(pick)
         room = rooms[flow.id]
-        path = _greedy_path(state, topology, lambda v: v in hosts or fits(v, room),
-                            flow.src, flow.dst, demands[flow.id])
+        path = _greedy_path(state, topology, lambda v: fits(v, room), flow.src, flow.dst, demands[flow.id])
         if path is not None:
             before = len(active)
             state.commit(flow.id, path, flow.demand)
@@ -507,9 +502,9 @@ def online_arrival(state: ResidualState, topology: Topology, flow: Flow) -> tupl
     topology._check_id(dst)
     state._check_dims(demand)
     room = state.room(demand)
-    fits, active, hosts = state.fits, state.active, topology.host_set
+    fits, active = state.fits, state.active
     path = (_greedy_path(state, topology, lambda v: v in active and fits(v, room), src, dst, demand)
-            or _greedy_path(state, topology, lambda v: v in hosts or fits(v, room), src, dst, demand))
+            or _greedy_path(state, topology, lambda v: fits(v, room), src, dst, demand))
     if path is None:
         return None
     state.commit(flow.id, path, demand)

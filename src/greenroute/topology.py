@@ -82,14 +82,14 @@ class Topology:
 
     @cached_property
     def _inner_adj(self) -> tuple[tuple[int, ...], ...]:
-        """Neighbours of degree >= 2 per node.
+        """Per node, the neighbours that may lie inside a path: processors of degree >= 2.
 
-        A degree-1 node is a dead end: it lies on no simple path unless it is
-        an endpoint, so path searches may skip it.
+        Hosts never relay a flow, and a degree-1 node lies on no simple path
+        unless it is an endpoint; every path search steps along this table
+        and enters an endpoint from any of its neighbours.
         """
-        leaves = {v for v, nbrs in enumerate(self._adj) if len(nbrs) == 1}
-        return tuple(nbrs if leaves.isdisjoint(nbrs) else tuple(v for v in nbrs if v not in leaves)
-                     for nbrs in self._adj)
+        relays = {v for v in self.processor_ids if len(self._adj[v]) > 1}
+        return tuple(tuple(v for v in nbrs if v in relays) for nbrs in self._adj)
 
     @cached_property
     def _host_edge(self) -> dict[int, int]:

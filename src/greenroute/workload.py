@@ -104,10 +104,10 @@ def generate_workload(
         raise ValueError(f"flow_count must be >= 1, got {flow_count}")
     if dims < 1:
         raise ValueError(f"dims must be >= 1, got {dims}")
-    if mean <= 0:
-        raise ValueError(f"mean must be > 0, got {mean}")
-    if std < 0:
-        raise ValueError(f"std must be >= 0, got {std}")
+    if not 0 < mean < math.inf:  # also rejects NaN, which the sampler would never accept
+        raise ValueError(f"mean must be finite and > 0, got {mean}")
+    if not 0 <= std < math.inf:
+        raise ValueError(f"std must be finite and >= 0, got {std}")
     hosts = topology.host_ids
     if len(hosts) < 2:
         raise ValueError("topology must have at least 2 hosts")

@@ -103,12 +103,32 @@ def random_topology(rng, n, edge_prob=0.4):
     return Topology(nodes, edges)
 
 
+def graph_with_leaves(rng):
+    """Random core graph plus pendant (degree-1) nodes hung off random core nodes."""
+    core = rng.randint(3, 10)
+    leaves = rng.randint(1, 5)
+    n = core + leaves
+    nodes = [Node(i, NodeKind.EDGE, None, i) for i in range(n)]
+    edges = [(i, j) for i in range(core) for j in range(i + 1, core) if rng.random() < 0.45]
+    edges += [(core + k, rng.randrange(core)) for k in range(leaves)]
+    return Topology(nodes, edges)
+
+
+def with_hosts(topology, rng):
+    """The same graph with a random third of its nodes relabelled as hosts."""
+    nodes = [Node(v, NodeKind.HOST if rng.random() < 0.33 else NodeKind.EDGE, None, v)
+             for v in range(len(topology))]
+    return Topology(nodes, topology.edges)
+
+
 # -- frozen routing references -------------------------------------------------------
 # Verbatim copies of the greedy router and Dijkstra as they stood before the
 # pick scan skipped flows bound to fail again, lazy reachability and the
-# dead-end skip. They are slow on purpose (a set and a BFS per pending flow
-# per iteration, a link-weight dict over every edge per flow); the
-# differential tests require the library to reproduce them exactly.
+# dead-end skip, with one intended change since: hosts never relay, so no
+# host is ever an allowed interior node. They are slow on purpose (a set and
+# a BFS per pending flow per iteration, a link-weight dict over every edge
+# per flow); the differential tests require the library to reproduce them
+# exactly.
 
 def reference_shortest_path(topology, allowed_nodes, link_weights, s, t):
     if link_weights is not None and link_weights and min(link_weights.values()) < 0:
@@ -184,7 +204,7 @@ def reference_route_greedy(topology, workload, seed, view):
         flow = pending.pop(pick)
         demand = flow.demand
 
-        allowed = {v for v in procs if capable(v, demand)} | hosts
+        allowed = {v for v in procs if capable(v, demand)}
         weights = _reference_node_weights(residual, active, demand, topology, view)
         link_w = node_to_link_weights(topology, weights)
         path = reference_shortest_path(topology, allowed, link_w, flow.src, flow.dst)
@@ -278,7 +298,7 @@ def reference_online_arrival(state, topology, flow):
     if is_connected(topology, usable_active, flow.src, flow.dst):
         path = reference_shortest_path(topology, usable_active, link_w, flow.src, flow.dst)
     else:
-        allowed = {v for v in topology.processor_ids if capable(v)} | topology.host_set
+        allowed = {v for v in topology.processor_ids if capable(v)}
         path = reference_shortest_path(topology, allowed, link_w, flow.src, flow.dst)
     if path is None:
         return None
@@ -426,12 +446,12 @@ def reference_vbp_greedy(items):
 
 # Verbatim copy of the greedy step as it stood before its search labelled
 # from t: a Dijkstra from s whose heap entries carry the whole path, so ties
-# break on the path tuple itself, priced in half-sum float link weights.
+# break on the path tuple itself, priced in half-sum float link weights. It
+# walks the whole adjacency, so that it does not share the library's table
+# of relay nodes; its predicate refuses hosts.
 
 def _reference_dijkstra(topology, s, t, step):
-    inner = topology._inner_adj
-    t_adj = topology._adj[t]
-    t_gate = t_adj[0] if len(t_adj) == 1 else -1  # a degree-1 t is entered only from here
+    adj = topology._adj
     done = set()
     heap = [(0.0, 0, (s,))]
     while heap:
@@ -442,15 +462,11 @@ def _reference_dijkstra(topology, s, t, step):
         done.add(u)
         if u == t:
             return list(path)
-        for v in inner[u]:
+        for v in adj[u]:
             if v not in done:
                 w = step(u, v)
                 if w is not None:
                     heapq.heappush(heap, (cost + w, hops + 1, path + (v,)))
-        if u == t_gate:
-            w = step(u, t)
-            if w is not None:
-                heapq.heappush(heap, (cost + w, hops + 1, path + (t,)))
     return None
 
 
@@ -484,7 +500,7 @@ def reference_greedy_path(state, topology, src, dst, demand, room, active_only):
         hosts = topology.host_set
 
         def enterable(v):
-            return v in hosts or fits(v, room)
+            return v not in hosts and fits(v, room)
     node_weight = _reference_state_node_weight(state, demand, topology)
     nw = [-1] * len(topology)  # -1: not weighed yet, None: not enterable
     nw[src] = node_weight(src)

@@ -5,9 +5,15 @@ import pytest
 
 from greenroute import (
     Flow,
+    Node,
+    NodeKind,
+    ResidualState,
+    Topology,
     Workload,
     build_fat_tree,
     compute_metrics,
+    online_arrival,
+    oracle_min_active,
     route_mrg,
     route_mrsp,
     route_srg,
@@ -162,3 +168,18 @@ def test_routers_reject_unknown_endpoints(tree4, router):
             w = Workload((Flow(0, src, dst, (0.1,)),), 1, z=4)
             with pytest.raises(KeyError, match="unknown node id"):
                 router(tree4, w, seed=0)
+
+
+def test_no_router_relays_through_a_host():
+    # On the path 0-3-2-4-1 the only route from host 0 to host 1 crosses host 2.
+    kinds = (NodeKind.HOST,) * 3 + (NodeKind.EDGE,) * 2
+    topology = Topology([Node(v, kind, None, v) for v, kind in enumerate(kinds)],
+                        [(0, 3), (3, 2), (2, 4), (4, 1)])
+    workload = Workload((Flow(0, 0, 1, (0.1,)),), 1)
+    for router in (route_mrg, route_srg, route_srsp, route_mrsp):
+        solution = router(topology, workload, 0)
+        assert (solution.paths, solution.unrouted, solution.active) == ({}, {0}, set())
+    state = ResidualState.fresh(topology, 1)
+    assert online_arrival(state, topology, workload.flows[0]) is None
+    assert (state.committed, state.active) == ({}, set())
+    assert oracle_min_active(topology, workload) is None

@@ -178,6 +178,16 @@ def test_experiment_bad_sweep_spec(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("algos", ("", "mrg,mrg"))
+def test_experiment_rejects_empty_or_repeated_algos(capsys, tmp_path, algos):
+    out = tmp_path / "x.csv"
+    code, _, err = run_cli(capsys, "experiment", "--z", "4", "--dims", "2", "--flows", "4",
+                           "--trials", "1", "--algos", algos, "--out", str(out))
+    assert code == 1
+    assert "nonempty and distinct" in err
+    assert not out.exists()
+
+
 def test_oracle_vbp_mode(capsys, tmp_path):
     items = [(0.6, 0.3), (0.5, 0.5), (0.4, 0.6), (0.3, 0.2)]
     w = Workload(tuple(Flow(i, 0, 1, d) for i, d in enumerate(items)), 2, z=None)

@@ -43,6 +43,7 @@ from greenroute.mrg import _greedy_path, _sample_shortest
 
 from oracle_helpers import (
     ReferenceState,
+    graph_with_leaves,
     reference_greedy_path,
     reference_hop_shortest_lex,
     reference_route_hgr,
@@ -53,6 +54,7 @@ from oracle_helpers import (
     reference_shortest_path,
     reference_solution_loads,
     reference_vbp_greedy,
+    with_hosts,
 )
 
 # (flows, mean, std) per arity: light, then near saturation
@@ -85,7 +87,7 @@ def test_greedy_router_matches_reference(z, dims, load):
 
 
 def test_greedy_router_matches_reference_on_arbitrary_graphs():
-    # Hosts of degree >= 2 can be interior nodes here, and processors can be
+    # Hosts of degree >= 2, which must never relay a flow, and processor
     # endpoints: cases a fat-tree never produces.
     rng = random.Random(17)
     for trial in range(150):
@@ -225,10 +227,10 @@ def _step_demand(rng, dims):
 
 
 def _assert_step_matches_reference(state, topology, src, dst, demand):
-    # the entry predicates the routers pass: active capable nodes, then capable nodes and hosts
+    # the entry predicates the routers pass: active capable nodes, then capable nodes
     room = [1 + CAP_TOL - d for d in demand]
-    fits, active, hosts = state.fits, state.active, topology.host_set
-    predicates = {True: lambda v: v in active and fits(v, room), False: lambda v: v in hosts or fits(v, room)}
+    fits, active = state.fits, state.active
+    predicates = {True: lambda v: v in active and fits(v, room), False: lambda v: fits(v, room)}
     paths = []
     for active_only, enterable in predicates.items():
         path = _greedy_path(state, topology, enterable, src, dst, demand)
@@ -263,7 +265,7 @@ def test_greedy_step_matches_reference_on_arbitrary_graphs():
     rng = random.Random(61)
     seen = dict.fromkeys(("processor end", "adjacent", "only neighbour", "same", "found", "none"), 0)
     for _ in range(2000):
-        topology = _with_hosts(_graph_with_leaves(rng), rng)
+        topology = with_hosts(graph_with_leaves(rng), rng)
         n = len(topology)
         dims = rng.randint(1, 4)
         load = {v: [rng.choice((0.0, 0.25, 0.5, 0.75, 1.0)) for _ in range(dims)]
@@ -289,22 +291,11 @@ def test_greedy_step_matches_reference_on_arbitrary_graphs():
     assert min(seen.values()) > 150, seen
 
 
-def _graph_with_leaves(rng):
-    """Random core graph plus pendant (degree-1) nodes hung off random core nodes."""
-    core = rng.randint(3, 10)
-    leaves = rng.randint(1, 5)
-    n = core + leaves
-    nodes = [Node(i, NodeKind.EDGE, None, i) for i in range(n)]
-    edges = [(i, j) for i in range(core) for j in range(i + 1, core) if rng.random() < 0.45]
-    edges += [(core + k, rng.randrange(core)) for k in range(leaves)]
-    return Topology(nodes, edges)
-
-
 def test_shortest_path_matches_reference():
     rng = random.Random(31)
     found = 0
     for _ in range(1500):
-        topology = _graph_with_leaves(rng)
+        topology = graph_with_leaves(rng)
         n = len(topology)
         # degree-1 nodes are allowed interior nodes as often as any other
         allowed = {v for v in range(n) if rng.random() < 0.75}
@@ -328,7 +319,7 @@ def test_sample_shortest_matches_both_references():
     rng = random.Random(43)
     found = 0
     for _ in range(1500):
-        topology = _graph_with_leaves(rng)
+        topology = graph_with_leaves(rng)
         n = len(topology)
         allowed = {v for v in range(n) if rng.random() < 0.75}
         s, t = rng.sample(range(n), 2)
@@ -352,14 +343,16 @@ def _asking(allowed, asked):
 
 
 def _assert_asked_once_and_never_a_leaf(topology, asked, s, t):
+    """No node was asked twice, and none was a leaf other than s or t, or a host."""
     assert len(asked) == len(set(asked))
     assert all(len(topology._adj[v]) > 1 for v in asked if v not in (s, t))
+    assert topology.host_set.isdisjoint(asked)
 
 
 def test_sample_shortest_asks_each_node_once_and_never_a_leaf():
     rng = random.Random(47)
     for _ in range(1500):
-        topology = _graph_with_leaves(rng)
+        topology = graph_with_leaves(rng)
         n = len(topology)
         allowed = {v for v in range(n) if rng.random() < 0.75}
         s, t = rng.sample(range(n), 2)
@@ -405,17 +398,10 @@ def test_sample_shortest_matches_references_on_blocked_fat_trees(z):
     assert sum(h >= 8 for h in hops) > 3
 
 
-def _with_hosts(topology, rng):
-    """The same graph with a random third of its nodes relabelled as hosts."""
-    nodes = [Node(v, NodeKind.HOST if rng.random() < 0.33 else NodeKind.EDGE, None, v)
-             for v in range(len(topology))]
-    return Topology(nodes, topology.edges)
-
-
 def _assert_reachability_agrees(topology, allowed, s, t):
     asked = []
     found = _sample_shortest(topology, _asking(allowed, asked), s, t) is not None
-    assert found == is_connected(topology, allowed, s, t)
+    assert found == is_connected(topology, allowed - topology.host_set, s, t)
     _assert_asked_once_and_never_a_leaf(topology, asked, s, t)
     assert s not in asked and t not in asked
     return found
@@ -423,12 +409,13 @@ def _assert_reachability_agrees(topology, allowed, s, t):
 
 def test_sample_shortest_answers_reachability():
     # The batch pick scan asks only whether a path exists; the answer must be
-    # is_connected's on the endpoints it meets: processors, hosts of degree
-    # >= 2, adjacent endpoints, and a leaf whose only neighbour is the other end.
+    # is_connected's through the allowed processors (hosts never relay) on the
+    # endpoints it meets: processors, hosts of degree >= 2, adjacent
+    # endpoints, and a leaf whose only neighbour is the other end.
     rng = random.Random(59)
     seen = dict.fromkeys(("host of degree >= 2", "adjacent", "only neighbour", "found", "not found"), 0)
     for _ in range(1500):
-        topology = _with_hosts(_graph_with_leaves(rng), rng)
+        topology = with_hosts(graph_with_leaves(rng), rng)
         n = len(topology)
         allowed = {v for v in range(n) if rng.random() < 0.6}
         leaves = [v for v in range(n) if len(topology._adj[v]) == 1]

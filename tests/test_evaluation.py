@@ -251,3 +251,6 @@ def test_config_validation():
         ExperimentConfig(flow_counts=())
     with pytest.raises(ValueError):
         ExperimentConfig(algorithms=("nope",))
+    for algorithms in ((), ("mrg", "hgr", "mrg")):
+        with pytest.raises(ValueError, match="nonempty and distinct"):
+            ExperimentConfig(algorithms=algorithms)

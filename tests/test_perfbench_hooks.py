@@ -24,6 +24,8 @@ import greenroute.topology
 import greenroute.workload
 from greenroute import Flow, Workload, generate_workload
 
+from oracle_helpers import graph_with_leaves, with_hosts
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -97,3 +99,29 @@ def test_traced_routers_and_online_stream_pass_the_benchmark_checks(monkeypatch,
     assert metrics["mrg.online_arrival.rejected"] == rejected
     assert metrics["mrg.online_departure.calls"] == departures > 0
     assert metrics["hgr.woken_beyond_estimate"] >= 0
+
+
+def test_batch_routers_pass_the_benchmark_checks_on_graphs_with_relaying_hosts(monkeypatch):
+    # Hosts of degree >= 2, which no fat-tree has: the checks refuse any path
+    # that passes through a host.
+    validate = _load(monkeypatch, "validate")
+    rng = random.Random(83)
+    routed = 0
+    for trial in range(300):
+        topology = with_hosts(graph_with_leaves(rng), rng)
+        if len(topology.host_ids) < 2:
+            continue
+        adj = validate.adjacency(topology)
+        dims = rng.randint(1, 3)
+        flows = []
+        for fid in range(rng.randint(1, 12)):
+            src, dst = rng.sample(topology.host_ids, 2)
+            flows.append(Flow(fid, src, dst, tuple(rng.uniform(0.05, 0.6) for _ in range(dims))))
+        workload = Workload(tuple(flows), dims)
+        for module, attr, capacity in ROUTERS:
+            if attr != "route_hgr":  # HGR routes fat-trees only
+                solution = getattr(getattr(greenroute, module), attr)(topology, workload, trial)
+                out = validate.check_solution(topology, adj, workload, solution, capacity=capacity)
+                assert out.errors == [], (trial, attr)
+                routed += out.routed
+    assert routed > 2000

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -50,6 +51,11 @@ def test_generate_rejects_bad_parameters(tree4):
         generate_workload(tree4, 5, 3, mean=0.0)
     with pytest.raises(ValueError):
         generate_workload(tree4, 5, 3, std=-0.1)
+    for bad in (math.nan, math.inf):  # rejected up front, not by an exhausted sampler
+        with pytest.raises(ValueError, match="mean must be finite"):
+            generate_workload(tree4, 5, 3, mean=bad)
+        with pytest.raises(ValueError, match="std must be finite"):
+            generate_workload(tree4, 5, 3, std=bad)
     one_host = Topology([Node(0, NodeKind.HOST, None, 0), Node(1, NodeKind.EDGE, None, 0)], [(0, 1)])
     with pytest.raises(ValueError):
         generate_workload(one_host, 1, 1)
