@@ -192,9 +192,10 @@ CSV_COLUMNS = ("algo", "z", "K", "M", "trial", "routed", "incomplete", "active",
 class ExperimentConfig:
     """One sweep: every algorithm crossed with every flow count, ``trials`` times each.
 
-    Within a (flow count, trial) cell all algorithms see the identical
-    workload. Runtime measurement is opt-in so that result files stay
-    byte-identical across reruns; with it off, runtime_ms is written as 0.0.
+    A cell is one (flow count, trial) workload, generated once and routed
+    by every algorithm; ``jobs`` spreads the cells over worker processes.
+    Runtime measurement is opt-in so that result files stay byte-identical
+    across reruns; with it off, runtime_ms is written as 0.0.
     """
 
     z: int = 8
@@ -245,9 +246,9 @@ def cell_seed(base_seed: int, flow_count: int, trial: int) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-def _summary_rows(cell_rows: list[ResultRow], trials: int) -> list[ResultRow]:
-    good = [r.metrics for r in cell_rows if r.metrics is not None]
-    proto = cell_rows[0]
+def _summary_rows(trial_rows: list[ResultRow], trials: int) -> list[ResultRow]:
+    good = [r.metrics for r in trial_rows if r.metrics is not None]
+    proto = trial_rows[0]
     if not good:
         return [ResultRow(proto.algo, proto.z, proto.dims, proto.flows, "mean", None, "all trials failed")]
 
@@ -267,30 +268,39 @@ def _summary_rows(cell_rows: list[ResultRow], trials: int) -> list[ResultRow]:
     return rows
 
 
-def _run_cell(args: tuple[ExperimentConfig, str, int]) -> list[ResultRow]:
-    config, algo, flow_count = args
-    topology = build_fat_tree(config.z)
-    router = ROUTERS[algo]
+def _run_cell(args: tuple[ExperimentConfig, Topology, int, int]) -> list[ResultRow]:
+    """Route one (flow count, trial) workload with every algorithm: one row each, in config order.
+
+    The workload is generated here rather than passed in, so no worker is
+    sent one and a sweep holds one at a time. A generation error propagates;
+    only a router's exception becomes an error row.
+    """
+    config, topology, flow_count, trial = args
+    seed = cell_seed(config.base_seed, flow_count, trial)
+    workload = generate_workload(topology, flow_count, config.dims, config.mean, config.std, seed)
     rows: list[ResultRow] = []
-    for trial in range(config.trials):
-        seed = cell_seed(config.base_seed, flow_count, trial)
-        workload = generate_workload(topology, flow_count, config.dims, config.mean, config.std, seed)
+    for algo in config.algorithms:
         try:
             start = time.perf_counter()
-            solution = router(topology, workload, seed)
+            solution = ROUTERS[algo](topology, workload, seed)
             elapsed_ms = (time.perf_counter() - start) * 1000.0
             metrics = compute_metrics(topology, solution,
                                       elapsed_ms if config.measure_runtime else 0.0)
             rows.append(ResultRow(algo, config.z, config.dims, flow_count, str(trial), metrics))
         except Exception as exc:
             rows.append(ResultRow(algo, config.z, config.dims, flow_count, str(trial), None, repr(exc)))
-    rows.extend(_summary_rows(rows, config.trials))
     return rows
 
 
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
-    """Run the sweep and return rows in canonical (algorithm, flow count, trial) order."""
-    cells = [(config, algo, m) for algo in config.algorithms for m in config.flow_counts]
+    """Run the sweep and return rows in canonical (algorithm, flow count, trial) order.
+
+    The fat-tree is built once; each (flow count, trial) cell routes its
+    workload with every algorithm. Each (algorithm, flow count) block of
+    trial rows is followed by its mean (and, with two or more trials, std) row.
+    """
+    topology = build_fat_tree(config.z)
+    cells = [(config, topology, m, trial) for m in config.flow_counts for trial in range(config.trials)]
     # more workers than cells or cores only adds start-up cost
     workers = min(config.jobs, len(cells), os.cpu_count() or 1)
     if workers > 1:
@@ -299,8 +309,12 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     else:
         per_cell = [_run_cell(cell) for cell in cells]
     rows: list[ResultRow] = []
-    for cell_rows in per_cell:
-        rows.extend(cell_rows)
+    # per algorithm, its rows in (flow count, trial) order
+    for algo_rows in zip(*per_cell):
+        for i in range(0, len(algo_rows), config.trials):
+            trial_rows = list(algo_rows[i:i + config.trials])
+            rows.extend(trial_rows)
+            rows.extend(_summary_rows(trial_rows, config.trials))
     return rows
 
 

@@ -190,20 +190,25 @@ def save_solution(solution: RoutingSolution, path: str | Path, extra: dict | Non
 # -- graph primitives ------------------------------------------------------------
 
 def is_connected(topology: Topology, allowed_nodes: Iterable[int], s: int, t: int) -> bool:
-    """True iff ``t`` is reachable from ``s`` through ``allowed_nodes`` plus the endpoints."""
+    """True iff some s-t path has only processors in ``allowed_nodes`` as interior nodes.
+
+    As in :func:`shortest_path`, a host is never interior, even if
+    ``allowed_nodes`` holds it.
+    """
     topology._check_id(s)
     topology._check_id(t)
     if s == t:
         return True
     allowed = allowed_nodes if isinstance(allowed_nodes, (set, frozenset)) else set(allowed_nodes)
-    adj = topology._adj
+    inner = topology._inner_adj
+    t_adj = topology._adj[t]
     seen = {s}
     stack = [s]
     while stack:
         u = stack.pop()
-        for v in adj[u]:
-            if v == t:
-                return True
+        if u in t_adj:
+            return True
+        for v in inner[u]:
             if v in allowed and v not in seen:
                 seen.add(v)
                 stack.append(v)

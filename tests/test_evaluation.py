@@ -202,6 +202,28 @@ def test_trial_failures_become_error_rows(monkeypatch):
     assert rows[0].csv_values()[5:] == ["error"] * 7
 
 
+def test_one_topology_per_experiment_and_one_workload_per_cell(monkeypatch):
+    built, generated = [], []
+
+    def counting_build(z):
+        built.append(z)
+        return build_fat_tree(z)
+
+    def counting_generate(topology, m, *args):
+        generated.append((m, args[-1]))
+        return generate_workload(topology, m, *args)
+
+    monkeypatch.setattr(evaluation, "build_fat_tree", counting_build)
+    monkeypatch.setattr(evaluation, "generate_workload", counting_generate)
+    config = ExperimentConfig(z=4, dims=2, flow_counts=(5, 10), algorithms=("mrg", "hgr", "srsp"),
+                              trials=2, base_seed=3)
+    rows = run_experiment(config)
+    assert built == [4]
+    assert sorted(generated) == sorted((m, cell_seed(3, m, t)) for m in (5, 10) for t in range(2))
+    assert [(r.algo, r.flows, r.trial) for r in rows] == [
+        (a, m, t) for a in config.algorithms for m in (5, 10) for t in ("0", "1", "mean", "std")]
+
+
 def test_parallel_jobs_match_serial():
     config = ExperimentConfig(z=4, dims=2, flow_counts=(5, 10), algorithms=("mrsp", "hgr"),
                               trials=2, base_seed=7)

@@ -110,3 +110,9 @@ def digests(tmp_path_factory):
 @pytest.mark.parametrize("artifact", sorted(GOLDEN))
 def test_output_matches_golden_hash(digests, artifact):
     assert digests[artifact] == GOLDEN[artifact]
+
+
+def test_parallel_experiment_matches_golden_hash(tmp_path):
+    csv_path = tmp_path / "experiment.csv"
+    _run(*EXPERIMENT, "--jobs", "2", "--out", str(csv_path))
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == GOLDEN["experiment.csv"]

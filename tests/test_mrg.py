@@ -265,6 +265,17 @@ def test_is_connected_star_fixture():
     assert not is_connected(star.topology, set(), star.src, star.dst)
 
 
+def test_is_connected_never_relays_through_a_host():
+    # On the path 0-3-2-4-1 the only route from host 0 to host 1 crosses host 2.
+    kinds = (NodeKind.HOST,) * 3 + (NodeKind.EDGE,) * 2
+    topology = Topology([Node(v, kind, None, v) for v, kind in enumerate(kinds)],
+                        [(0, 3), (3, 2), (2, 4), (4, 1)])
+    assert not is_connected(topology, {2, 3, 4}, 0, 1)
+    assert shortest_path(topology, {2, 3, 4}, None, 0, 1) is None
+    assert is_connected(topology, {3}, 0, 2)
+    assert not is_connected(topology, set(), 0, 2)
+
+
 def test_bool_is_neither_a_flow_id_a_demand_nor_a_node_id(tree4):
     # True == 1, but it names no flow, no node and no demand: MRG once routed
     # this workload as {True: (1, 16, ..., 5)} with demand 1.0
