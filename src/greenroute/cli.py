@@ -134,7 +134,7 @@ def _cmd_route(args) -> int:
         extra = None
         if counts is not None:
             extra = {"layer_counts": {"agg_per_pod": list(counts.agg_per_pod),
-                                      "core_per_group": list(counts.core_per_group),
+                                      "cores": counts.cores,
                                       "activated": sorted(counts.activated)}}
         save_solution(solution, args.out, extra)
     m = compute_metrics(topology, solution, runtime_ms)

@@ -83,6 +83,9 @@ def _simple_paths(topology: Topology, allowed_interior: frozenset[int], s: int, 
 
 
 def _subset_feasible(topology: Topology, subset: frozenset[int], flows, dims: int) -> bool:
+    hosts = topology.host_set
+    if not all(v in hosts or v in subset for flow in flows for v in (flow.src, flow.dst)):
+        return False  # a processor endpoint carries its flows: it is in the subset and loaded
     loads = {v: [0.0] * dims for v in subset}
 
     def place(i: int) -> bool:
@@ -114,7 +117,8 @@ def oracle_min_active(topology: Topology, workload: Workload) -> int | None:
 
     Enumerates processor subsets by increasing size and decides each by an
     exhaustive search over single paths through the subset: hosts never
-    relay. Refuses instances beyond 12 processors or 6 flows.
+    relay, and a processor endpoint is in the subset and carries its flow's
+    demand. Refuses instances beyond 12 processors or 6 flows.
     """
     procs = topology.processor_ids
     if len(procs) > _MAX_ORACLE_PROCESSORS:

@@ -3,8 +3,12 @@
 Phase 1 sizes each layer independently: per pod, the flows entering or
 leaving the pod (intra-rack traffic and flows with a demand component above
 1, which no switch can carry, excluded) are packed into unit bins to
-estimate how many aggregation switches the pod needs; per core group, its
-inter-pod flows (see :class:`LayerCounts`) are packed to size the group.
+estimate how many aggregation switches the pod needs; the inter-pod flows
+are packed to size the core layer, in z/2 core groups by source host (its
+index in its pod, mod z/2) whose bin counts are summed. The split only cuts
+one instance into small ones, most of which the one-bin shortcut of
+:func:`_layer_count` settles without the packer; it has no say in which
+cores wake.
 The packer is a bin-centric greedy that repeatedly places the fitting item
 minimizing a weighted squared difference to the bin residual, with
 per-dimension weights proportional to total demand mass. The weights sum to
@@ -53,17 +57,17 @@ class VbpResult:
 class LayerCounts:
     """Per-layer activation estimates plus the set phase 2 actually woke up.
 
-    ``core_per_group[g]`` sizes the cores behind aggregation position g from
-    the inter-pod flows whose source host's index in its pod, mod z/2, is g.
+    Phase 1 woke the lowest ``agg_per_pod[p]`` aggregation switches of each
+    pod p and the lowest ``cores`` core switches.
     """
 
     agg_per_pod: tuple[int, ...]
-    core_per_group: tuple[int, ...]
+    cores: int
     activated: frozenset[int]
 
     @property
     def estimate(self) -> int:
-        return sum(self.agg_per_pod) + sum(self.core_per_group)
+        return sum(self.agg_per_pod) + self.cores
 
 
 def dimension_weights(items: Sequence[Sequence[float]]) -> tuple[float, ...]:
@@ -262,12 +266,11 @@ def route_hgr(topology: Topology, workload: Workload) -> tuple[RoutingSolution, 
     # A layer cannot wake more switches than it has; overload surfaces as
     # unrouted flows in phase 2 instead.
     agg_per_pod = tuple(_layer_count(items, half) for items in pod_items)
-    core_per_group = tuple(_layer_count(items, half) for items in group_items)
+    cores = sum(_layer_count(items, half) for items in group_items)
 
     for aggs, count in zip(topology._agg_ids, agg_per_pod):
         activated.update(aggs[:count])
-    for group, count in enumerate(core_per_group):
-        activated.update(topology._core_ids[group * half:group * half + count])
+    activated.update(topology._core_ids[:cores])
 
     state = ResidualState.fresh(topology, workload.dims)
     fits = state.fits
@@ -286,4 +289,4 @@ def route_hgr(topology: Topology, workload: Workload) -> tuple[RoutingSolution, 
                     break
         if path is not None:
             state.commit(flow.id, path, flow.demand)
-    return state.solution(flows), LayerCounts(agg_per_pod, core_per_group, frozenset(activated))
+    return state.solution(flows), LayerCounts(agg_per_pod, cores, frozenset(activated))

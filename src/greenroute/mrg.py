@@ -37,7 +37,8 @@ capable network when that finds none.
 
 Conventions fixed for reproducibility: capacity is normalized to 1 in every
 dimension and loads start at 0; a node is incapable of a flow iff some
-load dimension exceeds (1 + 1e-9) - demand; hosts carry no capacity, weigh
+load dimension exceeds (1 + 1e-9) - demand; a processor endpoint must be
+capable like any processor on the path; hosts carry no capacity, weigh
 0, never relay a flow (``Topology._inner_adj``) and never count as active;
 Dijkstra breaks ties by fewer hops, then the lexicographically smallest node
 id sequence; the random pick uses Python's Mersenne Twister seeded from the
@@ -221,9 +222,11 @@ def _sample_shortest(topology: Topology, enterable, s: int, t: int,
 
     With ``rng``, a uniform random draw among all hop-minimal paths; without,
     the lexicographically smallest (:func:`shortest_path` with unit
-    weights). ``enterable`` is asked at most once per node, never about s or
-    t, and only about the relays of ``Topology._inner_adj`` (processors of
-    degree >= 2); an endpoint is entered from any of its neighbours.
+    weights). ``enterable`` is asked at most once per node: first about each
+    endpoint that is not a host (a processor endpoint carries the flow like
+    any processor on the path), then only about the relays of
+    ``Topology._inner_adj`` (processors of degree >= 2); an endpoint is
+    entered from any of its neighbours.
 
     The search grows whole BFS levels from s and from t and stops after the
     first level that reaches a node the other side has labelled. If the
@@ -233,10 +236,13 @@ def _sample_shortest(topology: Topology, enterable, s: int, t: int,
     layer of a fat-tree). Each round grows the side with the smaller
     frontier; on a tie, the side with fewer levels; then s. So the one
     neighbour of each degree-1 endpoint (a host's edge switch) is asked
-    before anything else, and a refusal there ends the search after at most
-    two questions: the batch pick scan, which only asks whether a path
+    before any other relay, and a refusal there ends the search after at
+    most two questions: the batch pick scan, which only asks whether a path
     exists, gets its no at once when an endpoint's edge switch is full.
     """
+    hosts = topology.host_set
+    if not ((s in hosts or enterable(s)) and (s == t or t in hosts or enterable(t))):
+        return None
     if s == t:
         return [s]
     adj = topology._adj
@@ -392,8 +398,9 @@ def _greedy_path(state: ResidualState, topology: Topology, enterable, src: int, 
     """One greedy routing step: :func:`shortest_path` under :func:`assign_node_weights`.
 
     ``demand`` covers the dimensions the router sees. Interior nodes are
-    the relays of ``Topology._inner_adj`` that pass ``enterable(v)``, asked
-    at most once per node, as in :func:`_sample_shortest`. A Dijkstra from
+    the relays of ``Topology._inner_adj`` that pass ``enterable(v)``, and an
+    endpoint that is not a host must pass it too; it is asked at most once
+    per node, as in :func:`_sample_shortest`. A Dijkstra from
     ``dst`` labels nodes with their least (cost, hops) to it on doubled,
     integer link weights w_u + w_v (both endpoints weigh 0: every path holds
     them), weighing a node when it first reaches it, and stops once ``src``
@@ -401,6 +408,9 @@ def _greedy_path(state: ResidualState, topology: Topology, enterable, src: int, 
     from ``src`` to the smallest-id neighbour with a tight label gives the
     lexicographically smallest one.
     """
+    hosts = topology.host_set
+    if not ((src in hosts or enterable(src)) and (src == dst or dst in hosts or enterable(dst))):
+        return None
     active = state.active
     load = state.load
     dims = len(demand)

@@ -124,11 +124,18 @@ def with_hosts(topology, rng):
 # -- frozen routing references -------------------------------------------------------
 # Verbatim copies of the greedy router and Dijkstra as they stood before the
 # pick scan skipped flows bound to fail again, lazy reachability and the
-# dead-end skip, with one intended change since: hosts never relay, so no
-# host is ever an allowed interior node. They are slow on purpose (a set and
-# a BFS per pending flow per iteration, a link-weight dict over every edge
-# per flow); the differential tests require the library to reproduce them
-# exactly.
+# dead-end skip, with two intended changes since: hosts never relay, so no
+# host is ever an allowed interior node; and an endpoint that is not a host
+# carries its flow, so it must be allowed too (``ends_enterable``, applied
+# to every frozen search and router below). They are slow on purpose (a set
+# and a BFS per pending flow per iteration, a link-weight dict over every
+# edge per flow); the differential tests require the library to reproduce
+# them exactly.
+
+def ends_enterable(topology, enterable, s, t):
+    """Every endpoint of s and t that is not a host passes ``enterable``."""
+    return all(v in topology.host_set or enterable(v) for v in (s, t))
+
 
 def reference_shortest_path(topology, allowed_nodes, link_weights, s, t):
     if link_weights is not None and link_weights and min(link_weights.values()) < 0:
@@ -196,7 +203,8 @@ def reference_route_greedy(topology, workload, seed, view):
         pick = None
         for i, flow in enumerate(pending):
             usable = {v for v in active if capable(v, flow.demand)}
-            if is_connected(topology, usable, flow.src, flow.dst):
+            if (ends_enterable(topology, usable.__contains__, flow.src, flow.dst)
+                    and is_connected(topology, usable, flow.src, flow.dst)):
                 pick = i
                 break
         if pick is None:
@@ -207,7 +215,9 @@ def reference_route_greedy(topology, workload, seed, view):
         allowed = {v for v in procs if capable(v, demand)}
         weights = _reference_node_weights(residual, active, demand, topology, view)
         link_w = node_to_link_weights(topology, weights)
-        path = reference_shortest_path(topology, allowed, link_w, flow.src, flow.dst)
+        path = None
+        if ends_enterable(topology, allowed.__contains__, flow.src, flow.dst):
+            path = reference_shortest_path(topology, allowed, link_w, flow.src, flow.dst)
         if path is None:
             unrouted.add(flow.id)
             continue
@@ -295,11 +305,14 @@ def reference_online_arrival(state, topology, flow):
     usable_active = {v for v in state.active if capable(v)}
     weights = _reference_node_weights(state.residual, state.active, demand, topology, tuple(range(dims)))
     link_w = node_to_link_weights(topology, weights)
-    if is_connected(topology, usable_active, flow.src, flow.dst):
+    allowed = {v for v in topology.processor_ids if capable(v)}
+    if (ends_enterable(topology, usable_active.__contains__, flow.src, flow.dst)
+            and is_connected(topology, usable_active, flow.src, flow.dst)):
         path = reference_shortest_path(topology, usable_active, link_w, flow.src, flow.dst)
-    else:
-        allowed = {v for v in topology.processor_ids if capable(v)}
+    elif ends_enterable(topology, allowed.__contains__, flow.src, flow.dst):
         path = reference_shortest_path(topology, allowed, link_w, flow.src, flow.dst)
+    else:
+        path = None
     if path is None:
         return None
     state.commit(flow.id, path, demand)
@@ -312,6 +325,8 @@ def reference_online_arrival(state, topology, flow):
 # search (a BFS from t, then a smallest-id walk).
 
 def reference_sample_shortest(topology, allowed, s, t, rng):
+    if not ends_enterable(topology, allowed.__contains__, s, t):
+        return None
     if s == t:
         return [s]
     adj = topology._adj
@@ -367,6 +382,8 @@ def reference_sample_shortest(topology, allowed, s, t, rng):
 
 
 def reference_hop_shortest_lex(topology, allowed, s, t):
+    if not ends_enterable(topology, allowed.__contains__, s, t):
+        return None
     if s == t:
         return [s]
     adj = topology._adj
@@ -501,6 +518,8 @@ def reference_greedy_path(state, topology, src, dst, demand, room, active_only):
 
         def enterable(v):
             return v not in hosts and fits(v, room)
+    if not ends_enterable(topology, enterable, src, dst):
+        return None
     node_weight = _reference_state_node_weight(state, demand, topology)
     nw = [-1] * len(topology)  # -1: not weighed yet, None: not enterable
     nw[src] = node_weight(src)
@@ -519,7 +538,9 @@ def reference_greedy_path(state, topology, src, dst, demand, room, active_only):
 # out, and its layer count skipped the packer for two bins: a flow blocked
 # on the tree reruns the whole search after each switch it wakes (in the
 # library's unchanged wake order), and any layer whose demand overflows one
-# bin is packed.
+# bin is packed. One intended change since: phase 1 still packs each core
+# group on its own, but wakes the lowest-position cores up to the sum of
+# the groups' counts, where it once woke each group's own slice.
 
 def _reference_route_on_tree(topology, state, activated, need, src, dst):
     fits = state.fits
@@ -596,13 +617,11 @@ def reference_route_hgr(topology, workload):
     # A layer cannot wake more switches than it has; overload surfaces as
     # unrouted flows in phase 2 instead.
     agg_per_pod = tuple(_reference_layer_count(items, half) for items in pod_items)
-    core_per_group = tuple(_reference_layer_count(items, half) for items in group_items)
+    cores = sum(_reference_layer_count(items, half) for items in group_items)
 
-    cores = topology._core_ids
     for pod in range(z):
         activated.update(topology._agg_ids[pod][:agg_per_pod[pod]])
-    for group in range(half):
-        activated.update(cores[group * half:group * half + core_per_group[group]])
+    activated.update(topology._core_ids[:cores])
 
     state = ReferenceState(topology, workload.dims)
     fits = state.fits
@@ -625,4 +644,4 @@ def reference_route_hgr(topology, workload):
     load = reference_solution_loads(topology, workload, state.committed)
     active = frozenset(v for v, l in load.items() if any(l))
     solution = RoutingSolution(dict(state.committed), active, frozenset(unrouted), load)
-    return solution, LayerCounts(agg_per_pod, core_per_group, frozenset(activated))
+    return solution, LayerCounts(agg_per_pod, cores, frozenset(activated))

@@ -183,3 +183,19 @@ def test_no_router_relays_through_a_host():
     assert online_arrival(state, topology, workload.flows[0]) is None
     assert (state.committed, state.active) == ({}, set())
     assert oracle_min_active(topology, workload) is None
+
+
+def test_every_router_capacity_checks_a_processor_endpoint():
+    # Two processors 0-1 and two flows 0 -> 1 of demand 0.6: the endpoints
+    # carry each flow like any processor on its path, so only one fits.
+    topology = Topology([Node(v, NodeKind.EDGE, None, v) for v in (0, 1)], [(0, 1)])
+    workload = Workload((Flow(0, 0, 1, (0.6,)), Flow(1, 0, 1, (0.6,))), 1)
+    for router in (route_mrg, route_srg, route_srsp, route_mrsp):
+        solution = router(topology, workload, 0)
+        assert len(solution.unrouted) == 1
+        assert solution.load == {0: (0.6,), 1: (0.6,)}
+    state = ResidualState.fresh(topology, 1)
+    assert [online_arrival(state, topology, flow) for flow in workload.flows] == [(0, 1), None]
+    assert state.load == {0: [0.6], 1: [0.6]}
+    assert oracle_min_active(topology, workload) is None
+    assert oracle_min_active(topology, Workload(workload.flows[:1], 1)) == 2

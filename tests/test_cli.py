@@ -85,8 +85,10 @@ def test_route_hgr_dump_includes_layer_counts(capsys, tmp_path):
                          "--out", str(spath))
     assert code == 0
     dump = json.loads(spath.read_text())
-    assert "layer_counts" in dump
-    assert len(dump["layer_counts"]["agg_per_pod"]) == 4
+    counts = dump["layer_counts"]
+    assert len(counts["agg_per_pod"]) == 4
+    assert type(counts["cores"]) is int
+    assert set(counts) == {"agg_per_pod", "cores", "activated"}
 
 
 def test_route_empty_workload(capsys, tmp_path):

@@ -43,6 +43,7 @@ from greenroute.mrg import _greedy_path, _sample_shortest
 
 from oracle_helpers import (
     ReferenceState,
+    ends_enterable,
     graph_with_leaves,
     reference_greedy_path,
     reference_hop_shortest_lex,
@@ -401,17 +402,23 @@ def test_sample_shortest_matches_references_on_blocked_fat_trees(z):
 def _assert_reachability_agrees(topology, allowed, s, t):
     asked = []
     found = _sample_shortest(topology, _asking(allowed, asked), s, t) is not None
-    assert found == is_connected(topology, allowed, s, t)
+    assert found == (ends_enterable(topology, allowed.__contains__, s, t)
+                     and is_connected(topology, allowed, s, t))
     _assert_asked_once_and_never_a_leaf(topology, asked, s, t)
-    assert s not in asked and t not in asked
+    # the endpoints that are processors are asked first, until one refuses
+    ends = [v for v in (s, t) if v not in topology.host_set]
+    refused = next((i for i, v in enumerate(ends) if v not in allowed), len(ends) - 1)
+    assert asked[:refused + 1] == ends[:refused + 1]
+    assert not {s, t} & set(asked[refused + 1:])
     return found
 
 
 def test_sample_shortest_answers_reachability():
     # The batch pick scan asks only whether a path exists; the answer must be
-    # is_connected's through the allowed processors (hosts never relay) on the
-    # endpoints it meets: processors, hosts of degree >= 2, adjacent
-    # endpoints, and a leaf whose only neighbour is the other end.
+    # is_connected's through the allowed processors (hosts never relay), with
+    # each processor endpoint allowed too, on the endpoints it meets:
+    # processors, hosts of degree >= 2, adjacent endpoints, and a leaf whose
+    # only neighbour is the other end.
     rng = random.Random(59)
     seen = dict.fromkeys(("host of degree >= 2", "adjacent", "only neighbour", "found", "not found"), 0)
     for _ in range(1500):
@@ -564,7 +571,7 @@ def test_hgr_layer_counts_match_packer(z):
                 group_items[topology._host_index[flow.src] % half].append(flow.demand)
         _, counts = route_hgr(topology, workload)
         assert counts.agg_per_pod == tuple(_packer_count(items, half) for items in pod_items)
-        assert counts.core_per_group == tuple(_packer_count(items, half) for items in group_items)
+        assert counts.cores == sum(_packer_count(items, half) for items in group_items)
 
 
 def test_hgr_rejects_non_host_endpoints(tree4):
@@ -617,8 +624,7 @@ def _assert_hgr_matches_reference(topology, workload):
     solution, counts = route_hgr(topology, workload)
     ref_solution, ref_counts = reference_route_hgr(topology, workload)
     assert solution == ref_solution
-    assert (counts.agg_per_pod, counts.core_per_group, counts.activated) == (
-        ref_counts.agg_per_pod, ref_counts.core_per_group, ref_counts.activated)
+    assert counts == ref_counts
 
 
 @pytest.mark.parametrize("z", (4, 6, 8))

@@ -7,10 +7,17 @@ dump whose layer counts come from the bin packer, and the path trace of a
 stream of online arrivals and departures. A change that moves any path,
 unrouted set or load on these inputs changes a hash; a change meant to
 alter routing output updates the hashes and says why in CHANGES.md.
+
+``PYTHONPATH=src python tests/test_golden.py`` prints every artifact's
+current digest as a ``GOLDEN`` entry, marking those that moved.
 """
 
+import contextlib
 import hashlib
 import random
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -34,17 +41,17 @@ EXPERIMENT = ("experiment", "--z", "4", "--dims", "3", "--flows", "10:40:15", "-
 
 GOLDEN = {
     "experiment.csv": "d9d8861f7e5ec07f439facb6d923b137ef9904d8851d131cf4491feb39a30f07",
-    "light-hgr": "52d066f41b05b8eac23d48adba622393a4cf0f948aadc83647e64b77aa1f2e5f",
+    "light-hgr": "4843618e47bbd40456d88fd0b6bd5b72480be4e115adcecb50cda23f2317e300",
     "light-mrg": "ef361f7fb51c9c74b6a50290db99b78726f3f741abe16f757a227c791f2b77bd",
     "light-mrsp": "83ce2035c323744880ec499c74e6740a92a3ee3e78eb3b4bf166d69dac2aae10",
     "light-srg": "2372cda0ea5d0283234be3dfca54fe2dda3a48055f493eecf7c8f5dc6931617f",
     "light-srsp": "83ce2035c323744880ec499c74e6740a92a3ee3e78eb3b4bf166d69dac2aae10",
-    "heavy-hgr": "3f561228bfcb3514fc6fd8c7138e33e06d39fa8ad9a07ee607de83322f6f604f",
+    "heavy-hgr": "cbc19a9d80b1d04159717b1819a66e17fa715d772cd6635033e04d6c338eb35a",
     "heavy-mrg": "02e122feef2104d7d7c91bb64d7fc47a4d2bc514e2ee3ae06cabd03affc1423b",
     "heavy-mrsp": "7ea4d97d00f39d8bbd9a0a8d4951d2d0634894913532bfd603b761806e2c8298",
     "heavy-srg": "214bce1f600a76c3bd31bbd9e18a4cf1564502136d344bb9006a644c8ebd7815",
     "heavy-srsp": "02a8ca65d724c4166aa14dad60e21e28d74b66b9f464cd874abb72bd7456f1f1",
-    "mid-hgr": "475db2e869c29183359567e3edd22039676cc276f32e0f0b611d36e40ace8fe0",
+    "mid-hgr": "1d4bf55cef9f5e0dce21d7b21e5654a3f3b440c3edbde96d206418cf81b49887",
     "online-z8": "08748455bddb9f6ade85d8a9abc7b96ec5c87b6d42b62dc5114ce0542a4f7da2",
 }
 
@@ -116,3 +123,10 @@ def test_parallel_experiment_matches_golden_hash(tmp_path):
     csv_path = tmp_path / "experiment.csv"
     _run(*EXPERIMENT, "--jobs", "2", "--out", str(csv_path))
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == GOLDEN["experiment.csv"]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sys.stderr):
+        current = golden_digests(Path(tmp))
+    for name, digest in sorted(current.items()):
+        print(f'    "{name}": "{digest}",' + ("" if GOLDEN.get(name) == digest else "  # moved"))

@@ -107,9 +107,18 @@ def test_vbp_never_beats_oracle_and_loads_fit():
 # -- core groups -------------------------------------------------------------------
 
 def _core_group_of_single_flow(topology, src, dst):
-    _, counts = route_hgr(topology, Workload((Flow(0, src, dst, (0.1,)),), 1, z=topology.z))
-    assert sum(counts.core_per_group) == 1
-    return counts.core_per_group.index(1)
+    # Phase 1 packs each core group on its own, so two small inter-pod flows
+    # share one core bin exactly when they are in the same group; pod 0's
+    # host g (index g) probes group g.
+    far = topology.host_ids[-1]
+    groups = []
+    for g in range(topology.z // 2):
+        flows = (Flow(0, src, dst, (0.1,)), Flow(1, g, far, (0.1,)))
+        _, counts = route_hgr(topology, Workload(flows, 1, z=topology.z))
+        if counts.cores == 1:
+            groups.append(g)
+    assert len(groups) == 1
+    return groups[0]
 
 
 def test_core_group_mapping_z4(tree4):
@@ -140,7 +149,7 @@ def test_hgr_intra_rack_only(tree4):
     flows = (Flow(0, 0, 1, (0.3, 0.3)), Flow(1, 5, 4, (0.2, 0.2)))
     sol, counts = route_hgr(tree4, Workload(flows, 2, z=4))
     assert counts.agg_per_pod == (0, 0, 0, 0)
-    assert counts.core_per_group == (0, 0)
+    assert counts.cores == 0
     assert sol.active == {16, 18}
     assert len(sol.paths) == 2
 
@@ -183,7 +192,7 @@ def test_hgr_pod_instances_feed_the_packer(tree4):
     assert counts.agg_per_pod[0] == vbp_greedy([(0.6,), (0.6,)]).bin_count == 2
     assert counts.agg_per_pod[1] == vbp_greedy([(0.6,)]).bin_count == 1
     assert counts.agg_per_pod[2:] == (0, 0)
-    assert counts.core_per_group == (1, 0)  # host 0 hashes to group 0
+    assert counts.cores == 1
 
 
 def test_hgr_counts_clamped_to_layer_width(tree4):
@@ -202,15 +211,15 @@ def test_hgr_reports_oversize_flows_unrouted_like_every_router(tree4):
     sol, counts = route_hgr(tree4, workload)
     assert sol.unrouted == route_mrg(tree4, workload).unrouted == {0, 2}
     assert set(sol.paths) == {1}
-    assert counts.agg_per_pod == (1, 0, 0, 0) and counts.core_per_group == (0, 0)
+    assert counts.agg_per_pod == (1, 0, 0, 0) and counts.cores == 0
 
 
 def test_hgr_wakes_core_then_src_agg_then_dst_agg(tree4):
     # z=4: hosts 4p..4p+3 in pod p, pod p's aggregation switches 24+2p (position 0)
-    # and 25+2p (position 1), cores 32, 33 (group 0, behind position 0) and 34, 35.
-    # The last flow, 1 -> 7 (pod 0 -> pod 1, demand 0.48), hashes to core group 1,
-    # so the estimate wakes core 34, which only position-1 aggregation switches
-    # reach; every pod packs into one bin (position 0) unless noted.
+    # and 25+2p (position 1), cores 32, 33 (behind position 0) and 34, 35.
+    # The last flow, 1 -> 7 (pod 0 -> pod 1, demand 0.48), is packed in core
+    # group 1, the fillers in group 0; the estimate wakes the lowest cores, up
+    # to the groups' total. Every pod packs into one bin (position 0) unless noted.
     g0 = Flow(0, 0, 4, (0.5,))     # pod 0 -> pod 1 via 24, 32, 26
     g1 = Flow(1, 8, 12, (0.4,))    # pod 2 -> pod 3 via 28, 32, 30: core 32 left with 0.1
     g2 = Flow(2, 10, 14, (0.55,))  # group 0 now needs two cores; this one takes 33, left with 0.45
@@ -223,9 +232,9 @@ def test_hgr_wakes_core_then_src_agg_then_dst_agg(tree4):
         assert not sol.unrouted
         return counts.activated
 
-    # 1st wake: core 32 is full for the flow, so the lowest inactive core, 33, opens position 0
-    assert activated_for(g0, g1) == edges | {24, 26, 28, 30, 32, 34} | {33}
-    # cores 32 and 33 are both full: the 1st wake (core 35, skipping active 32-34)
+    # two core bins wake 32 and 33: core 32 is full for the flow, 33 carries it, nothing wakes
+    assert activated_for(g0, g1) == edges | {24, 26, 28, 30, 32, 33}
+    # three core bins wake 32-34, and 32 and 33 are both full: the 1st wake (core 35)
     # opens nothing, the 2nd (pod 0's agg 25) opens position 1 through the estimated agg 27
     assert activated_for(g0, g1, g2, x) == edges | {21, 23, 24, 26, 27, 28, 30, 32, 33, 34} | {35, 25}
     # without x, pod 1 has one agg: only the 3rd wake (pod 1's agg 27) opens position 1
@@ -236,12 +245,17 @@ def test_hgr_wakes_src_pod_agg_before_dst_pod_agg():
     # z=6, so a pod has three aggregation switches: pod 0's are 72-74, pod 1's 75-77,
     # cores 90-92 sit behind position 0 and 93-95 behind position 1. Flow 0 stays in
     # pod 1 via 75 and leaves it 0.4; pod 1 packs into two bins (75, 76), pod 0 into
-    # one (72). Flow 1 (demand 0.5, core group 1, so core 93 is awake) is blocked at 75.
+    # one (72). Flow 1 (demand 0.5, core group 1) is blocked at 75. Flows 2
+    # (pod 2 -> 3, group 0) and 3 (pod 4 -> 5, group 2) are small: each group
+    # packs into one bin, so the estimate wakes the three position-0 cores 90-92.
     tree6 = build_fat_tree(6)
-    flows = (Flow(0, 9, 12, (0.6,)), Flow(1, 1, 15, (0.5,)))
+    flows = (Flow(0, 9, 12, (0.6,)), Flow(1, 1, 15, (0.5,)), Flow(2, 18, 27, (0.1,)),
+             Flow(3, 38, 45, (0.1,)))
     sol, counts = route_hgr(tree6, Workload(flows, 1, z=6))
-    # core 90 opens nothing; pod 0's agg 73 opens position 1 before pod 1's agg 77 is woken
-    assert counts.activated == {54, 57, 58, 59, 72, 75, 76, 93} | {90, 73}
+    assert counts.cores == 3
+    estimated = {54, 57, 58, 59, 60, 63, 66, 69} | {72, 75, 76, 78, 81, 84, 87} | {90, 91, 92}
+    # core 93 opens nothing; pod 0's agg 73 opens position 1 before pod 1's agg 77 is woken
+    assert counts.activated == estimated | {93, 73}
     assert sol.paths[1] == (1, 54, 73, 93, 76, 59, 15)
 
 
@@ -251,9 +265,21 @@ def test_hgr_flow_with_full_edge_switch_is_unrouted_and_wakes_nothing(tree4):
     flows = (Flow(0, 0, 1, (1.0,)), Flow(1, 0, 4, (0.5,)), Flow(2, 5, 1, (0.5,)))
     sol, counts = route_hgr(tree4, Workload(flows, 1, z=4))
     assert sol.unrouted == {1, 2} and sol.paths == {0: (0, 16, 1)}
-    assert (counts.agg_per_pod, counts.core_per_group) == ((1, 1, 0, 0), (1, 1))
+    # flows 1 and 2 fill one core bin each, in groups 0 and 1: two cores
+    assert (counts.agg_per_pod, counts.cores) == ((1, 1, 0, 0), 2)
     # the phase-1 set: every flow's edge switches, then the estimates' aggregation switches and cores
-    assert counts.activated == {16, 18} | {24, 26} | {32, 34}
+    assert counts.activated == {16, 18} | {24, 26} | {32, 33}
+
+
+def test_hgr_wakes_cores_its_paths_reach(tree4):
+    # The only inter-pod flow is packed in core group 1 (host 1 has index 1),
+    # but the one core the estimate wakes is the lowest, 32, behind the
+    # position-0 aggregation switches 24 and 26 that the estimate wakes too:
+    # the flow rides it and nothing else wakes.
+    sol, counts = route_hgr(tree4, Workload((Flow(0, 1, 4, (0.2,)),), 1, z=4))
+    assert sol.paths[0] == (1, 16, 24, 32, 26, 18, 4)
+    assert counts.activated == {16, 18, 24, 26, 32}
+    assert counts.cores == 1
 
 
 def test_hgr_rejects_non_fat_tree():
