@@ -272,14 +272,13 @@ def _summary_rows(trial_rows: list[ResultRow], trials: int) -> list[ResultRow]:
     return rows
 
 
-def _run_cell(args: tuple[ExperimentConfig, Topology, int, int]) -> list[ResultRow]:
+def _run_cell(config: ExperimentConfig, topology: Topology, flow_count: int, trial: int) -> list[ResultRow]:
     """Route one (flow count, trial) workload with every algorithm: one row each, in config order.
 
     The workload is generated here rather than passed in, so no worker is
     sent one and a sweep holds one at a time. A generation error propagates;
     only a router's exception becomes an error row.
     """
-    config, topology, flow_count, trial = args
     seed = cell_seed(config.base_seed, flow_count, trial)
     workload = generate_workload(topology, flow_count, config.dims, config.mean, config.std, seed)
     rows: list[ResultRow] = []
@@ -296,6 +295,17 @@ def _run_cell(args: tuple[ExperimentConfig, Topology, int, int]) -> list[ResultR
     return rows
 
 
+def _run_share(args: tuple[ExperimentConfig, Topology, list[tuple[int, int]]]) -> list[list[ResultRow]]:
+    """Run a share of the cells, in order, on one topology.
+
+    A worker process gets one share, so it unpickles the fat-tree and
+    builds its lazy tables once, not once per cell; the serial path runs
+    every cell as one share on the parent's tree.
+    """
+    config, topology, cells = args
+    return [_run_cell(config, topology, m, trial) for m, trial in cells]
+
+
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     """Run the sweep and return rows in canonical (algorithm, flow count, trial) order.
 
@@ -304,14 +314,18 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     trial rows is followed by its mean (and, with two or more trials, std) row.
     """
     topology = build_fat_tree(config.z)
-    cells = [(config, topology, m, trial) for m in config.flow_counts for trial in range(config.trials)]
+    cells = [(m, trial) for m in config.flow_counts for trial in range(config.trials)]
     # more workers than cells or cores only adds start-up cost
     workers = min(config.jobs, len(cells), os.cpu_count() or 1)
     if workers > 1:
+        # worker i runs every workers-th cell from i, so each share mixes flow counts
+        shares = [(config, topology, cells[i::workers]) for i in range(workers)]
+        per_cell: list = [None] * len(cells)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_cell = list(pool.map(_run_cell, cells))
+            for i, share_rows in enumerate(pool.map(_run_share, shares)):
+                per_cell[i::workers] = share_rows
     else:
-        per_cell = [_run_cell(cell) for cell in cells]
+        per_cell = _run_share((config, topology, cells))
     rows: list[ResultRow] = []
     # per algorithm, its rows in (flow count, trial) order
     for algo_rows in zip(*per_cell):

@@ -27,8 +27,12 @@ capability only of the nodes it reaches, the endpoints' edge switches
 first. The greedy step's Dijkstra labels nodes from the target on doubled
 integer weights and then walks from the source, weighing only the nodes it
 reaches; only the reference :func:`shortest_path` keeps a path per heap
-entry. Both routing searches live here: that Dijkstra, and the hop search,
-which also serves SRSP, MRSP and HGR's detours.
+entry. It weighs an active node with one AND and a popcount: the state
+caches a bit mask of how each processor's load orders its dimensions
+(:meth:`ResidualState.order_of`), and the search builds the demand's
+ordered pairs once; a node's mask is rebuilt only after its load changes.
+Both routing searches live here: that Dijkstra, and the hop search, which
+also serves SRSP, MRSP and HGR's detours.
 
 An online arrival has no pick scan and no separate reachability test: it
 runs the greedy step on the active capable nodes alone, which finds a path
@@ -83,13 +87,24 @@ def inv_count(x: Sequence[float], y: Sequence[float]) -> int:
     return count
 
 
-def _inversions_against(demand: Sequence[float]):
-    """A node weight as a function of its load: the demand pairs with demand[a] >
-    demand[b], listed once, that the load orders the same way (ties count for
-    nothing). That is ``inv_count`` of the room left, 1 - load, against the demand."""
-    dims = range(len(demand))
-    pairs = [(a, b) for a in dims for b in dims if demand[a] > demand[b]]
-    return lambda load: sum([load[a] > load[b] for a, b in pairs])
+def _order_bits(vec: Sequence[float], dims: int) -> int:
+    """How ``vec`` orders its entries: bit ``a*dims + b`` is set iff vec[a] > vec[b].
+
+    With ``dims`` the state's dimension count, a load's bits and the bits of
+    a demand (or of a shorter prefix view of it) share positions, so
+    ``(load_bits & demand_bits).bit_count()`` counts the demand pairs with
+    demand[a] > demand[b] that the load orders the same way. That is
+    ``inv_count`` of the room left, 1 - load, against the demand; ties count
+    for nothing on either side.
+    """
+    bits = 0
+    indices = range(len(vec))
+    for a in indices:
+        x = vec[a]
+        for b in indices:
+            if x > vec[b]:
+                bits |= 1 << (a * dims + b)
+    return bits
 
 
 # -- state and solutions ---------------------------------------------------------
@@ -102,11 +117,19 @@ class ResidualState:
     the demands committed on processor ``v`` in dimension ``k``, in commit
     order; ``committed`` maps each routed flow to its path in that order,
     so online departures can be validated and reversed.
+
+    ``order`` caches, per processor, how its load orders its dimensions
+    (:meth:`order_of`): the greedy step weighs an active node from it. It is
+    filled on demand and is not part of the state's value (equality and repr
+    ignore it). Loads change only through :meth:`commit` and
+    :func:`online_departure`, and both drop the masks of the processors they
+    touch; code that writes ``load`` any other way must clear ``order``.
     """
 
     load: dict[int, list[float]]
     active: set[int]
     committed: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    order: dict[int, int] = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def fresh(cls, topology: Topology, dims: int) -> "ResidualState":
@@ -129,6 +152,14 @@ class ResidualState:
         """
         return all(map(le, self.load[v], room))
 
+    def order_of(self, v: int) -> int:
+        """Processor ``v``'s load-order mask, ``_order_bits(load[v], K)``, cached until its load changes."""
+        bits = self.order.get(v)
+        if bits is None:
+            l = self.load[v]
+            bits = self.order[v] = _order_bits(l, len(l))
+        return bits
+
     def _check_dims(self, demand: Sequence[float]) -> None:
         """Raise ValueError unless ``demand`` has one component per load dimension."""
         dims = len(next(iter(self.load.values()), demand))
@@ -136,7 +167,10 @@ class ResidualState:
             raise ValueError(f"vector length mismatch: {dims} vs {len(demand)}")
 
     def commit(self, flow_id: int, path: Sequence[int], demand: Sequence[float]) -> None:
-        """Add ``demand`` to the path's processors, mark them active and record the path."""
+        """Add ``demand`` to the path's processors, mark them active and record the path.
+
+        Drops the path's cached load-order masks.
+        """
         load = self.load
         active = self.active
         dim_range = range(len(demand))
@@ -146,6 +180,10 @@ class ResidualState:
                 for k in dim_range:
                     l[k] += demand[k]
                 active.add(v)
+        order = self.order
+        if order:
+            for v in path:
+                order.pop(v, None)
         self.committed[flow_id] = tuple(path)
 
     def solution(self, flows: Iterable[Flow]) -> RoutingSolution:
@@ -407,20 +445,29 @@ def _greedy_path(state: ResidualState, topology: Topology, enterable, src: int, 
     is settled. Labels strictly decrease along an optimal path, so stepping
     from ``src`` to the smallest-id neighbour with a tight label gives the
     lexicographically smallest one.
+
+    An active node weighs ``(state.order_of(v) & pairs).bit_count()``, where
+    ``pairs`` holds the demand's ordered pairs at the masks' bit positions
+    (:func:`_order_bits`): exactly :func:`inv_count` of its room left against
+    ``demand``. A one-dimension view has no pairs, so SRG's active nodes
+    weigh 0 without a mask.
     """
     hosts = topology.host_set
     if not ((src in hosts or enterable(src)) and (src == dst or dst in hosts or enterable(dst))):
         return None
     active = state.active
-    load = state.load
+    order_of = state.order_of
     dims = len(demand)
     inactive_w = dims * (dims - 1) // 2 + 1
-    inversions = _inversions_against(demand)
+    # the demand's pairs, at the bit positions of the state's load-order masks
+    pairs = _order_bits(demand, len(next(iter(state.load.values()), demand)))
 
     def weigh(v: int) -> int | None:  # None: v may not be entered
         if not enterable(v):
             return None
-        return inversions(load[v]) if v in active else inactive_w
+        if v not in active:
+            return inactive_w
+        return (order_of(v) & pairs).bit_count() if pairs else 0
 
     n = len(topology)
     inner = topology._inner_adj
@@ -542,6 +589,7 @@ def online_departure(state: ResidualState, topology: Topology, flow: Flow, path:
     for v in path:
         l = state.load.get(v)
         if l is not None:
+            state.order.pop(v, None)
             for k, d in enumerate(flow.demand):
                 l[k] -= d
             if all(abs(x) <= CAP_TOL for x in l):

@@ -1,0 +1,61 @@
+"""Criterion 9's median ratio, taken in many fresh processes per checkout.
+
+Each run is one pytest process that runs
+``tests/test_acceptance.py::test_criterion_9_runtime_ratio`` of one checkout
+against that checkout's ``src``; the reading is the median ratio from the
+test's own ``ACCEPTANCE  9`` line. The checkouts take turns, and the order
+flips each round, so drift on the machine falls on every side alike.
+
+    python tests/criterion9_medians.py --src PARENT --src CHANGE [--runs 40]
+
+prints, per checkout, the median, the quartiles and the minimum of its
+readings. Not collected by pytest (the file name does not start with test_).
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import re
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+TEST = "tests/test_acceptance.py::test_criterion_9_runtime_ratio"
+LINE = re.compile(r"ACCEPTANCE\s+9 .*median ratio ([0-9.]+)")
+
+
+def reading(checkout: Path) -> float:
+    """One fresh-process run of the criterion-9 test in ``checkout``: its median ratio."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider", TEST],
+                         cwd=checkout, env=env, capture_output=True, text=True).stdout
+    match = LINE.search(out)
+    if match is None:
+        raise RuntimeError(f"{checkout}: no ACCEPTANCE 9 line in the test's output:\n{out}")
+    return float(match.group(1))
+
+
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", action="append", required=True, type=Path,
+                        help="a checkout to measure (repeat for each side)")
+    parser.add_argument("--runs", type=int, default=40, help="fresh processes per checkout (default 40)")
+    args = parser.parse_args(argv)
+    sides = [p.resolve() for p in args.src]
+    readings: dict[Path, list[float]] = {side: [] for side in sides}
+    for run in range(args.runs):
+        for side in sides if run % 2 == 0 else sides[::-1]:
+            readings[side].append(reading(side))
+        print(f"round {run + 1}/{args.runs}: "
+              + ", ".join(f"{side.name} {readings[side][-1]:.1f}" for side in sides), file=sys.stderr)
+    for side in sides:
+        values = readings[side]
+        q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+        print(f"{side}: median {median:.1f} (quartiles {q1:.1f}-{q3:.1f}), "
+              f"min {min(values):.1f}, {len(values)} runs")
+
+
+if __name__ == "__main__":
+    main()

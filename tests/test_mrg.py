@@ -11,6 +11,7 @@ from greenroute import (
     ResidualState,
     Workload,
     assign_node_weights,
+    build_fat_tree,
     build_star_reduction,
     inv_count,
     is_connected,
@@ -23,7 +24,7 @@ from greenroute import (
     route_srsp,
     shortest_path,
 )
-from greenroute.mrg import _inversions_against
+from greenroute.mrg import _order_bits
 from greenroute.topology import Node, NodeKind, Topology
 from greenroute.workload import generate_workload
 
@@ -155,20 +156,27 @@ def test_inv_count_exhaustive_permutations(n):
 
 @pytest.mark.parametrize("dims", range(1, 7))
 def test_pair_sign_count_matches_inv_count(dims):
-    # the greedy step lists the demand's ordered pairs once per flow and
-    # counts, per node, the pairs the load orders the same way: the pairs
-    # the room left (ordered as the negated load) orders the other way
+    # the greedy step weighs an active node as the popcount of its cached
+    # load-order mask AND the demand's pairs: the pairs with demand[a] >
+    # demand[b] that the load orders the same way, which the room left
+    # (ordered as the negated load) orders the other way. A router that sees
+    # a prefix of the dimensions (SRG's one) builds the pairs of that prefix
+    # at the same bit positions.
     rng = random.Random(dims)
     levels = (0.0, 0.25, 0.5, 0.75, 1.0)  # few values, so ties are common
     ties = 0
     for _ in range(400):
         demand = [rng.choice(levels) if rng.random() < 0.7 else rng.random() for _ in range(dims)]
-        count = _inversions_against(demand)
+        pairs = [_order_bits(demand[:view], dims) for view in range(dims + 1)]
         for _ in range(5):
             load = [rng.choice(levels) if rng.random() < 0.7 else rng.random() for _ in range(dims)]
+            mask = ResidualState({0: load}, {0}).order_of(0)
             room = [-c for c in load]
-            assert count(load) == inv_count(room, demand) == brute_inversions(room, demand)
+            for view in range(1, dims + 1):
+                count = (mask & pairs[view]).bit_count()
+                assert count == inv_count(room[:view], demand[:view]) == brute_inversions(room[:view], demand[:view])
             ties += len(set(load)) < dims or len(set(demand)) < dims
+    assert pairs[1] == 0  # one dimension has no pairs
     assert dims == 1 or ties > 300
 
 
@@ -536,3 +544,54 @@ def test_residual_view_follows_loads_and_drains_to_exact_capacity(tree8):
     assert not state.active and not state.committed
     assert all(load == [0.0] * dims for load in state.load.values())
     assert all(r == [1.0] * dims for r in state.residual.values())
+
+
+@pytest.mark.parametrize("z", (4, 8))
+@pytest.mark.parametrize("dims", (1, 3, 5))
+def test_load_order_masks_follow_every_load_change(z, dims):
+    # a seeded mix of bare commits, online arrivals and departures, drained
+    # back to an idle network now and then. Every processor's load-order
+    # mask is filled after each step, so a commit or a departure that keeps
+    # a stale mask shows at the next check.
+    topology = build_fat_tree(z)
+    procs = topology.processor_ids
+    rng = random.Random(100 * z + dims)
+    flows = generate_workload(topology, 400, dims, 0.08, 0.06, seed=rng.randrange(2**32)).flows
+    idle = ResidualState.fresh(topology, dims)
+    state = ResidualState.fresh(topology, dims)
+    live = []
+
+    def check():
+        for v in procs:
+            state.order_of(v)
+        for v, bits in state.order.items():
+            assert bits == _order_bits(state.load[v], dims)
+
+    def depart(i):
+        online_departure(state, topology, *live.pop(i))
+        check()
+
+    for flow in flows:
+        if live and (len(live) >= 40 or rng.random() < 0.25):
+            depart(rng.randrange(len(live)))
+        elif rng.random() < 0.5:
+            path = online_arrival(state, topology, flow)
+            if path is not None:
+                live.append((flow, path))
+        else:
+            room = state.room(flow.demand)
+            path = shortest_path(topology, [v for v in procs if state.fits(v, room)], None, flow.src, flow.dst)
+            if path is not None:
+                state.commit(flow.id, path, flow.demand)
+                live.append((flow, tuple(path)))
+        check()
+        if rng.random() < 0.03:
+            while live:
+                depart(-1)
+            assert state == idle
+            path = online_arrival(state, topology, flow)
+            check()
+            online_departure(state, topology, flow, path)
+            check()
+            assert state == idle
+    assert "order" not in repr(state)
