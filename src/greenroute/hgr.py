@@ -1,12 +1,13 @@
 """Hierarchical green routing (HGR) on fat-trees via vector bin packing.
 
-Phase 1 sizes each layer independently: per pod, the flows entering or
-leaving the pod (intra-rack traffic and flows with a demand component above
-1, which no switch can carry, excluded) are packed into unit bins to
-estimate how many aggregation switches the pod needs; the inter-pod flows
-are packed to size the core layer, in z/2 core groups by source host (its
-index in its pod, mod z/2) whose bin counts are summed. The split only cuts
-one instance into small ones, most of which the one-bin shortcut of
+Phase 1 checks, flow by flow, that both endpoints are hosts, and sizes
+each layer independently: per pod, the flows entering or leaving the pod
+(intra-rack traffic and flows with a demand component above 1, which no
+switch can carry, excluded) are packed into unit bins to estimate how
+many aggregation switches the pod needs; the inter-pod flows are packed
+to size the core layer, in z/2 core groups by source host (its index in
+its pod, mod z/2) whose bin counts are summed. The split only cuts one
+instance into small ones, most of which the one-bin shortcut of
 :func:`_layer_count` settles without the packer; it has no say in which
 cores wake.
 The packer is a bin-centric greedy that repeatedly places the fitting item
@@ -21,15 +22,19 @@ Phase 2 materializes paths, which the counts alone do not give: the
 lowest-position switches per layer are activated to the phase-1 counts, and
 each flow is routed by the lex-min hop-shortest path over activated nodes
 that fit it (state, capability rule and commit are the shared
-:class:`greenroute.mrg.ResidualState`). A flow whose edge switches do not
-both fit it stays unrouted and wakes nothing: no activation helps it. Any
-other flow whose first try fails wakes switches one at a time and retries
-after each, until it routes or its candidate layers run out. The order is
-fixed before the first wake: round-robin over core, src-pod aggregation and
-dst-pod aggregation (cores and the dst pod only for inter-pod flows),
-lowest position first, skipping switches already activated. Waking can go
-beyond the estimate; the solution reports the processors actually carrying
-load, and the activated set is reported alongside the per-layer counts.
+:class:`greenroute.mrg.ResidualState`). One path rule, built once per call
+by :func:`_tree_router` with the fat-tree's tables bound, serves a flow's
+first try and every retry: it scans the fixed 2-, 4- and 6-hop shapes in
+switch-position order and falls back to the hop search only for detours.
+A flow whose edge switches do not both fit it stays unrouted and wakes
+nothing: no activation helps it. Any other flow whose first try fails
+wakes switches one at a time and retries after each, until it routes or
+its candidate layers run out. The order is fixed before the first wake:
+round-robin over core, src-pod aggregation and dst-pod aggregation (cores
+and the dst pod only for inter-pod flows), lowest position first,
+skipping switches already activated. Waking can go beyond the estimate;
+the solution reports the processors actually carrying load, and the
+activated set is reported alongside the per-layer counts.
 """
 
 from __future__ import annotations
@@ -149,42 +154,47 @@ def vbp_greedy(items: Sequence[Sequence[float]]) -> VbpResult:
     return VbpResult(len(residuals), assignment, tuple(residuals))
 
 
-def _route_on_tree(topology: Topology, state: ResidualState, activated: set[int],
-                   room: Sequence[float], src: int, dst: int) -> list[int] | None:
-    """Lex-min hop-shortest path over activated nodes that fit ``room``, built structurally.
+def _tree_router(topology: Topology, state: ResidualState, activated: set[int]):
+    """``route(room, src, dst)``: the lex-min hop-shortest path over activated nodes that fit ``room``.
 
     Fat-tree shortest paths have fixed shapes (2, 4, or 6 hops), so the
     lex-min one can be picked by scanning switch positions in id order; a
     graph search is only needed for longer detours when every minimum-length
     path is out of capacity. ``src`` and ``dst`` must be hosts whose edge
     switches are activated and fit ``room``; they are not tested again.
+    ``route`` reads ``state`` and ``activated`` as they are at each call,
+    so one router serves a flow's first try and every retry after a wake.
     """
     fits = state.fits
-    e_s = topology._host_edge[src]
-    e_t = topology._host_edge[dst]
-    if e_s == e_t:
-        return [src, e_s, dst]
-    src_pod = topology._host_pod[src]
-    dst_pod = topology._host_pod[dst]
-    if src_pod == dst_pod:
-        for a in topology._agg_ids[src_pod]:
-            if a in activated and fits(a, room):
-                return [src, e_s, a, e_t, dst]
-    else:
-        half = topology.z // 2
-        cores = topology._core_ids
-        src_aggs = topology._agg_ids[src_pod]
-        dst_aggs = topology._agg_ids[dst_pod]
-        for pos in range(half):
-            a_s = src_aggs[pos]
-            a_t = dst_aggs[pos]
-            if not (a_s in activated and fits(a_s, room) and a_t in activated and fits(a_t, room)):
-                continue
-            for core in cores[pos * half:(pos + 1) * half]:
-                if core in activated and fits(core, room):
-                    return [src, e_s, a_s, core, a_t, e_t, dst]
-    # every minimum-length path is blocked; look for longer detours
-    return _sample_shortest(topology, lambda v: v in activated and fits(v, room), src, dst)
+    edge_of = topology._host_edge
+    pod_of = topology._host_pod
+    agg_ids = topology._agg_ids
+    half = topology.z // 2
+    cores = topology._core_ids
+    core_groups = [cores[pos * half:(pos + 1) * half] for pos in range(half)]
+
+    def route(room: Sequence[float], src: int, dst: int) -> list[int] | None:
+        e_s = edge_of[src]
+        e_t = edge_of[dst]
+        if e_s == e_t:
+            return [src, e_s, dst]
+        src_pod = pod_of[src]
+        dst_pod = pod_of[dst]
+        if src_pod == dst_pod:
+            for a in agg_ids[src_pod]:
+                if a in activated and fits(a, room):
+                    return [src, e_s, a, e_t, dst]
+        else:
+            for a_s, a_t, group in zip(agg_ids[src_pod], agg_ids[dst_pod], core_groups):
+                if not (a_s in activated and fits(a_s, room) and a_t in activated and fits(a_t, room)):
+                    continue
+                for core in group:
+                    if core in activated and fits(core, room):
+                        return [src, e_s, a_s, core, a_t, e_t, dst]
+        # every minimum-length path is blocked; look for longer detours
+        return _sample_shortest(topology, lambda v: v in activated and fits(v, room), src, dst)
+
+    return route
 
 
 def _wake_order(topology: Topology, activated: set[int], src_pod: int, dst_pod: int) -> list[int]:
@@ -237,32 +247,33 @@ def route_hgr(topology: Topology, workload: Workload) -> tuple[RoutingSolution, 
     half = z // 2
     flows = workload.flows
     hosts = topology.host_set
-    for flow in flows:
-        for h in (flow.src, flow.dst):
-            if h not in hosts:
-                topology._check_id(h)
-                raise ValueError(f"node {h} is not a host")
     edge_of = topology._host_edge
     pod_of = topology._host_pod
+    index_of = topology._host_index
 
     activated: set[int] = set()  # every flow's edge switches, then the phase-1 estimates
     pod_items: list[list[tuple[float, ...]]] = [[] for _ in range(z)]
     group_items: list[list[tuple[float, ...]]] = [[] for _ in range(half)]
     for flow in flows:
-        e_s = edge_of[flow.src]
-        e_t = edge_of[flow.dst]
+        src, dst, demand = flow.src, flow.dst, flow.demand
+        if src not in hosts or dst not in hosts:
+            bad = dst if src in hosts else src
+            topology._check_id(bad)
+            raise ValueError(f"node {bad} is not a host")
+        e_s = edge_of[src]
+        e_t = edge_of[dst]
         activated.add(e_s)
         activated.add(e_t)
         if e_s == e_t:
             continue  # intra-rack: touches no aggregation or core switch
-        if max(flow.demand) > 1.0:
+        if max(demand) > 1.0:
             continue  # fits no switch; phase 2 reports it unrouted like any router
-        src_pod = pod_of[flow.src]
-        dst_pod = pod_of[flow.dst]
-        pod_items[src_pod].append(flow.demand)
+        src_pod = pod_of[src]
+        dst_pod = pod_of[dst]
+        pod_items[src_pod].append(demand)
         if dst_pod != src_pod:
-            pod_items[dst_pod].append(flow.demand)
-            group_items[topology._host_index[flow.src] % half].append(flow.demand)
+            pod_items[dst_pod].append(demand)
+            group_items[index_of[src] % half].append(demand)
     # A layer cannot wake more switches than it has; overload surfaces as
     # unrouted flows in phase 2 instead.
     agg_per_pod = tuple(_layer_count(items, half) for items in pod_items)
@@ -273,20 +284,21 @@ def route_hgr(topology: Topology, workload: Workload) -> tuple[RoutingSolution, 
     activated.update(topology._core_ids[:cores])
 
     state = ResidualState.fresh(topology, workload.dims)
-    fits = state.fits
+    fits, room_of, commit = state.fits, state.room, state.commit
+    route = _tree_router(topology, state, activated)
     for flow in flows:
-        src, dst = flow.src, flow.dst
-        room = state.room(flow.demand)
+        src, dst, demand = flow.src, flow.dst, flow.demand
+        room = room_of(demand)
         # an out-of-capacity edge switch cuts the flow off; no activation helps
         if not (fits(edge_of[src], room) and fits(edge_of[dst], room)):
             continue
-        path = _route_on_tree(topology, state, activated, room, src, dst)
+        path = route(room, src, dst)
         if path is None:
             for nxt in _wake_order(topology, activated, pod_of[src], pod_of[dst]):
                 activated.add(nxt)
-                path = _route_on_tree(topology, state, activated, room, src, dst)
+                path = route(room, src, dst)
                 if path is not None:
                     break
         if path is not None:
-            state.commit(flow.id, path, flow.demand)
+            commit(flow.id, path, demand)
     return state.solution(flows), LayerCounts(agg_per_pod, cores, frozenset(activated))

@@ -24,13 +24,17 @@ failed keeps failing until then (online departures break this). Its
 reachability test is the hop-minimal search
 :func:`_sample_shortest` over the active capable nodes, which asks
 capability only of the nodes it reaches, the endpoints' edge switches
-first. The greedy step's Dijkstra labels nodes from the target on doubled
-integer weights and then walks from the source, weighing only the nodes it
-reaches; only the reference :func:`shortest_path` keeps a path per heap
-entry. It weighs an active node with one AND and a popcount: the state
-caches a bit mask of how each processor's load orders its dimensions
-(:meth:`ResidualState.order_of`), and the search builds the demand's
-ordered pairs once; a node's mask is rebuilt only after its load changes.
+first. The greedy step weighs its candidates in one pass before it
+searches: :meth:`ResidualState.capable`, the batch form of the capability
+rule, lists the capable processors (only the active ones on an arrival's
+first try), each of them gets its weight, and no other node is entered.
+Its Dijkstra then labels nodes from the target on doubled integer weights
+and walks from the source; only the reference :func:`shortest_path` keeps
+a path per heap entry. It weighs an active node with one AND and a
+popcount: the state caches a bit mask of how each processor's load orders
+its dimensions (:meth:`ResidualState.order_of`), and the step builds the
+demand's ordered pairs once; a node's mask is rebuilt only after its load
+changes.
 Both routing searches live here: that Dijkstra, and the hop search, which
 also serves SRSP, MRSP and HGR's detours.
 
@@ -118,10 +122,13 @@ class ResidualState:
     order; ``committed`` maps each routed flow to its path in that order,
     so online departures can be validated and reversed.
 
-    ``order`` caches, per processor, how its load orders its dimensions
-    (:meth:`order_of`): the greedy step weighs an active node from it. It is
-    filled on demand and is not part of the state's value (equality and repr
-    ignore it). Loads change only through :meth:`commit` and
+    :meth:`fits` is the capability rule for one processor, and
+    :meth:`capable` its batch form, from which the greedy step's weight pass
+    takes its candidates. ``order`` caches, per processor, how its load
+    orders its dimensions (:meth:`order_of`): that pass fills the masks of
+    the active candidates and weighs each from its mask. It is filled on
+    demand and is not part of the state's value (equality and repr ignore
+    it). Loads change only through :meth:`commit` and
     :func:`online_departure`, and both drop the masks of the processors they
     touch; code that writes ``load`` any other way must clear ``order``.
     """
@@ -151,6 +158,17 @@ class ResidualState:
         A router that sees only a prefix of the dimensions passes a shorter ``room``.
         """
         return all(map(le, self.load[v], room))
+
+    def capable(self, room: Sequence[float], within: Iterable[int] | None = None) -> list[int]:
+        """The batch form of :meth:`fits`: every processor whose load is within ``room``.
+
+        With ``within`` (processors only), just those of its members; hosts
+        carry no load and are never returned.
+        """
+        load = self.load
+        if within is None:
+            return [v for v, l in load.items() if all(map(le, l, room))]
+        return [v for v in within if all(map(le, load[v], room))]
 
     def order_of(self, v: int) -> int:
         """Processor ``v``'s load-order mask, ``_order_bits(load[v], K)``, cached until its load changes."""
@@ -232,13 +250,17 @@ def is_connected(topology: Topology, allowed_nodes: Iterable[int], s: int, t: in
     """True iff some s-t path has only processors in ``allowed_nodes`` as interior nodes.
 
     As in :func:`shortest_path`, a host is never interior, even if
-    ``allowed_nodes`` holds it.
+    ``allowed_nodes`` holds it, and an endpoint that is a processor must be
+    in ``allowed_nodes``: it carries the flow like any processor on the path.
     """
     topology._check_id(s)
     topology._check_id(t)
+    allowed = allowed_nodes if isinstance(allowed_nodes, (set, frozenset)) else set(allowed_nodes)
+    hosts = topology.host_set
+    if not ((s in hosts or s in allowed) and (t in hosts or t in allowed)):
+        return False
     if s == t:
         return True
-    allowed = allowed_nodes if isinstance(allowed_nodes, (set, frozenset)) else set(allowed_nodes)
     inner = topology._inner_adj
     t_adj = topology._adj[t]
     seen = {s}
@@ -369,19 +391,23 @@ def shortest_path(
     """Minimum-weight simple s-t path whose interior nodes are processors in ``allowed_nodes``.
 
     A host is never interior, even if ``allowed_nodes`` holds it (a change
-    of contract: hosts of degree >= 2 once were). ``link_weights`` maps each
-    undirected edge (u, v) with u < v to a nonnegative weight; ``None``
-    means unit weights (hop count). Ties break by fewer hops, then the
-    lexicographically smallest node id sequence. Returns ``None`` when no
-    such path exists.
+    of contract: hosts of degree >= 2 once were), and an endpoint that is a
+    processor must be in ``allowed_nodes``, as every router requires.
+    ``link_weights`` maps each undirected edge (u, v) with u < v to a
+    nonnegative weight; ``None`` means unit weights (hop count). Ties break
+    by fewer hops, then the lexicographically smallest node id sequence.
+    Returns ``None`` when no such path exists.
     """
     topology._check_id(s)
     topology._check_id(t)
     if link_weights is not None and link_weights and min(link_weights.values()) < 0:
         raise ValueError("link weights must be nonnegative")
+    allowed = allowed_nodes if isinstance(allowed_nodes, (set, frozenset)) else set(allowed_nodes)
+    hosts = topology.host_set
+    if not ((s in hosts or s in allowed) and (t in hosts or t in allowed)):
+        return None
     if s == t:
         return [s]
-    allowed = allowed_nodes if isinstance(allowed_nodes, (set, frozenset)) else set(allowed_nodes)
     # Heap entries carry the whole path, so ties break on the path itself.
     inner = topology._inner_adj
     t_adj = topology._adj[t]
@@ -431,19 +457,21 @@ def node_to_link_weights(topology: Topology, node_weights: Mapping[int, float]) 
 
 # -- the router --------------------------------------------------------------------
 
-def _greedy_path(state: ResidualState, topology: Topology, enterable, src: int, dst: int,
-                 demand: Sequence[float]) -> list[int] | None:
+def _greedy_path(state: ResidualState, topology: Topology, room: Sequence[float], src: int, dst: int,
+                 demand: Sequence[float], within: Iterable[int] | None = None) -> list[int] | None:
     """One greedy routing step: :func:`shortest_path` under :func:`assign_node_weights`.
 
-    ``demand`` covers the dimensions the router sees. Interior nodes are
-    the relays of ``Topology._inner_adj`` that pass ``enterable(v)``, and an
-    endpoint that is not a host must pass it too; it is asked at most once
-    per node, as in :func:`_sample_shortest`. A Dijkstra from
-    ``dst`` labels nodes with their least (cost, hops) to it on doubled,
-    integer link weights w_u + w_v (both endpoints weigh 0: every path holds
-    them), weighing a node when it first reaches it, and stops once ``src``
-    is settled. Labels strictly decrease along an optimal path, so stepping
-    from ``src`` to the smallest-id neighbour with a tight label gives the
+    ``demand`` covers the dimensions the router sees, and ``room`` is its
+    :meth:`ResidualState.room`. The nodes a path may enter are the capable
+    processors, ``state.capable(room, within)``: interior nodes are those of
+    them that ``Topology._inner_adj`` lists as relays, and an endpoint that
+    is not a host must be one of them too. One pass over them weighs each
+    before the search; every other node weighs ``None`` and is never
+    entered. A Dijkstra from ``dst`` labels nodes with their least (cost,
+    hops) to it on doubled, integer link weights w_u + w_v (both endpoints
+    weigh 0: every path holds them), and stops once ``src`` is settled.
+    Labels strictly decrease along an optimal path, so stepping from
+    ``src`` to the smallest-id neighbour with a tight label gives the
     lexicographically smallest one.
 
     An active node weighs ``(state.order_of(v) & pairs).bit_count()``, where
@@ -452,27 +480,24 @@ def _greedy_path(state: ResidualState, topology: Topology, enterable, src: int, 
     ``demand``. A one-dimension view has no pairs, so SRG's active nodes
     weigh 0 without a mask.
     """
-    hosts = topology.host_set
-    if not ((src in hosts or enterable(src)) and (src == dst or dst in hosts or enterable(dst))):
-        return None
     active = state.active
     order_of = state.order_of
     dims = len(demand)
     inactive_w = dims * (dims - 1) // 2 + 1
     # the demand's pairs, at the bit positions of the state's load-order masks
     pairs = _order_bits(demand, len(next(iter(state.load.values()), demand)))
-
-    def weigh(v: int) -> int | None:  # None: v may not be entered
-        if not enterable(v):
-            return None
-        if v not in active:
-            return inactive_w
-        return (order_of(v) & pairs).bit_count() if pairs else 0
-
     n = len(topology)
+    nw: list[int | None] = [None] * n  # None: v may not be entered
+    for v in state.capable(room, within):
+        if v not in active:
+            nw[v] = inactive_w
+        else:
+            nw[v] = (order_of(v) & pairs).bit_count() if pairs else 0
+    hosts = topology.host_set
+    if not ((src in hosts or nw[src] is not None) and (dst in hosts or nw[dst] is not None)):
+        return None
     inner = topology._inner_adj
     s_adj = topology._adj[src]
-    nw: list[int | None] = [-1] * n  # -1: not weighed yet
     best = [(inf, -1)] * n  # least (cost, hops) to dst found so far
     nw[src] = nw[dst] = 0
     best[dst] = (0, 0)
@@ -487,8 +512,6 @@ def _greedy_path(state: ResidualState, topology: Topology, enterable, src: int, 
         hops += 1
         for v in (*inner[u], src) if u in s_adj else inner[u]:
             w = nw[v]
-            if w == -1:
-                w = nw[v] = weigh(v)
             if w is not None and (cost + w, hops) < best[v]:
                 best[v] = (cost + w, hops)
                 heapq.heappush(heap, (cost + w, hops, v))
@@ -532,8 +555,7 @@ def _route_greedy(topology: Topology, workload: Workload, seed: int, dims: int) 
             start = len(pending) - 1
             pick = rng.randrange(len(pending))
         flow = pending.pop(pick)
-        room = rooms[flow.id]
-        path = _greedy_path(state, topology, lambda v: fits(v, room), flow.src, flow.dst, demands[flow.id])
+        path = _greedy_path(state, topology, rooms[flow.id], flow.src, flow.dst, demands[flow.id])
         if path is not None:
             before = len(active)
             state.commit(flow.id, path, flow.demand)
@@ -564,9 +586,8 @@ def online_arrival(state: ResidualState, topology: Topology, flow: Flow) -> tupl
     topology._check_id(dst)
     state._check_dims(demand)
     room = state.room(demand)
-    fits, active = state.fits, state.active
-    path = (_greedy_path(state, topology, lambda v: v in active and fits(v, room), src, dst, demand)
-            or _greedy_path(state, topology, lambda v: fits(v, room), src, dst, demand))
+    path = (_greedy_path(state, topology, room, src, dst, demand, state.active)
+            or _greedy_path(state, topology, room, src, dst, demand))
     if path is None:
         return None
     state.commit(flow.id, path, demand)

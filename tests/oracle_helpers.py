@@ -126,11 +126,12 @@ def with_hosts(topology, rng):
 # pick scan skipped flows bound to fail again, lazy reachability and the
 # dead-end skip, with two intended changes since: hosts never relay, so no
 # host is ever an allowed interior node; and an endpoint that is not a host
-# carries its flow, so it must be allowed too (``ends_enterable``, applied
-# to every frozen search and router below). They are slow on purpose (a set
-# and a BFS per pending flow per iteration, a link-weight dict over every
-# edge per flow); the differential tests require the library to reproduce
-# them exactly.
+# carries its flow, so it must be allowed too (``ends_enterable``, which
+# ``reference_shortest_path`` and ``is_connected`` apply themselves and
+# every other frozen search below applies first). They are slow on purpose
+# (a set and a BFS per pending flow per iteration, a link-weight dict over
+# every edge per flow); the differential tests require the library to
+# reproduce them exactly.
 
 def ends_enterable(topology, enterable, s, t):
     """Every endpoint of s and t that is not a host passes ``enterable``."""
@@ -140,9 +141,11 @@ def ends_enterable(topology, enterable, s, t):
 def reference_shortest_path(topology, allowed_nodes, link_weights, s, t):
     if link_weights is not None and link_weights and min(link_weights.values()) < 0:
         raise ValueError("link weights must be nonnegative")
+    allowed = allowed_nodes if isinstance(allowed_nodes, (set, frozenset)) else set(allowed_nodes)
+    if not ends_enterable(topology, allowed.__contains__, s, t):
+        return None
     if s == t:
         return [s]
-    allowed = allowed_nodes if isinstance(allowed_nodes, (set, frozenset)) else set(allowed_nodes)
     adj = topology._adj
     done = set()
     heap = [(0.0, 0, (s,))]
@@ -203,8 +206,7 @@ def reference_route_greedy(topology, workload, seed, view):
         pick = None
         for i, flow in enumerate(pending):
             usable = {v for v in active if capable(v, flow.demand)}
-            if (ends_enterable(topology, usable.__contains__, flow.src, flow.dst)
-                    and is_connected(topology, usable, flow.src, flow.dst)):
+            if is_connected(topology, usable, flow.src, flow.dst):
                 pick = i
                 break
         if pick is None:
@@ -215,9 +217,7 @@ def reference_route_greedy(topology, workload, seed, view):
         allowed = {v for v in procs if capable(v, demand)}
         weights = _reference_node_weights(residual, active, demand, topology, view)
         link_w = node_to_link_weights(topology, weights)
-        path = None
-        if ends_enterable(topology, allowed.__contains__, flow.src, flow.dst):
-            path = reference_shortest_path(topology, allowed, link_w, flow.src, flow.dst)
+        path = reference_shortest_path(topology, allowed, link_w, flow.src, flow.dst)
         if path is None:
             unrouted.add(flow.id)
             continue
@@ -306,13 +306,10 @@ def reference_online_arrival(state, topology, flow):
     weights = _reference_node_weights(state.residual, state.active, demand, topology, tuple(range(dims)))
     link_w = node_to_link_weights(topology, weights)
     allowed = {v for v in topology.processor_ids if capable(v)}
-    if (ends_enterable(topology, usable_active.__contains__, flow.src, flow.dst)
-            and is_connected(topology, usable_active, flow.src, flow.dst)):
+    if is_connected(topology, usable_active, flow.src, flow.dst):
         path = reference_shortest_path(topology, usable_active, link_w, flow.src, flow.dst)
-    elif ends_enterable(topology, allowed.__contains__, flow.src, flow.dst):
-        path = reference_shortest_path(topology, allowed, link_w, flow.src, flow.dst)
     else:
-        path = None
+        path = reference_shortest_path(topology, allowed, link_w, flow.src, flow.dst)
     if path is None:
         return None
     state.commit(flow.id, path, demand)

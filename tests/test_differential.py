@@ -43,7 +43,6 @@ from greenroute.mrg import _greedy_path, _sample_shortest
 
 from oracle_helpers import (
     ReferenceState,
-    ends_enterable,
     graph_with_leaves,
     reference_greedy_path,
     reference_hop_shortest_lex,
@@ -228,13 +227,11 @@ def _step_demand(rng, dims):
 
 
 def _assert_step_matches_reference(state, topology, src, dst, demand):
-    # the entry predicates the routers pass: active capable nodes, then capable nodes
+    # the node sets the routers pass: the active capable nodes, then every capable node
     room = [1 + CAP_TOL - d for d in demand]
-    fits, active = state.fits, state.active
-    predicates = {True: lambda v: v in active and fits(v, room), False: lambda v: fits(v, room)}
     paths = []
-    for active_only, enterable in predicates.items():
-        path = _greedy_path(state, topology, enterable, src, dst, demand)
+    for active_only in (True, False):
+        path = _greedy_path(state, topology, room, src, dst, demand, state.active if active_only else None)
         assert path == reference_greedy_path(state, topology, src, dst, demand, room, active_only)
         paths.append(path)
     return paths
@@ -402,8 +399,7 @@ def test_sample_shortest_matches_references_on_blocked_fat_trees(z):
 def _assert_reachability_agrees(topology, allowed, s, t):
     asked = []
     found = _sample_shortest(topology, _asking(allowed, asked), s, t) is not None
-    assert found == (ends_enterable(topology, allowed.__contains__, s, t)
-                     and is_connected(topology, allowed, s, t))
+    assert found == is_connected(topology, allowed, s, t)
     _assert_asked_once_and_never_a_leaf(topology, asked, s, t)
     # the endpoints that are processors are asked first, until one refuses
     ends = [v for v in (s, t) if v not in topology.host_set]
@@ -415,8 +411,8 @@ def _assert_reachability_agrees(topology, allowed, s, t):
 
 def test_sample_shortest_answers_reachability():
     # The batch pick scan asks only whether a path exists; the answer must be
-    # is_connected's through the allowed processors (hosts never relay), with
-    # each processor endpoint allowed too, on the endpoints it meets:
+    # is_connected's (through the allowed processors, hosts never relay, and
+    # each processor endpoint allowed too) on the endpoints it meets:
     # processors, hosts of degree >= 2, adjacent endpoints, and a leaf whose
     # only neighbour is the other end.
     rng = random.Random(59)
@@ -575,10 +571,28 @@ def test_hgr_layer_counts_match_packer(z):
 
 
 def test_hgr_rejects_non_host_endpoints(tree4):
+    # Phase 1 checks each flow's endpoints as it reaches the flow: the first
+    # bad flow in list order is reported, its src before its dst, with the
+    # error the frozen copy raises after checking every endpoint up front
+    # (KeyError for an unknown id, ValueError for a processor).
     processor = tree4.processor_ids[0]
-    workload = Workload((Flow(0, 0, processor, (0.1,)),), 1)
-    with pytest.raises(ValueError, match="not a host"):
-        route_hgr(tree4, workload)
+    unknown = len(tree4)
+    valid = [(0, 5), (3, 9), (12, 2)]
+    cases = (((0, processor), ValueError), ((processor, 4), ValueError), ((processor, unknown), ValueError),
+             ((unknown, processor), KeyError), ((1, unknown), KeyError), ((-1, 1), KeyError))
+    for (src, dst), error in cases:
+        for before in (0, 1, 3):
+            ends = valid[:before] + [(src, dst), (unknown, 2), (2, processor)]
+            workload = Workload(tuple(Flow(i, s, t, (0.1,)) for i, (s, t) in enumerate(ends)), 1)
+            with pytest.raises(error) as raised:
+                route_hgr(tree4, workload)
+            with pytest.raises(error) as expected:
+                reference_route_hgr(tree4, workload)
+            assert type(raised.value) is type(expected.value)
+            assert str(raised.value) == str(expected.value)
+            assert str((src, dst)[src in tree4.host_set]) in str(raised.value)
+            if error is ValueError:
+                assert str(raised.value) == f"node {processor} is not a host"
 
 
 def _layer_count_two_bin_items(rng, dims):

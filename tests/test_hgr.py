@@ -293,7 +293,7 @@ def test_constructive_path_matches_generic_search(tree4):
     # hop-shortest lexicographic search on arbitrary capability states in
     # which both edge switches are activated and fit the flow, as route_hgr
     # guarantees before it asks
-    from greenroute.hgr import _route_on_tree
+    from greenroute.hgr import _tree_router
     from greenroute.mrg import CAP_TOL, ResidualState, shortest_path
 
     rng = random.Random(7)
@@ -315,7 +315,7 @@ def test_constructive_path_matches_generic_search(tree4):
             continue
         tried += 1
         room = [1 + CAP_TOL - d for d in demand]
-        constructive = _route_on_tree(tree4, ResidualState(load, set()), activated, room, src, dst)
+        constructive = _tree_router(tree4, ResidualState(load, set()), activated)(room, src, dst)
         generic = shortest_path(tree4, allowed, None, src, dst)
         assert constructive == generic
         found += generic is not None

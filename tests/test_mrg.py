@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -91,6 +92,43 @@ def test_capability_boundary_one_entry_room():
         others = [5.0] * (len(demand) - 1)
         assert ResidualState({0: [1 - demand[0], *others]}, set()).fits(0, room)
         assert not ResidualState({0: [1 - demand[0] + 2 * CAP_TOL, *others]}, set()).fits(0, room)
+
+
+def test_capable_is_the_batch_form_of_fits(tree4):
+    # Loads exactly at the room and one ulp above it, full and one-entry
+    # (SRG's) rooms, every processor, the active set and arbitrary subsets:
+    # capable returns exactly the candidates that fits admits, each once,
+    # and never a host.
+    rng = random.Random(19)
+    procs = tree4.processor_ids
+    seen = dict.fromkeys(("at room", "ulp above", "admitted", "refused"), 0)
+    for demand in _boundary_demands():
+        room = _room(demand[:1] if rng.random() < 0.3 else demand)
+        load = {}
+        for v in procs:
+            l = []
+            for k, d in enumerate(demand):
+                roll = rng.random() if k < len(room) else 1.0
+                if roll < 0.35:
+                    l.append(room[k])
+                elif roll < 0.5:
+                    l.append(math.nextafter(room[k], math.inf))
+                else:
+                    l.append(rng.uniform(0.0, 1.2))
+            load[v] = l
+        state = ResidualState(load, {v for v in procs if rng.random() < 0.5})
+        for within in (None, state.active, set(rng.sample(procs, rng.randrange(len(procs) + 1)))):
+            candidates = procs if within is None else within
+            got = state.capable(room, within)
+            expected = {v for v in candidates if state.fits(v, room)}
+            assert len(got) == len(set(got)) and set(got) == expected
+            assert tree4.host_set.isdisjoint(got)
+            seen["admitted"] += len(expected)
+            seen["refused"] += len(candidates) - len(expected)
+        seen["at room"] += sum(l[k] == room[k] for l in load.values() for k in range(len(room)))
+        seen["ulp above"] += sum(l[k] == math.nextafter(room[k], math.inf)
+                                 for l in load.values() for k in range(len(room)))
+    assert min(seen.values()) > 1000, seen
 
 
 @pytest.mark.parametrize("router, checked", ((route_srsp, 1), (route_srg, 1), (route_mrsp, 2), (route_mrg, 2)))
@@ -282,6 +320,20 @@ def test_is_connected_never_relays_through_a_host():
     assert shortest_path(topology, {2, 3, 4}, None, 0, 1) is None
     assert is_connected(topology, {3}, 0, 2)
     assert not is_connected(topology, set(), 0, 2)
+
+
+def test_references_refuse_a_processor_endpoint_outside_allowed(tree4):
+    # A processor endpoint carries the flow like any processor on the path,
+    # so it must be allowed, as every router requires; a host endpoint need not be.
+    edge = tree4._host_edge[0]
+    everything = set(range(len(tree4)))
+    for s, t in ((edge, 15), (15, edge), (edge, edge)):
+        assert not is_connected(tree4, everything - {edge}, s, t)
+        assert shortest_path(tree4, everything - {edge}, None, s, t) is None
+        assert is_connected(tree4, everything, s, t)
+        assert shortest_path(tree4, everything, None, s, t) is not None
+    assert shortest_path(tree4, {edge}, None, edge, 1) == [edge, 1]
+    assert shortest_path(tree4, {edge}, None, 0, 1) == [0, edge, 1]
 
 
 def test_bool_is_neither_a_flow_id_a_demand_nor_a_node_id(tree4):
