@@ -22,9 +22,7 @@ from .workload import Workload
 
 def _route_shortest(topology: Topology, workload: Workload, seed: int, dims: int) -> RoutingSolution:
     """Hop-minimal routing with capability checked on the first ``dims`` dimensions."""
-    for flow in workload.flows:
-        topology._check_id(flow.src)
-        topology._check_id(flow.dst)
+    topology._check_hosts(workload.flows)
     rng = random.Random(seed)
     state = ResidualState.fresh(topology, workload.dims)
     fits = state.fits

@@ -186,7 +186,12 @@ def _cmd_oracle(args) -> int:
     if args.mode == "vbp":
         opt = oracle_min_bins([f.demand for f in workload.flows])
     else:
-        opt = oracle_min_active(_oracle_topology(args, workload), workload)
+        topology = _oracle_topology(args, workload)
+        try:
+            topology._check_hosts(workload.flows)
+        except (KeyError, ValueError) as exc:
+            raise _InputError(f"{args.input}: {exc.args[0]}") from exc
+        opt = oracle_min_active(topology, workload)
     print("infeasible" if opt is None else opt)
     return 0
 

@@ -62,9 +62,6 @@ _MAX_ORACLE_ITEMS = 8
 
 def _simple_paths(topology: Topology, allowed_interior: frozenset[int], s: int, t: int):
     adj = topology._adj
-    if s == t:
-        yield [s]
-        return
     path = [s]
     seen = {s}
 
@@ -83,9 +80,6 @@ def _simple_paths(topology: Topology, allowed_interior: frozenset[int], s: int, 
 
 
 def _subset_feasible(topology: Topology, subset: frozenset[int], flows, dims: int) -> bool:
-    hosts = topology.host_set
-    if not all(v in hosts or v in subset for flow in flows for v in (flow.src, flow.dst)):
-        return False  # a processor endpoint carries its flows: it is in the subset and loaded
     loads = {v: [0.0] * dims for v in subset}
 
     def place(i: int) -> bool:
@@ -93,7 +87,7 @@ def _subset_feasible(topology: Topology, subset: frozenset[int], flows, dims: in
             return True
         flow = flows[i]
         for path in _simple_paths(topology, subset, flow.src, flow.dst):
-            on_path = [v for v in path if v in subset]
+            on_path = path[1:-1]
             if any(loads[v][k] + flow.demand[k] > 1.0 + CAP_TOL
                    for v in on_path for k in range(dims)):
                 continue
@@ -115,11 +109,13 @@ def _subset_feasible(topology: Topology, subset: frozenset[int], flows, dims: in
 def oracle_min_active(topology: Topology, workload: Workload) -> int | None:
     """Exact minimum number of load-carrying processors, or ``None`` if infeasible.
 
+    Every flow runs between two hosts (``Topology._check_hosts``).
     Enumerates processor subsets by increasing size and decides each by an
-    exhaustive search over single paths through the subset: hosts never
-    relay, and a processor endpoint is in the subset and carries its flow's
-    demand. Refuses instances beyond 12 processors or 6 flows.
+    exhaustive search over single paths through the subset, whose interior
+    processors carry the flow's demand; hosts never relay. Refuses
+    instances beyond 12 processors or 6 flows.
     """
+    topology._check_hosts(workload.flows)
     procs = topology.processor_ids
     if len(procs) > _MAX_ORACLE_PROCESSORS:
         raise ValueError(f"instance too large: {len(procs)} processors (limit {_MAX_ORACLE_PROCESSORS})")

@@ -257,9 +257,7 @@ def route_hgr(topology: Topology, workload: Workload) -> tuple[RoutingSolution, 
     for flow in flows:
         src, dst, demand = flow.src, flow.dst, flow.demand
         if src not in hosts or dst not in hosts:
-            bad = dst if src in hosts else src
-            topology._check_id(bad)
-            raise ValueError(f"node {bad} is not a host")
+            topology._check_hosts((flow,))
         e_s = edge_of[src]
         e_t = edge_of[dst]
         activated.add(e_s)

@@ -45,9 +45,9 @@ capable network when that finds none.
 
 Conventions fixed for reproducibility: capacity is normalized to 1 in every
 dimension and loads start at 0; a node is incapable of a flow iff some
-load dimension exceeds (1 + 1e-9) - demand; a processor endpoint must be
-capable like any processor on the path; hosts carry no capacity, weigh
-0, never relay a flow (``Topology._inner_adj``) and never count as active;
+load dimension exceeds (1 + 1e-9) - demand; every flow runs between two
+hosts (``Topology._check_hosts``), which carry no capacity, weigh 0, never
+relay a flow (``Topology._inner_adj``) and never count as active;
 Dijkstra breaks ties by fewer hops, then the lexicographically smallest node
 id sequence; the random pick uses Python's Mersenne Twister seeded from the
 run seed.
@@ -185,22 +185,22 @@ class ResidualState:
             raise ValueError(f"vector length mismatch: {dims} vs {len(demand)}")
 
     def commit(self, flow_id: int, path: Sequence[int], demand: Sequence[float]) -> None:
-        """Add ``demand`` to the path's processors, mark them active and record the path.
+        """Add ``demand`` to the path's interior processors, mark them active and record the path.
 
-        Drops the path's cached load-order masks.
+        Drops their cached load-order masks.
         """
         load = self.load
         active = self.active
         dim_range = range(len(demand))
-        for v in path:
-            l = load.get(v)
-            if l is not None:
-                for k in dim_range:
-                    l[k] += demand[k]
-                active.add(v)
+        inner = path[1:-1]
+        for v in inner:
+            l = load[v]
+            for k in dim_range:
+                l[k] += demand[k]
+            active.add(v)
         order = self.order
         if order:
-            for v in path:
+            for v in inner:
                 order.pop(v, None)
         self.committed[flow_id] = tuple(path)
 
@@ -282,11 +282,10 @@ def _sample_shortest(topology: Topology, enterable, s: int, t: int,
 
     With ``rng``, a uniform random draw among all hop-minimal paths; without,
     the lexicographically smallest (:func:`shortest_path` with unit
-    weights). ``enterable`` is asked at most once per node: first about each
-    endpoint that is not a host (a processor endpoint carries the flow like
-    any processor on the path), then only about the relays of
-    ``Topology._inner_adj`` (processors of degree >= 2); an endpoint is
-    entered from any of its neighbours.
+    weights). ``s`` and ``t`` are distinct hosts. ``enterable`` is asked at
+    most once per node, and only about the relays of ``Topology._inner_adj``
+    (processors of degree >= 2); an endpoint is entered from any of its
+    neighbours.
 
     The search grows whole BFS levels from s and from t and stops after the
     first level that reaches a node the other side has labelled. If the
@@ -300,11 +299,6 @@ def _sample_shortest(topology: Topology, enterable, s: int, t: int,
     most two questions: the batch pick scan, which only asks whether a path
     exists, gets its no at once when an endpoint's edge switch is full.
     """
-    hosts = topology.host_set
-    if not ((s in hosts or enterable(s)) and (s == t or t in hosts or enterable(t))):
-        return None
-    if s == t:
-        return [s]
     adj = topology._adj
     inner = topology._inner_adj
     from_s: dict[int, int] = {s: 0}  # hop distance from s
@@ -333,7 +327,7 @@ def _sample_shortest(topology: Topology, enterable, s: int, t: int,
                     continue
                 mine[v] = d
                 nxt.append(v)
-            if u in end_adj and end not in mine:  # a relay endpoint may be in from inner[u]
+            if u in end_adj and end not in mine:
                 mine[end] = d
                 nxt.append(end)
                 met = True
@@ -392,7 +386,7 @@ def shortest_path(
 
     A host is never interior, even if ``allowed_nodes`` holds it (a change
     of contract: hosts of degree >= 2 once were), and an endpoint that is a
-    processor must be in ``allowed_nodes``, as every router requires.
+    processor must be in ``allowed_nodes``; routers take hosts only.
     ``link_weights`` maps each undirected edge (u, v) with u < v to a
     nonnegative weight; ``None`` means unit weights (hop count). Ties break
     by fewer hops, then the lexicographically smallest node id sequence.
@@ -461,16 +455,15 @@ def _greedy_path(state: ResidualState, topology: Topology, room: Sequence[float]
                  demand: Sequence[float], within: Iterable[int] | None = None) -> list[int] | None:
     """One greedy routing step: :func:`shortest_path` under :func:`assign_node_weights`.
 
-    ``demand`` covers the dimensions the router sees, and ``room`` is its
-    :meth:`ResidualState.room`. The nodes a path may enter are the capable
-    processors, ``state.capable(room, within)``: interior nodes are those of
-    them that ``Topology._inner_adj`` lists as relays, and an endpoint that
-    is not a host must be one of them too. One pass over them weighs each
-    before the search; every other node weighs ``None`` and is never
-    entered. A Dijkstra from ``dst`` labels nodes with their least (cost,
-    hops) to it on doubled, integer link weights w_u + w_v (both endpoints
-    weigh 0: every path holds them), and stops once ``src`` is settled.
-    Labels strictly decrease along an optimal path, so stepping from
+    ``src`` and ``dst`` are distinct hosts, ``demand`` covers the
+    dimensions the router sees, and ``room`` is its
+    :meth:`ResidualState.room`. Interior nodes are the capable processors,
+    ``state.capable(room, within)``, that ``Topology._inner_adj`` lists as
+    relays. One pass over them weighs each before the search; every other
+    node weighs ``None`` and is never entered. A Dijkstra from ``dst``
+    labels nodes with their least (cost, hops) to it on doubled, integer
+    link weights w_u + w_v (both endpoints weigh 0: every path holds them),
+    and stops once ``src`` is settled. Labels strictly decrease along an optimal path, so stepping from
     ``src`` to the smallest-id neighbour with a tight label gives the
     lexicographically smallest one.
 
@@ -493,9 +486,6 @@ def _greedy_path(state: ResidualState, topology: Topology, room: Sequence[float]
             nw[v] = inactive_w
         else:
             nw[v] = (order_of(v) & pairs).bit_count() if pairs else 0
-    hosts = topology.host_set
-    if not ((src in hosts or nw[src] is not None) and (dst in hosts or nw[dst] is not None)):
-        return None
     inner = topology._inner_adj
     s_adj = topology._adj[src]
     best = [(inf, -1)] * n  # least (cost, hops) to dst found so far
@@ -530,9 +520,7 @@ def _greedy_path(state: ResidualState, topology: Topology, room: Sequence[float]
 def _route_greedy(topology: Topology, workload: Workload, seed: int, dims: int) -> RoutingSolution:
     """The greedy router on the first ``dims`` dimensions; loads are kept in all of them."""
     flows = workload.flows
-    for flow in flows:
-        topology._check_id(flow.src)
-        topology._check_id(flow.dst)
+    topology._check_hosts(flows)
     rng = random.Random(seed)
     state = ResidualState.fresh(topology, workload.dims)
     active = state.active
@@ -581,9 +569,8 @@ def online_arrival(state: ResidualState, topology: Topology, flow: Flow) -> tupl
     """
     if flow.id in state.committed:
         raise ValueError(f"flow {flow.id} is already routed")
+    topology._check_hosts((flow,))
     src, dst, demand = flow.src, flow.dst, flow.demand
-    topology._check_id(src)
-    topology._check_id(dst)
     state._check_dims(demand)
     room = state.room(demand)
     path = (_greedy_path(state, topology, room, src, dst, demand, state.active)
@@ -607,13 +594,12 @@ def online_departure(state: ResidualState, topology: Topology, flow: Flow, path:
     if committed != tuple(path):
         raise ValueError(f"flow {flow.id}: departure path does not match the committed path")
     state._check_dims(flow.demand)
-    for v in path:
-        l = state.load.get(v)
-        if l is not None:
-            state.order.pop(v, None)
-            for k, d in enumerate(flow.demand):
-                l[k] -= d
-            if all(abs(x) <= CAP_TOL for x in l):
-                state.load[v] = [0.0] * len(l)
-                state.active.discard(v)
+    for v in path[1:-1]:
+        state.order.pop(v, None)
+        l = state.load[v]
+        for k, d in enumerate(flow.demand):
+            l[k] -= d
+        if all(abs(x) <= CAP_TOL for x in l):
+            state.load[v] = [0.0] * len(l)
+            state.active.discard(v)
     del state.committed[flow.id]

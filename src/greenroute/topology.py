@@ -3,7 +3,8 @@
 Node id layout is fixed so that workloads and results are reproducible:
 hosts come first, then edge, aggregation and core switches, each layer in
 pod/position order. Only edge/aggregation/core nodes ("packet processors")
-carry capacity; hosts are pure traffic endpoints.
+carry capacity; hosts are pure traffic endpoints, and every flow runs
+between two of them (``Topology._check_hosts``).
 
 Routers, after checking their endpoints once, index one table per fact:
 ``_adj``, ``_inner_adj`` and, on fat-trees, ``_host_edge``, ``_host_pod``,
@@ -77,6 +78,19 @@ class Topology:
     def _check_id(self, node_id: int) -> None:
         if not (type(node_id) is int and 0 <= node_id < len(self.nodes)):  # a bool is not a node id
             raise KeyError(f"unknown node id {node_id!r}")
+
+    def _check_hosts(self, flows: Iterable) -> None:
+        """The endpoint rule of every router: each flow runs between two hosts.
+
+        Flows are checked in order, src before dst; the first offender
+        raises KeyError if it is no node (:meth:`_check_id`), else ValueError.
+        """
+        hosts = self.host_set
+        for flow in flows:
+            for v in (flow.src, flow.dst):
+                if v not in hosts:
+                    self._check_id(v)
+                    raise ValueError(f"node {v} is not a host")
 
     # -- lookup tables for routing hot loops, built on first use ---------------
 

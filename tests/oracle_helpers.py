@@ -121,6 +121,25 @@ def with_hosts(topology, rng):
     return Topology(nodes, topology.edges)
 
 
+def with_host_ends(topology, rng, leaf_share):
+    """Two endpoints s != t and the same graph with them and a random third of its nodes as hosts.
+
+    Returns (topology, s, t). With probability ``leaf_share`` one end is a
+    leaf and the other its only neighbour; otherwise the pair is uniform.
+    """
+    n = len(topology)
+    if rng.random() < leaf_share:
+        t = rng.choice([v for v in range(n) if len(topology._adj[v]) == 1])
+        s = topology._adj[t][0]
+        if rng.random() < 0.5:
+            s, t = t, s
+    else:
+        s, t = rng.sample(range(n), 2)
+    nodes = [Node(v, NodeKind.HOST if v in (s, t) or rng.random() < 0.33 else NodeKind.EDGE, None, v)
+             for v in range(n)]
+    return Topology(nodes, topology.edges), s, t
+
+
 # -- frozen routing references -------------------------------------------------------
 # Verbatim copies of the greedy router and Dijkstra as they stood before the
 # pick scan skipped flows bound to fail again, lazy reachability and the

@@ -160,14 +160,42 @@ def test_paths_and_unrouted_partition_the_flows(name):
     assert unrouted > 0
 
 
-@pytest.mark.parametrize("router", ROUTERS.values())
-def test_routers_reject_unknown_endpoints(tree4, router):
-    # -1 must not wrap around to the last node as a negative index
-    for bad in (-1, len(tree4)):
-        for src, dst in ((bad, 0), (0, bad)):
-            w = Workload((Flow(0, src, dst, (0.1,)),), 1, z=4)
-            with pytest.raises(KeyError, match="unknown node id"):
-                router(tree4, w, seed=0)
+def _arrive_each(topology, workload, seed=0):
+    state = ResidualState.fresh(topology, workload.dims)
+    for flow in workload.flows:
+        online_arrival(state, topology, flow)
+
+
+def _oracle(topology, workload, seed=0):
+    return oracle_min_active(topology, workload)
+
+
+ENTRY_POINTS = {**{router.__name__: router for router in ROUTERS.values()},
+                "online_arrival": _arrive_each, "oracle_min_active": _oracle}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+def test_routers_reject_unknown_endpoints(entry):
+    # One endpoint rule for every router, the online path and the oracle:
+    # both endpoints are hosts. The first bad flow in list order is reported,
+    # its src before its dst: KeyError for an id that is no node (-1 must not
+    # wrap around to the last node), ValueError for a switch. A z=2 fat-tree
+    # stays within the oracle's size limit.
+    tree = build_fat_tree(2)
+    edge, unknown = tree._host_edge[0], len(tree)
+    cases = (((-1, 1), KeyError, "unknown node id -1"),
+             ((0, unknown), KeyError, f"unknown node id {unknown}"),
+             ((edge, 1), ValueError, f"node {edge} is not a host"),
+             ((0, edge), ValueError, f"node {edge} is not a host"),
+             ((edge, unknown), ValueError, f"node {edge} is not a host"),
+             ((unknown, edge), KeyError, f"unknown node id {unknown}"))
+    for (src, dst), error, message in cases:
+        for before in (0, 2):
+            ends = [(0, 1)] * before + [(src, dst), (1, -1), (edge, 0)]
+            workload = Workload(tuple(Flow(i, s, t, (0.1,)) for i, (s, t) in enumerate(ends)), 1)
+            with pytest.raises(error) as raised:
+                entry(tree, workload, 0)
+            assert type(raised.value) is error and raised.value.args == (message,)
 
 
 def test_no_router_relays_through_a_host():
@@ -183,19 +211,3 @@ def test_no_router_relays_through_a_host():
     assert online_arrival(state, topology, workload.flows[0]) is None
     assert (state.committed, state.active) == ({}, set())
     assert oracle_min_active(topology, workload) is None
-
-
-def test_every_router_capacity_checks_a_processor_endpoint():
-    # Two processors 0-1 and two flows 0 -> 1 of demand 0.6: the endpoints
-    # carry each flow like any processor on its path, so only one fits.
-    topology = Topology([Node(v, NodeKind.EDGE, None, v) for v in (0, 1)], [(0, 1)])
-    workload = Workload((Flow(0, 0, 1, (0.6,)), Flow(1, 0, 1, (0.6,))), 1)
-    for router in (route_mrg, route_srg, route_srsp, route_mrsp):
-        solution = router(topology, workload, 0)
-        assert len(solution.unrouted) == 1
-        assert solution.load == {0: (0.6,), 1: (0.6,)}
-    state = ResidualState.fresh(topology, 1)
-    assert [online_arrival(state, topology, flow) for flow in workload.flows] == [(0, 1), None]
-    assert state.load == {0: [0.6], 1: [0.6]}
-    assert oracle_min_active(topology, workload) is None
-    assert oracle_min_active(topology, Workload(workload.flows[:1], 1)) == 2

@@ -247,6 +247,21 @@ def test_oracle_topology_whose_z_does_not_match_graph_is_input_error(capsys, tmp
     assert "graph is not the z=2 fat-tree" in err
 
 
+@pytest.mark.parametrize("src, dst, message", ((99, 1, "unknown node id 99"), (-1, 1, "unknown node id -1"),
+                                               (0, 2, "node 2 is not a host")))
+def test_oracle_endpoint_that_is_not_a_host_is_input_error(capsys, tmp_path, src, dst, message):
+    # the oracle, like every router, routes flows between hosts of its
+    # topology; node 2 is one of the star's middle (edge) switches
+    tpath = tmp_path / "star.json"
+    save_topology(build_star_reduction(3).topology, tpath)
+    wpath = tmp_path / "w.jsonl"
+    save_workload(Workload((Flow(0, src, dst, (0.5,)),), 1, z=None), wpath)
+    code, out, err = run_cli(capsys, "oracle", "--mode", "eemr", "--input", str(wpath),
+                             "--topo", str(tpath))
+    assert code == 2 and out == ""
+    assert f"{wpath}: {message}" in err
+
+
 def test_console_script_installed():
     # the subprocess must import the same package as this test, installed or not
     package_root = os.path.dirname(os.path.dirname(greenroute.__file__))

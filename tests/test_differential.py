@@ -54,7 +54,7 @@ from oracle_helpers import (
     reference_shortest_path,
     reference_solution_loads,
     reference_vbp_greedy,
-    with_hosts,
+    with_host_ends,
 )
 
 # (flows, mean, std) per arity: light, then near saturation
@@ -87,25 +87,31 @@ def test_greedy_router_matches_reference(z, dims, load):
 
 
 def test_greedy_router_matches_reference_on_arbitrary_graphs():
-    # Hosts of degree >= 2, which must never relay a flow, and processor
-    # endpoints: cases a fat-tree never produces.
+    # Hosts of degree >= 2, which must never relay a flow, adjacent hosts and
+    # hosts no path joins: cases a fat-tree never produces.
     rng = random.Random(17)
+    seen = dict.fromkeys(("host of degree >= 2", "adjacent", "unrouted"), 0)
     for trial in range(150):
         n = rng.randint(4, 12)
-        kinds = [NodeKind.HOST if rng.random() < 0.4 else NodeKind.EDGE for _ in range(n)]
+        two = rng.sample(range(n), 2)  # at least two hosts
+        kinds = [NodeKind.HOST if i in two or rng.random() < 0.4 else NodeKind.EDGE for i in range(n)]
         nodes = [Node(i, kind, None, i) for i, kind in enumerate(kinds)]
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.35]
         topology = Topology(nodes, edges)
         dims = rng.randint(1, 3)
         flows = []
         for fid in range(rng.randint(1, 25)):
-            src, dst = rng.sample(range(n), 2)
+            src, dst = rng.sample(topology.host_ids, 2)
             flows.append(Flow(fid, src, dst, tuple(rng.uniform(0.05, 0.6) for _ in range(dims))))
         workload = Workload(tuple(flows), dims)
         for router, view in ((route_mrg, tuple(range(dims))), (route_srg, (0,))):
             solution = router(topology, workload, trial)
             paths, ref_unrouted, ref_load = reference_route_greedy(topology, workload, trial, view)
             assert (solution.paths, solution.unrouted, solution.load) == (paths, ref_unrouted, ref_load)
+            seen["unrouted"] += len(solution.unrouted)
+        seen["host of degree >= 2"] += any(len(topology._adj[h]) > 1 for h in topology.host_ids)
+        seen["adjacent"] += sum(flow.dst in topology._adj[flow.src] for flow in flows)
+    assert min(seen.values()) > 50, seen
 
 
 def test_greedy_router_matches_reference_with_unroutable_flows(tree4):
@@ -258,33 +264,21 @@ def test_greedy_step_matches_reference_mid_run(z, dims):
 
 
 def test_greedy_step_matches_reference_on_arbitrary_graphs():
-    # Hosts of degree >= 2, processor endpoints, adjacent endpoints, a leaf
-    # whose only neighbour is the other end, src == dst and unreachable pairs.
+    # Hosts of degree >= 2 besides the endpoints, which must never relay,
+    # adjacent endpoints, a leaf whose only neighbour is the other end and
+    # unreachable pairs.
     rng = random.Random(61)
-    seen = dict.fromkeys(("processor end", "adjacent", "only neighbour", "same", "found", "none"), 0)
+    seen = dict.fromkeys(("host of degree >= 2", "adjacent", "only neighbour", "found", "none"), 0)
     for _ in range(2000):
-        topology = with_hosts(graph_with_leaves(rng), rng)
-        n = len(topology)
+        topology, s, t = with_host_ends(graph_with_leaves(rng), rng, 0.25)
         dims = rng.randint(1, 4)
         load = {v: [rng.choice((0.0, 0.25, 0.5, 0.75, 1.0)) for _ in range(dims)]
                 for v in topology.processor_ids}
         state = ResidualState(load, {v for v in load if rng.random() < 0.6})
-        leaves = [v for v in range(n) if len(topology._adj[v]) == 1]
-        roll = rng.random()
-        if roll < 0.1:
-            s = t = rng.randrange(n)
-        elif roll < 0.35:
-            t = rng.choice(leaves)
-            s = topology._adj[t][0]
-            if rng.random() < 0.5:
-                s, t = t, s
-        else:
-            s, t = rng.sample(range(n), 2)
         paths = _assert_step_matches_reference(state, topology, s, t, _step_demand(rng, dims))
-        seen["processor end"] += not (s in topology.host_set and t in topology.host_set)
+        seen["host of degree >= 2"] += any(len(topology._adj[h]) > 1 for h in topology.host_set - {s, t})
         seen["adjacent"] += t in topology._adj[s]
         seen["only neighbour"] += topology._adj[t] == (s,) or topology._adj[s] == (t,)
-        seen["same"] += s == t
         seen["found" if any(paths) else "none"] += 1
     assert min(seen.values()) > 150, seen
 
@@ -317,10 +311,8 @@ def test_sample_shortest_matches_both_references():
     rng = random.Random(43)
     found = 0
     for _ in range(1500):
-        topology = graph_with_leaves(rng)
-        n = len(topology)
-        allowed = {v for v in range(n) if rng.random() < 0.75}
-        s, t = rng.sample(range(n), 2)
+        topology, s, t = with_host_ends(graph_with_leaves(rng), rng, 0)
+        allowed = {v for v in topology.processor_ids if rng.random() < 0.75}
         draws, ref_draws = random.Random(rng.random()), random.Random()
         ref_draws.setstate(draws.getstate())
         expected = reference_sample_shortest(topology, allowed, s, t, ref_draws)
@@ -340,24 +332,22 @@ def _asking(allowed, asked):
     return enterable
 
 
-def _assert_asked_once_and_never_a_leaf(topology, asked, s, t):
-    """No node was asked twice, and none was a leaf other than s or t, or a host."""
+def _assert_asked_once_and_never_a_leaf(topology, asked):
+    """No node was asked twice, and none was a leaf or a host."""
     assert len(asked) == len(set(asked))
-    assert all(len(topology._adj[v]) > 1 for v in asked if v not in (s, t))
+    assert all(len(topology._adj[v]) > 1 for v in asked)
     assert topology.host_set.isdisjoint(asked)
 
 
 def test_sample_shortest_asks_each_node_once_and_never_a_leaf():
     rng = random.Random(47)
     for _ in range(1500):
-        topology = graph_with_leaves(rng)
-        n = len(topology)
-        allowed = {v for v in range(n) if rng.random() < 0.75}
-        s, t = rng.sample(range(n), 2)
+        topology, s, t = with_host_ends(graph_with_leaves(rng), rng, 0)
+        allowed = {v for v in topology.processor_ids if rng.random() < 0.75}
         for draws in (random.Random(rng.random()), None):
             asked = []
             _sample_shortest(topology, _asking(allowed, asked), s, t, draws)
-            _assert_asked_once_and_never_a_leaf(topology, asked, s, t)
+            _assert_asked_once_and_never_a_leaf(topology, asked)
 
 
 def test_sample_shortest_meets_in_the_middle_on_an_idle_z16_tree():
@@ -380,15 +370,16 @@ def test_sample_shortest_matches_references_on_blocked_fat_trees(z):
     hops = []
     for _ in range(400):
         refused = rng.choice((0.2, 0.35, 0.5))
+        s, t = rng.sample(topology.host_ids, 2)
         allowed = {v for v in topology.processor_ids if rng.random() >= refused}
-        s, t = rng.sample(range(len(topology)), 2)
+        allowed |= {topology._host_edge[s], topology._host_edge[t]}  # or most pairs end at a gate
         draws, ref_draws = random.Random(rng.random()), random.Random()
         ref_draws.setstate(draws.getstate())
         expected = reference_sample_shortest(topology, allowed, s, t, ref_draws)
         asked = []
         assert _sample_shortest(topology, _asking(allowed, asked), s, t, draws) == expected
         assert draws.getstate() == ref_draws.getstate()
-        _assert_asked_once_and_never_a_leaf(topology, asked, s, t)
+        _assert_asked_once_and_never_a_leaf(topology, asked)
         lex = _sample_shortest(topology, allowed.__contains__, s, t)
         assert lex == reference_hop_shortest_lex(topology, allowed, s, t)
         hops.append(-1 if expected is None else len(expected) - 1)
@@ -396,42 +387,22 @@ def test_sample_shortest_matches_references_on_blocked_fat_trees(z):
     assert sum(h >= 8 for h in hops) > 3
 
 
-def _assert_reachability_agrees(topology, allowed, s, t):
-    asked = []
-    found = _sample_shortest(topology, _asking(allowed, asked), s, t) is not None
-    assert found == is_connected(topology, allowed, s, t)
-    _assert_asked_once_and_never_a_leaf(topology, asked, s, t)
-    # the endpoints that are processors are asked first, until one refuses
-    ends = [v for v in (s, t) if v not in topology.host_set]
-    refused = next((i for i, v in enumerate(ends) if v not in allowed), len(ends) - 1)
-    assert asked[:refused + 1] == ends[:refused + 1]
-    assert not {s, t} & set(asked[refused + 1:])
-    return found
-
-
 def test_sample_shortest_answers_reachability():
     # The batch pick scan asks only whether a path exists; the answer must be
-    # is_connected's (through the allowed processors, hosts never relay, and
-    # each processor endpoint allowed too) on the endpoints it meets:
-    # processors, hosts of degree >= 2, adjacent endpoints, and a leaf whose
-    # only neighbour is the other end.
+    # is_connected's (through the allowed processors; hosts never relay) on
+    # the host endpoints it meets: hosts of degree >= 2, adjacent endpoints,
+    # and a leaf whose only neighbour is the other end.
     rng = random.Random(59)
     seen = dict.fromkeys(("host of degree >= 2", "adjacent", "only neighbour", "found", "not found"), 0)
     for _ in range(1500):
-        topology = with_hosts(graph_with_leaves(rng), rng)
-        n = len(topology)
-        allowed = {v for v in range(n) if rng.random() < 0.6}
-        leaves = [v for v in range(n) if len(topology._adj[v]) == 1]
-        if rng.random() < 0.3:
-            t = rng.choice(leaves)
-            s = topology._adj[t][0]
-            if rng.random() < 0.5:
-                s, t = t, s
-        else:
-            s, t = rng.sample(range(n), 2)
-        found = _assert_reachability_agrees(topology, allowed, s, t)
+        topology, s, t = with_host_ends(graph_with_leaves(rng), rng, 0.3)
+        allowed = {v for v in range(len(topology)) if rng.random() < 0.6}
+        asked = []
+        found = _sample_shortest(topology, _asking(allowed, asked), s, t) is not None
+        assert found == is_connected(topology, allowed, s, t)
+        _assert_asked_once_and_never_a_leaf(topology, asked)
         seen["found" if found else "not found"] += 1
-        seen["host of degree >= 2"] += any(v in topology.host_set and len(topology._adj[v]) > 1 for v in (s, t))
+        seen["host of degree >= 2"] += any(len(topology._adj[v]) > 1 for v in (s, t))
         seen["adjacent"] += t in topology._adj[s]
         seen["only neighbour"] += topology._adj[t] == (s,) or topology._adj[s] == (t,)
     assert min(seen.values()) > 200, seen

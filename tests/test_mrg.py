@@ -323,8 +323,9 @@ def test_is_connected_never_relays_through_a_host():
 
 
 def test_references_refuse_a_processor_endpoint_outside_allowed(tree4):
-    # A processor endpoint carries the flow like any processor on the path,
-    # so it must be allowed, as every router requires; a host endpoint need not be.
+    # The references take any endpoint (routers take hosts only): a processor
+    # endpoint carries the flow like any processor on the path, so it must be
+    # allowed; a host endpoint need not be.
     edge = tree4._host_edge[0]
     everything = set(range(len(tree4)))
     for s, t in ((edge, 15), (15, edge), (edge, edge)):
