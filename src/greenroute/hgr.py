@@ -22,27 +22,24 @@ Phase 2 materializes paths, which the counts alone do not give: the
 lowest-position switches per layer are activated to the phase-1 counts, and
 each flow is routed by the lex-min hop-shortest path over activated nodes
 that fit it (state, capability rule and commit are the shared
-:class:`greenroute.mrg.ResidualState`). One path rule, built once per call
-by :func:`_tree_router` with the fat-tree's tables bound, serves a flow's
-first try and every retry: it scans the fixed 2-, 4- and 6-hop shapes in
-switch-position order and falls back to the hop search only for detours.
-A flow whose edge switches do not both fit it stays unrouted and wakes
-nothing: no activation helps it. Any other flow whose first try fails
-wakes switches one at a time and retries after each, until it routes or
-its candidate layers run out. The order is fixed before the first wake:
-round-robin over core, src-pod aggregation and dst-pod aggregation (cores
-and the dst pod only for inter-pod flows), lowest position first,
-skipping switches already activated. Waking can go beyond the estimate;
-the solution reports the processors actually carrying load, and the
+:class:`greenroute.mrg.ResidualState`). One path rule, built by
+:func:`_tree_router` with the fat-tree's tables bound, scans the fixed 2-,
+4- and 6-hop shapes in switch-position order and falls back to the hop
+search only for detours. A flow whose edge switches do not both fit it
+stays unrouted and wakes nothing: no activation helps it. Any other flow
+whose first try fails escalates by the same rule over every processor,
+woken or not: if that finds a path, its switches are activated and the
+flow is committed; if not, the flow stays unrouted. So every switch woken
+beyond phase 1 (every flow's edge switches and the estimate) carries load.
+The solution reports the processors actually carrying load, and the
 activated set is reported alongside the per-layer counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
 from operator import mul
-from typing import Sequence
+from typing import AbstractSet, Sequence
 
 from .mrg import CAP_TOL, ResidualState, RoutingSolution, _sample_shortest
 from .topology import Topology
@@ -62,8 +59,10 @@ class VbpResult:
 class LayerCounts:
     """Per-layer activation estimates plus the set phase 2 actually woke up.
 
-    Phase 1 woke the lowest ``agg_per_pod[p]`` aggregation switches of each
-    pod p and the lowest ``cores`` core switches.
+    Phase 1 woke every flow's edge switches, the lowest ``agg_per_pod[p]``
+    aggregation switches of each pod p and the lowest ``cores`` core
+    switches. Phase 2 adds only the switches of escalated paths, so every
+    switch in ``activated`` beyond those lies on a routed path.
     """
 
     agg_per_pod: tuple[int, ...]
@@ -154,7 +153,7 @@ def vbp_greedy(items: Sequence[Sequence[float]]) -> VbpResult:
     return VbpResult(len(residuals), assignment, tuple(residuals))
 
 
-def _tree_router(topology: Topology, state: ResidualState, activated: set[int]):
+def _tree_router(topology: Topology, state: ResidualState, activated: AbstractSet[int]):
     """``route(room, src, dst)``: the lex-min hop-shortest path over activated nodes that fit ``room``.
 
     Fat-tree shortest paths have fixed shapes (2, 4, or 6 hops), so the
@@ -162,8 +161,7 @@ def _tree_router(topology: Topology, state: ResidualState, activated: set[int]):
     graph search is only needed for longer detours when every minimum-length
     path is out of capacity. ``src`` and ``dst`` must be hosts whose edge
     switches are activated and fit ``room``; they are not tested again.
-    ``route`` reads ``state`` and ``activated`` as they are at each call,
-    so one router serves a flow's first try and every retry after a wake.
+    ``route`` reads ``state`` and ``activated`` as they are at each call.
     """
     fits = state.fits
     edge_of = topology._host_edge
@@ -195,23 +193,6 @@ def _tree_router(topology: Topology, state: ResidualState, activated: set[int]):
         return _sample_shortest(topology, lambda v: v in activated and fits(v, room), src, dst)
 
     return route
-
-
-def _wake_order(topology: Topology, activated: set[int], src_pod: int, dst_pod: int) -> list[int]:
-    """Switches to wake, one at a time, for a blocked flow between ``src_pod`` and ``dst_pod``.
-
-    Round-robin over the flow's candidate layers, lowest position first,
-    skipping switches already activated. Cores go first: a blocked
-    inter-pod flow is most often out of core capacity, and one extra core
-    is cheaper than waking aggregation switches in two pods.
-    """
-    aggs = topology._agg_ids
-    if src_pod == dst_pod:
-        lanes = [aggs[src_pod]]
-    else:
-        lanes = [topology._core_ids, aggs[src_pod], aggs[dst_pod]]
-    tiers = zip_longest(*([v for v in lane if v not in activated] for lane in lanes))
-    return [v for tier in tiers for v in tier if v is not None]
 
 
 def _layer_count(items: list[tuple[float, ...]], half: int) -> int:
@@ -284,6 +265,7 @@ def route_hgr(topology: Topology, workload: Workload) -> tuple[RoutingSolution, 
     state = ResidualState.fresh(topology, workload.dims)
     fits, room_of, commit = state.fits, state.room, state.commit
     route = _tree_router(topology, state, activated)
+    escalate = _tree_router(topology, state, frozenset(topology.processor_ids))
     for flow in flows:
         src, dst, demand = flow.src, flow.dst, flow.demand
         room = room_of(demand)
@@ -292,11 +274,9 @@ def route_hgr(topology: Topology, workload: Workload) -> tuple[RoutingSolution, 
             continue
         path = route(room, src, dst)
         if path is None:
-            for nxt in _wake_order(topology, activated, pod_of[src], pod_of[dst]):
-                activated.add(nxt)
-                path = route(room, src, dst)
-                if path is not None:
-                    break
-        if path is not None:
-            commit(flow.id, path, demand)
+            path = escalate(room, src, dst)
+            if path is None:
+                continue
+            activated.update(path[1:-1])
+        commit(flow.id, path, demand)
     return state.solution(flows), LayerCounts(agg_per_pod, cores, frozenset(activated))

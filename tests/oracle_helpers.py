@@ -28,7 +28,6 @@ from greenroute import (
     node_to_link_weights,
     vbp_greedy,
 )
-from greenroute.hgr import _wake_order
 from greenroute.mrg import _sample_shortest
 
 TOL = 1e-9
@@ -549,14 +548,14 @@ def reference_greedy_path(state, topology, src, dst, demand, room, active_only):
     return _reference_dijkstra(topology, src, dst, step)
 
 
-# Verbatim copy of HGR as it stood before its escalation skipped retries
-# that cannot succeed, its detour search was skipped when a pod has no way
-# out, and its layer count skipped the packer for two bins: a flow blocked
-# on the tree reruns the whole search after each switch it wakes (in the
-# library's unchanged wake order), and any layer whose demand overflows one
-# bin is packed. One intended change since: phase 1 still packs each core
-# group on its own, but wakes the lowest-position cores up to the sum of
-# the groups' counts, where it once woke each group's own slice.
+# Copy of HGR as it stood before its layer count skipped the packer for
+# two bins: any layer whose demand overflows one bin is packed. Two
+# intended changes since: phase 1 still packs each core group on its own,
+# but wakes the lowest-position cores up to the sum of the groups' counts,
+# where it once woke each group's own slice; and a flow blocked on the
+# activated switches reruns the same search once over every processor and
+# wakes that path's switches, where it once woke one switch at a time in a
+# fixed order and reran the search after each.
 
 def _reference_route_on_tree(topology, state, activated, need, src, dst):
     fits = state.fits
@@ -640,22 +639,19 @@ def reference_route_hgr(topology, workload):
     activated.update(topology._core_ids[:cores])
 
     state = ReferenceState(topology, workload.dims)
-    fits = state.fits
+    every_processor = set(topology.processor_ids)
     unrouted = set()
     for flow in flows:
         demand = flow.demand
         need = [d - CAP_TOL for d in demand]
         path = _reference_route_on_tree(topology, state, activated, need, flow.src, flow.dst)
-        # an out-of-capacity edge switch cuts the flow off; no activation helps
-        if path is None and fits(edge_of[flow.src], need) and fits(edge_of[flow.dst], need):
-            for nxt in _wake_order(topology, activated, pod_of[flow.src], pod_of[flow.dst]):
-                activated.add(nxt)
-                path = _reference_route_on_tree(topology, state, activated, need, flow.src, flow.dst)
-                if path is not None:
-                    break
         if path is None:
-            unrouted.add(flow.id)
-            continue
+            # an out-of-capacity edge switch cuts the flow off here too
+            path = _reference_route_on_tree(topology, state, every_processor, need, flow.src, flow.dst)
+            if path is None:
+                unrouted.add(flow.id)
+                continue
+            activated.update(path[1:-1])
         state.commit(flow.id, path, demand)
     load = reference_solution_loads(topology, workload, state.committed)
     active = frozenset(v for v, l in load.items() if any(l))

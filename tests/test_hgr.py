@@ -214,7 +214,7 @@ def test_hgr_reports_oversize_flows_unrouted_like_every_router(tree4):
     assert counts.agg_per_pod == (1, 0, 0, 0) and counts.cores == 0
 
 
-def test_hgr_wakes_core_then_src_agg_then_dst_agg(tree4):
+def test_hgr_escalation_wakes_only_the_switches_of_its_path(tree4):
     # z=4: hosts 4p..4p+3 in pod p, pod p's aggregation switches 24+2p (position 0)
     # and 25+2p (position 1), cores 32, 33 (behind position 0) and 34, 35.
     # The last flow, 1 -> 7 (pod 0 -> pod 1, demand 0.48), is packed in core
@@ -226,22 +226,25 @@ def test_hgr_wakes_core_then_src_agg_then_dst_agg(tree4):
     x = Flow(3, 5, 6, (0.3,))      # inside pod 1 via 26 (left with 0.2); pod 1 now packs into two bins
     edges = {16, 18, 19, 20, 22}
 
-    def activated_for(*fillers):
+    def route_last(*fillers):
         flows = fillers + (Flow(len(fillers), 1, 7, (0.48,)),)
         sol, counts = route_hgr(tree4, Workload(flows, 1, z=4))
         assert not sol.unrouted
-        return counts.activated
+        return sol.paths[len(fillers)], counts.activated
 
     # two core bins wake 32 and 33: core 32 is full for the flow, 33 carries it, nothing wakes
-    assert activated_for(g0, g1) == edges | {24, 26, 28, 30, 32, 33}
-    # three core bins wake 32-34, and 32 and 33 are both full: the 1st wake (core 35)
-    # opens nothing, the 2nd (pod 0's agg 25) opens position 1 through the estimated agg 27
-    assert activated_for(g0, g1, g2, x) == edges | {21, 23, 24, 26, 27, 28, 30, 32, 33, 34} | {35, 25}
-    # without x, pod 1 has one agg: only the 3rd wake (pod 1's agg 27) opens position 1
-    assert activated_for(g0, g1, g2) == edges | {21, 23, 24, 26, 28, 30, 32, 33, 34} | {35, 25, 27}
+    assert route_last(g0, g1) == ((1, 16, 24, 33, 26, 19, 7), edges | {24, 26, 28, 30, 32, 33})
+    # three core bins wake 32-34, and 32 and 33 are both full: the flow escalates to the
+    # lex-min path over every switch, at position 1, and wakes only pod 0's agg 25 on it;
+    # core 35 stays asleep
+    assert route_last(g0, g1, g2, x) == (
+        (1, 16, 25, 34, 27, 19, 7), edges | {21, 23, 24, 26, 27, 28, 30, 32, 33, 34} | {25})
+    # without x, pod 1 has one agg: the same path wakes pod 1's agg 27 as well
+    assert route_last(g0, g1, g2) == (
+        (1, 16, 25, 34, 27, 19, 7), edges | {21, 23, 24, 26, 28, 30, 32, 33, 34} | {25, 27})
 
 
-def test_hgr_wakes_src_pod_agg_before_dst_pod_agg():
+def test_hgr_escalation_takes_the_lowest_position_path():
     # z=6, so a pod has three aggregation switches: pod 0's are 72-74, pod 1's 75-77,
     # cores 90-92 sit behind position 0 and 93-95 behind position 1. Flow 0 stays in
     # pod 1 via 75 and leaves it 0.4; pod 1 packs into two bins (75, 76), pod 0 into
@@ -254,9 +257,30 @@ def test_hgr_wakes_src_pod_agg_before_dst_pod_agg():
     sol, counts = route_hgr(tree6, Workload(flows, 1, z=6))
     assert counts.cores == 3
     estimated = {54, 57, 58, 59, 60, 63, 66, 69} | {72, 75, 76, 78, 81, 84, 87} | {90, 91, 92}
-    # core 93 opens nothing; pod 0's agg 73 opens position 1 before pod 1's agg 77 is woken
+    # position 1 is the lowest open to flow 1: its path wakes pod 0's agg 73 and core 93
+    # and runs through pod 1's estimated agg 76, so pod 1's agg 77 stays asleep
     assert counts.activated == estimated | {93, 73}
     assert sol.paths[1] == (1, 54, 73, 93, 76, 59, 15)
+
+
+@pytest.mark.parametrize("z", (4, 8))
+def test_hgr_wakes_beyond_phase_1_only_switches_that_carry_load(z):
+    topology = build_fat_tree(z)
+    # light loads: heavier ones saturate the estimates at z/2 switches per layer
+    flows = 40 if z == 4 else 120
+    escalated = 0
+    for seed in range(40):
+        mean = (0.05, 0.1)[seed % 2]
+        workload = generate_workload(topology, flows, 3, mean, mean / 2, seed=seed)
+        sol, counts = route_hgr(topology, workload)
+        # phase 1 wakes every flow's edge switches and the estimated aggregation and core switches
+        phase1 = {topology._host_edge[h] for flow in workload.flows for h in (flow.src, flow.dst)}
+        phase1.update(v for aggs, n in zip(topology._agg_ids, counts.agg_per_pod) for v in aggs[:n])
+        phase1.update(topology._core_ids[:counts.cores])
+        woken = counts.activated - phase1
+        assert woken <= sol.active
+        escalated += bool(woken)
+    assert escalated >= 10  # inputs on which phase 2 woke switches
 
 
 def test_hgr_flow_with_full_edge_switch_is_unrouted_and_wakes_nothing(tree4):
