@@ -36,7 +36,14 @@ its dimensions (:meth:`ResidualState.order_of`), and the step builds the
 demand's ordered pairs once; a node's mask is rebuilt only after its load
 changes.
 Both routing searches live here: that Dijkstra, and the hop search, which
-also serves SRSP, MRSP and HGR's detours.
+also serves SRSP, MRSP and HGR's detours. On a fat-tree, SRSP and MRSP
+draw through :func:`_tree_draw`: every hop-minimal path there has one of
+three fixed shapes, so the draw reads the capable switches of each shape
+off the topology's tables and answers exactly as the hop search does, the
+same path and the same random draws; it falls back to that search for
+detours and for "no path". It is kept apart from HGR's fixed-shape rule,
+which takes the lex-min first fit where this draws by path counts, and
+which ran about 30% slower when both went through one shared shape function.
 
 An online arrival has no pick scan and no separate reachability test: it
 runs the greedy step on the active capable nodes alone, which finds a path
@@ -373,6 +380,70 @@ def _sample_shortest(topology: Topology, enterable, s: int, t: int,
         v = options[0] if rng is None else rng.choices(options, [count[u] for u in options])[0]
         path.append(v)
     return path
+
+
+def _tree_draw(state: ResidualState, topology: Topology, room: Sequence[float], s: int, t: int,
+               rng: random.Random) -> list[int] | None:
+    """``_sample_shortest(topology, lambda v: state.fits(v, room), s, t, rng)`` on a fat-tree.
+
+    The same path, with ``rng`` left in the same state. ``s`` and ``t`` are
+    distinct hosts. A hop-minimal path on the tree has one of three shapes:
+    through the shared edge switch, through an aggregation switch of the
+    shared pod, or up through aggregation position g, a core of group g and
+    down position g. Capability is asked in batch (:meth:`ResidualState.capable`):
+    first of both edge switches and the candidate aggregation switches, then
+    of the core group behind each position whose two aggregation switches
+    are capable. The search's walk takes one ``rng.choices`` per hop, each
+    one ``rng.random()``; a forced hop here takes that ``rng.random()``
+    alone, and the two real choices get the search's options in id order
+    and its path counts: an aggregation switch of the shared pod with
+    weight 1 each, or a position weighted by its capable cores, then one of
+    them with weight 1 each. When no path of these shapes exists, nothing
+    has been drawn yet and the hop search answers, with a detour or ``None``.
+    """
+    e, f = topology._host_edge[s], topology._host_edge[t]
+    capable = state.capable
+    draw = rng.random
+    if e == f:
+        if capable(room, (e,)):
+            draw()
+            draw()
+            return [s, e, t]
+    else:
+        pod_s, pod_t = topology._host_pod[s], topology._host_pod[t]
+        up = topology._agg_ids[pod_s]
+        if pod_s == pod_t:
+            ok = capable(room, (e, f, *up))
+            if len(ok) > 2 and ok[:2] == [e, f]:
+                aggs = ok[2:]
+                draw()
+                a = rng.choices(aggs, [1] * len(aggs))[0]
+                draw()
+                draw()
+                return [s, e, a, f, t]
+        else:
+            down = topology._agg_ids[pod_t]
+            ok = capable(room, (e, f, *up, *down))
+            if ok[:2] == [e, f]:
+                ok = set(ok)
+                half = topology.z // 2
+                cores = topology._core_ids
+                options, weights = [], []
+                for g, (a, b) in enumerate(zip(up, down)):
+                    if a in ok and b in ok:
+                        group = capable(room, cores[g * half:(g + 1) * half])
+                        if group:
+                            options.append((a, group, b))
+                            weights.append(len(group))
+                if options:
+                    draw()
+                    a, group, b = rng.choices(options, weights)[0]
+                    c = rng.choices(group, [1] * len(group))[0]
+                    draw()
+                    draw()
+                    draw()
+                    return [s, e, a, c, b, f, t]
+    return _sample_shortest(topology, lambda v: state.fits(v, room), s, t, rng)
 
 
 def shortest_path(

@@ -13,6 +13,7 @@ the committed paths.
 import heapq
 import itertools
 import random
+from operator import ge
 
 from greenroute import (
     CAP_TOL,
@@ -428,6 +429,26 @@ def reference_hop_shortest_lex(topology, allowed, s, t):
         v = min(u for u in adj[v] if dist_t.get(u, -1) == remaining)
         path.append(v)
     return path
+
+
+def reference_route_shortest(topology, workload, seed, dims):
+    """SRSP (``dims`` 1) and MRSP (all dimensions) on the frozen draw, on any graph.
+
+    Each flow in list order takes :func:`reference_sample_shortest` over the
+    processors whose residuals cover its first ``dims`` demand components.
+    Returns (paths, unrouted, loads) as :func:`reference_route_greedy` does.
+    """
+    rng = random.Random(seed)
+    state = ReferenceState(topology, workload.dims)
+    residual = state.residual
+    for flow in workload.flows:
+        need = [d - CAP_TOL for d in flow.demand[:dims]]
+        allowed = {v for v, r in residual.items() if all(map(ge, r, need))}  # ReferenceState.fits
+        path = reference_sample_shortest(topology, allowed, flow.src, flow.dst, rng)
+        if path is not None:
+            state.commit(flow.id, path, flow.demand)
+    unrouted = frozenset(flow.id for flow in workload.flows if flow.id not in state.committed)
+    return state.committed, unrouted, {v: tuple(l) for v, l in state.load.items()}
 
 
 

@@ -1,7 +1,8 @@
 """Differential tests: the fast routing paths against frozen slow references.
 
-The greedy router (MRG and SRG), its greedy step, Dijkstra and the
-hop-minimal search must reproduce the earlier implementations kept in
+The greedy router (MRG and SRG), its greedy step, Dijkstra, the
+hop-minimal search, its fat-tree draw and the shortest-path routers (SRSP
+and MRSP) must reproduce the earlier implementations kept in
 ``oracle_helpers`` exactly: same paths, same unrouted set, same loads, on
 light loads (most flows ride active nodes) and near saturation (flows go
 unrouted). The vector bin packer must return the frozen full-scan packer's
@@ -33,13 +34,15 @@ from greenroute import (
     online_departure,
     route_hgr,
     route_mrg,
+    route_mrsp,
     route_srg,
+    route_srsp,
     shortest_path,
     vbp_greedy,
 )
 from greenroute.evaluation import ROUTERS
 from greenroute.hgr import _layer_count
-from greenroute.mrg import _greedy_path, _sample_shortest
+from greenroute.mrg import _greedy_path, _sample_shortest, _tree_draw
 
 from oracle_helpers import (
     ReferenceState,
@@ -47,6 +50,7 @@ from oracle_helpers import (
     reference_greedy_path,
     reference_hop_shortest_lex,
     reference_route_hgr,
+    reference_route_shortest,
     reference_online_arrival,
     reference_online_departure,
     reference_route_greedy,
@@ -134,6 +138,46 @@ def test_greedy_router_matches_reference_with_unroutable_flows(tree4):
             assert (solution.paths, solution.unrouted, solution.load) == (paths, ref_unrouted, ref_load)
             assert solution.unrouted >= {fid for fid in never if any(demands[fid][k] > 1 for k in view)}
     assert first_pick_unroutable > 5
+
+
+def _assert_shortest_routers_match_reference(topology, workload, seed):
+    """SRSP and MRSP route as the frozen draw does; returns their unrouted counts."""
+    unrouted = []
+    for router, dims in ((route_srsp, 1), (route_mrsp, workload.dims)):
+        solution = router(topology, workload, seed)
+        paths, ref_unrouted, ref_load = reference_route_shortest(topology, workload, seed, dims)
+        assert (solution.paths, solution.unrouted, solution.load) == (paths, ref_unrouted, ref_load)
+        unrouted.append(len(ref_unrouted))
+    return unrouted
+
+
+@pytest.mark.parametrize("z, flows, mean, trials", ((4, 40, 0.15, 6), (8, 120, 0.02, 2), (16, 1440, 0.02, 1)))
+def test_shortest_path_routers_match_reference(z, flows, mean, trials):
+    # On a fat-tree both draw through _tree_draw: heavy z=4 loads leave flows
+    # unrouted; z=16 at M=1440 is bulk-z16's size, near saturation.
+    topology = build_fat_tree(z)
+    unrouted = [0, 0]
+    for trial in range(trials):
+        seed = 100 * z + trial
+        workload = generate_workload(topology, flows, 5, mean, mean, seed=seed)
+        for i, n in enumerate(_assert_shortest_routers_match_reference(topology, workload, seed + 1)):
+            unrouted[i] += n
+    if z == 4:
+        assert min(unrouted) > 0  # the instances really reach capacity
+
+
+def test_shortest_path_routers_match_reference_on_arbitrary_graphs():
+    # Graphs that are not fat-trees keep the hop search for every draw.
+    rng = random.Random(61)
+    unrouted = 0
+    for trial in range(100):
+        topology, _, _ = with_host_ends(graph_with_leaves(rng), rng, 0)
+        dims = rng.randint(1, 3)
+        flows = tuple(Flow(fid, *rng.sample(topology.host_ids, 2),
+                           tuple(rng.uniform(0.05, 0.6) for _ in range(dims)))
+                      for fid in range(rng.randint(1, 20)))
+        unrouted += sum(_assert_shortest_routers_match_reference(topology, Workload(flows, dims), trial))
+    assert unrouted > 50
 
 
 def _distinct_pair_workload(topology, flows, dims, mean, std, seed):
@@ -361,30 +405,55 @@ def test_sample_shortest_meets_in_the_middle_on_an_idle_z16_tree():
     assert len(asked) <= 100
 
 
+def _tree_branch(topology, allowed, s, t, path):
+    """Which case of :func:`_tree_draw` a draw took."""
+    if not {topology._host_edge[s], topology._host_edge[t]} <= allowed:
+        return "edge switch refused"
+    if path is None:
+        return "no path"
+    if len(path) > 7:
+        return "detour"
+    return {3: "same edge switch", 5: "intra-pod", 7: "inter-pod"}[len(path)]
+
+
 @pytest.mark.parametrize("z", (4, 6, 8))
 def test_sample_shortest_matches_references_on_blocked_fat_trees(z):
     # Switches refuse entry at random, so hop-minimal paths stretch past a
     # fat-tree's 6 hops or vanish, and the two frontiers are often the same size.
+    # The fat-tree draw, on a state whose refused switches are full, must
+    # give the same path and leave its draws in the same state.
     topology = build_fat_tree(z)
     rng = random.Random(53 + z)
     hops = []
-    for _ in range(400):
+    branches = dict.fromkeys(("same edge switch", "intra-pod", "inter-pod", "edge switch refused",
+                              "detour", "no path"), 0)
+    for trial in range(400):
         refused = rng.choice((0.2, 0.35, 0.5))
         s, t = rng.sample(topology.host_ids, 2)
         allowed = {v for v in topology.processor_ids if rng.random() >= refused}
-        allowed |= {topology._host_edge[s], topology._host_edge[t]}  # or most pairs end at a gate
-        draws, ref_draws = random.Random(rng.random()), random.Random()
+        if trial % 10:  # else an edge switch may be refused, as most pairs' would be
+            allowed |= {topology._host_edge[s], topology._host_edge[t]}
+        draws, ref_draws, tree_draws = random.Random(rng.random()), random.Random(), random.Random()
         ref_draws.setstate(draws.getstate())
+        tree_draws.setstate(draws.getstate())
         expected = reference_sample_shortest(topology, allowed, s, t, ref_draws)
         asked = []
         assert _sample_shortest(topology, _asking(allowed, asked), s, t, draws) == expected
         assert draws.getstate() == ref_draws.getstate()
         _assert_asked_once_and_never_a_leaf(topology, asked)
+        state = ResidualState.fresh(topology, 1)
+        for v in topology.processor_ids:
+            if v not in allowed:
+                state.load[v] = [1.0]
+        assert _tree_draw(state, topology, state.room((0.5,)), s, t, tree_draws) == expected
+        assert tree_draws.getstate() == ref_draws.getstate()
         lex = _sample_shortest(topology, allowed.__contains__, s, t)
         assert lex == reference_hop_shortest_lex(topology, allowed, s, t)
         hops.append(-1 if expected is None else len(expected) - 1)
+        branches[_tree_branch(topology, allowed, s, t, expected)] += 1
     assert hops.count(-1) > 20
     assert sum(h >= 8 for h in hops) > 3
+    assert min(branches.values()) > 0, branches
 
 
 def test_sample_shortest_answers_reachability():
