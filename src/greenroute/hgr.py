@@ -4,12 +4,10 @@ Phase 1 checks, flow by flow, that both endpoints are hosts, and sizes
 each layer independently: per pod, the flows entering or leaving the pod
 (intra-rack traffic and flows with a demand component above 1, which no
 switch can carry, excluded) are packed into unit bins to estimate how
-many aggregation switches the pod needs; the inter-pod flows are packed
-to size the core layer, in z/2 core groups by source host (its index in
-its pod, mod z/2) whose bin counts are summed. The split only cuts one
-instance into small ones, most of which the one-bin shortcut of
-:func:`_layer_count` settles without the packer; it has no say in which
-cores wake.
+many aggregation switches the pod needs. The core layer is not packed:
+it is sized by the L1 bound of vector packing over the inter-pod flows,
+the largest per-dimension demand sum rounded up (Caprara & Toth, 2001),
+and escalation in phase 2 wakes whatever more cores the paths need.
 The packer is a bin-centric greedy that repeatedly places the fitting item
 minimizing a weighted squared difference to the bin residual, with
 per-dimension weights proportional to total demand mass. The weights sum to
@@ -38,6 +36,7 @@ activated set is reported alongside the per-layer counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import ceil
 from operator import mul
 from typing import AbstractSet, Sequence
 
@@ -60,9 +59,10 @@ class LayerCounts:
     """Per-layer activation estimates plus the set phase 2 actually woke up.
 
     Phase 1 woke every flow's edge switches, the lowest ``agg_per_pod[p]``
-    aggregation switches of each pod p and the lowest ``cores`` core
-    switches. Phase 2 adds only the switches of escalated paths, so every
-    switch in ``activated`` beyond those lies on a routed path.
+    aggregation switches of each pod p (a packed bin count) and the lowest
+    ``cores`` core switches (the inter-pod flows' L1 bound). Phase 2 adds
+    only the switches of escalated paths, so every switch in ``activated``
+    beyond those lies on a routed path.
     """
 
     agg_per_pod: tuple[int, ...]
@@ -221,7 +221,7 @@ def _layer_count(items: list[tuple[float, ...]], half: int) -> int:
 
 
 def route_hgr(topology: Topology, workload: Workload) -> tuple[RoutingSolution, LayerCounts]:
-    """Hierarchical routing: size layers by bin packing, then materialize paths."""
+    """Hierarchical routing: pack the pods, bound the core layer, then materialize paths."""
     z = topology.z
     if z is None:
         raise ValueError("HGR requires a fat-tree topology")
@@ -230,11 +230,10 @@ def route_hgr(topology: Topology, workload: Workload) -> tuple[RoutingSolution, 
     hosts = topology.host_set
     edge_of = topology._host_edge
     pod_of = topology._host_pod
-    index_of = topology._host_index
 
     activated: set[int] = set()  # every flow's edge switches, then the phase-1 estimates
     pod_items: list[list[tuple[float, ...]]] = [[] for _ in range(z)]
-    group_items: list[list[tuple[float, ...]]] = [[] for _ in range(half)]
+    core_items: list[tuple[float, ...]] = []
     for flow in flows:
         src, dst, demand = flow.src, flow.dst, flow.demand
         if src not in hosts or dst not in hosts:
@@ -252,11 +251,14 @@ def route_hgr(topology: Topology, workload: Workload) -> tuple[RoutingSolution, 
         pod_items[src_pod].append(demand)
         if dst_pod != src_pod:
             pod_items[dst_pod].append(demand)
-            group_items[index_of[src] % half].append(demand)
+            core_items.append(demand)
     # A layer cannot wake more switches than it has; overload surfaces as
     # unrouted flows in phase 2 instead.
     agg_per_pod = tuple(_layer_count(items, half) for items in pod_items)
-    cores = sum(_layer_count(items, half) for items in group_items)
+    # The core layer's L1 bound: a core carries up to 1 + CAP_TOL in each
+    # dimension (``fits``), so rounding noise on an exact sum wakes no extra core.
+    core_load = max(map(sum, zip(*core_items)), default=0.0)
+    cores = min(half * half, ceil(core_load / (1.0 + CAP_TOL)))
 
     for aggs, count in zip(topology._agg_ids, agg_per_pod):
         activated.update(aggs[:count])

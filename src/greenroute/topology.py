@@ -8,8 +8,8 @@ between two of them (``Topology._check_hosts``).
 
 Routers, after checking their endpoints once, index one table per fact:
 ``_adj``, ``_inner_adj`` and, on fat-trees, ``_host_edge``, ``_host_pod``,
-``_host_index`` (position in the pod), ``_agg_ids[pod][pos]`` and
-``_core_ids[g * z/2 + i]`` (group g is behind aggregation position g).
+``_agg_ids[pod][pos]`` and ``_core_ids[g * z/2 + i]`` (group g is behind
+aggregation position g).
 """
 
 from __future__ import annotations
@@ -112,10 +112,6 @@ class Topology:
     @cached_property
     def _host_pod(self) -> dict[int, int]:
         return {h: h // (self.z * self.z // 4) for h in self.host_ids}
-
-    @cached_property
-    def _host_index(self) -> dict[int, int]:
-        return {h: h % (self.z * self.z // 4) for h in self.host_ids}
 
     @cached_property
     def _agg_ids(self) -> tuple[tuple[int, ...], ...]:

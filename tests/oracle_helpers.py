@@ -570,13 +570,14 @@ def reference_greedy_path(state, topology, src, dst, demand, room, active_only):
 
 
 # Copy of HGR as it stood before its layer count skipped the packer for
-# two bins: any layer whose demand overflows one bin is packed. Two
-# intended changes since: phase 1 still packs each core group on its own,
-# but wakes the lowest-position cores up to the sum of the groups' counts,
-# where it once woke each group's own slice; and a flow blocked on the
-# activated switches reruns the same search once over every processor and
-# wakes that path's switches, where it once woke one switch at a time in a
-# fixed order and reran the search after each.
+# two bins: any pod whose demand overflows one bin is packed. Two intended
+# changes since: the core layer is no longer packed by core group (source
+# host index mod z/2) with the groups' counts summed, but sized by the L1
+# bound of all inter-pod flows, and the lowest-position cores wake up to
+# that count; and a flow blocked on the activated switches reruns the same
+# search once over every processor and wakes that path's switches, where it
+# once woke one switch at a time in a fixed order and reran the search
+# after each.
 
 def _reference_route_on_tree(topology, state, activated, need, src, dst):
     fits = state.fits
@@ -617,6 +618,16 @@ def _reference_layer_count(items, half):
     return min(vbp_greedy(items).bin_count, half)
 
 
+def reference_core_count(demands, half):
+    """The core layer's L1 bound: the fewest cores, at most (z/2)^2, whose
+    capacity (1 + CAP_TOL per dimension) covers each dimension's demand sum."""
+    sums = [sum(column) for column in zip(*demands)]
+    cores = 0
+    while cores < half * half and any(total > cores * (1 + CAP_TOL) for total in sums):
+        cores += 1
+    return cores
+
+
 def reference_route_hgr(topology, workload):
     z = topology.z
     if z is None:
@@ -634,7 +645,7 @@ def reference_route_hgr(topology, workload):
 
     activated = set()  # every flow's edge switches, then the phase-1 estimates
     pod_items = [[] for _ in range(z)]
-    group_items = [[] for _ in range(half)]
+    core_items = []
     for flow in flows:
         e_s = edge_of[flow.src]
         e_t = edge_of[flow.dst]
@@ -649,11 +660,11 @@ def reference_route_hgr(topology, workload):
         pod_items[src_pod].append(flow.demand)
         if dst_pod != src_pod:
             pod_items[dst_pod].append(flow.demand)
-            group_items[topology._host_index[flow.src] % half].append(flow.demand)
+            core_items.append(flow.demand)
     # A layer cannot wake more switches than it has; overload surfaces as
     # unrouted flows in phase 2 instead.
     agg_per_pod = tuple(_reference_layer_count(items, half) for items in pod_items)
-    cores = sum(_reference_layer_count(items, half) for items in group_items)
+    cores = reference_core_count(core_items, half)
 
     for pod in range(z):
         activated.update(topology._agg_ids[pod][:agg_per_pod[pod]])

@@ -51,7 +51,7 @@ GOLDEN = {
     "heavy-mrsp": "7ea4d97d00f39d8bbd9a0a8d4951d2d0634894913532bfd603b761806e2c8298",
     "heavy-srg": "214bce1f600a76c3bd31bbd9e18a4cf1564502136d344bb9006a644c8ebd7815",
     "heavy-srsp": "02a8ca65d724c4166aa14dad60e21e28d74b66b9f464cd874abb72bd7456f1f1",
-    "mid-hgr": "d8b314366fbee146b63a6a239ea7a59ab5f224b59cff46df3b598cbd0a031d9b",
+    "mid-hgr": "1271147ff9d947efbed51d332ec54f5af4b8cb8dae512172c5afffcf36e9c9f3",
     "online-z8": "08748455bddb9f6ade85d8a9abc7b96ec5c87b6d42b62dc5114ce0542a4f7da2",
 }
 

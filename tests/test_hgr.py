@@ -15,7 +15,7 @@ from greenroute import (
 )
 from greenroute.workload import generate_workload
 
-from oracle_helpers import min_bins_by_subset_dp
+from oracle_helpers import min_bins_by_subset_dp, reference_core_count
 
 TOL = 1e-9
 
@@ -104,42 +104,30 @@ def test_vbp_never_beats_oracle_and_loads_fit():
     assert ties >= 30
 
 
-# -- core groups -------------------------------------------------------------------
+# -- core layer ----------------------------------------------------------------------
 
-def _core_group_of_single_flow(topology, src, dst):
-    # Phase 1 packs each core group on its own, so two small inter-pod flows
-    # share one core bin exactly when they are in the same group; pod 0's
-    # host g (index g) probes group g.
-    far = topology.host_ids[-1]
-    groups = []
-    for g in range(topology.z // 2):
-        flows = (Flow(0, src, dst, (0.1,)), Flow(1, g, far, (0.1,)))
-        _, counts = route_hgr(topology, Workload(flows, 1, z=topology.z))
-        if counts.cores == 1:
-            groups.append(g)
-    assert len(groups) == 1
-    return groups[0]
+def test_hgr_sizes_the_core_layer_by_its_l1_bound(tree4):
+    # z=4: hosts 4p..4p+3 in pod p, four cores. The core layer is not packed:
+    # it wakes the inter-pod flows' largest per-dimension demand sum, rounded
+    # up, and at most (z/2)^2 = 4 cores.
+    def cores(*flows, dims=1):
+        _, counts = route_hgr(tree4, Workload(flows, dims, z=4))
+        return counts.cores
 
-
-def test_core_group_mapping_z4(tree4):
-    groups = [_core_group_of_single_flow(tree4, h, 4) for h in range(4)]
-    assert groups == [0, 1, 0, 1]
-
-
-def test_core_group_mapping_balanced(tree8):
-    # uniform hosts land in each of the 4 groups in roughly equal shares
-    rng = random.Random(12)
-    counts = [0, 0, 0, 0]
-    n = 2000
-    for i in range(n):
-        src, dst = rng.sample(tree8.host_ids, 2)
-        if tree8._host_pod[src] == tree8._host_pod[dst]:
-            continue
-        counts[_core_group_of_single_flow(tree8, src, dst)] += 1
-    total = sum(counts)
-    expected = total / 4
-    chi2 = sum((c - expected) ** 2 / expected for c in counts)
-    assert chi2 < 16.27  # chi-square 0.999 quantile, 3 degrees of freedom
+    # flows that stay in their pod need no core
+    assert cores(Flow(0, 0, 2, (0.5,)), Flow(1, 4, 7, (0.5,)), Flow(2, 9, 8, (0.3,))) == 0
+    # two small inter-pod flows share one core, whichever hosts they leave from
+    for first, second in [((0, 4), (1, 8)), ((0, 4), (2, 12)), ((1, 9), (3, 13)), ((6, 10), (2, 6)),
+                          ((5, 14), (14, 1))]:
+        assert cores(Flow(0, *first, (0.1,)), Flow(1, *second, (0.1,))) == 1
+    # a sum of exactly 1 with rounding noise (0.34 + 0.56 + 0.1 > 1.0 in floating point) takes one
+    assert cores(Flow(0, 0, 4, (0.34,)), Flow(1, 1, 8, (0.56,)), Flow(2, 2, 12, (0.1,))) == 1
+    # one dimension summing past 1 takes two, however small the others are
+    assert cores(Flow(0, 0, 4, (0.6, 0.1)), Flow(1, 9, 13, (0.5, 0.1)), dims=2) == 2
+    # a heavy workload is capped at the layer's four cores
+    heavy = generate_workload(tree4, 60, 2, 0.4, 0.1, seed=1)
+    _, counts = route_hgr(tree4, heavy)
+    assert counts.cores == 4
 
 
 # -- hierarchical routing --------------------------------------------------------------
@@ -217,12 +205,12 @@ def test_hgr_reports_oversize_flows_unrouted_like_every_router(tree4):
 def test_hgr_escalation_wakes_only_the_switches_of_its_path(tree4):
     # z=4: hosts 4p..4p+3 in pod p, pod p's aggregation switches 24+2p (position 0)
     # and 25+2p (position 1), cores 32, 33 (behind position 0) and 34, 35.
-    # The last flow, 1 -> 7 (pod 0 -> pod 1, demand 0.48), is packed in core
-    # group 1, the fillers in group 0; the estimate wakes the lowest cores, up
-    # to the groups' total. Every pod packs into one bin (position 0) unless noted.
-    g0 = Flow(0, 0, 4, (0.5,))     # pod 0 -> pod 1 via 24, 32, 26
-    g1 = Flow(1, 8, 12, (0.4,))    # pod 2 -> pod 3 via 28, 32, 30: core 32 left with 0.1
-    g2 = Flow(2, 10, 14, (0.55,))  # group 0 now needs two cores; this one takes 33, left with 0.45
+    # The last flow, 1 -> 7 (pod 0 -> pod 1, demand 0.48), follows the fillers; the
+    # estimate wakes the lowest cores, as many as the inter-pod demand sum rounded
+    # up. Every pod packs into one bin (position 0) unless noted.
+    f0 = Flow(0, 0, 4, (0.5,))     # pod 0 -> pod 1 via 24, 32, 26
+    f1 = Flow(1, 8, 12, (0.4,))    # pod 2 -> pod 3 via 28, 32, 30: core 32 left with 0.1
+    f2 = Flow(2, 10, 14, (0.55,))  # pod 2 -> pod 3 via 28, 33, 30: core 33 left with 0.45
     x = Flow(3, 5, 6, (0.3,))      # inside pod 1 via 26 (left with 0.2); pod 1 now packs into two bins
     edges = {16, 18, 19, 20, 22}
 
@@ -232,31 +220,32 @@ def test_hgr_escalation_wakes_only_the_switches_of_its_path(tree4):
         assert not sol.unrouted
         return sol.paths[len(fillers)], counts.activated
 
-    # two core bins wake 32 and 33: core 32 is full for the flow, 33 carries it, nothing wakes
-    assert route_last(g0, g1) == ((1, 16, 24, 33, 26, 19, 7), edges | {24, 26, 28, 30, 32, 33})
-    # three core bins wake 32-34, and 32 and 33 are both full: the flow escalates to the
-    # lex-min path over every switch, at position 1, and wakes only pod 0's agg 25 on it;
-    # core 35 stays asleep
-    assert route_last(g0, g1, g2, x) == (
-        (1, 16, 25, 34, 27, 19, 7), edges | {21, 23, 24, 26, 27, 28, 30, 32, 33, 34} | {25})
+    # the inter-pod demands sum to 1.38, so 32 and 33 wake: core 32 is full for the flow,
+    # 33 carries it, nothing wakes
+    assert route_last(f0, f1) == ((1, 16, 24, 33, 26, 19, 7), edges | {24, 26, 28, 30, 32, 33})
+    # with f2 they sum to 1.93, still two cores, and 32 and 33 are both full: the flow
+    # escalates to the lex-min path over every switch, at position 1, and wakes only
+    # pod 0's agg 25 and core 34 on it; core 35 stays asleep
+    assert route_last(f0, f1, f2, x) == (
+        (1, 16, 25, 34, 27, 19, 7), edges | {21, 23, 24, 26, 27, 28, 30, 32, 33} | {25, 34})
     # without x, pod 1 has one agg: the same path wakes pod 1's agg 27 as well
-    assert route_last(g0, g1, g2) == (
-        (1, 16, 25, 34, 27, 19, 7), edges | {21, 23, 24, 26, 28, 30, 32, 33, 34} | {25, 27})
+    assert route_last(f0, f1, f2) == (
+        (1, 16, 25, 34, 27, 19, 7), edges | {21, 23, 24, 26, 28, 30, 32, 33} | {25, 27, 34})
 
 
 def test_hgr_escalation_takes_the_lowest_position_path():
     # z=6, so a pod has three aggregation switches: pod 0's are 72-74, pod 1's 75-77,
     # cores 90-92 sit behind position 0 and 93-95 behind position 1. Flow 0 stays in
     # pod 1 via 75 and leaves it 0.4; pod 1 packs into two bins (75, 76), pod 0 into
-    # one (72). Flow 1 (demand 0.5, core group 1) is blocked at 75. Flows 2
-    # (pod 2 -> 3, group 0) and 3 (pod 4 -> 5, group 2) are small: each group
-    # packs into one bin, so the estimate wakes the three position-0 cores 90-92.
+    # one (72). Flow 1 (demand 0.5) is blocked at 75. Flows 2 (pod 2 -> 3) and 3
+    # (pod 4 -> 5) are small: the inter-pod demands sum to 0.7, so the estimate
+    # wakes one core, 90.
     tree6 = build_fat_tree(6)
     flows = (Flow(0, 9, 12, (0.6,)), Flow(1, 1, 15, (0.5,)), Flow(2, 18, 27, (0.1,)),
              Flow(3, 38, 45, (0.1,)))
     sol, counts = route_hgr(tree6, Workload(flows, 1, z=6))
-    assert counts.cores == 3
-    estimated = {54, 57, 58, 59, 60, 63, 66, 69} | {72, 75, 76, 78, 81, 84, 87} | {90, 91, 92}
+    assert counts.cores == 1
+    estimated = {54, 57, 58, 59, 60, 63, 66, 69} | {72, 75, 76, 78, 81, 84, 87} | {90}
     # position 1 is the lowest open to flow 1: its path wakes pod 0's agg 73 and core 93
     # and runs through pod 1's estimated agg 76, so pod 1's agg 77 stays asleep
     assert counts.activated == estimated | {93, 73}
@@ -273,6 +262,11 @@ def test_hgr_wakes_beyond_phase_1_only_switches_that_carry_load(z):
         mean = (0.05, 0.1)[seed % 2]
         workload = generate_workload(topology, flows, 3, mean, mean / 2, seed=seed)
         sol, counts = route_hgr(topology, workload)
+        # the core estimate is the L1 bound of the inter-pod flows that fit a switch
+        pod = topology._host_pod
+        crossing = [flow.demand for flow in workload.flows
+                    if pod[flow.src] != pod[flow.dst] and max(flow.demand) <= 1.0]
+        assert counts.cores == reference_core_count(crossing, z // 2)
         # phase 1 wakes every flow's edge switches and the estimated aggregation and core switches
         phase1 = {topology._host_edge[h] for flow in workload.flows for h in (flow.src, flow.dst)}
         phase1.update(v for aggs, n in zip(topology._agg_ids, counts.agg_per_pod) for v in aggs[:n])
@@ -289,17 +283,17 @@ def test_hgr_flow_with_full_edge_switch_is_unrouted_and_wakes_nothing(tree4):
     flows = (Flow(0, 0, 1, (1.0,)), Flow(1, 0, 4, (0.5,)), Flow(2, 5, 1, (0.5,)))
     sol, counts = route_hgr(tree4, Workload(flows, 1, z=4))
     assert sol.unrouted == {1, 2} and sol.paths == {0: (0, 16, 1)}
-    # flows 1 and 2 fill one core bin each, in groups 0 and 1: two cores
-    assert (counts.agg_per_pod, counts.cores) == ((1, 1, 0, 0), 2)
+    # flows 1 and 2 cross pods with demands summing to 1.0: one core
+    assert (counts.agg_per_pod, counts.cores) == ((1, 1, 0, 0), 1)
     # the phase-1 set: every flow's edge switches, then the estimates' aggregation switches and cores
-    assert counts.activated == {16, 18} | {24, 26} | {32, 33}
+    assert counts.activated == {16, 18} | {24, 26} | {32}
 
 
 def test_hgr_wakes_cores_its_paths_reach(tree4):
-    # The only inter-pod flow is packed in core group 1 (host 1 has index 1),
-    # but the one core the estimate wakes is the lowest, 32, behind the
-    # position-0 aggregation switches 24 and 26 that the estimate wakes too:
-    # the flow rides it and nothing else wakes.
+    # The only inter-pod flow leaves from host 1, its rack's second host, and
+    # its demand rounds up to one core: the lowest, 32, behind the position-0
+    # aggregation switches 24 and 26 that the estimate wakes too. The flow
+    # rides it and nothing else wakes.
     sol, counts = route_hgr(tree4, Workload((Flow(0, 1, 4, (0.2,)),), 1, z=4))
     assert sol.paths[0] == (1, 16, 24, 32, 26, 18, 4)
     assert counts.activated == {16, 18, 24, 26, 32}

@@ -96,7 +96,6 @@ def test_fat_tree_tables_match_graph(z):
     assert sorted(per_pod) == list(range(z))
     for hosts in per_pod.values():
         assert hosts == sorted(hosts)
-        assert [t._host_index[h] for h in hosts] == list(range(z * z // 4))
     assert len(t._agg_ids) == z
     for p, aggs in enumerate(t._agg_ids):
         in_pod = [v for v in t.processor_ids
@@ -241,7 +240,6 @@ def test_only_build_fat_tree_sets_z():
 def test_fat_tree_helpers(tree4):
     assert tree4._host_pod[0] == 0
     assert tree4._host_pod[15] == 3
-    assert tree4._host_index[5] == 1
     assert tree4._host_edge[0] == 16
     assert tree4._agg_ids[0][0] == 24
     assert tree4._agg_ids[1] == (26, 27)
