@@ -37,13 +37,17 @@ demand's ordered pairs once; a node's mask is rebuilt only after its load
 changes.
 Both routing searches live here: that Dijkstra, and the hop search, which
 also serves SRSP, MRSP and HGR's detours. On a fat-tree, SRSP and MRSP
-draw through :func:`_tree_draw`: every hop-minimal path there has one of
-three fixed shapes, so the draw reads the capable switches of each shape
-off the topology's tables and answers exactly as the hop search does, the
-same path and the same random draws; it falls back to that search for
-detours and for "no path". It is kept apart from HGR's fixed-shape rule,
-which takes the lex-min first fit where this draws by path counts, and
-which ran about 30% slower when both went through one shared shape function.
+draw through :func:`_tree_drawer`, built once per routing call: every
+hop-minimal path there has one of three fixed shapes, so the draw reads the
+capable switches of each shape off the topology's tables and answers
+exactly as the hop search does, the same path and the same random draws;
+it falls back to that search for detours and for "no path". It tests each
+pod's aggregation switches, and each core group, as one block: a block
+whose per-dimension load maximum fits the flow is taken whole, with no
+test per switch, which leaves the output unchanged. It is kept apart from
+HGR's fixed-shape rule, which takes the lex-min first fit where this draws
+by path counts, and which ran about 30% slower when both went through one
+shared shape function.
 
 An online arrival has no pick scan and no separate reachability test: it
 runs the greedy step on the active capable nodes alone, which finds a path
@@ -382,68 +386,105 @@ def _sample_shortest(topology: Topology, enterable, s: int, t: int,
     return path
 
 
-def _tree_draw(state: ResidualState, topology: Topology, room: Sequence[float], s: int, t: int,
-               rng: random.Random) -> list[int] | None:
-    """``_sample_shortest(topology, lambda v: state.fits(v, room), s, t, rng)`` on a fat-tree.
+def _tree_drawer(state: ResidualState, topology: Topology):
+    """``draw(room, s, t, rng)``: the hop search's seeded draw over capable switches, on a fat-tree.
 
-    The same path, with ``rng`` left in the same state. ``s`` and ``t`` are
-    distinct hosts. A hop-minimal path on the tree has one of three shapes:
-    through the shared edge switch, through an aggregation switch of the
-    shared pod, or up through aggregation position g, a core of group g and
-    down position g. Capability is asked in batch (:meth:`ResidualState.capable`):
-    first of both edge switches and the candidate aggregation switches, then
-    of the core group behind each position whose two aggregation switches
-    are capable. The search's walk takes one ``rng.choices`` per hop, each
-    one ``rng.random()``; a forced hop here takes that ``rng.random()``
-    alone, and the two real choices get the search's options in id order
-    and its path counts: an aggregation switch of the shared pod with
-    weight 1 each, or a position weighted by its capable cores, then one of
-    them with weight 1 each. When no path of these shapes exists, nothing
-    has been drawn yet and the hop search answers, with a detour or ``None``.
+    ``draw`` answers as :func:`_sample_shortest` does with entry test
+    ``state.fits(v, room)``: the same path, with ``rng`` left in the same
+    state. ``s`` and ``t`` are distinct hosts. A hop-minimal path on the tree has
+    one of three shapes: through the shared edge switch, through an
+    aggregation switch of the shared pod, or up through aggregation
+    position g, a core of group g and down position g. The search's walk
+    takes one ``rng.choices`` per hop, each one ``rng.random()``; a forced
+    hop here takes that ``rng.random()`` alone, and the two real choices
+    get the search's options in id order and its path counts: an
+    aggregation switch of the shared pod with weight 1 each, or a position
+    weighted by its capable cores, then one of them with weight 1 each.
+    When no path of these shapes exists, nothing has been drawn yet and the
+    hop search answers, with a detour or ``None``.
+
+    Edge switches are tested one by one. Each pod's aggregation switches,
+    and each core group, form a block that one test may take whole: the
+    drawer keeps, per block, the per-dimension maximum of its members' loads, and
+    a block whose maximum is within ``room`` is capable whole, its members
+    in id order with no test of their own. Any other block is tested switch
+    by switch (:meth:`ResidualState.capable`). The maxima are taken from
+    the state's loads when the drawer is built, and each call first raises
+    those of the blocks on the path it returned last to that path's loads.
+    Loads only grow in a batch router, so every maximum stays at or above
+    every member's load as long as, between calls, the state's loads change
+    only by committing paths that ``draw`` returned; code that changes them
+    any other way must build a new drawer.
     """
-    e, f = topology._host_edge[s], topology._host_edge[t]
+    load = state.load
+    fits = state.fits
     capable = state.capable
-    draw = rng.random
-    if e == f:
-        if capable(room, (e,)):
-            draw()
-            draw()
+    edge_of = topology._host_edge
+    pod_of = topology._host_pod
+    half = topology.z // 2
+    cores = topology._core_ids
+    # pod p's aggregation switches are block p, core group g is block z + g
+    blocks = [*topology._agg_ids, *(cores[g * half:(g + 1) * half] for g in range(half))]
+    block_of: list[int | None] = [None] * len(topology)
+    for i, block in enumerate(blocks):
+        for v in block:
+            block_of[v] = i
+    top = [[max(column) for column in zip(*(load[v] for v in block))] for block in blocks]
+    returned: list[int] = []  # the interior of the path returned last
+
+    def members(i: int, room: Sequence[float]) -> list[int]:
+        """Block ``i``'s capable switches, in id order."""
+        if all(map(le, top[i], room)):
+            return blocks[i]
+        return capable(room, blocks[i])
+
+    def draw(room: Sequence[float], s: int, t: int, rng: random.Random) -> list[int] | None:
+        for v in returned:  # committed since the last call, or not at all
+            i = block_of[v]
+            if i is not None:
+                top[i] = list(map(max, top[i], load[v]))
+        path = shape(room, s, t, rng) or _sample_shortest(topology, lambda v: fits(v, room), s, t, rng)
+        returned[:] = () if path is None else path[1:-1]
+        return path
+
+    def shape(room: Sequence[float], s: int, t: int, rng: random.Random) -> list[int] | None:
+        """The draw over the three fixed shapes; ``None``, with nothing drawn, when none is capable."""
+        e, f = edge_of[s], edge_of[t]
+        if not (fits(e, room) and (e == f or fits(f, room))):
+            return None
+        if e == f:
+            rng.random()
+            rng.random()
             return [s, e, t]
-    else:
-        pod_s, pod_t = topology._host_pod[s], topology._host_pod[t]
-        up = topology._agg_ids[pod_s]
+        pod_s, pod_t = pod_of[s], pod_of[t]
         if pod_s == pod_t:
-            ok = capable(room, (e, f, *up))
-            if len(ok) > 2 and ok[:2] == [e, f]:
-                aggs = ok[2:]
-                draw()
-                a = rng.choices(aggs, [1] * len(aggs))[0]
-                draw()
-                draw()
-                return [s, e, a, f, t]
-        else:
-            down = topology._agg_ids[pod_t]
-            ok = capable(room, (e, f, *up, *down))
-            if ok[:2] == [e, f]:
-                ok = set(ok)
-                half = topology.z // 2
-                cores = topology._core_ids
-                options, weights = [], []
-                for g, (a, b) in enumerate(zip(up, down)):
-                    if a in ok and b in ok:
-                        group = capable(room, cores[g * half:(g + 1) * half])
-                        if group:
-                            options.append((a, group, b))
-                            weights.append(len(group))
-                if options:
-                    draw()
-                    a, group, b = rng.choices(options, weights)[0]
-                    c = rng.choices(group, [1] * len(group))[0]
-                    draw()
-                    draw()
-                    draw()
-                    return [s, e, a, c, b, f, t]
-    return _sample_shortest(topology, lambda v: state.fits(v, room), s, t, rng)
+            aggs = members(pod_s, room)
+            if not aggs:
+                return None
+            rng.random()
+            a = rng.choices(aggs)[0]
+            rng.random()
+            rng.random()
+            return [s, e, a, f, t]
+        up, down = set(members(pod_s, room)), set(members(pod_t, room))
+        options, weights = [], []
+        for g, (a, b) in enumerate(zip(blocks[pod_s], blocks[pod_t])):
+            if a in up and b in down:
+                group = members(topology.z + g, room)
+                if group:
+                    options.append((a, group, b))
+                    weights.append(len(group))
+        if not options:
+            return None
+        rng.random()
+        a, group, b = rng.choices(options, weights)[0]
+        c = rng.choices(group)[0]
+        rng.random()
+        rng.random()
+        rng.random()
+        return [s, e, a, c, b, f, t]
+
+    return draw
 
 
 def shortest_path(

@@ -13,9 +13,11 @@ perfbench reports it) and ``runs``, one entry per run with its workload,
 side, commit, seed, seconds, pair, whether it ran first, its digest and its
 raw last line. An existing FILE for the same two commits keeps its runs and
 gains the new ones, so workloads can take different pair counts. Prints,
-per workload and side, the median and quartiles of every metric, and how
-many pairs the change won on each. Not collected by pytest (the file name
-does not start with test_).
+per workload and side, the median and quartiles of every metric; and per
+metric, how many pairs the change won, next to the median and quartiles of
+the per-pair change/parent ratio, since win counts alone mislead when the
+two sides differ by 1-2%. Not collected by pytest (the file name does not
+start with test_).
 """
 
 from __future__ import annotations
@@ -44,8 +46,13 @@ def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
             "digest": digest.group(1), "last_line": json.loads(out.strip().splitlines()[-1])}
 
 
+def quartiles(values: list[float]) -> list[float]:
+    """First quartile, median and third quartile; one value stands for all three."""
+    return statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+
+
 def summary(runs: list[dict]) -> list[str]:
-    """Per workload and side, each metric's median (quartiles); per metric, pairs the change won."""
+    """Per workload and side, each metric's median (quartiles); per metric, pairs won and change/parent ratios."""
     lines = []
     for workload in dict.fromkeys(r["workload"] for r in runs):
         mine = [r for r in runs if r["workload"] == workload]
@@ -55,14 +62,22 @@ def summary(runs: list[dict]) -> list[str]:
         for side in ("parent", "change"):
             for name in mine[0]["last_line"]["metrics"]:
                 values = [r["last_line"]["metrics"][name]["value"] for r in mine if r["side"] == side]
-                q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+                q1, median, q3 = quartiles(values)
                 lines.append(f"{workload} {side} {name}: median {median:.6g} "
                              f"(quartiles {q1:.6g}-{q3:.6g}), {len(values)} runs")
         for name in mine[0]["last_line"]["metrics"]:
             both = [p for p in pairs.values() if len(p) == 2]
             higher = sum(p["change"][name]["value"] > p["parent"][name]["value"] for p in both)
             lower = sum(p["change"][name]["value"] < p["parent"][name]["value"] for p in both)
-            lines.append(f"{workload} {name}: change higher in {higher}, lower in {lower} of {len(both)} pairs")
+            ratios = [p["change"][name]["value"] / p["parent"][name]["value"]
+                      for p in both if p["parent"][name]["value"]]
+            if ratios:
+                q1, median, q3 = quartiles(ratios)
+                ratio = f"change/parent median {median:.4g} (quartiles {q1:.4g}-{q3:.4g})"
+            else:
+                ratio = "no change/parent ratio (parent reads 0)"
+            lines.append(f"{workload} {name}: change higher in {higher}, lower in {lower} of {len(both)} pairs; "
+                         f"{ratio}")
     return lines
 
 

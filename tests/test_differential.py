@@ -42,7 +42,7 @@ from greenroute import (
 )
 from greenroute.evaluation import ROUTERS
 from greenroute.hgr import _layer_count
-from greenroute.mrg import _greedy_path, _sample_shortest, _tree_draw
+from greenroute.mrg import _greedy_path, _sample_shortest, _tree_drawer
 
 from oracle_helpers import (
     ReferenceState,
@@ -154,7 +154,7 @@ def _assert_shortest_routers_match_reference(topology, workload, seed):
 
 @pytest.mark.parametrize("z, flows, mean, trials", ((4, 40, 0.15, 6), (8, 120, 0.02, 2), (16, 1440, 0.02, 1)))
 def test_shortest_path_routers_match_reference(z, flows, mean, trials):
-    # On a fat-tree both draw through _tree_draw: heavy z=4 loads leave flows
+    # On a fat-tree both draw through _tree_drawer: heavy z=4 loads leave flows
     # unrouted; z=16 at M=1440 is bulk-z16's size, near saturation.
     topology = build_fat_tree(z)
     unrouted = [0, 0]
@@ -407,7 +407,7 @@ def test_sample_shortest_meets_in_the_middle_on_an_idle_z16_tree():
 
 
 def _tree_branch(topology, allowed, s, t, path):
-    """Which case of :func:`_tree_draw` a draw took."""
+    """Which case of the :func:`_tree_drawer` draw a path came from."""
     if not {topology._host_edge[s], topology._host_edge[t]} <= allowed:
         return "edge switch refused"
     if path is None:
@@ -446,7 +446,7 @@ def test_sample_shortest_matches_references_on_blocked_fat_trees(z):
         for v in topology.processor_ids:
             if v not in allowed:
                 state.load[v] = [1.0]
-        assert _tree_draw(state, topology, state.room((0.5,)), s, t, tree_draws) == expected
+        assert _tree_drawer(state, topology)(state.room((0.5,)), s, t, tree_draws) == expected
         assert tree_draws.getstate() == ref_draws.getstate()
         lex = _sample_shortest(topology, allowed.__contains__, s, t)
         assert lex == reference_hop_shortest_lex(topology, allowed, s, t)
@@ -455,6 +455,68 @@ def test_sample_shortest_matches_references_on_blocked_fat_trees(z):
     assert hops.count(-1) > 20
     assert sum(h >= 8 for h in hops) > 3
     assert min(branches.values()) > 0, branches
+
+
+def _blocks_tested(topology, blocks, allowed, s, t):
+    """The blocks the :func:`_tree_drawer` draw tests for an s-t flow; ``allowed`` holds the processors it fits."""
+    e, f = topology._host_edge[s], topology._host_edge[t]
+    if e == f or not {e, f} <= allowed:
+        return []
+    pod_s, pod_t = topology._host_pod[s], topology._host_pod[t]
+    if pod_s == pod_t:
+        return [blocks[pod_s]]
+    z = topology.z
+    groups = [blocks[z + g] for g, (a, b) in enumerate(zip(blocks[pod_s], blocks[pod_t]))
+              if a in allowed and b in allowed]
+    return [blocks[pod_s], blocks[pod_t], *groups]
+
+
+@pytest.mark.parametrize("z, flows, mean", ((4, 60, 0.1), (8, 240, 0.1)))
+def test_tree_drawer_takes_blocks_whole_until_they_fill(z, flows, mean):
+    # One drawer serves a whole run, as in SRSP and MRSP, and each path it
+    # returns is committed. Every draw must be the frozen hop search's over
+    # the capable switches, with the same random draws. A block (a pod's
+    # aggregation switches, a core group) whose members all fit the flow is
+    # taken whole; the drawer asks the capability rule about the members of
+    # every other block it tests, and of no block taken whole.
+    topology = build_fat_tree(z)
+    half = z // 2
+    cores = topology._core_ids
+    blocks = [*map(tuple, topology._agg_ids), *(tuple(cores[g * half:(g + 1) * half]) for g in range(half))]
+    seen = {"whole": 0, "switch by switch": 0}
+    turned = unrouted = 0
+    for trial in range(3):
+        workload = generate_workload(topology, flows, 3, mean, mean, seed=700 * z + trial)
+        for dims in (1, 3):
+            state = ResidualState.fresh(topology, workload.dims)
+            capable = state.capable
+            asked = []
+            state.capable = lambda room, within: asked.append(tuple(within)) or capable(room, within)
+            draw = _tree_drawer(state, topology)
+            draws, ref_draws = random.Random(trial), random.Random(trial)
+            last = {}  # each block's kind at its last test
+            for flow in workload.flows:
+                room = state.room(flow.demand[:dims])
+                allowed = set(capable(room))
+                expected = reference_sample_shortest(topology, allowed, flow.src, flow.dst, ref_draws)
+                tested = _blocks_tested(topology, blocks, allowed, flow.src, flow.dst)
+                kinds = ["whole" if all(max(state.load[v][k] for v in b) <= r for k, r in enumerate(room))
+                         else "switch by switch" for b in tested]
+                asked.clear()
+                assert draw(room, flow.src, flow.dst, draws) == expected
+                assert draws.getstate() == ref_draws.getstate()
+                assert sorted(asked) == sorted(b for b, kind in zip(tested, kinds) if kind != "whole")
+                for b, kind in zip(tested, kinds):
+                    seen[kind] += 1
+                    turned += last.get(b) == "whole" and kind != "whole"
+                    last[b] = kind
+                if expected is None:
+                    unrouted += 1
+                else:
+                    state.commit(flow.id, expected, flow.demand)
+    assert min(seen.values()) > 0, seen
+    assert turned > 0  # blocks fill during a run
+    assert unrouted > 0
 
 
 def test_sample_shortest_answers_reachability():
