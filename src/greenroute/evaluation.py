@@ -4,17 +4,17 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import itertools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields
+from operator import le
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .baselines import route_mrsp, route_srg, route_srsp
 from .hgr import route_hgr
-from .mrg import CAP_TOL, RoutingSolution, route_mrg
+from .mrg import CAP_TOL, ResidualState, RoutingSolution, route_mrg
 from .topology import Topology, build_fat_tree
 from .workload import Workload, generate_workload
 
@@ -60,89 +60,94 @@ _MAX_ORACLE_FLOWS = 6
 _MAX_ORACLE_ITEMS = 8
 
 
-def _simple_paths(topology: Topology, allowed_interior: frozenset[int], s: int, t: int):
-    adj = topology._adj
+def _chordless_paths(topology: Topology, s: int, t: int):
+    """Every s-t path through relays (``Topology._inner_adj``) with no edge between two nonconsecutive nodes.
+
+    Such a chord would shortcut the path to one whose interior is a strict
+    subset, which wakes no more processors and loads none more (a float sum
+    of nonnegative terms never grows when a term is dropped).
+    """
+    adj, inner = topology._adj, topology._inner_adj
     path = [s]
-    seen = {s}
+    banned = {s}  # the path and the neighbours of every node on it but the last
 
     def walk(u):
-        for v in adj[u]:
-            if v == t:
-                yield path + [t]
-            elif v in allowed_interior and v not in seen:
-                path.append(v)
-                seen.add(v)
-                yield from walk(v)
-                path.pop()
-                seen.remove(v)
+        if t in adj[u]:
+            yield path + [t]
+            return  # any longer path would have the chord u-t
+        steps = [v for v in inner[u] if v not in banned]
+        fresh = [w for w in adj[u] if w not in banned]
+        banned.update(fresh)
+        for v in steps:
+            path.append(v)
+            yield from walk(v)
+            path.pop()
+        banned.difference_update(fresh)
 
     yield from walk(s)
-
-
-def _subset_feasible(topology: Topology, subset: frozenset[int], flows, dims: int) -> bool:
-    loads = {v: [0.0] * dims for v in subset}
-
-    def place(i: int) -> bool:
-        if i == len(flows):
-            return True
-        flow = flows[i]
-        for path in _simple_paths(topology, subset, flow.src, flow.dst):
-            on_path = path[1:-1]
-            if any(loads[v][k] + flow.demand[k] > 1.0 + CAP_TOL
-                   for v in on_path for k in range(dims)):
-                continue
-            for v in on_path:
-                l = loads[v]
-                for k in range(dims):
-                    l[k] += flow.demand[k]
-            if place(i + 1):
-                return True
-            for v in on_path:
-                l = loads[v]
-                for k in range(dims):
-                    l[k] -= flow.demand[k]
-        return False
-
-    return place(0)
 
 
 def oracle_min_active(topology: Topology, workload: Workload) -> int | None:
     """Exact minimum number of load-carrying processors, or ``None`` if infeasible.
 
-    Every flow runs between two hosts (``Topology._check_hosts``).
-    Enumerates processor subsets by increasing size and decides each by an
-    exhaustive search over single paths through the subset, whose interior
-    processors carry the flow's demand; hosts never relay. Refuses
-    instances beyond 12 processors or 6 flows.
+    Every flow runs between two hosts (``Topology._check_hosts``). A branch
+    and bound on a ``ResidualState``: each flow, in order, tries every
+    chordless path (:func:`_chordless_paths`; hosts never relay) whose
+    interior processors all ``fit`` its ``room``, the routers' rule, and
+    skips a path that would wake as many processors as the best complete
+    placement found so far. A branch is undone by putting back the saved
+    load lists. Refuses instances beyond 12 processors or 6 flows.
     """
     topology._check_hosts(workload.flows)
     procs = topology.processor_ids
     if len(procs) > _MAX_ORACLE_PROCESSORS:
         raise ValueError(f"instance too large: {len(procs)} processors (limit {_MAX_ORACLE_PROCESSORS})")
-    if len(workload.flows) > _MAX_ORACLE_FLOWS:
-        raise ValueError(f"instance too large: {len(workload.flows)} flows (limit {_MAX_ORACLE_FLOWS})")
-    if not workload.flows:
-        return 0
-    for size in range(len(procs) + 1):
-        for subset in itertools.combinations(procs, size):
-            if _subset_feasible(topology, frozenset(subset), workload.flows, workload.dims):
-                return size
-    return None
+    flows = workload.flows
+    if len(flows) > _MAX_ORACLE_FLOWS:
+        raise ValueError(f"instance too large: {len(flows)} flows (limit {_MAX_ORACLE_FLOWS})")
+    state = ResidualState.fresh(topology, workload.dims)
+    load, active, fits, commit = state.load, state.active, state.fits, state.commit
+    options = [(flow, state.room(flow.demand),
+                [(path, path[1:-1]) for path in _chordless_paths(topology, flow.src, flow.dst)])
+               for flow in flows]
+    best = len(procs) + 1  # no complete placement yet
+
+    def place(i: int) -> None:
+        nonlocal best
+        if i == len(flows):
+            best = len(active)
+            return
+        flow, room, paths = options[i]
+        for path, inner in paths:
+            woken = [v for v in inner if v not in active]
+            if len(active) + len(woken) >= best or not all(fits(v, room) for v in inner):
+                continue
+            saved = {v: load[v][:] for v in inner}
+            commit(flow.id, path, flow.demand)
+            place(i + 1)
+            load.update(saved)
+            active.difference_update(woken)
+
+    place(0)
+    return best if best <= len(procs) else None
 
 
 def oracle_min_bins(items: Sequence[Sequence[float]]) -> int | None:
-    """Exact minimum unit-bin count (at most 8 items); ``None`` if an item has a component above 1."""
+    """Exact minimum unit-bin count (at most 8 items); ``None`` if an item fits no empty bin.
+
+    A branch and bound over bins held as load lists: a bin takes an item when
+    its load is within the item's ``ResidualState.room`` (the routers' rule),
+    so an item fits no empty bin exactly when a component exceeds 1 + CAP_TOL.
+    """
     items = [tuple(float(c) for c in item) for item in items]
     if len(items) > _MAX_ORACLE_ITEMS:
         raise ValueError(f"instance too large: {len(items)} items (limit {_MAX_ORACLE_ITEMS})")
     for i, item in enumerate(items):
         if any(c <= 0 for c in item):
             raise ValueError(f"item {i} has a component that is not positive: {item}")
-    if any(c > 1 for item in items for c in item):
+    rooms = [ResidualState.room(item) for item in items]
+    if any(r < 0.0 for room in rooms for r in room):
         return None
-    if not items:
-        return 0
-    dims = len(items[0])
     best = len(items)
     bins: list[list[float]] = []
 
@@ -153,14 +158,12 @@ def oracle_min_bins(items: Sequence[Sequence[float]]) -> int | None:
         if i == len(items):
             best = len(bins)
             return
-        item = items[i]
-        for b in bins:
-            if all(b[k] + item[k] <= 1.0 + CAP_TOL for k in range(dims)):
-                for k in range(dims):
-                    b[k] += item[k]
+        item, room = items[i], rooms[i]
+        for j, load in enumerate(bins):
+            if all(map(le, load, room)):
+                bins[j] = [l + c for l, c in zip(load, item)]
                 search(i + 1)
-                for k in range(dims):
-                    b[k] -= item[k]
+                bins[j] = load
         if len(bins) + 1 < best:
             bins.append(list(item))
             search(i + 1)

@@ -1,9 +1,9 @@
 """Hierarchical green routing (HGR) on fat-trees via vector bin packing.
 
-Phase 1 checks, flow by flow, that both endpoints are hosts, and sizes
-each layer independently: per pod, the flows entering or leaving the pod
-(intra-rack traffic and flows with a demand component above 1, which no
-switch can carry, excluded) are packed into unit bins to estimate how
+Every flow must run between two hosts (``Topology._check_hosts``). Phase 1
+sizes each layer independently: per pod, the flows entering or leaving the
+pod (intra-rack traffic and flows with a demand component above 1
+excluded) are packed into unit bins to estimate how
 many aggregation switches the pod needs. The core layer is not packed:
 it is sized by the L1 bound of vector packing over the inter-pod flows,
 the largest per-dimension demand sum rounded up (Caprara & Toth, 2001),
@@ -227,7 +227,7 @@ def route_hgr(topology: Topology, workload: Workload) -> tuple[RoutingSolution, 
         raise ValueError("HGR requires a fat-tree topology")
     half = z // 2
     flows = workload.flows
-    hosts = topology.host_set
+    topology._check_hosts(flows)
     edge_of = topology._host_edge
     pod_of = topology._host_pod
 
@@ -236,8 +236,6 @@ def route_hgr(topology: Topology, workload: Workload) -> tuple[RoutingSolution, 
     core_items: list[tuple[float, ...]] = []
     for flow in flows:
         src, dst, demand = flow.src, flow.dst, flow.demand
-        if src not in hosts or dst not in hosts:
-            topology._check_hosts((flow,))
         e_s = edge_of[src]
         e_t = edge_of[dst]
         activated.add(e_s)
@@ -245,7 +243,7 @@ def route_hgr(topology: Topology, workload: Workload) -> tuple[RoutingSolution, 
         if e_s == e_t:
             continue  # intra-rack: touches no aggregation or core switch
         if max(demand) > 1.0:
-            continue  # fits no switch; phase 2 reports it unrouted like any router
+            continue  # no bin holds it; phase 2 routes it by the capability rule like any router
         src_pod = pod_of[src]
         dst_pod = pod_of[dst]
         pod_items[src_pod].append(demand)

@@ -3,23 +3,24 @@
 Most of it is deliberately written with different algorithms than the
 library uses: literal pair enumeration for inversions, exhaustive simple-path
 enumeration for shortest paths, and a subset DP for exact bin packing. The
-frozen routing and packing references at the end are the library's own
-earlier code, kept so its fast or merged paths can be held to
-byte-identical output. The frozen routers keep the earlier routing state:
-residual capacities, reduced on commit, with loads summed afterwards from
-the committed paths.
+frozen routing, packing and oracle references at the end are the
+library's own earlier code, kept so its fast or merged paths can be held to
+byte-identical output, and the oracle to identical answers. The frozen
+routers keep the earlier routing state: residual capacities, reduced on
+commit, with loads summed afterwards from the committed paths.
 """
 
 import heapq
 import itertools
 import random
-from operator import ge
+from operator import ge, le
 
 from greenroute import (
     CAP_TOL,
     LayerCounts,
     Node,
     NodeKind,
+    ResidualState,
     RoutingSolution,
     Topology,
     VbpResult,
@@ -689,3 +690,46 @@ def reference_route_hgr(topology, workload):
     active = frozenset(v for v, l in load.items() if any(l))
     solution = RoutingSolution(dict(state.committed), active, frozenset(unrouted), load)
     return solution, LayerCounts(agg_per_pod, cores, frozenset(activated))
+
+
+# Copy of the routing oracle as it stood before it became one branch and
+# bound: processor subsets by increasing size, each decided by an exhaustive
+# search over single paths through the subset. Two intended changes since:
+# a processor takes a flow by the routers' rule (``ResidualState.fits`` on
+# ``ResidualState.room``), where the loads were once compared as
+# ``load + d <= 1 + CAP_TOL``; and a branch is undone by putting back the
+# saved load lists, where the demand was once subtracted again.
+
+def _reference_subset_feasible(topology, subset, flows, dims):
+    loads = {v: [0.0] * dims for v in subset}
+
+    def place(i):
+        if i == len(flows):
+            return True
+        flow = flows[i]
+        room = ResidualState.room(flow.demand)
+        for path in all_simple_paths(topology, flow.src, flow.dst, subset):
+            on_path = path[1:-1]
+            if not all(all(map(le, loads[v], room)) for v in on_path):
+                continue
+            saved = {v: loads[v] for v in on_path}
+            for v in on_path:
+                loads[v] = [l + d for l, d in zip(loads[v], flow.demand)]
+            if place(i + 1):
+                return True
+            loads.update(saved)
+        return False
+
+    return place(0)
+
+
+def reference_oracle_min_active(topology, workload):
+    """The fewest processors that carry every flow of ``workload``, or None."""
+    procs = topology.processor_ids
+    if not workload.flows:
+        return 0
+    for size in range(len(procs) + 1):
+        for subset in itertools.combinations(procs, size):
+            if _reference_subset_feasible(topology, frozenset(subset), workload.flows, workload.dims):
+                return size
+    return None

@@ -14,15 +14,17 @@ from greenroute import (
     compute_metrics,
     online_arrival,
     oracle_min_active,
+    oracle_min_bins,
     route_mrg,
     route_mrsp,
     route_srg,
     route_srsp,
+    vbp_greedy,
 )
 from greenroute.evaluation import ROUTERS
 from greenroute.workload import generate_workload
 
-from oracle_helpers import all_simple_paths
+from oracle_helpers import reference_hop_shortest_lex
 
 TOL = 1e-9
 
@@ -111,7 +113,8 @@ def test_shortest_path_baselines_are_hop_minimal(z_fixture, request):
             sol = router(topology, w, seed)
             for fid, path in sol.paths.items():
                 flow = w.flows[fid]
-                shortest = min(len(p) for p in all_simple_paths(topology, flow.src, flow.dst))
+                shortest = len(reference_hop_shortest_lex(topology, set(topology.processor_ids),
+                                                          flow.src, flow.dst))
                 assert len(path) == shortest
 
 
@@ -211,3 +214,22 @@ def test_no_router_relays_through_a_host():
     assert online_arrival(state, topology, workload.flows[0]) is None
     assert (state.committed, state.active) == ({}, set())
     assert oracle_min_active(topology, workload) is None
+
+
+def test_every_router_and_oracle_refuse_a_pair_just_over_capacity(tree2):
+    # The pair sits on the capacity boundary: load + demand rounds to exactly
+    # 1 + CAP_TOL, but the capability rule, load <= (1 + CAP_TOL) - demand,
+    # refuses the second flow in either order. On a z=2 fat-tree both flows
+    # share the one path, so every router routes one, and neither oracle may
+    # place both together.
+    demands = (0.6966314900670826, 0.3033685109329176)
+    workload = Workload(tuple(Flow(i, 0, 1, (d,)) for i, d in enumerate(demands)), 1, z=2)
+    for router in ROUTERS.values():
+        solution = router(tree2, workload, 0)
+        assert len(solution.paths) == len(solution.unrouted) == 1
+    state = ResidualState.fresh(tree2, 1)
+    assert online_arrival(state, tree2, workload.flows[0]) is not None
+    assert online_arrival(state, tree2, workload.flows[1]) is None
+    assert oracle_min_active(tree2, workload) is None
+    items = [(d,) for d in demands]
+    assert oracle_min_bins(items) == 2 == vbp_greedy(items).bin_count

@@ -23,7 +23,12 @@ from greenroute import evaluation
 from greenroute.evaluation import CSV_COLUMNS, ROUTERS
 from greenroute.workload import generate_workload
 
-from oracle_helpers import min_bins_by_subset_dp
+from oracle_helpers import (
+    min_bins_by_subset_dp,
+    random_topology,
+    reference_oracle_min_active,
+    with_hosts,
+)
 
 
 def _fake_solution(topology, active_count, dims=1):
@@ -117,6 +122,39 @@ def test_star_reduction_oracles_agree():
     items = [(0.4, 0.3), (0.2, 1.5)]
     w = Workload(tuple(Flow(i, 0, 1, d) for i, d in enumerate(items)), 2)
     assert oracle_min_active(build_star_reduction(2).topology, w) is None is oracle_min_bins(items)
+    # a component within CAP_TOL above 1 fits an idle processor, so both say 1
+    items = [(1 + 5e-10,)]
+    w = Workload((Flow(0, 0, 1, items[0]),), 1)
+    assert oracle_min_active(build_star_reduction(1).topology, w) == 1 == oracle_min_bins(items)
+
+
+def test_oracles_match_the_subset_search(tree2):
+    # the branch and bound against the earlier subset enumeration, on small
+    # host graphs, z=2 fat-trees and stars (where the packing oracle must agree)
+    rng = random.Random(11)
+
+    def workload(ends, dims):
+        flows = tuple(Flow(i, *rng.sample(ends, 2), tuple(rng.uniform(0.05, 0.8) for _ in range(dims)))
+                      for i in range(rng.randint(1, 5)))
+        return Workload(flows, dims)
+
+    for _ in range(150):
+        topology = with_hosts(random_topology(rng, rng.randint(5, 10), 0.5), rng)
+        hosts = sorted(topology.host_set)
+        if len(hosts) >= 2:
+            w = workload(hosts, rng.randint(1, 3))
+            assert oracle_min_active(topology, w) == reference_oracle_min_active(topology, w)
+    for _ in range(30):
+        w = workload((0, 1), rng.randint(1, 3))
+        assert oracle_min_active(tree2, w) == reference_oracle_min_active(tree2, w)
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        dims = rng.randint(1, 3)
+        items = [tuple(rng.uniform(0.05, 0.8) for _ in range(dims)) for _ in range(n)]
+        star = build_star_reduction(n)
+        w = Workload(tuple(Flow(i, 0, 1, d) for i, d in enumerate(items)), dims)
+        assert oracle_min_active(star.topology, w) == reference_oracle_min_active(star.topology, w) \
+            == oracle_min_bins(items)
 
 
 def test_oracle_on_smallest_fat_tree(tree2):
