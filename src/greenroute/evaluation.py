@@ -95,8 +95,12 @@ def oracle_min_active(topology: Topology, workload: Workload) -> int | None:
     chordless path (:func:`_chordless_paths`; hosts never relay) whose
     interior processors all ``fit`` its ``room``, the routers' rule, and
     skips a path that would wake as many processors as the best complete
-    placement found so far. A branch is undone by putting back the saved
-    load lists. Refuses instances beyond 12 processors or 6 flows.
+    placement found so far. Idle processors with the same ``_adj`` row are
+    twins: swapping two maps placements onto placements, so a path that
+    wakes an idle processor is tried only if no idle twin with a lower id
+    is left off it, and the minimum is unchanged. A branch is undone by
+    putting back the saved load lists. Refuses instances beyond 12
+    processors or 6 flows.
     """
     topology._check_hosts(workload.flows)
     procs = topology.processor_ids
@@ -110,6 +114,8 @@ def oracle_min_active(topology: Topology, workload: Workload) -> int | None:
     options = [(flow, state.room(flow.demand),
                 [(path, path[1:-1]) for path in _chordless_paths(topology, flow.src, flow.dst)])
                for flow in flows]
+    adj = topology._adj
+    lower_twins = {v: [u for u in procs if u < v and adj[u] == adj[v]] for v in procs}
     best = len(procs) + 1  # no complete placement yet
 
     def place(i: int) -> None:
@@ -122,6 +128,8 @@ def oracle_min_active(topology: Topology, workload: Workload) -> int | None:
             woken = [v for v in inner if v not in active]
             if len(active) + len(woken) >= best or not all(fits(v, room) for v in inner):
                 continue
+            if any(u not in active and u not in inner for v in woken for u in lower_twins[v]):
+                continue  # a lower idle twin off the path gives the same placements
             saved = {v: load[v][:] for v in inner}
             commit(flow.id, path, flow.demand)
             place(i + 1)

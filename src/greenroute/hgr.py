@@ -22,8 +22,12 @@ each flow is routed by the lex-min hop-shortest path over activated nodes
 that fit it (state, capability rule and commit are the shared
 :class:`greenroute.mrg.ResidualState`). One path rule, built by
 :func:`_tree_router` with the fat-tree's tables bound, scans the fixed 2-,
-4- and 6-hop shapes in switch-position order and falls back to the hop
-search only for detours. A flow whose edge switches do not both fit it
+4- and 6-hop shapes in switch-position order. When they are all blocked it
+refuses without a search where no detour exists (an intra-pod flow, or an
+inter-pod flow whose source or destination pod has no position with an
+aggregation switch and a core that fit), builds the 10-hop detour through
+one third pod by shape, and leaves only longer detours and "no path" to
+the hop search. A flow whose edge switches do not both fit it
 stays unrouted and wakes nothing: no activation helps it. Any other flow
 whose first try fails escalates by the same rule over every processor,
 woken or not: if that finds a path, its switches are activated and the
@@ -36,8 +40,9 @@ activated set is reported alongside the per-layer counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from math import ceil
-from operator import mul
+from operator import le, lt, mul
 from typing import AbstractSet, Sequence
 
 from .mrg import CAP_TOL, ResidualState, RoutingSolution, _sample_shortest
@@ -104,10 +109,12 @@ def vbp_greedy(items: Sequence[Sequence[float]]) -> VbpResult:
     the skipped items cannot score lower or tie, so the pick is exactly the
     full scan's.
     """
-    items = [tuple(float(c) for c in item) for item in items]
-    for i, item in enumerate(items):
-        if not all(0 < c <= 1 for c in item):
-            raise ValueError(f"item {i} does not fit a unit bin: {item}")
+    items = [tuple(map(float, item)) for item in items]
+    flat = list(chain.from_iterable(items))
+    if not (all(map(lt, repeat(0.0), flat)) and all(map(le, flat, repeat(1.0)))):  # refuses NaN too
+        for i, item in enumerate(items):
+            if not all(0 < c <= 1 for c in item):
+                raise ValueError(f"item {i} does not fit a unit bin: {item}")
     if not items:
         return VbpResult(0, {}, ())
     alphas = dimension_weights(items)
@@ -156,20 +163,46 @@ def vbp_greedy(items: Sequence[Sequence[float]]) -> VbpResult:
 def _tree_router(topology: Topology, state: ResidualState, activated: AbstractSet[int]):
     """``route(room, src, dst)``: the lex-min hop-shortest path over activated nodes that fit ``room``.
 
+    ``src`` and ``dst`` must be hosts whose edge switches are activated and
+    fit ``room``; they are not tested again. ``route`` reads ``state`` and
+    ``activated`` as they are at each call. Below, a node is *usable* when
+    it is activated and fits ``room``, and a position g is usable in a pod
+    when that pod's aggregation switch at g and some core of group g are.
+
     Fat-tree shortest paths have fixed shapes (2, 4, or 6 hops), so the
-    lex-min one can be picked by scanning switch positions in id order; a
-    graph search is only needed for longer detours when every minimum-length
-    path is out of capacity. ``src`` and ``dst`` must be hosts whose edge
-    switches are activated and fit ``room``; they are not tested again.
-    ``route`` reads ``state`` and ``activated`` as they are at each call.
+    lex-min one is picked by scanning switch positions in id order. Every
+    path leaves an edge switch through an aggregation switch of its pod,
+    which reaches every edge switch of the pod, so an intra-pod flow with
+    no 4-hop path has no path. An inter-pod flow with no 6-hop path has no
+    8-hop one either: each such path holds the switches of a 6-hop path.
+    Each of its paths leaves the source pod, and enters the destination
+    pod, through a usable position, so without one on either side it has
+    none. Otherwise each 10-hop path climbs at a usable source position g1,
+    comes down in a third pod x, crosses x through an edge switch, climbs
+    again at a usable destination position g2 and comes down in the
+    destination pod: ``[src, e_s, a_s(g1), c1, a_x(g1), e_x, a_x(g2), c2,
+    a_t(g2), e_t, dst]``. Ids grow with the position, the pod and the
+    switch, so the lowest g1 that some x completes, then the lowest core
+    of g1, the lowest such x, its lowest usable edge switch, the lowest g2
+    and its lowest core give the lex-min one. Only longer detours, through
+    two or more third pods, and "no path" are left to the hop search.
     """
     fits = state.fits
     edge_of = topology._host_edge
     pod_of = topology._host_pod
+    edge_ids = topology._edge_ids
     agg_ids = topology._agg_ids
     half = topology.z // 2
+    pods = range(topology.z)
     cores = topology._core_ids
     core_groups = [cores[pos * half:(pos + 1) * half] for pos in range(half)]
+
+    def first_fit(nodes: Sequence[int], room: Sequence[float]) -> int | None:
+        """The lowest usable node of ``nodes``, or ``None``."""
+        for v in nodes:
+            if v in activated and fits(v, room):
+                return v
+        return None
 
     def route(room: Sequence[float], src: int, dst: int) -> list[int] | None:
         e_s = edge_of[src]
@@ -182,14 +215,51 @@ def _tree_router(topology: Topology, state: ResidualState, activated: AbstractSe
             for a in agg_ids[src_pod]:
                 if a in activated and fits(a, room):
                     return [src, e_s, a, e_t, dst]
-        else:
-            for a_s, a_t, group in zip(agg_ids[src_pod], agg_ids[dst_pod], core_groups):
-                if not (a_s in activated and fits(a_s, room) and a_t in activated and fits(a_t, room)):
+            return None
+        for a_s, a_t, group in zip(agg_ids[src_pod], agg_ids[dst_pod], core_groups):
+            if not (a_s in activated and fits(a_s, room) and a_t in activated and fits(a_t, room)):
+                continue
+            for core in group:
+                if core in activated and fits(core, room):
+                    return [src, e_s, a_s, core, a_t, e_t, dst]
+        return detour(room, src, dst, e_s, e_t, src_pod, dst_pod)
+
+    def detour(room: Sequence[float], src: int, dst: int, e_s: int, e_t: int,
+               src_pod: int, dst_pod: int) -> list[int] | None:
+        """The lex-min path of an inter-pod flow that has no 6-hop path."""
+        lowest: dict[int, int | None] = {}  # per position, its lowest usable core
+
+        def core_at(g: int) -> int | None:
+            if g not in lowest:
+                lowest[g] = first_fit(core_groups[g], room)
+            return lowest[g]
+
+        aggs_s, aggs_t = agg_ids[src_pod], agg_ids[dst_pod]
+        up = [g for g, a in enumerate(aggs_s) if a in activated and fits(a, room) and core_at(g) is not None]
+        if not up:
+            return None
+        down = [g for g, a in enumerate(aggs_t) if a in activated and fits(a, room) and core_at(g) is not None]
+        if not down:
+            return None
+        legs: dict[int, tuple[int, int] | None] = {}  # per third pod, its (e_x, g2)
+
+        def leg(x: int) -> tuple[int, int] | None:
+            if x not in legs:
+                aggs_x = agg_ids[x]
+                g2 = next((g for g in down if aggs_x[g] in activated and fits(aggs_x[g], room)), None)
+                e_x = None if g2 is None else first_fit(edge_ids[x], room)
+                legs[x] = None if e_x is None else (e_x, g2)
+            return legs[x]
+
+        for g1 in up:
+            for x in pods:
+                if x == src_pod or x == dst_pod:
                     continue
-                for core in group:
-                    if core in activated and fits(core, room):
-                        return [src, e_s, a_s, core, a_t, e_t, dst]
-        # every minimum-length path is blocked; look for longer detours
+                a_x = agg_ids[x][g1]
+                if a_x in activated and fits(a_x, room) and (found := leg(x)) is not None:
+                    e_x, g2 = found
+                    return [src, e_s, aggs_s[g1], core_at(g1), a_x, e_x, agg_ids[x][g2], core_at(g2),
+                            aggs_t[g2], e_t, dst]
         return _sample_shortest(topology, lambda v: v in activated and fits(v, room), src, dst)
 
     return route

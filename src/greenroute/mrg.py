@@ -408,9 +408,12 @@ def _tree_drawer(state: ResidualState, topology: Topology):
     drawer keeps, per block, the per-dimension maximum of its members' loads, and
     a block whose maximum is within ``room`` is capable whole, its members
     in id order with no test of their own. Any other block is tested switch
-    by switch (:meth:`ResidualState.capable`). The maxima are taken from
-    the state's loads when the drawer is built, and each call first raises
-    those of the blocks on the path it returned last to that path's loads.
+    by switch (:meth:`ResidualState.capable`). The whole core layer is one
+    more block: when the maximum over the core groups' maxima is within
+    ``room``, every group is taken whole with no test of its own. The
+    maxima are taken from the state's loads when the drawer is built, and
+    each call first raises those of the blocks on the path it returned last
+    to that path's loads.
     Loads only grow in a batch router, so every maximum stays at or above
     every member's load as long as, between calls, the state's loads change
     only by committing paths that ``draw`` returned; code that changes them
@@ -421,7 +424,8 @@ def _tree_drawer(state: ResidualState, topology: Topology):
     capable = state.capable
     edge_of = topology._host_edge
     pod_of = topology._host_pod
-    half = topology.z // 2
+    z = topology.z
+    half = z // 2
     cores = topology._core_ids
     # pod p's aggregation switches are block p, core group g is block z + g
     blocks = [*topology._agg_ids, *(cores[g * half:(g + 1) * half] for g in range(half))]
@@ -430,6 +434,7 @@ def _tree_drawer(state: ResidualState, topology: Topology):
         for v in block:
             block_of[v] = i
     top = [[max(column) for column in zip(*(load[v] for v in block))] for block in blocks]
+    core_top = [max(column) for column in zip(*top[z:])]  # the whole core layer's maximum
     returned: list[int] = []  # the interior of the path returned last
 
     def members(i: int, room: Sequence[float]) -> list[int]:
@@ -443,6 +448,8 @@ def _tree_drawer(state: ResidualState, topology: Topology):
             i = block_of[v]
             if i is not None:
                 top[i] = list(map(max, top[i], load[v]))
+                if i >= z:
+                    core_top[:] = map(max, core_top, top[i])
         path = shape(room, s, t, rng) or _sample_shortest(topology, lambda v: fits(v, room), s, t, rng)
         returned[:] = () if path is None else path[1:-1]
         return path
@@ -467,10 +474,11 @@ def _tree_drawer(state: ResidualState, topology: Topology):
             rng.random()
             return [s, e, a, f, t]
         up, down = set(members(pod_s, room)), set(members(pod_t, room))
+        layer_whole = all(map(le, core_top, room))  # then so is every core group
         options, weights = [], []
         for g, (a, b) in enumerate(zip(blocks[pod_s], blocks[pod_t])):
             if a in up and b in down:
-                group = members(topology.z + g, room)
+                group = blocks[z + g] if layer_whole else members(z + g, room)
                 if group:
                     options.append((a, group, b))
                     weights.append(len(group))

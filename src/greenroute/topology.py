@@ -8,8 +8,8 @@ between two of them (``Topology._check_hosts``).
 
 Routers, after checking their endpoints once, index one table per fact:
 ``_adj``, ``_inner_adj`` and, on fat-trees, ``_host_edge``, ``_host_pod``,
-``_agg_ids[pod][pos]`` and ``_core_ids[g * z/2 + i]`` (group g is behind
-aggregation position g).
+``_edge_ids[pod][pos]``, ``_agg_ids[pod][pos]`` and ``_core_ids[g * z/2 + i]``
+(group g is behind aggregation position g).
 """
 
 from __future__ import annotations
@@ -112,6 +112,12 @@ class Topology:
     @cached_property
     def _host_pod(self) -> dict[int, int]:
         return {h: h // (self.z * self.z // 4) for h in self.host_ids}
+
+    @cached_property
+    def _edge_ids(self) -> tuple[tuple[int, ...], ...]:
+        half = self.z // 2
+        base = len(self.host_ids)
+        return tuple(tuple(range(base + p * half, base + (p + 1) * half)) for p in range(self.z))
 
     @cached_property
     def _agg_ids(self) -> tuple[tuple[int, ...], ...]:

@@ -4,8 +4,9 @@ Each checkout's ``src`` routes the same workloads with ``route_hgr``: a
 z=16 fat-tree, K=5 demand dimensions (mean = std = 0.02), M = 480, 960
 and 1440 flows, seeds 5000-5029. Per M it prints the mean number of
 active processors, of unrouted flows, of switches woken that carry no
-load (``activated - active``), and of cores in the phase-1 estimate
-(``counts.cores``).
+load (``activated - active``), of cores in the phase-1 estimate
+(``counts.cores``), and of generic hop searches (``_sample_shortest``
+calls, counted by wrapping ``greenroute.hgr._sample_shortest``).
 
     python tests/hgr_quality.py --src PARENT --src CHANGE
 
@@ -24,25 +25,33 @@ from pathlib import Path
 Z, DIMS, FLOWS, FIRST_SEED, SEEDS = 16, 5, (480, 960, 1440), 5000, 30
 
 
-def measure() -> dict[int, tuple[float, float, float, float]]:
-    """Mean (active, unrouted, activated - active, cores) per flow count, for the greenroute on the path."""
-    from greenroute import build_fat_tree, generate_workload, route_hgr
+def measure() -> dict[int, tuple[float, float, float, float, float]]:
+    """Mean (active, unrouted, activated - active, cores, hop searches) per flow count.
 
+    Measures the greenroute on the path; each ``route_hgr`` call's hop searches are counted.
+    """
+    from greenroute import build_fat_tree, generate_workload, hgr, route_hgr
+
+    searches = []
+    search = hgr._sample_shortest
+    hgr._sample_shortest = lambda *args, **kwargs: searches.append(None) or search(*args, **kwargs)
     topology = build_fat_tree(Z)
     means = {}
     for flows in FLOWS:
-        totals = [0, 0, 0, 0]
+        totals = [0, 0, 0, 0, 0]
         for seed in range(FIRST_SEED, FIRST_SEED + SEEDS):
             solution, counts = route_hgr(topology, generate_workload(topology, flows, DIMS, seed=seed))
             totals[0] += len(solution.active)
             totals[1] += len(solution.unrouted)
             totals[2] += len(counts.activated - solution.active)
             totals[3] += counts.cores
+            totals[4] += len(searches)
+            searches.clear()
         means[flows] = tuple(total / SEEDS for total in totals)
     return means
 
 
-def reading(checkout: Path) -> dict[int, tuple[float, float, float, float]]:
+def reading(checkout: Path) -> dict[int, tuple[float, float, float, float, float]]:
     """``measure`` run in a fresh process against ``checkout``'s ``src``."""
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     out = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--measure"],
@@ -62,11 +71,11 @@ def main(argv: list[str] | None = None) -> None:
     if not args.src:
         parser.error("give at least one --src")
     print(f"z={Z} K={DIMS}, seeds {FIRST_SEED}-{FIRST_SEED + SEEDS - 1}: "
-          "mean active, unrouted, activated - active, estimated cores")
+          "mean active, unrouted, activated - active, estimated cores, hop searches per call")
     for checkout in (p.resolve() for p in args.src):
-        for flows, (active, unrouted, idle, cores) in reading(checkout).items():
+        for flows, (active, unrouted, idle, cores, searches) in reading(checkout).items():
             print(f"{checkout}: M={flows} active {active:.2f} unrouted {unrouted:.2f} idle woken {idle:.2f} "
-                  f"cores {cores:.2f}")
+                  f"cores {cores:.2f} hop searches {searches:.2f}")
 
 
 if __name__ == "__main__":

@@ -471,19 +471,20 @@ def _blocks_tested(topology, blocks, allowed, s, t):
     return [blocks[pod_s], blocks[pod_t], *groups]
 
 
-@pytest.mark.parametrize("z, flows, mean", ((4, 60, 0.1), (8, 240, 0.1)))
+@pytest.mark.parametrize("z, flows, mean", ((4, 60, 0.1), (8, 240, 0.1), (16, 160, 0.15)))
 def test_tree_drawer_takes_blocks_whole_until_they_fill(z, flows, mean):
     # One drawer serves a whole run, as in SRSP and MRSP, and each path it
     # returns is committed. Every draw must be the frozen hop search's over
     # the capable switches, with the same random draws. A block (a pod's
     # aggregation switches, a core group) whose members all fit the flow is
     # taken whole; the drawer asks the capability rule about the members of
-    # every other block it tests, and of no block taken whole.
+    # every other block it tests, and of no block taken whole. Early in a
+    # run the whole core layer fits an inter-pod flow, later it does not.
     topology = build_fat_tree(z)
     half = z // 2
     cores = topology._core_ids
     blocks = [*map(tuple, topology._agg_ids), *(tuple(cores[g * half:(g + 1) * half]) for g in range(half))]
-    seen = {"whole": 0, "switch by switch": 0}
+    seen = {"whole": 0, "switch by switch": 0, "core layer whole": 0, "core layer not whole": 0}
     turned = unrouted = 0
     for trial in range(3):
         workload = generate_workload(topology, flows, 3, mean, mean, seed=700 * z + trial)
@@ -502,6 +503,9 @@ def test_tree_drawer_takes_blocks_whole_until_they_fill(z, flows, mean):
                 tested = _blocks_tested(topology, blocks, allowed, flow.src, flow.dst)
                 kinds = ["whole" if all(max(state.load[v][k] for v in b) <= r for k, r in enumerate(room))
                          else "switch by switch" for b in tested]
+                if len(tested) > 2:  # an inter-pod flow reaching the core layer
+                    layer_whole = all(max(state.load[v][k] for v in cores) <= r for k, r in enumerate(room))
+                    seen["core layer whole" if layer_whole else "core layer not whole"] += 1
                 asked.clear()
                 assert draw(room, flow.src, flow.dst, draws) == expected
                 assert draws.getstate() == ref_draws.getstate()

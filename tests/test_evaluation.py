@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import random
+import time
 
 import pytest
 
@@ -126,6 +127,20 @@ def test_star_reduction_oracles_agree():
     items = [(1 + 5e-10,)]
     w = Workload((Flow(0, 0, 1, items[0]),), 1)
     assert oracle_min_active(build_star_reduction(1).topology, w) == 1 == oracle_min_bins(items)
+
+
+def test_oracle_skips_interchangeable_processors():
+    # the twelve middles of a star are interchangeable while idle, so the
+    # branch and bound tries one of them where it once tried all twelve; the
+    # answer is still the packing optimum
+    rng = random.Random(5)
+    star = build_star_reduction(12)
+    start = time.perf_counter()
+    for _ in range(3):
+        items = [tuple(rng.uniform(0.3, 0.8) for _ in range(3)) for _ in range(6)]
+        w = Workload(tuple(Flow(i, 0, 1, d) for i, d in enumerate(items)), 3)
+        assert oracle_min_active(star.topology, w) == oracle_min_bins(items)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_oracles_match_the_subset_search(tree2):

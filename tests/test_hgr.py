@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -66,10 +67,10 @@ def test_vbp_pairwise_incompatible_items():
 
 
 def test_vbp_rejects_oversized_items():
-    with pytest.raises(ValueError):
-        vbp_greedy([(1.5, 0.2)])
-    with pytest.raises(ValueError):
-        vbp_greedy([(0.0, 0.2)])
+    # the item range check runs on all items at once; a refusal names the first bad item
+    for bad in [(1.5, 0.2), (0.0, 0.2), (math.nan, 0.2), (math.inf,), (0.2, -0.1)]:
+        with pytest.raises(ValueError, match=r"^item 1 does not fit a unit bin"):
+            vbp_greedy([(0.5,) * len(bad), bad, (2.0,) * len(bad)])
 
 
 def test_vbp_empty_instance():
@@ -306,35 +307,87 @@ def test_hgr_rejects_non_fat_tree():
         route_hgr(star.topology, Workload((Flow(0, 0, 1, (0.1,)),), 1))
 
 
-def test_constructive_path_matches_generic_search(tree4):
+def _random_tree_state(rng, topology, dims):
+    """Loads and an activated set for the path rule: light, near-full, or open at few positions per pod."""
+    kind = rng.randrange(3)
+    if kind == 0:  # light and near-full switches mixed
+        load = {v: [rng.choice([0.0, rng.uniform(0, 1)]) for _ in range(dims)] for v in topology.processor_ids}
+    elif kind == 1:  # mostly near full
+        full = rng.choice((0.3, 0.5, 0.7))
+        load = {v: [rng.uniform(0.5, 1.0) if rng.random() < full else rng.uniform(0, 0.3) for _ in range(dims)]
+                for v in topology.processor_ids}
+    else:  # each pod open at one or two aggregation positions, so detours chain through third pods
+        half = topology.z // 2
+        load = {v: [rng.choice([0.0, rng.uniform(0, 0.4)]) for _ in range(dims)] for v in topology.processor_ids}
+        for aggs in topology._agg_ids:
+            open_at = rng.sample(range(half), rng.randint(1, min(2, half)))
+            for g, a in enumerate(aggs):
+                if g not in open_at:
+                    load[a][rng.randrange(dims)] = 1.0
+    share = rng.uniform(0.2, 1.0) if kind == 0 else rng.uniform(0.6, 1.0)
+    activated = {v for v in topology.processor_ids if rng.random() < share}
+    return load, activated
+
+
+def test_constructive_path_matches_generic_search():
     # the structural fat-tree path picker must agree with the generic
     # hop-shortest lexicographic search on arbitrary capability states in
     # which both edge switches are activated and fit the flow, as route_hgr
-    # guarantees before it asks
+    # guarantees before it asks: fixed shapes, 10-hop detours through one
+    # third pod, longer ones, and "no path"
     from greenroute.hgr import _tree_router
     from greenroute.mrg import CAP_TOL, ResidualState, shortest_path
 
     rng = random.Random(7)
     dims = 3
-    tried = found = 0
-    while tried < 300:
-        load = {v: [rng.choice([0.0, rng.uniform(0, 1)]) for _ in range(dims)]
-                for v in tree4.processor_ids}
-        activated = {v for v in tree4.processor_ids if rng.random() < rng.uniform(0.2, 1.0)}
-        src, dst = rng.sample(tree4.host_ids, 2)
-        edges = {tree4._host_edge[src], tree4._host_edge[dst]}
-        activated |= edges
-        demand = tuple(rng.uniform(0.01, 0.6) for _ in range(dims))
-        allowed = {
-            v for v in activated
-            if all(load[v][k] + demand[k] <= 1 + CAP_TOL for k in range(dims))
-        }
-        if not edges <= allowed:
-            continue
-        tried += 1
-        room = [1 + CAP_TOL - d for d in demand]
-        constructive = _tree_router(tree4, ResidualState(load, set()), activated)(room, src, dst)
-        generic = shortest_path(tree4, allowed, None, src, dst)
-        assert constructive == generic
-        found += generic is not None
-    assert 0 < found < tried  # both outcomes are exercised
+    lengths = {}
+    for z in (4, 6, 8):
+        topology = build_fat_tree(z)
+        tried = 0
+        while tried < 400:
+            load, activated = _random_tree_state(rng, topology, dims)
+            src, dst = rng.sample(topology.host_ids, 2)
+            edges = {topology._host_edge[src], topology._host_edge[dst]}
+            activated |= edges
+            demand = tuple(rng.uniform(0.01, 0.6) for _ in range(dims))
+            allowed = {
+                v for v in activated
+                if all(load[v][k] + demand[k] <= 1 + CAP_TOL for k in range(dims))
+            }
+            if not edges <= allowed:
+                continue
+            tried += 1
+            room = [1 + CAP_TOL - d for d in demand]
+            constructive = _tree_router(topology, ResidualState(load, set()), activated)(room, src, dst)
+            generic = shortest_path(topology, allowed, None, src, dst)
+            assert constructive == generic
+            length = None if generic is None else len(generic)
+            lengths[length] = lengths.get(length, 0) + 1
+    # every shape, the one-pod detour, a longer detour and "no path" are exercised
+    assert all(lengths.get(n, 0) > 0 for n in (3, 5, 7, 11, 15, None)), lengths
+
+
+def test_hgr_leaves_the_hop_search_to_long_detours(tree4, monkeypatch):
+    # route_hgr reaches the generic hop search only for detours through two
+    # or more third pods and for "no path": never on criterion 9's inputs, and
+    # never for an intra-pod flow whose pod has no aggregation switch that fits
+    import greenroute.hgr as hgr
+
+    searches = []
+    search = hgr._sample_shortest
+    monkeypatch.setattr(hgr, "_sample_shortest", lambda *args: searches.append(args) or search(*args))
+    tree8 = build_fat_tree(8)
+    for run in range(5):
+        route_hgr(tree8, generate_workload(tree8, 120, 3, 0.02, 0.02, seed=run))
+    # z=4: pod 0's edge switches are 16 (hosts 0, 1) and 17 (hosts 2, 3), its
+    # aggregation switches 24 and 25. Flows 0 and 1 leave both racks through 24
+    # and fill its first dimension; flows 2 and 3 then leave through 25 and fill
+    # its second. Both edge switches keep room for flows 4 and 5, which cross
+    # racks inside pod 0, but neither aggregation switch does: no path.
+    flows = (Flow(0, 0, 4, (0.475, 0.01)), Flow(1, 2, 8, (0.475, 0.01)),
+             Flow(2, 0, 12, (0.1, 0.475)), Flow(3, 2, 14, (0.1, 0.475)),
+             Flow(4, 0, 2, (0.1, 0.1)), Flow(5, 3, 1, (0.1, 0.1)))
+    sol, _ = route_hgr(tree4, Workload(flows, 2, z=4))
+    assert [sol.paths[f][2] for f in range(4)] == [24, 24, 25, 25]
+    assert sol.unrouted == {4, 5}
+    assert searches == []

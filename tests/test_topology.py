@@ -96,11 +96,16 @@ def test_fat_tree_tables_match_graph(z):
     assert sorted(per_pod) == list(range(z))
     for hosts in per_pod.values():
         assert hosts == sorted(hosts)
-    assert len(t._agg_ids) == z
-    for p, aggs in enumerate(t._agg_ids):
+    assert len(t._edge_ids) == len(t._agg_ids) == z
+    for p, (edges, aggs) in enumerate(zip(t._edge_ids, t._agg_ids)):
+        in_pod = [v for v in t.processor_ids
+                  if nodes[v].kind is NodeKind.EDGE and nodes[v].pod == p]
+        assert list(edges) == sorted(in_pod, key=lambda v: nodes[v].pos)
+        assert {t._host_edge[h] for h in per_pod[p]} == set(edges)
         in_pod = [v for v in t.processor_ids
                   if nodes[v].kind is NodeKind.AGGREGATION and nodes[v].pod == p]
         assert list(aggs) == sorted(in_pod, key=lambda v: nodes[v].pos)
+        assert all(a in adj[e] for e in edges for a in aggs)
     assert sorted(t._core_ids) == [v for v in t.processor_ids if nodes[v].kind is NodeKind.CORE]
     for g in range(half):
         for i in range(half):
