@@ -2,9 +2,10 @@
 
 A library plus CLI for routing K-dimensional flow demands so that per-node
 loads stay within capacity while as few packet processors as possible carry
-traffic: a greedy multi-resource router, a hierarchical bin-packing
-heuristic, shortest-path and single-resource baselines, exact small-instance
-oracles, and a seeded experiment harness.
+traffic: a greedy multi-resource router, a hierarchical heuristic sized by
+vector-packing bounds, the paper's vector bin packer, shortest-path and
+single-resource baselines, exact small-instance oracles, and a seeded
+experiment harness.
 """
 
 from .baselines import route_mrsp, route_srg, route_srsp

@@ -1,14 +1,16 @@
-"""Hierarchical green routing (HGR) on fat-trees via vector bin packing.
+"""Hierarchical green routing (HGR) on fat-trees, and the paper's vector bin packer.
 
 Every flow must run between two hosts (``Topology._check_hosts``). Phase 1
-sizes each layer independently: per pod, the flows entering or leaving the
-pod (intra-rack traffic and flows with a demand component above 1
-excluded) are packed into unit bins to estimate how
-many aggregation switches the pod needs. The core layer is not packed:
-it is sized by the L1 bound of vector packing over the inter-pod flows,
-the largest per-dimension demand sum rounded up (Caprara & Toth, 2001),
-and escalation in phase 2 wakes whatever more cores the paths need.
-The packer is a bin-centric greedy that repeatedly places the fitting item
+sizes each layer independently by the L1 bound of vector packing
+(Caprara & Toth, 2001), with no packer: per pod, over the flows entering
+or leaving the pod, and for the core layer, over the inter-pod flows
+(intra-rack traffic and flows with a demand component above 1 excluded).
+The bound is the largest per-dimension demand sum rounded up, capped at
+the layer's width, and escalation in phase 2 wakes whatever more
+switches the paths need.
+
+:func:`vbp_greedy` is the paper's packer, kept public but no longer on
+HGR's path: a bin-centric greedy that repeatedly places the fitting item
 minimizing a weighted squared difference to the bin residual, with
 per-dimension weights proportional to total demand mass. The weights sum to
 1, so by Cauchy-Schwarz the squared difference of the weighted means bounds
@@ -64,10 +66,11 @@ class LayerCounts:
     """Per-layer activation estimates plus the set phase 2 actually woke up.
 
     Phase 1 woke every flow's edge switches, the lowest ``agg_per_pod[p]``
-    aggregation switches of each pod p (a packed bin count) and the lowest
-    ``cores`` core switches (the inter-pod flows' L1 bound). Phase 2 adds
-    only the switches of escalated paths, so every switch in ``activated``
-    beyond those lies on a routed path.
+    aggregation switches of each pod p (the L1 bound of the flows entering
+    or leaving p) and the lowest ``cores`` core switches (the inter-pod
+    flows' L1 bound); no packer runs. Phase 2 adds only the switches of
+    escalated paths, so every switch in ``activated`` beyond those lies on
+    a routed path.
     """
 
     agg_per_pod: tuple[int, ...]
@@ -265,33 +268,19 @@ def _tree_router(topology: Topology, state: ResidualState, activated: AbstractSe
     return route
 
 
-def _layer_count(items: list[tuple[float, ...]], half: int) -> int:
-    """``min(vbp_greedy(items).bin_count, half)``, skipping the packer when the count is sure.
+def _l1_count(items: Sequence[Sequence[float]], limit: int) -> int:
+    """The L1 bound of packing ``items`` into switches, capped at ``limit``.
 
-    If no dimension's demand sum exceeds 1.0, every item fits the first bin
-    (rounding over fewer than a million items stays far below the 1e-9
-    tolerance): one bin. If one dimension's sum s exceeds 1 beyond the
-    tolerance and every other's sum plus its largest item stays within 1,
-    only that dimension turns items away, so the first bin closes less than
-    its largest item c short of full; if s + c <= 2 the rest fill one more:
-    two bins. Items that are too big fail both tests and reach
-    ``vbp_greedy``, which rejects them.
+    That is the largest per-dimension demand sum, rounded up. A switch
+    carries up to 1 + CAP_TOL in each dimension (``fits``), so rounding
+    noise on an exact sum wakes no extra switch. No items: 0.
     """
-    if not items:
-        return 0
-    columns = list(zip(*items))
-    totals = list(map(sum, columns))
-    if all(total <= 1.0 for total in totals):
-        return 1
-    spans = [total + max(column) for total, column in zip(totals, columns)]
-    tight = [k for k, span in enumerate(spans) if span > 1.0]
-    if len(tight) == 1 and totals[tight[0]] > 1.0 + 2 * CAP_TOL and spans[tight[0]] <= 2.0:
-        return min(2, half)
-    return min(vbp_greedy(items).bin_count, half)
+    load = max(map(sum, zip(*items)), default=0.0)
+    return min(limit, ceil(load / (1.0 + CAP_TOL)))
 
 
 def route_hgr(topology: Topology, workload: Workload) -> tuple[RoutingSolution, LayerCounts]:
-    """Hierarchical routing: pack the pods, bound the core layer, then materialize paths."""
+    """Hierarchical routing: bound each pod and the core layer, then materialize paths."""
     z = topology.z
     if z is None:
         raise ValueError("HGR requires a fat-tree topology")
@@ -313,7 +302,7 @@ def route_hgr(topology: Topology, workload: Workload) -> tuple[RoutingSolution, 
         if e_s == e_t:
             continue  # intra-rack: touches no aggregation or core switch
         if max(demand) > 1.0:
-            continue  # no bin holds it; phase 2 routes it by the capability rule like any router
+            continue  # no switch holds it; phase 2 routes it by the capability rule like any router
         src_pod = pod_of[src]
         dst_pod = pod_of[dst]
         pod_items[src_pod].append(demand)
@@ -322,11 +311,8 @@ def route_hgr(topology: Topology, workload: Workload) -> tuple[RoutingSolution, 
             core_items.append(demand)
     # A layer cannot wake more switches than it has; overload surfaces as
     # unrouted flows in phase 2 instead.
-    agg_per_pod = tuple(_layer_count(items, half) for items in pod_items)
-    # The core layer's L1 bound: a core carries up to 1 + CAP_TOL in each
-    # dimension (``fits``), so rounding noise on an exact sum wakes no extra core.
-    core_load = max(map(sum, zip(*core_items)), default=0.0)
-    cores = min(half * half, ceil(core_load / (1.0 + CAP_TOL)))
+    agg_per_pod = tuple(_l1_count(items, half) for items in pod_items)
+    cores = _l1_count(core_items, half * half)
 
     for aggs, count in zip(topology._agg_ids, agg_per_pod):
         activated.update(aggs[:count])

@@ -706,7 +706,8 @@ def online_departure(state: ResidualState, topology: Topology, flow: Flow, path:
 
     A load that returns to 0 in every dimension (within 1e-9) is snapped to
     exactly 0.0, so an arrival followed by its departure restores the
-    initial state bit for bit.
+    initial state bit for bit, unless another committed path still crosses
+    the processor: a live flow's demand can itself lie within 1e-9 of 0.
     """
     committed = state.committed.get(flow.id)
     if committed is None:
@@ -719,7 +720,8 @@ def online_departure(state: ResidualState, topology: Topology, flow: Flow, path:
         l = state.load[v]
         for k, d in enumerate(flow.demand):
             l[k] -= d
-        if all(abs(x) <= CAP_TOL for x in l):
+        if all(abs(x) <= CAP_TOL for x in l) and not any(
+                v in other[1:-1] for fid, other in state.committed.items() if fid != flow.id):
             state.load[v] = [0.0] * len(l)
             state.active.discard(v)
     del state.committed[flow.id]

@@ -9,7 +9,8 @@ flips each round, so drift on the machine falls on every side alike.
     python tests/criterion9_medians.py --src PARENT --src CHANGE [--runs 40]
 
 prints, per checkout, the median, the quartiles and the minimum of its
-readings. Not collected by pytest (the file name does not start with test_).
+readings. Each ``--src`` is a checkout (the directory holding
+``src/greenroute`` and ``tests``). Not collected by pytest (the file name does not start with test_).
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--runs", type=int, default=40, help="fresh processes per checkout (default 40)")
     args = parser.parse_args(argv)
     sides = [p.resolve() for p in args.src]
+    for side in sides:
+        if not (side / "src" / "greenroute" / "__init__.py").is_file():
+            parser.error(f"{side} is not a checkout: it has no src/greenroute/__init__.py")
     readings: dict[Path, list[float]] = {side: [] for side in sides}
     for run in range(args.runs):
         for side in sides if run % 2 == 0 else sides[::-1]:

@@ -28,7 +28,6 @@ from greenroute import (
     inv_count,
     is_connected,
     node_to_link_weights,
-    vbp_greedy,
 )
 from greenroute.mrg import _sample_shortest
 
@@ -284,7 +283,10 @@ class ReferenceState:
 
 def reference_online_departure(state, flow, path):
     """Return the demand to the residuals; a processor whose residuals are all
-    back at 1 (within CAP_TOL) is snapped to exactly 1 and 0 load and deactivated."""
+    back at 1 (within CAP_TOL) and that no other live path crosses is snapped
+    to exactly 1 and 0 load and deactivated."""
+    del state.committed[flow.id]
+    crossed = {v for other in state.committed.values() for v in other}
     for v in path:
         r = state.residual.get(v)
         if r is not None:
@@ -292,11 +294,10 @@ def reference_online_departure(state, flow, path):
             for k, d in enumerate(flow.demand):
                 r[k] += d
                 l[k] -= d
-            if all(abs(x - 1.0) <= CAP_TOL for x in r):
+            if all(abs(x - 1.0) <= CAP_TOL for x in r) and v not in crossed:
                 state.residual[v] = [1.0] * len(r)
                 state.load[v] = [0.0] * len(r)
                 state.active.discard(v)
-    del state.committed[flow.id]
 
 
 def reference_solution_loads(topology, workload, paths):
@@ -571,14 +572,13 @@ def reference_greedy_path(state, topology, src, dst, demand, room, active_only):
 
 
 # Copy of HGR as it stood before its layer count skipped the packer for
-# two bins: any pod whose demand overflows one bin is packed. Two intended
-# changes since: the core layer is no longer packed by core group (source
-# host index mod z/2) with the groups' counts summed, but sized by the L1
-# bound of all inter-pod flows, and the lowest-position cores wake up to
-# that count; and a flow blocked on the activated switches reruns the same
-# search once over every processor and wakes that path's switches, where it
-# once woke one switch at a time in a fixed order and reran the search
-# after each.
+# two bins. Three intended changes since: no layer is packed any more, but
+# each pod and the core layer (once packed by core group, source host
+# index mod z/2, with the groups' counts summed) is sized by the L1 bound
+# of its flows, and the lowest-position switches wake up to that count;
+# and a flow blocked on the activated switches reruns the same search once
+# over every processor and wakes that path's switches, where it once woke
+# one switch at a time in a fixed order and reran the search after each.
 
 def _reference_route_on_tree(topology, state, activated, need, src, dst):
     fits = state.fits
@@ -611,22 +611,40 @@ def _reference_route_on_tree(topology, state, activated, need, src, dst):
     return _sample_shortest(topology, lambda v: v in activated and fits(v, need), src, dst)
 
 
-def _reference_layer_count(items, half):
-    if not items:
-        return 0
-    if all(total <= 1.0 for total in map(sum, zip(*items))):
-        return 1
-    return min(vbp_greedy(items).bin_count, half)
-
-
-def reference_core_count(demands, half):
-    """The core layer's L1 bound: the fewest cores, at most (z/2)^2, whose
+def reference_l1_count(demands, limit):
+    """A layer's L1 bound: the fewest switches, at most ``limit``, whose
     capacity (1 + CAP_TOL per dimension) covers each dimension's demand sum."""
     sums = [sum(column) for column in zip(*demands)]
-    cores = 0
-    while cores < half * half and any(total > cores * (1 + CAP_TOL) for total in sums):
-        cores += 1
-    return cores
+    count = 0
+    while count < limit and any(total > count * (1 + CAP_TOL) for total in sums):
+        count += 1
+    return count
+
+
+def l1_bound(topology, workload, routed):
+    """A lower bound on the active processors of any routing of the flows in
+    ``routed`` (ids) on a fat-tree whose processors stay within capacity:
+    their distinct endpoint edge switches; per pod, the L1 bound of the
+    routed flows with an endpoint in it, intra-rack flows excluded (each
+    crosses an aggregation switch of that pod); and the L1 bound of the
+    routed inter-pod flows (each crosses a core). Vector packing's L1 bound
+    (Caprara & Toth, 2001) on every layer, with no width cap."""
+    edge_of = topology._host_edge
+    pod_of = topology._host_pod
+    flows = [flow for flow in workload.flows if flow.id in routed]
+    edges = {edge_of[h] for flow in flows for h in (flow.src, flow.dst)}
+    pods = [[] for _ in range(topology.z)]
+    crossing = []
+    for flow in flows:
+        if edge_of[flow.src] == edge_of[flow.dst]:
+            continue
+        for pod in {pod_of[flow.src], pod_of[flow.dst]}:
+            pods[pod].append(flow.demand)
+        if pod_of[flow.src] != pod_of[flow.dst]:
+            crossing.append(flow.demand)
+    unlimited = len(flows)  # no layer needs more switches than there are flows
+    return len(edges) + sum(reference_l1_count(items, unlimited) for items in pods) \
+        + reference_l1_count(crossing, unlimited)
 
 
 def reference_route_hgr(topology, workload):
@@ -664,8 +682,8 @@ def reference_route_hgr(topology, workload):
             core_items.append(flow.demand)
     # A layer cannot wake more switches than it has; overload surfaces as
     # unrouted flows in phase 2 instead.
-    agg_per_pod = tuple(_reference_layer_count(items, half) for items in pod_items)
-    cores = reference_core_count(core_items, half)
+    agg_per_pod = tuple(reference_l1_count(items, half) for items in pod_items)
+    cores = reference_l1_count(core_items, half * half)
 
     for pod in range(z):
         activated.update(topology._agg_ids[pod][:agg_per_pod[pod]])

@@ -6,8 +6,8 @@ and MRSP) must reproduce the earlier implementations kept in
 ``oracle_helpers`` exactly: same paths, same unrouted set, same loads, on
 light loads (most flows ride active nodes) and near saturation (flows go
 unrouted). The vector bin packer must return the frozen full-scan packer's
-result bit for bit, HGR's one- and two-bin shortcuts must give the layer
-count the packer would, and HGR must route as its frozen copy does. Every
+result bit for bit, HGR's layer counts must be the layers' L1 bounds, and
+HGR must route as its frozen copy does. Every
 router's loads, kept as running sums while it routes, must equal the sums
 over its paths bit for bit.
 """
@@ -41,13 +41,12 @@ from greenroute import (
     vbp_greedy,
 )
 from greenroute.evaluation import ROUTERS
-from greenroute.hgr import _layer_count
 from greenroute.mrg import _greedy_path, _sample_shortest, _tree_drawer
 
 from oracle_helpers import (
     ReferenceState,
     graph_with_leaves,
-    reference_core_count,
+    reference_l1_count,
     reference_greedy_path,
     reference_hop_shortest_lex,
     reference_route_hgr,
@@ -628,35 +627,8 @@ def test_vbp_greedy_matches_reference_property(items):
     _assert_packs_like_reference(items)
 
 
-def _packer_count(items, half):
-    return min(vbp_greedy(items).bin_count, half) if items else 0
-
-
-def test_layer_count_matches_packer_near_unit_sums():
-    rng = random.Random(5)
-    for _ in range(600):
-        n = rng.randint(1, 12)
-        dims = rng.randint(1, 4)
-        items = [[rng.uniform(0.001, 1.0) for _ in range(dims)] for _ in range(n)]
-        # scale each dimension so its sum lands on 1.0 or within 1e-12 of it
-        for k in range(dims):
-            target = 1.0 + rng.choice((-1e-12, -1e-13, 0.0, 0.0, 1e-13, 1e-12, 0.5, -0.5))
-            total = sum(item[k] for item in items)
-            for item in items:
-                item[k] = min(item[k] * target / total, 1.0)
-        items = [tuple(item) for item in items]
-        half = rng.choice((1, 2, 4))
-        assert _layer_count(items, half) == _packer_count(items, half)
-
-
-def test_layer_count_passes_bad_items_to_the_packer():
-    assert _layer_count([], 2) == 0
-    with pytest.raises(ValueError):
-        _layer_count([(1.5,)], 2)
-
-
 @pytest.mark.parametrize("z", (4, 8))
-def test_hgr_layer_counts_match_packer(z):
+def test_hgr_layer_counts_are_l1_bounds(z):
     topology = build_fat_tree(z)
     half = z // 2
     for seed in range(6):
@@ -673,9 +645,9 @@ def test_hgr_layer_counts_match_packer(z):
                 pod_items[dst_pod].append(flow.demand)
                 core_items.append(flow.demand)
         _, counts = route_hgr(topology, workload)
-        assert counts.agg_per_pod == tuple(_packer_count(items, half) for items in pod_items)
-        # the core layer is not packed: it is sized by its L1 bound
-        assert counts.cores == reference_core_count(core_items, half)
+        # no layer is packed: each pod and the core layer are sized by their L1 bounds
+        assert counts.agg_per_pod == tuple(reference_l1_count(items, half) for items in pod_items)
+        assert counts.cores == reference_l1_count(core_items, half * half)
 
 
 def test_hgr_rejects_non_host_endpoints(tree4):
@@ -701,36 +673,6 @@ def test_hgr_rejects_non_host_endpoints(tree4):
             assert str((src, dst)[src in tree4.host_set]) in str(raised.value)
             if error is ValueError:
                 assert str(raised.value) == f"node {processor} is not a host"
-
-
-def _layer_count_two_bin_items(rng, dims):
-    """Items small in every dimension but one, whose sum lands in (1, 2]."""
-    n = rng.randint(2, 40)
-    big = rng.randrange(dims)
-    items = [[rng.uniform(0.001, 0.6 / n) for _ in range(dims)] for _ in range(n)]
-    target = rng.uniform(1.0 - 1e-9, 2.0)
-    scale = target / sum(item[big] for item in items)
-    for item in items:
-        item[big] = min(item[big] * scale, 1.0)
-    return [tuple(item) for item in items]
-
-
-def test_layer_count_two_bins_match_packer():
-    rng = random.Random(71)
-    two = 0
-    for _ in range(1500):
-        items = _layer_count_two_bin_items(rng, rng.randint(1, 5))
-        half = rng.choice((1, 2, 3, 4))
-        assert _layer_count(items, half) == _packer_count(items, half)
-        two += vbp_greedy(items).bin_count == 2
-    assert two > 500
-
-
-@given(st.integers(1, 4).flatmap(lambda dims: st.lists(
-    st.tuples(*[st.one_of(st.sampled_from(QUANTA + (0.6, 0.75, 1.0)), st.floats(0.0, 1.0, exclude_min=True))] * dims),
-    min_size=1, max_size=30)))
-def test_layer_count_matches_packer_property(items):
-    assert _layer_count(items, 3) == _packer_count(items, 3)
 
 
 def _random_hgr_workload(rng, topology):

@@ -25,6 +25,7 @@ from greenroute.evaluation import CSV_COLUMNS, ROUTERS
 from greenroute.workload import generate_workload
 
 from oracle_helpers import (
+    l1_bound,
     min_bins_by_subset_dp,
     random_topology,
     reference_oracle_min_active,
@@ -176,6 +177,52 @@ def test_oracle_on_smallest_fat_tree(tree2):
     # both flows cross the single core, so the unique path set must be found
     w = Workload((Flow(0, 0, 1, (0.4,)), Flow(1, 1, 0, (0.4,))), 1, z=2)
     assert oracle_min_active(tree2, w) == 5
+
+
+# -- the L1 lower bound on active processors (oracle_helpers.l1_bound) ----------
+
+def test_l1_bound_is_at_most_the_exact_optimum(tree2):
+    rng = random.Random(17)
+    feasible = 0
+    for _ in range(40):
+        dims = rng.randint(1, 3)
+        flows = tuple(Flow(i, *rng.sample((0, 1), 2), tuple(rng.uniform(0.05, 0.6) for _ in range(dims)))
+                      for i in range(rng.randint(1, 4)))
+        w = Workload(flows, dims, z=2)
+        best = oracle_min_active(tree2, w)
+        if best is not None:
+            assert l1_bound(tree2, w, set(range(len(flows)))) <= best
+            feasible += 1
+    assert feasible >= 10
+
+
+def _first_dimension(workload):
+    flows = tuple(Flow(f.id, f.src, f.dst, f.demand[:1]) for f in workload.flows)
+    return Workload(flows, 1, z=workload.z)
+
+
+def test_l1_bound_is_at_most_every_router_that_routes_every_flow(tree4):
+    # criterion 1's fuzz on z=4, at loads light enough that most inputs are
+    # routed whole: whenever a router routes every flow, the bound over its
+    # flows is at most its active count. SRSP and SRG keep only the first
+    # dimension within capacity, so their bound is taken over it alone.
+    rng = random.Random(2026)
+    complete = dict.fromkeys(ROUTERS, 0)
+    tight = 0
+    for run in range(150):
+        dims = rng.choice((1, 3, 5))
+        workload = generate_workload(tree4, rng.randint(1, 40), dims, rng.uniform(0.01, 0.15),
+                                     rng.uniform(0.0, 0.15), seed=rng.randrange(10**9))
+        for algo, router in ROUTERS.items():
+            solution = router(tree4, workload, run)
+            if solution.unrouted:
+                continue
+            seen = _first_dimension(workload) if algo in ("srsp", "srg") else workload
+            bound = l1_bound(tree4, seen, set(solution.paths))
+            assert bound <= len(solution.active), (algo, run)
+            complete[algo] += 1
+            tight += bound == len(solution.active)
+    assert min(complete.values()) >= 60 and tight >= 60, (complete, tight)
 
 
 # -- experiment harness -----------------------------------------------------------

@@ -16,7 +16,7 @@ from greenroute import (
 )
 from greenroute.workload import generate_workload
 
-from oracle_helpers import min_bins_by_subset_dp, reference_core_count
+from oracle_helpers import min_bins_by_subset_dp, reference_l1_count
 
 TOL = 1e-9
 
@@ -173,15 +173,33 @@ def test_hgr_feasible_and_deterministic(tree4):
         assert sol == again and counts == counts2
 
 
-def test_hgr_pod_instances_feed_the_packer(tree4):
+def test_hgr_sizes_each_pod_by_its_l1_bound(tree4):
     # flow 0 leaves pod 0 for pod 1, flow 1 stays in pod 0 across racks;
-    # pod 0 packs both demands, pod 1 only the first
+    # pod 0 counts both demands, pod 1 only the first
     flows = (Flow(0, 0, 4, (0.6,)), Flow(1, 0, 2, (0.6,)))
     _, counts = route_hgr(tree4, Workload(flows, 1, z=4))
-    assert counts.agg_per_pod[0] == vbp_greedy([(0.6,), (0.6,)]).bin_count == 2
-    assert counts.agg_per_pod[1] == vbp_greedy([(0.6,)]).bin_count == 1
+    assert counts.agg_per_pod[0] == reference_l1_count([(0.6,), (0.6,)], 2) == 2
+    assert counts.agg_per_pod[1] == reference_l1_count([(0.6,)], 2) == 1
     assert counts.agg_per_pod[2:] == (0, 0)
     assert counts.cores == 1
+
+
+def test_hgr_pod_estimate_is_the_l1_bound_where_the_packer_opens_more_bins():
+    # z=12, so pod 0 has six edge switches (432-437) and six aggregation
+    # switches (504-509). Three intra-pod flows on six distinct edge switches,
+    # every pair incompatible: the packer needs 3 bins, the L1 bound is 2.
+    tree12 = build_fat_tree(12)
+    flows = (Flow(0, 0, 6, (0.7,)), Flow(1, 12, 18, (0.7,)), Flow(2, 24, 30, (0.6,)))
+    assert vbp_greedy([flow.demand for flow in flows]).bin_count == 3
+    sol, counts = route_hgr(tree12, Workload(flows, 1, z=12))
+    assert counts.agg_per_pod[0] == 2 and counts.cores == 0
+    # the third flow fits neither estimated switch: it escalates and wakes exactly the third
+    edges = {432, 433, 434, 435, 436, 437}
+    phase1 = edges | set(tree12._agg_ids[0][:2])
+    assert counts.activated - phase1 == {tree12._agg_ids[0][2]}
+    assert sol.paths[2] == (24, 436, 506, 437, 30)
+    assert not sol.unrouted
+    assert sol.active == edges | {504, 505, 506}
 
 
 def test_hgr_counts_clamped_to_layer_width(tree4):
@@ -267,7 +285,7 @@ def test_hgr_wakes_beyond_phase_1_only_switches_that_carry_load(z):
         pod = topology._host_pod
         crossing = [flow.demand for flow in workload.flows
                     if pod[flow.src] != pod[flow.dst] and max(flow.demand) <= 1.0]
-        assert counts.cores == reference_core_count(crossing, z // 2)
+        assert counts.cores == reference_l1_count(crossing, (z // 2) ** 2)
         # phase 1 wakes every flow's edge switches and the estimated aggregation and core switches
         phase1 = {topology._host_edge[h] for flow in workload.flows for h in (flow.src, flow.dst)}
         phase1.update(v for aggs, n in zip(topology._agg_ids, counts.agg_per_pod) for v in aggs[:n])

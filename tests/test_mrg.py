@@ -541,6 +541,47 @@ def test_departure_with_wrong_dimension_count_rejected(tree4):
     assert (state.load, state.active, state.committed) == before
 
 
+def test_departure_keeps_a_drained_processor_that_a_live_flow_crosses(tree4):
+    # flow A's demand is within CAP_TOL of 0, so once B departs, switch 16's
+    # load is too; A still crosses it, so it stays active with A's load
+    state = ResidualState.fresh(tree4, 1)
+    a, b = Flow(0, 0, 1, (1e-10,)), Flow(1, 0, 1, (0.5,))
+    assert online_arrival(state, tree4, a) == online_arrival(state, tree4, b) == (0, 16, 1)
+    online_departure(state, tree4, b, (0, 16, 1))
+    assert state.active == {16} and state.committed == {0: (0, 16, 1)}
+    assert state.load[16] == [1e-10 + 0.5 - 0.5]
+    online_departure(state, tree4, a, (0, 16, 1))
+    assert state == ResidualState.fresh(tree4, 1)
+
+
+@pytest.mark.parametrize("dims", (1, 3))
+def test_active_set_is_the_live_paths_under_churn(tree4, dims):
+    # a seeded stream of arrivals and departures, a fifth of them with
+    # demands below CAP_TOL: after every event the active processors are
+    # exactly the interiors of the committed paths
+    rng = random.Random(dims)
+    hosts = tree4.host_ids
+    state = ResidualState.fresh(tree4, dims)
+    live = []
+    tiny = 0
+
+    def check():
+        assert state.active == {v for path in state.committed.values() for v in path[1:-1]}
+
+    for fid in range(600):
+        if live and (len(live) >= 12 or rng.random() < 0.4):
+            online_departure(state, tree4, *live.pop(rng.randrange(len(live))))
+            check()
+        scale = 1e-10 if rng.random() < 0.2 else 0.3
+        flow = Flow(fid, *rng.sample(hosts, 2), tuple(rng.uniform(0.01, 1.0) * scale for _ in range(dims)))
+        path = online_arrival(state, tree4, flow)
+        if path is not None:
+            live.append((flow, path))
+            tiny += scale < 1.0
+        check()
+    assert tiny > 50
+
+
 def test_departure_of_unknown_flow_rejected(tree4):
     state = ResidualState.fresh(tree4, 1)
     with pytest.raises(ValueError):
