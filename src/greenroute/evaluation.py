@@ -153,6 +153,8 @@ def oracle_min_bins(items: Sequence[Sequence[float]]) -> int | None:
     for i, item in enumerate(items):
         if any(c <= 0 for c in item):
             raise ValueError(f"item {i} has a component that is not positive: {item}")
+    if len(set(map(len, items))) > 1:  # zip would silently drop the extra components
+        raise ValueError("items must share one dimension count")
     rooms = [ResidualState.room(item) for item in items]
     if any(r < 0.0 for room in rooms for r in room):
         return None
@@ -305,9 +307,9 @@ def _run_cell(config: ExperimentConfig, topology: Topology, flow_count: int, tri
 def _run_share(args: tuple[ExperimentConfig, Topology, list[tuple[int, int]]]) -> list[list[ResultRow]]:
     """Run a share of the cells, in order, on one topology.
 
-    A worker process gets one share, so it unpickles the fat-tree and
-    builds its lazy tables once, not once per cell; the serial path runs
-    every cell as one share on the parent's tree.
+    A worker process gets one share, so it unpickles the fat-tree, with
+    the tables :func:`build_fat_tree` set on it, once and not once per
+    cell; the serial path runs every cell as one share on the parent's tree.
     """
     config, topology, cells = args
     return [_run_cell(config, topology, m, trial) for m, trial in cells]

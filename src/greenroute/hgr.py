@@ -42,9 +42,8 @@ activated set is reported alongside the per-layer counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
 from math import ceil
-from operator import le, lt, mul
+from operator import mul
 from typing import AbstractSet, Sequence
 
 from .mrg import CAP_TOL, ResidualState, RoutingSolution, _sample_shortest
@@ -113,11 +112,9 @@ def vbp_greedy(items: Sequence[Sequence[float]]) -> VbpResult:
     full scan's.
     """
     items = [tuple(map(float, item)) for item in items]
-    flat = list(chain.from_iterable(items))
-    if not (all(map(lt, repeat(0.0), flat)) and all(map(le, flat, repeat(1.0)))):  # refuses NaN too
-        for i, item in enumerate(items):
-            if not all(0 < c <= 1 for c in item):
-                raise ValueError(f"item {i} does not fit a unit bin: {item}")
+    for i, item in enumerate(items):
+        if not all(0 < c <= 1 for c in item):  # refuses NaN too
+            raise ValueError(f"item {i} does not fit a unit bin: {item}")
     if not items:
         return VbpResult(0, {}, ())
     alphas = dimension_weights(items)
@@ -195,10 +192,8 @@ def _tree_router(topology: Topology, state: ResidualState, activated: AbstractSe
     pod_of = topology._host_pod
     edge_ids = topology._edge_ids
     agg_ids = topology._agg_ids
-    half = topology.z // 2
+    core_groups = topology._core_groups
     pods = range(topology.z)
-    cores = topology._core_ids
-    core_groups = [cores[pos * half:(pos + 1) * half] for pos in range(half)]
 
     def first_fit(nodes: Sequence[int], room: Sequence[float]) -> int | None:
         """The lowest usable node of ``nodes``, or ``None``."""

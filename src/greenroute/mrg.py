@@ -425,10 +425,8 @@ def _tree_drawer(state: ResidualState, topology: Topology):
     edge_of = topology._host_edge
     pod_of = topology._host_pod
     z = topology.z
-    half = z // 2
-    cores = topology._core_ids
     # pod p's aggregation switches are block p, core group g is block z + g
-    blocks = [*topology._agg_ids, *(cores[g * half:(g + 1) * half] for g in range(half))]
+    blocks = [*topology._agg_ids, *topology._core_groups]
     block_of: list[int | None] = [None] * len(topology)
     for i, block in enumerate(blocks):
         for v in block:

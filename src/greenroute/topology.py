@@ -8,8 +8,10 @@ between two of them (``Topology._check_hosts``).
 
 Routers, after checking their endpoints once, index one table per fact:
 ``_adj``, ``_inner_adj`` and, on fat-trees, ``_host_edge``, ``_host_pod``,
-``_edge_ids[pod][pos]``, ``_agg_ids[pod][pos]`` and ``_core_ids[g * z/2 + i]``
-(group g is behind aggregation position g).
+``_edge_ids[pod][pos]``, ``_agg_ids[pod][pos]``, ``_core_groups[g]`` (the
+cores behind aggregation position g) and ``_core_ids`` (the groups joined
+in order). :func:`build_fat_tree` builds the fat-tree tables first and
+reads the node and link lists off them, so the id layout is written once.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain, product
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -44,9 +47,10 @@ class Topology:
 
     ``z`` is the fat-tree arity for trees built by :func:`build_fat_tree`,
     the only code that sets it, and ``None`` for every other graph (star
-    fixtures, test graphs). The graph is never mutated after construction
-    and is safe for concurrent reads; derived lookup tables are computed on
-    first use.
+    fixtures, test graphs). :func:`build_fat_tree` sets the fat-tree tables
+    alongside ``z``; only ``_inner_adj``, which any graph has, is computed
+    on first use. The graph is never mutated after construction and is safe
+    for concurrent reads.
     """
 
     def __init__(self, nodes: Sequence[Node], edges: Iterable[tuple[int, int]]):
@@ -92,7 +96,7 @@ class Topology:
                     self._check_id(v)
                     raise ValueError(f"node {v} is not a host")
 
-    # -- lookup tables for routing hot loops, built on first use ---------------
+    # -- the relay table, built on first use ------------------------------------
 
     @cached_property
     def _inner_adj(self) -> tuple[tuple[int, ...], ...]:
@@ -104,31 +108,6 @@ class Topology:
         """
         relays = {v for v in self.processor_ids if len(self._adj[v]) > 1}
         return tuple(tuple(v for v in nbrs if v in relays) for nbrs in self._adj)
-
-    @cached_property
-    def _host_edge(self) -> dict[int, int]:
-        return {h: self._adj[h][0] for h in self.host_ids if self._adj[h]}
-
-    @cached_property
-    def _host_pod(self) -> dict[int, int]:
-        return {h: h // (self.z * self.z // 4) for h in self.host_ids}
-
-    @cached_property
-    def _edge_ids(self) -> tuple[tuple[int, ...], ...]:
-        half = self.z // 2
-        base = len(self.host_ids)
-        return tuple(tuple(range(base + p * half, base + (p + 1) * half)) for p in range(self.z))
-
-    @cached_property
-    def _agg_ids(self) -> tuple[tuple[int, ...], ...]:
-        half = self.z // 2
-        base = len(self.host_ids) + self.z * half
-        return tuple(tuple(range(base + p * half, base + (p + 1) * half)) for p in range(self.z))
-
-    @cached_property
-    def _core_ids(self) -> tuple[int, ...]:
-        n = len(self.nodes)
-        return tuple(range(n - self.z * self.z // 4, n))
 
 
 @dataclass(frozen=True)
@@ -157,38 +136,32 @@ def build_fat_tree(z: int) -> Topology:
     if not isinstance(z, int) or z < 2 or z % 2:
         raise ValueError(f"fat-tree arity must be an even integer >= 2, got {z!r}")
     half = z // 2
-    hosts_per_pod = half * half
-    n_hosts = z * hosts_per_pod
-    n_edge = z * half
-    n_agg = z * half
+    n_hosts = z * half * half
 
-    nodes: list[Node] = []
-    for h in range(n_hosts):
-        nodes.append(Node(h, NodeKind.HOST, None, h))
-    for p in range(z):
-        for e in range(half):
-            nodes.append(Node(n_hosts + p * half + e, NodeKind.EDGE, p, p * half + e))
-    for p in range(z):
-        for a in range(half):
-            nodes.append(Node(n_hosts + n_edge + p * half + a, NodeKind.AGGREGATION, p, p * half + a))
-    for g in range(half):
-        for c in range(half):
-            nodes.append(Node(n_hosts + n_edge + n_agg + g * half + c, NodeKind.CORE, None, g * half + c))
+    def runs(first: int, count: int) -> tuple[tuple[int, ...], ...]:
+        """``count`` consecutive runs of z/2 ids, from ``first`` on."""
+        return tuple(tuple(range(first + i * half, first + (i + 1) * half)) for i in range(count))
 
-    edges: list[tuple[int, int]] = []
-    for p in range(z):
-        for e in range(half):
-            edge_id = n_hosts + p * half + e
-            for i in range(half):
-                edges.append((p * hosts_per_pod + e * half + i, edge_id))
-            for a in range(half):
-                edges.append((edge_id, n_hosts + n_edge + p * half + a))
-        for a in range(half):
-            agg_id = n_hosts + n_edge + p * half + a
-            for c in range(half):
-                edges.append((agg_id, n_hosts + n_edge + n_agg + a * half + c))
-    tree = Topology(nodes, edges)
+    edge_ids = runs(n_hosts, z)
+    agg_ids = runs(n_hosts + z * half, z)
+    core_groups = runs(n_hosts + z * z, half)
+    core_ids = tuple(chain.from_iterable(core_groups))
+    host_edge = {h: n_hosts + h // half for h in range(n_hosts)}  # each edge switch has z/2 hosts
+    host_pod = {h: h // (half * half) for h in range(n_hosts)}
+
+    nodes = [Node(h, NodeKind.HOST, None, h) for h in range(n_hosts)]
+    for kind, layer in ((NodeKind.EDGE, edge_ids), (NodeKind.AGGREGATION, agg_ids)):
+        nodes += (Node(v, kind, p, p * half + i) for p, ids in enumerate(layer) for i, v in enumerate(ids))
+    nodes += (Node(c, NodeKind.CORE, None, pos) for pos, c in enumerate(core_ids))
+    links = list(host_edge.items())
+    for pod_edges, pod_aggs in zip(edge_ids, agg_ids):
+        links += product(pod_edges, pod_aggs)
+        links += ((a, c) for a, group in zip(pod_aggs, core_groups) for c in group)
+    tree = Topology(nodes, links)
     tree.z = z
+    tree._host_edge, tree._host_pod = host_edge, host_pod
+    tree._edge_ids, tree._agg_ids = edge_ids, agg_ids
+    tree._core_groups, tree._core_ids = core_groups, core_ids
     return tree
 
 

@@ -17,6 +17,7 @@ from operator import ge, le
 
 from greenroute import (
     CAP_TOL,
+    Flow,
     LayerCounts,
     Node,
     NodeKind,
@@ -24,6 +25,7 @@ from greenroute import (
     RoutingSolution,
     Topology,
     VbpResult,
+    Workload,
     dimension_weights,
     inv_count,
     is_connected,
@@ -645,6 +647,12 @@ def l1_bound(topology, workload, routed):
     unlimited = len(flows)  # no layer needs more switches than there are flows
     return len(edges) + sum(reference_l1_count(items, unlimited) for items in pods) \
         + reference_l1_count(crossing, unlimited)
+
+
+def first_dimension(workload):
+    """``workload`` with every demand cut to its first component, the only
+    one SRSP and SRG keep within capacity: their ``l1_bound`` is taken over it."""
+    return Workload(tuple(Flow(f.id, f.src, f.dst, f.demand[:1]) for f in workload.flows), 1, z=workload.z)
 
 
 def reference_route_hgr(topology, workload):

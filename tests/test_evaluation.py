@@ -4,8 +4,11 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greenroute import (
+    CAP_TOL,
     ExperimentConfig,
     Flow,
     RoutingSolution,
@@ -18,6 +21,7 @@ from greenroute import (
     oracle_min_bins,
     route_srsp,
     run_experiment,
+    vbp_greedy,
     write_results_csv,
 )
 from greenroute import evaluation
@@ -25,6 +29,7 @@ from greenroute.evaluation import CSV_COLUMNS, ROUTERS
 from greenroute.workload import generate_workload
 
 from oracle_helpers import (
+    first_dimension,
     l1_bound,
     min_bins_by_subset_dp,
     random_topology,
@@ -99,6 +104,15 @@ def test_oracle_min_bins_basics():
     assert oracle_min_bins([(0.4, 0.9)]) == 1
     assert oracle_min_bins([(0.51, 0.1)] * 4) == 4
     assert oracle_min_bins([(0.6, 0.3), (0.5, 0.5), (0.4, 0.6), (0.3, 0.2)]) == 2
+
+
+@pytest.mark.parametrize("items", ([(0.3, 0.9), (0.3,)], [(0.3,), (0.3, 0.9)],
+                                   [(0.6, 0.6), (0.6,)], [(0.6,), (0.6, 0.6)]))
+def test_oracle_min_bins_rejects_ragged_items_as_the_packer_does(items):
+    # zip would stop at the shorter vector and answer 1 or 2 instead
+    for solver in (oracle_min_bins, vbp_greedy):
+        with pytest.raises(ValueError, match="^items must share one dimension count$"):
+            solver(items)
 
 
 def test_oracle_min_bins_matches_subset_dp():
@@ -196,11 +210,6 @@ def test_l1_bound_is_at_most_the_exact_optimum(tree2):
     assert feasible >= 10
 
 
-def _first_dimension(workload):
-    flows = tuple(Flow(f.id, f.src, f.dst, f.demand[:1]) for f in workload.flows)
-    return Workload(flows, 1, z=workload.z)
-
-
 def test_l1_bound_is_at_most_every_router_that_routes_every_flow(tree4):
     # criterion 1's fuzz on z=4, at loads light enough that most inputs are
     # routed whole: whenever a router routes every flow, the bound over its
@@ -217,12 +226,47 @@ def test_l1_bound_is_at_most_every_router_that_routes_every_flow(tree4):
             solution = router(tree4, workload, run)
             if solution.unrouted:
                 continue
-            seen = _first_dimension(workload) if algo in ("srsp", "srg") else workload
+            seen = first_dimension(workload) if algo in ("srsp", "srg") else workload
             bound = l1_bound(tree4, seen, set(solution.paths))
             assert bound <= len(solution.active), (algo, run)
             complete[algo] += 1
             tight += bound == len(solution.active)
     assert min(complete.values()) >= 60 and tight >= 60, (complete, tight)
+
+
+# -- feasibility at extreme demands ---------------------------------------------------
+
+# demand components at the capacity edges: a full switch, a hair under it,
+# a hair over it (only an idle switch holds it), the tolerance itself and
+# half of it (below the rounding any sum is judged with)
+EXTREME = (1.0, 1.0 - 1e-12, 1.0 + 5e-10, CAP_TOL, CAP_TOL / 2)
+
+
+def _extreme_workload(dims):
+    component = st.one_of(st.sampled_from(EXTREME), st.floats(0.0, 1.0, exclude_min=True))
+    flow = st.tuples(st.integers(0, 15), st.integers(1, 15), st.tuples(*[component] * dims))
+    return st.tuples(st.lists(flow, max_size=24), st.booleans()).map(lambda drawn: Workload(tuple(
+        Flow(i, src, (src + step) % 16, (1.0, *demand[1:]) if drawn[1] else demand)
+        for i, (src, step, demand) in enumerate(drawn[0])), dims))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(_extreme_workload), st.integers(0, 3))
+def test_routers_stay_feasible_at_extreme_demands(tree4, workload, seed):
+    # optionally with every flow's first dimension full
+    for algo in ("mrg", "mrsp", "hgr"):
+        solution = ROUTERS[algo](tree4, workload, seed)
+        assert compute_metrics(tree4, solution).congested == 0, algo
+        assert set(solution.paths) | solution.unrouted == {flow.id for flow in workload.flows}, algo
+        assert not set(solution.paths) & solution.unrouted, algo
+        carried = set()
+        for flow_id, path in solution.paths.items():
+            flow = workload.flows[flow_id]
+            assert (path[0], path[-1]) == (flow.src, flow.dst), algo
+            assert all(v in tree4._adj[u] for u, v in zip(path, path[1:])), algo
+            assert not tree4.host_set & set(path[1:-1]), algo
+            carried.update(path[1:-1])
+        assert solution.active == carried, algo
 
 
 # -- experiment harness -----------------------------------------------------------

@@ -67,7 +67,7 @@ def test_vbp_pairwise_incompatible_items():
 
 
 def test_vbp_rejects_oversized_items():
-    # the item range check runs on all items at once; a refusal names the first bad item
+    # the range check visits items in order, so a refusal names the first bad item
     for bad in [(1.5, 0.2), (0.0, 0.2), (math.nan, 0.2), (math.inf,), (0.2, -0.1)]:
         with pytest.raises(ValueError, match=r"^item 1 does not fit a unit bin"):
             vbp_greedy([(0.5,) * len(bad), bad, (2.0,) * len(bad)])

@@ -1,4 +1,5 @@
 import json
+import pickle
 import re
 
 import pytest
@@ -106,12 +107,14 @@ def test_fat_tree_tables_match_graph(z):
                   if nodes[v].kind is NodeKind.AGGREGATION and nodes[v].pod == p]
         assert list(aggs) == sorted(in_pod, key=lambda v: nodes[v].pos)
         assert all(a in adj[e] for e in edges for a in aggs)
-    assert sorted(t._core_ids) == [v for v in t.processor_ids if nodes[v].kind is NodeKind.CORE]
-    for g in range(half):
-        for i in range(half):
-            core = t._core_ids[g * half + i]
-            assert nodes[core].kind is NodeKind.CORE
-            assert all(core in adj[t._agg_ids[p][g]] for p in range(z))
+    cores = [v for v in t.processor_ids if nodes[v].kind is NodeKind.CORE]
+    assert len(t._core_groups) == half
+    for g, group in enumerate(t._core_groups):
+        # group g: exactly the cores behind every pod's aggregation switch at position g, in id order
+        assert list(group) == [c for c in cores if all(c in adj[t._agg_ids[p][g]] for p in range(z))]
+        assert all(set(adj[t._agg_ids[p][g]]) & set(cores) == set(group) for p in range(z))
+    assert t._core_ids == tuple(c for group in t._core_groups for c in group)
+    assert sorted(t._core_ids) == cores
 
 
 @pytest.mark.parametrize("z", [3, 0, -2, 1])
@@ -186,6 +189,19 @@ def test_topology_dump_round_trip(tmp_path, tree4):
     assert loaded.z is None
 
 
+def _tables(topology):
+    return (topology.z, topology._host_edge, topology._host_pod, topology._edge_ids,
+            topology._agg_ids, topology._core_groups, topology._core_ids)
+
+
+def test_fat_tree_tables_survive_load_and_pickle(tmp_path, tree4):
+    # the routers read the tables, not the graph; `experiment --jobs` pickles the tree to its workers
+    path = tmp_path / "topo.json"
+    save_topology(tree4, path)
+    assert _tables(load_topology(path)) == _tables(tree4)
+    assert _tables(pickle.loads(pickle.dumps(tree4))) == _tables(tree4)
+
+
 @pytest.mark.parametrize("bad", (1.5, True, "4"))
 @pytest.mark.parametrize("field", ("z", "node id", "node pod", "node pos", "edge end"))
 def test_load_topology_rejects_non_integer_fields(tmp_path, tree2, field, bad):
@@ -248,5 +264,6 @@ def test_fat_tree_helpers(tree4):
     assert tree4._host_edge[0] == 16
     assert tree4._agg_ids[0][0] == 24
     assert tree4._agg_ids[1] == (26, 27)
+    assert tree4._core_groups == ((32, 33), (34, 35))
     assert tree4._core_ids == (32, 33, 34, 35)
     assert 20 not in tree4._host_pod  # node 20 is an edge switch, not a host
