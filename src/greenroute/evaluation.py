@@ -151,7 +151,7 @@ def oracle_min_bins(items: Sequence[Sequence[float]]) -> int | None:
     if len(items) > _MAX_ORACLE_ITEMS:
         raise ValueError(f"instance too large: {len(items)} items (limit {_MAX_ORACLE_ITEMS})")
     for i, item in enumerate(items):
-        if any(c <= 0 for c in item):
+        if any(not c > 0 for c in item):  # refuses NaN too
             raise ValueError(f"item {i} has a component that is not positive: {item}")
     if len(set(map(len, items))) > 1:  # zip would silently drop the extra components
         raise ValueError("items must share one dimension count")

@@ -10,13 +10,10 @@ the layer's width, and escalation in phase 2 wakes whatever more
 switches the paths need.
 
 :func:`vbp_greedy` is the paper's packer, kept public but no longer on
-HGR's path: a bin-centric greedy that repeatedly places the fitting item
-minimizing a weighted squared difference to the bin residual, with
-per-dimension weights proportional to total demand mass. The weights sum to
-1, so by Cauchy-Schwarz the squared difference of the weighted means bounds
-that score from below; the packer scans items by descending weighted mean
-and stops once the bound passes the best score, which skips most items and
-leaves every pick exactly that of a full scan.
+HGR's path: a bin-centric greedy that, for each placement, scores every
+remaining item by its weighted squared difference to the bin residual, with
+per-dimension weights proportional to total demand mass, and places the
+fitting item that scores lowest.
 
 Phase 2 materializes paths, which the counts alone do not give: the
 lowest-position switches per layer are activated to the phase-1 counts, and
@@ -42,8 +39,7 @@ activated set is reported alongside the per-layer counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
-from operator import mul
+from math import ceil, isfinite
 from typing import AbstractSet, Sequence
 
 from .mrg import CAP_TOL, ResidualState, RoutingSolution, _sample_shortest
@@ -82,15 +78,20 @@ class LayerCounts:
 
 
 def dimension_weights(items: Sequence[Sequence[float]]) -> tuple[float, ...]:
-    """Relative importance of each dimension: its demand mass over the total mass."""
+    """Relative importance of each dimension: its demand mass over the total mass.
+
+    Every component must be finite and strictly positive, as a flow's demand is.
+    """
     if not items:
         raise ValueError("dimension weights need a nonempty instance")
     dims = len(items[0])
     per_dim = [0.0] * dims
-    for item in items:
+    for i, item in enumerate(items):
         if len(item) != dims:
             raise ValueError("items must share one dimension count")
         for k, c in enumerate(item):
+            if not (c > 0 and isfinite(c)):
+                raise ValueError(f"item {i}: components must be finite and strictly positive: {item}")
             per_dim[k] += c
     total = sum(per_dim)
     return tuple(c / total for c in per_dim)
@@ -103,13 +104,6 @@ def vbp_greedy(items: Sequence[Sequence[float]]) -> VbpResult:
     sum_k alpha_k * (residual_k - item_k)^2 is packed (ties go to the lowest
     item index); when nothing fits, the bin closes and a fresh one opens.
     The weights alpha are computed once from the whole instance.
-
-    Since the alphas sum to 1, Cauchy-Schwarz bounds an item's score below
-    by (P(residual) - P(item))^2 with P(x) = sum_k alpha_k * x_k, so items
-    are scanned by descending projection P and the scan stops once that
-    bound exceeds the best score found (with a margin for rounding in P);
-    the skipped items cannot score lower or tie, so the pick is exactly the
-    full scan's.
     """
     items = [tuple(map(float, item)) for item in items]
     for i, item in enumerate(items):
@@ -119,22 +113,15 @@ def vbp_greedy(items: Sequence[Sequence[float]]) -> VbpResult:
         return VbpResult(0, {}, ())
     alphas = dimension_weights(items)
     dim_range = range(len(alphas))
-    proj = [sum(map(mul, alphas, item)) for item in items]
 
-    remaining = sorted(range(len(items)), key=lambda i: (-proj[i], i))
+    remaining = list(range(len(items)))
     assignment: dict[int, int] = {}
     residuals: list[tuple[float, ...]] = []
     current = [1.0] * len(alphas)
     while remaining:
         best = -1
-        best_pos = -1
         best_score = float("inf")
-        bound = float("inf")  # gap^2 beyond this rules out every later item
-        p_current = sum(map(mul, alphas, current))
-        for pos, i in enumerate(remaining):
-            gap = p_current - proj[i]
-            if gap > 0.0 and gap * gap > bound:
-                break
+        for i in remaining:
             item = items[i]
             score = 0.0
             for k in dim_range:
@@ -145,9 +132,8 @@ def vbp_greedy(items: Sequence[Sequence[float]]) -> VbpResult:
                     break
                 d = r - c
                 score += alphas[k] * d * d
-            if score >= 0.0 and (score < best_score or (score == best_score and i < best)):
-                best, best_pos, best_score = i, pos, score
-                bound = score * (1.0 + 1e-9) + 1e-12
+            if 0.0 <= score < best_score:
+                best, best_score = i, score
         if best < 0:
             residuals.append(tuple(current))
             current = [1.0] * len(alphas)
@@ -155,7 +141,7 @@ def vbp_greedy(items: Sequence[Sequence[float]]) -> VbpResult:
         assignment[best] = len(residuals) + 1
         for k in dim_range:
             current[k] -= items[best][k]
-        del remaining[best_pos]
+        remaining.remove(best)
     residuals.append(tuple(current))
     return VbpResult(len(residuals), assignment, tuple(residuals))
 

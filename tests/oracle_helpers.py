@@ -3,8 +3,8 @@
 Most of it is deliberately written with different algorithms than the
 library uses: literal pair enumeration for inversions, exhaustive simple-path
 enumeration for shortest paths, and a subset DP for exact bin packing. The
-frozen routing, packing and oracle references at the end are the
-library's own earlier code, kept so its fast or merged paths can be held to
+frozen routing and oracle references at the end are the library's own
+earlier code, kept so its fast or merged paths can be held to
 byte-identical output, and the oracle to identical answers. The frozen
 routers keep the earlier routing state: residual capacities, reduced on
 commit, with loads summed afterwards from the committed paths.
@@ -24,9 +24,7 @@ from greenroute import (
     ResidualState,
     RoutingSolution,
     Topology,
-    VbpResult,
     Workload,
-    dimension_weights,
     inv_count,
     is_connected,
     node_to_link_weights,
@@ -453,52 +451,6 @@ def reference_route_shortest(topology, workload, seed, dims):
             state.commit(flow.id, path, flow.demand)
     unrouted = frozenset(flow.id for flow in workload.flows if flow.id not in state.committed)
     return state.committed, unrouted, {v: tuple(l) for v, l in state.load.items()}
-
-
-
-# Verbatim copy of the vector bin packer as it stood before its scan was
-# pruned: every placement rescores every remaining item in index order.
-
-def reference_vbp_greedy(items):
-    items = [tuple(float(c) for c in item) for item in items]
-    for i, item in enumerate(items):
-        if not all(0 < c <= 1 for c in item):
-            raise ValueError(f"item {i} does not fit a unit bin: {item}")
-    if not items:
-        return VbpResult(0, {}, ())
-    alphas = dimension_weights(items)
-    dim_range = range(len(alphas))
-
-    remaining = list(range(len(items)))
-    assignment = {}
-    residuals = []
-    current = [1.0] * len(alphas)
-    while remaining:
-        best = -1
-        best_score = float("inf")
-        for i in remaining:
-            item = items[i]
-            score = 0.0
-            for k in dim_range:
-                r = current[k]
-                c = item[k]
-                if r < c - CAP_TOL:
-                    score = -1.0
-                    break
-                d = r - c
-                score += alphas[k] * d * d
-            if score >= 0.0 and score < best_score:
-                best, best_score = i, score
-        if best < 0:
-            residuals.append(tuple(current))
-            current = [1.0] * len(alphas)
-            continue
-        assignment[best] = len(residuals) + 1
-        for k in dim_range:
-            current[k] -= items[best][k]
-        remaining.remove(best)
-    residuals.append(tuple(current))
-    return VbpResult(len(residuals), assignment, tuple(residuals))
 
 
 # Verbatim copy of the greedy step as it stood before its search labelled

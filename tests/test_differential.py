@@ -5,18 +5,14 @@ hop-minimal search, its fat-tree draw and the shortest-path routers (SRSP
 and MRSP) must reproduce the earlier implementations kept in
 ``oracle_helpers`` exactly: same paths, same unrouted set, same loads, on
 light loads (most flows ride active nodes) and near saturation (flows go
-unrouted). The vector bin packer must return the frozen full-scan packer's
-result bit for bit, HGR's layer counts must be the layers' L1 bounds, and
-HGR must route as its frozen copy does. Every
-router's loads, kept as running sums while it routes, must equal the sums
-over its paths bit for bit.
+unrouted). HGR's layer counts must be the layers' L1 bounds, and HGR must
+route as its frozen copy does. Every router's loads, kept as running sums
+while it routes, must equal the sums over its paths bit for bit.
 """
 
 import random
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from greenroute import (
     CAP_TOL,
@@ -27,7 +23,6 @@ from greenroute import (
     Topology,
     Workload,
     build_fat_tree,
-    dimension_weights,
     generate_workload,
     is_connected,
     online_arrival,
@@ -38,7 +33,6 @@ from greenroute import (
     route_srg,
     route_srsp,
     shortest_path,
-    vbp_greedy,
 )
 from greenroute.evaluation import ROUTERS
 from greenroute.mrg import _greedy_path, _sample_shortest, _tree_drawer
@@ -57,7 +51,6 @@ from oracle_helpers import (
     reference_sample_shortest,
     reference_shortest_path,
     reference_solution_loads,
-    reference_vbp_greedy,
     with_host_ends,
 )
 
@@ -553,78 +546,6 @@ def test_sample_shortest_asks_both_gates_first_on_an_idle_z16_tree():
     asked = []
     assert _sample_shortest(topology, _asking(allowed, asked), s, t) is None
     assert asked == [topology._host_edge[s], topology._host_edge[t]]
-
-
-QUANTA = (0.1, 0.2, 0.25, 0.3, 0.5)
-
-
-def _uniform_items(rng, n, dims):
-    return [tuple(rng.uniform(0.001, 1.0) for _ in range(dims)) for _ in range(n)]
-
-
-def _tied_items(rng, n, dims):
-    return [tuple(rng.choice(QUANTA) for _ in range(dims)) for _ in range(n)]
-
-
-def _duplicated_items(rng, n, dims):
-    base = _uniform_items(rng, rng.randint(1, 4), dims)
-    return [rng.choice(base) for _ in range(n)]
-
-
-def _exact_fill_items(rng, n, dims):
-    # groups of eighths that sum to exactly 1.0 in every dimension, so a bin
-    # residual can equal an item and score 0
-    items = []
-    while len(items) < n:
-        size = rng.randint(1, 4)
-        columns = []
-        for _ in range(dims):
-            cuts = sorted(rng.sample(range(1, 8), size - 1))
-            columns.append([(b - a) / 8 for a, b in zip([0] + cuts, cuts + [8])])
-        items.extend(zip(*columns))
-    rng.shuffle(items)
-    return items[:n]
-
-
-def _assert_packs_like_reference(items):
-    assert abs(sum(dimension_weights(items)) - 1.0) < 1e-12  # the pruning bound rests on it
-    result = vbp_greedy(items)
-    expected = reference_vbp_greedy(items)
-    assert result.bin_count == expected.bin_count
-    assert result.assignment == expected.assignment
-    assert result.bin_residuals == expected.bin_residuals  # float equality: bit for bit
-
-
-@pytest.mark.parametrize("family", (_uniform_items, _tied_items, _duplicated_items, _exact_fill_items))
-def test_vbp_greedy_matches_reference(family):
-    rng = random.Random(family.__name__)
-    for _ in range(800):
-        n = int(150 ** rng.random())  # log-uniform over 1..150: mostly small, some large
-        _assert_packs_like_reference(family(rng, n, rng.randint(1, 6)))
-
-
-def test_vbp_greedy_matches_reference_on_hgr_layers():
-    topology = build_fat_tree(16)
-    workload = generate_workload(topology, 1440, 5, seed=77)
-    layers = [[] for _ in range(16 + 8)]
-    for flow in workload.flows:
-        src_pod, dst_pod = topology._host_pod[flow.src], topology._host_pod[flow.dst]
-        if topology._host_edge[flow.src] == topology._host_edge[flow.dst]:
-            continue
-        layers[src_pod].append(flow.demand)
-        if dst_pod != src_pod:
-            layers[dst_pod].append(flow.demand)
-            layers[16 + flow.src % (16 * 16 // 4) % 8].append(flow.demand)
-    for items in layers:
-        assert len(items) > 30
-        _assert_packs_like_reference(items)
-
-
-@given(st.integers(1, 6).flatmap(lambda dims: st.lists(
-    st.tuples(*[st.one_of(st.sampled_from(QUANTA), st.floats(0.0, 1.0, exclude_min=True))] * dims),
-    min_size=1, max_size=40)))
-def test_vbp_greedy_matches_reference_property(items):
-    _assert_packs_like_reference(items)
 
 
 @pytest.mark.parametrize("z", (4, 8))

@@ -106,6 +106,13 @@ def test_oracle_min_bins_basics():
     assert oracle_min_bins([(0.6, 0.3), (0.5, 0.5), (0.4, 0.6), (0.3, 0.2)]) == 2
 
 
+@pytest.mark.parametrize("items", ([(float("nan"),)], [(0.5,), (float("nan"),)]))
+def test_oracle_min_bins_rejects_nan(items):
+    # c <= 0 is False for NaN, so a NaN item would pass as positive and be packed
+    with pytest.raises(ValueError, match="not positive"):
+        oracle_min_bins(items)
+
+
 @pytest.mark.parametrize("items", ([(0.3, 0.9), (0.3,)], [(0.3,), (0.3, 0.9)],
                                    [(0.6, 0.6), (0.6,)], [(0.6,), (0.6, 0.6)]))
 def test_oracle_min_bins_rejects_ragged_items_as_the_packer_does(items):

@@ -3,10 +3,12 @@
 Covers a small ``greenroute experiment`` CSV, the ``route --out`` dump of
 every algorithm on a light workload (most flows ride already-active nodes)
 and on a near-saturation one (flows go unrouted, many nodes wake up), an HGR
-dump whose layer counts come from the bin packer, and the path trace of a
-stream of online arrivals and departures. A change that moves any path,
-unrouted set or load on these inputs changes a hash; a change meant to
-alter routing output updates the hashes and says why in CHANGES.md.
+dump whose layer counts sit strictly between 1 and the layer widths, the
+path trace of a stream of online arrivals and departures, and the vector
+bin packer's packings of seeded item families. A change that moves any
+path, unrouted set, load or packing on these inputs changes a hash; a
+change meant to alter such output updates the hashes and says why in
+CHANGES.md.
 
 ``PYTHONPATH=src python tests/test_golden.py`` prints every artifact's
 current digest as a ``GOLDEN`` entry, marking those that moved.
@@ -21,7 +23,14 @@ from pathlib import Path
 
 import pytest
 
-from greenroute import ResidualState, build_fat_tree, generate_workload, online_arrival, online_departure
+from greenroute import (
+    ResidualState,
+    build_fat_tree,
+    generate_workload,
+    online_arrival,
+    online_departure,
+    vbp_greedy,
+)
 from greenroute.cli import main
 
 ALGOS = ("hgr", "mrg", "mrsp", "srg", "srsp")
@@ -32,8 +41,9 @@ WORKLOADS = {
               "--seed", "12"),
 }
 
-# HGR's layers here need 3-4 bins, at most z/2 = 4, so the packer's counts
-# decide the output (light layers fit one bin and skip it; heavy ones cap at z/2)
+# HGR's L1 bounds here give the pods 3-4 of their z/2 = 4 aggregation switches
+# and the core layer 12 of its 16, so the bounds decide the output (light
+# layers need one switch; heavy ones cap at the layer's width)
 MID_HGR = ("--z", "8", "--flows", "480", "--dims", "5", "--seed", "13")
 
 EXPERIMENT = ("experiment", "--z", "4", "--dims", "3", "--flows", "10:40:15", "--trials", "3",
@@ -53,6 +63,7 @@ GOLDEN = {
     "heavy-srsp": "02a8ca65d724c4166aa14dad60e21e28d74b66b9f464cd874abb72bd7456f1f1",
     "mid-hgr": "1271147ff9d947efbed51d332ec54f5af4b8cb8dae512172c5afffcf36e9c9f3",
     "online-z8": "08748455bddb9f6ade85d8a9abc7b96ec5c87b6d42b62dc5114ce0542a4f7da2",
+    "vbp": "ffee22a1ad245c0f51dbf114acd00da25d8e7e0fcc9059339bddf56a71d5f53b",
 }
 
 
@@ -86,6 +97,56 @@ def online_trace_digest() -> str:
     return trace.hexdigest()
 
 
+QUANTA = (0.1, 0.2, 0.25, 0.3, 0.5)
+
+
+def _uniform_items(rng, n, dims):
+    return [tuple(rng.uniform(0.001, 1.0) for _ in range(dims)) for _ in range(n)]
+
+
+def _tied_items(rng, n, dims):
+    return [tuple(rng.choice(QUANTA) for _ in range(dims)) for _ in range(n)]
+
+
+def _duplicated_items(rng, n, dims):
+    base = _uniform_items(rng, rng.randint(1, 4), dims)
+    return [rng.choice(base) for _ in range(n)]
+
+
+def _exact_fill_items(rng, n, dims):
+    # groups of eighths that sum to exactly 1.0 in every dimension, so a bin
+    # residual can equal an item and score 0
+    items = []
+    while len(items) < n:
+        size = rng.randint(1, 4)
+        columns = []
+        for _ in range(dims):
+            cuts = sorted(rng.sample(range(1, 8), size - 1))
+            columns.append([(b - a) / 8 for a, b in zip([0] + cuts, cuts + [8])])
+        items.extend(zip(*columns))
+    rng.shuffle(items)
+    return items[:n]
+
+
+def vbp_digest() -> str:
+    """sha256 of ``vbp_greedy``'s packings of 100 seeded instances per item family.
+
+    Each instance has n log-uniform over 1..150 items of K in 1..6
+    dimensions. The tied and exact-fill families make equal scores (won by
+    the lowest index) and zero scores common. Bin counts, assignments and
+    bin residuals are hashed, the residuals by ``repr``, so bit for bit.
+    """
+    digest = hashlib.sha256()
+    for family in (_uniform_items, _tied_items, _duplicated_items, _exact_fill_items):
+        rng = random.Random(family.__name__)
+        for _ in range(100):
+            n = int(150 ** rng.random())  # log-uniform over 1..150: mostly small, some large
+            result = vbp_greedy(family(rng, n, rng.randint(1, 6)))
+            digest.update(f"{result.bin_count};{sorted(result.assignment.items())};"
+                          f"{result.bin_residuals!r};".encode())
+    return digest.hexdigest()
+
+
 def _route_digest(workdir, name: str, algo: str) -> str:
     out = workdir / f"{name}-{algo}.json"
     _run("route", "--algo", algo, "--workload", str(workdir / f"{name}.jsonl"), "--seed", "5",
@@ -106,6 +167,7 @@ def golden_digests(workdir) -> dict[str, str]:
             digests[f"{name}-{algo}"] = _route_digest(workdir, name, algo)
     digests["mid-hgr"] = _route_digest(workdir, "mid", "hgr")
     digests["online-z8"] = online_trace_digest()
+    digests["vbp"] = vbp_digest()
     return digests
 
 

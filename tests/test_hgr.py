@@ -43,6 +43,14 @@ def test_dimension_weights_empty_instance():
         dimension_weights([])
 
 
+@pytest.mark.parametrize("items", ([(0.0,)], [(-0.5,), (0.5,)], [(float("nan"),)], [(0.2, 0.0)],
+                                   [(float("inf"), 0.1)]))
+def test_dimension_weights_rejects_components_not_finite_and_positive(items):
+    # a zero mass divides by zero, a zero or negative one gives a weight outside (0, 1)
+    with pytest.raises(ValueError, match="finite and strictly positive"):
+        dimension_weights(items)
+
+
 # -- greedy packing ---------------------------------------------------------------
 
 def test_vbp_single_item():
