@@ -258,33 +258,14 @@ def save_solution(solution: RoutingSolution, path: str | Path, extra: dict | Non
 # -- graph primitives ------------------------------------------------------------
 
 def is_connected(topology: Topology, allowed_nodes: Iterable[int], s: int, t: int) -> bool:
-    """True iff some s-t path has only processors in ``allowed_nodes`` as interior nodes.
+    """True iff :func:`shortest_path` finds an s-t path through ``allowed_nodes``.
 
-    As in :func:`shortest_path`, a host is never interior, even if
-    ``allowed_nodes`` holds it, and an endpoint that is a processor must be
-    in ``allowed_nodes``: it carries the flow like any processor on the path.
+    A slow reference that no router calls, with that function's contract: a
+    host is never interior, even if ``allowed_nodes`` holds it, and an
+    endpoint that is a processor must be in ``allowed_nodes``, since it
+    carries the flow like any processor on the path.
     """
-    topology._check_id(s)
-    topology._check_id(t)
-    allowed = allowed_nodes if isinstance(allowed_nodes, (set, frozenset)) else set(allowed_nodes)
-    hosts = topology.host_set
-    if not ((s in hosts or s in allowed) and (t in hosts or t in allowed)):
-        return False
-    if s == t:
-        return True
-    inner = topology._inner_adj
-    t_adj = topology._adj[t]
-    seen = {s}
-    stack = [s]
-    while stack:
-        u = stack.pop()
-        if u in t_adj:
-            return True
-        for v in inner[u]:
-            if v in allowed and v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return False
+    return shortest_path(topology, allowed_nodes, None, s, t) is not None
 
 
 def _sample_shortest(topology: Topology, enterable, s: int, t: int,

@@ -167,7 +167,7 @@ def build_fat_tree(z: int) -> Topology:
 
 def build_star_reduction(item_count: int) -> StarReduction:
     """Star graph with ``item_count`` parallel middle processors between two hosts."""
-    if not isinstance(item_count, int) or item_count < 1:
+    if type(item_count) is not int or item_count < 1:  # a bool is not a count
         raise ValueError(f"item_count must be a positive integer, got {item_count!r}")
     nodes = [Node(0, NodeKind.HOST, None, 0), Node(1, NodeKind.HOST, None, 1)]
     edges = []

@@ -71,6 +71,8 @@ class Workload:
     std: float | None = None
 
     def __post_init__(self):
+        if type(self.dims) is not int:  # a bool is not a count
+            raise ValueError(f"dims must be an int, got {self.dims!r}")
         for i, flow in enumerate(self.flows):
             if flow.id != i:
                 raise ValueError(f"flow ids must be dense from 0, got id {flow.id} at index {i}")
@@ -100,10 +102,10 @@ def generate_workload(
     is an independent truncated-normal draw in (0, 1]. Identical arguments
     produce bit-identical workloads.
     """
-    if flow_count < 1:
-        raise ValueError(f"flow_count must be >= 1, got {flow_count}")
-    if dims < 1:
-        raise ValueError(f"dims must be >= 1, got {dims}")
+    if type(flow_count) is not int or flow_count < 1:  # a bool or float is not a count
+        raise ValueError(f"flow_count must be an integer >= 1, got {flow_count!r}")
+    if type(dims) is not int or dims < 1:
+        raise ValueError(f"dims must be an integer >= 1, got {dims!r}")
     if not 0 < mean < math.inf:  # also rejects NaN, which the sampler would never accept
         raise ValueError(f"mean must be finite and > 0, got {mean}")
     if not 0 <= std < math.inf:

@@ -10,7 +10,6 @@ routers keep the earlier routing state: residual capacities, reduced on
 commit, with loads summed afterwards from the committed paths.
 """
 
-import heapq
 import itertools
 import random
 from operator import ge, le
@@ -25,9 +24,11 @@ from greenroute import (
     RoutingSolution,
     Topology,
     Workload,
+    assign_node_weights,
     inv_count,
     is_connected,
     node_to_link_weights,
+    shortest_path,
 )
 from greenroute.mrg import _sample_shortest
 
@@ -141,52 +142,21 @@ def with_host_ends(topology, rng, leaf_share):
 
 
 # -- frozen routing references -------------------------------------------------------
-# Verbatim copies of the greedy router and Dijkstra as they stood before the
-# pick scan skipped flows bound to fail again, lazy reachability and the
+# The greedy router and its online arrival as they stood before the pick
+# scan skipped flows bound to fail again, lazy reachability and the
 # dead-end skip, with two intended changes since: hosts never relay, so no
 # host is ever an allowed interior node; and an endpoint that is not a host
 # carries its flow, so it must be allowed too (``ends_enterable``, which
-# ``reference_shortest_path`` and ``is_connected`` apply themselves and
-# every other frozen search below applies first). They are slow on purpose
-# (a set and a BFS per pending flow per iteration, a link-weight dict over
-# every edge per flow); the differential tests require the library to
-# reproduce them exactly.
+# the frozen hop search below applies first). They are slow on purpose (a
+# set and a search per pending flow per iteration, a link-weight dict over
+# every edge per flow) and search with the library's own slow references,
+# ``is_connected`` and ``shortest_path``, which ``test_mrg`` holds to
+# exhaustive path enumeration; the differential tests require the library
+# to reproduce them exactly.
 
 def ends_enterable(topology, enterable, s, t):
     """Every endpoint of s and t that is not a host passes ``enterable``."""
     return all(v in topology.host_set or enterable(v) for v in (s, t))
-
-
-def reference_shortest_path(topology, allowed_nodes, link_weights, s, t):
-    if link_weights is not None and link_weights and min(link_weights.values()) < 0:
-        raise ValueError("link weights must be nonnegative")
-    allowed = allowed_nodes if isinstance(allowed_nodes, (set, frozenset)) else set(allowed_nodes)
-    if not ends_enterable(topology, allowed.__contains__, s, t):
-        return None
-    if s == t:
-        return [s]
-    adj = topology._adj
-    done = set()
-    heap = [(0.0, 0, (s,))]
-    while heap:
-        cost, hops, path = heapq.heappop(heap)
-        u = path[-1]
-        if u in done:
-            continue
-        done.add(u)
-        if u == t:
-            return list(path)
-        for v in adj[u]:
-            if v in done:
-                continue
-            if v != t and v not in allowed:
-                continue
-            if link_weights is None:
-                w = 1.0
-            else:
-                w = link_weights[(u, v) if u < v else (v, u)]
-            heapq.heappush(heap, (cost + w, hops + 1, path + (v,)))
-    return None
 
 
 def _reference_node_weights(residual, active, demand, topology, view):
@@ -236,7 +206,7 @@ def reference_route_greedy(topology, workload, seed, view):
         allowed = {v for v in procs if capable(v, demand)}
         weights = _reference_node_weights(residual, active, demand, topology, view)
         link_w = node_to_link_weights(topology, weights)
-        path = reference_shortest_path(topology, allowed, link_w, flow.src, flow.dst)
+        path = shortest_path(topology, allowed, link_w, flow.src, flow.dst)
         if path is None:
             unrouted.add(flow.id)
             continue
@@ -318,29 +288,36 @@ def reference_solution_loads(topology, workload, paths):
 def reference_online_arrival(state, topology, flow):
     """Online arrival with full weight and link-weight tables per flow, on a :class:`ReferenceState`."""
     demand = flow.demand
-    dims = len(demand)
 
     def capable(v):
         return all(r >= d - TOL for r, d in zip(state.residual[v], demand))
 
     usable_active = {v for v in state.active if capable(v)}
-    weights = _reference_node_weights(state.residual, state.active, demand, topology, tuple(range(dims)))
+    weights = _reference_node_weights(state.residual, state.active, demand, topology, tuple(range(len(demand))))
     link_w = node_to_link_weights(topology, weights)
     allowed = {v for v in topology.processor_ids if capable(v)}
-    if is_connected(topology, usable_active, flow.src, flow.dst):
-        path = reference_shortest_path(topology, usable_active, link_w, flow.src, flow.dst)
-    else:
-        path = reference_shortest_path(topology, allowed, link_w, flow.src, flow.dst)
+    path = (shortest_path(topology, usable_active, link_w, flow.src, flow.dst)
+            or shortest_path(topology, allowed, link_w, flow.src, flow.dst))
     if path is None:
         return None
     state.commit(flow.id, path, demand)
     return tuple(path)
 
 
-# Verbatim copies of the two hop-minimal searches as they stood before they
-# were merged into one: the seeded ECMP draw of the shortest-path baselines
-# (a BFS from s, then path counts per level) and HGR's lexicographic detour
-# search (a BFS from t, then a smallest-id walk).
+def reference_greedy_paths(state, topology, src, dst, demand, room):
+    """The greedy step as ``_greedy_path`` states it, on the two node sets an
+    arrival tries: :func:`shortest_path` over the active processors that fit
+    ``room``, then over every processor that fits, both priced by
+    :func:`node_to_link_weights` of :func:`assign_node_weights`."""
+    link_w = node_to_link_weights(topology, assign_node_weights(state, demand, topology))
+    capable = {v for v in topology.processor_ids if state.fits(v, room)}
+    return [shortest_path(topology, allowed, link_w, src, dst) for allowed in (capable & state.active, capable)]
+
+
+# Verbatim copy of the baselines' seeded ECMP draw (a BFS from s, then path
+# counts per level) as it stood before it and HGR's lexicographic detour
+# search merged into one hop search; the lexicographic answer needs no
+# copy: it is ``shortest_path`` with unit weights.
 
 def reference_sample_shortest(topology, allowed, s, t, rng):
     if not ends_enterable(topology, allowed.__contains__, s, t):
@@ -399,40 +376,6 @@ def reference_sample_shortest(topology, allowed, s, t, rng):
     return path
 
 
-def reference_hop_shortest_lex(topology, allowed, s, t):
-    if not ends_enterable(topology, allowed.__contains__, s, t):
-        return None
-    if s == t:
-        return [s]
-    adj = topology._adj
-    dist_t = {t: 0}
-    frontier = [t]
-    level = 0
-    while frontier and s not in dist_t:
-        level += 1
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if v in dist_t:
-                    continue
-                if v == s:
-                    dist_t[v] = level
-                elif v in allowed:
-                    dist_t[v] = level
-                    nxt.append(v)
-        frontier = nxt
-    if s not in dist_t:
-        return None
-    path = [s]
-    v = s
-    remaining = dist_t[s]
-    while v != t:
-        remaining -= 1
-        v = min(u for u in adj[v] if dist_t.get(u, -1) == remaining)
-        path.append(v)
-    return path
-
-
 def reference_route_shortest(topology, workload, seed, dims):
     """SRSP (``dims`` 1) and MRSP (all dimensions) on the frozen draw, on any graph.
 
@@ -451,78 +394,6 @@ def reference_route_shortest(topology, workload, seed, dims):
             state.commit(flow.id, path, flow.demand)
     unrouted = frozenset(flow.id for flow in workload.flows if flow.id not in state.committed)
     return state.committed, unrouted, {v: tuple(l) for v, l in state.load.items()}
-
-
-# Verbatim copy of the greedy step as it stood before its search labelled
-# from t: a Dijkstra from s whose heap entries carry the whole path, so ties
-# break on the path tuple itself, priced in half-sum float link weights. It
-# walks the whole adjacency, so that it does not share the library's table
-# of relay nodes; its predicate refuses hosts.
-
-def _reference_dijkstra(topology, s, t, step):
-    adj = topology._adj
-    done = set()
-    heap = [(0.0, 0, (s,))]
-    while heap:
-        cost, hops, path = heapq.heappop(heap)
-        u = path[-1]
-        if u in done:
-            continue
-        done.add(u)
-        if u == t:
-            return list(path)
-        for v in adj[u]:
-            if v not in done:
-                w = step(u, v)
-                if w is not None:
-                    heapq.heappush(heap, (cost + w, hops + 1, path + (v,)))
-    return None
-
-
-def _reference_state_node_weight(state, demand, topology):
-    dims = len(demand)
-    inactive_w = dims * (dims - 1) // 2 + 1
-    hosts = topology.host_set
-    active = state.active
-    load = state.load
-
-    def node_weight(v):
-        if v in hosts:
-            return 0
-        if v in active:
-            # the room left, 1 - load, orders every pair as the negated load does
-            return inv_count([-c for c in load[v]], demand)
-        return inactive_w
-
-    return node_weight
-
-
-def reference_greedy_path(state, topology, src, dst, demand, room, active_only):
-    """The greedy step on a library state, searching forward with a path per heap entry."""
-    fits = state.fits
-    if active_only:
-        active = state.active
-
-        def enterable(v):
-            return v in active and fits(v, room)
-    else:
-        hosts = topology.host_set
-
-        def enterable(v):
-            return v not in hosts and fits(v, room)
-    if not ends_enterable(topology, enterable, src, dst):
-        return None
-    node_weight = _reference_state_node_weight(state, demand, topology)
-    nw = [-1] * len(topology)  # -1: not weighed yet, None: not enterable
-    nw[src] = node_weight(src)
-
-    def step(u, v):
-        w = nw[v]
-        if w == -1:
-            w = nw[v] = node_weight(v) if v == dst or enterable(v) else None
-        return None if w is None else (nw[u] + w) / 2
-
-    return _reference_dijkstra(topology, src, dst, step)
 
 
 # Copy of HGR as it stood before its layer count skipped the packer for

@@ -19,12 +19,12 @@ from greenroute import (
     route_mrsp,
     route_srg,
     route_srsp,
+    shortest_path,
     vbp_greedy,
 )
 from greenroute.evaluation import ROUTERS
 from greenroute.workload import generate_workload
 
-from oracle_helpers import reference_hop_shortest_lex
 
 TOL = 1e-9
 
@@ -113,8 +113,7 @@ def test_shortest_path_baselines_are_hop_minimal(z_fixture, request):
             sol = router(topology, w, seed)
             for fid, path in sol.paths.items():
                 flow = w.flows[fid]
-                shortest = len(reference_hop_shortest_lex(topology, set(topology.processor_ids),
-                                                          flow.src, flow.dst))
+                shortest = len(shortest_path(topology, topology.processor_ids, None, flow.src, flow.dst))
                 assert len(path) == shortest
 
 

@@ -362,7 +362,7 @@ def test_constructive_path_matches_generic_search():
     # guarantees before it asks: fixed shapes, 10-hop detours through one
     # third pod, longer ones, and "no path"
     from greenroute.hgr import _tree_router
-    from greenroute.mrg import CAP_TOL, ResidualState, shortest_path
+    from greenroute.mrg import ResidualState, shortest_path
 
     rng = random.Random(7)
     dims = 3
@@ -375,16 +375,13 @@ def test_constructive_path_matches_generic_search():
             src, dst = rng.sample(topology.host_ids, 2)
             edges = {topology._host_edge[src], topology._host_edge[dst]}
             activated |= edges
-            demand = tuple(rng.uniform(0.01, 0.6) for _ in range(dims))
-            allowed = {
-                v for v in activated
-                if all(load[v][k] + demand[k] <= 1 + CAP_TOL for k in range(dims))
-            }
+            room = ResidualState.room(tuple(rng.uniform(0.01, 0.6) for _ in range(dims)))
+            state = ResidualState(load, set())
+            allowed = {v for v in activated if state.fits(v, room)}
             if not edges <= allowed:
                 continue
             tried += 1
-            room = [1 + CAP_TOL - d for d in demand]
-            constructive = _tree_router(topology, ResidualState(load, set()), activated)(room, src, dst)
+            constructive = _tree_router(topology, state, activated)(room, src, dst)
             generic = shortest_path(topology, allowed, None, src, dst)
             assert constructive == generic
             length = None if generic is None else len(generic)

@@ -33,8 +33,10 @@ from oracle_helpers import (
     all_simple_paths,
     best_path_by_enumeration,
     brute_inversions,
+    graph_with_leaves,
     path_link_cost,
     random_topology,
+    with_host_ends,
 )
 
 TOL = 1e-9
@@ -386,22 +388,28 @@ def test_shortest_path_disconnected_returns_none():
 
 
 def test_shortest_path_matches_enumeration_oracle():
+    # Processor endpoints on random graphs, priced by half-sum node weights;
+    # then host endpoints on graphs with leaves and hosts of degree >= 2,
+    # interior nodes from a partial processor set, and link weights that sum
+    # exactly: unit (None), half-integers with many ties, or sixteenths.
     rng = random.Random(99)
-    hits = 0
-    for _ in range(60):
-        topo = random_topology(rng, rng.randint(5, 12), 0.35)
-        node_w = {v: rng.randint(0, 6) for v in range(len(topo))}
-        links = node_to_link_weights(topo, node_w)
-        s, t = rng.sample(range(len(topo)), 2)
-        best_cost, best_path = best_path_by_enumeration(topo, links, s, t)
-        got = shortest_path(topo, set(range(len(topo))), links, s, t)
-        if best_cost is None:
-            assert got is None
-            continue
-        hits += 1
-        assert got == best_path
-        assert path_link_cost(got, links) == best_cost
-    assert hits > 20
+    found = 0
+    for trial in range(1560):
+        if trial < 60:
+            topo = random_topology(rng, rng.randint(5, 12), 0.35)
+            weights = node_to_link_weights(topo, {v: rng.randint(0, 6) for v in range(len(topo))})
+            s, t = rng.sample(range(len(topo)), 2)
+            allowed = set(range(len(topo)))
+        else:
+            topo, s, t = with_host_ends(graph_with_leaves(rng), rng, 0.3)
+            allowed = {v for v in topo.processor_ids if rng.random() < 0.75}
+            scale = (None, 2, 16)[trial % 3]
+            weights = None if scale is None else {e: rng.randint(0, 4 * scale) / scale for e in topo.edges}
+        links = dict.fromkeys(topo.edges, 1.0) if weights is None else weights
+        _, best = best_path_by_enumeration(topo, links, s, t, allowed)
+        assert shortest_path(topo, allowed, weights, s, t) == best
+        found += best is not None
+    assert found > 500
 
 
 # -- route_mrg -----------------------------------------------------------------------

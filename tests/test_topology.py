@@ -1,5 +1,6 @@
 import json
 import pickle
+import random
 import re
 
 import pytest
@@ -17,7 +18,7 @@ from greenroute import (
 )
 from greenroute.mrg import is_connected
 
-from oracle_helpers import all_simple_paths
+from oracle_helpers import all_simple_paths, graph_with_leaves, with_hosts
 
 
 @pytest.mark.parametrize("z", [2, 4, 6, 8])
@@ -153,6 +154,17 @@ def test_neighbors_symmetric(tree4):
             assert a in tree4._adj[b]
 
 
+def test_relay_table_lists_processor_neighbours_of_degree_two_or_more():
+    # Topology._inner_adj, the table every path search steps along: a host
+    # never relays a flow, and a node of degree 1 lies inside no simple path
+    rng = random.Random(67)
+    graphs = [build_fat_tree(z) for z in (2, 4, 8)] + [with_hosts(graph_with_leaves(rng), rng) for _ in range(200)]
+    for t in graphs:
+        relays = {v for v in t.processor_ids if len(t._adj[v]) >= 2}
+        assert t._inner_adj == tuple(tuple(sorted(relays.intersection(row))) for row in t._adj)
+    assert sum(any(len(t._adj[h]) >= 2 for h in t.host_set) for t in graphs) > 50
+
+
 def test_star_reduction_single_middle():
     star = build_star_reduction(1)
     assert all_simple_paths(star.topology, star.src, star.dst) == [[0, 2, 1]]
@@ -167,7 +179,7 @@ def test_star_reduction_paths_have_one_middle():
         assert len(p) == 3 and p[1] in middles
 
 
-@pytest.mark.parametrize("count", [0, -3])
+@pytest.mark.parametrize("count", [0, -3, True, 2.0])  # a bool or float is not a count
 def test_star_reduction_invalid_count(count):
     with pytest.raises(ValueError):
         build_star_reduction(count)

@@ -47,6 +47,10 @@ def test_generate_rejects_bad_parameters(tree4):
         generate_workload(tree4, 0, 3)
     with pytest.raises(ValueError):
         generate_workload(tree4, 5, 0)
+    # a bool or float is not a count: True flows once made one flow, and 2.5 a TypeError
+    for flow_count, dims in ((3, True), (3, 2.0), (True, 2), (False, 2), (2.5, 2)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            generate_workload(tree4, flow_count, dims)
     with pytest.raises(ValueError):
         generate_workload(tree4, 5, 3, mean=0.0)
     with pytest.raises(ValueError):
@@ -87,6 +91,10 @@ def test_round_trip_empty_and_single(tmp_path):
     empty = Workload((), 3, z=4)
     save_workload(empty, path)
     assert load_workload(path) == empty
+    # a workload with dims True once saved "K": true, which load_workload refuses
+    for dims in (True, 1.0):
+        with pytest.raises(ValueError, match="dims must be an int"):
+            Workload((), dims)
 
     one = Workload((Flow(0, 0, 5, (0.125, 0.25)),), 2, z=4, seed=9, mean=0.02, std=0.02)
     save_workload(one, path)
