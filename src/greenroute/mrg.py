@@ -483,9 +483,9 @@ def shortest_path(
 ) -> list[int] | None:
     """Minimum-weight simple s-t path whose interior nodes are processors in ``allowed_nodes``.
 
-    A host is never interior, even if ``allowed_nodes`` holds it (a change
-    of contract: hosts of degree >= 2 once were), and an endpoint that is a
-    processor must be in ``allowed_nodes``; routers take hosts only.
+    A host is never interior, even if ``allowed_nodes`` holds it, and an
+    endpoint that is a processor must be in ``allowed_nodes``; routers take
+    hosts only.
     ``link_weights`` maps each undirected edge (u, v) with u < v to a
     nonnegative weight; ``None`` means unit weights (hop count). Ties break
     by fewer hops, then the lexicographically smallest node id sequence.

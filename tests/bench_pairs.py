@@ -91,7 +91,13 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--seed", type=int, required=True, help="perfbench --seed")
     parser.add_argument("--out", required=True, type=Path, help="the JSON record to write")
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error(f"--pairs must be at least 1, not {args.pairs}")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for side, checkout in sides.items():
+        for needed in ("src/greenroute/__init__.py", "perfbench/run.py"):
+            if not (checkout / needed).is_file():
+                parser.error(f"--{side} {checkout} is not a checkout: it has no {needed}")
 
     runs, shas, hosts = [], {}, set()
     for workload in args.workloads:

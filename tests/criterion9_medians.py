@@ -44,6 +44,8 @@ def main(argv: list[str] | None = None) -> None:
                         help="a checkout to measure (repeat for each side)")
     parser.add_argument("--runs", type=int, default=40, help="fresh processes per checkout (default 40)")
     args = parser.parse_args(argv)
+    if args.runs < 1:
+        parser.error(f"--runs must be at least 1, not {args.runs}")
     sides = [p.resolve() for p in args.src]
     for side in sides:
         if not (side / "src" / "greenroute" / "__init__.py").is_file():

@@ -1,0 +1,46 @@
+"""The measurement tools refuse bad arguments before any child process starts.
+
+``bench_pairs``, ``criterion9_medians`` and ``optimality_gap`` each run
+one child process per reading. Their ``main`` is called here in-process,
+with ``subprocess.run`` replaced by a failure, so every case must stop at
+argument checking with argparse's exit code 2.
+"""
+
+import subprocess
+from pathlib import Path
+
+import pytest
+
+import bench_pairs
+import criterion9_medians
+import optimality_gap
+
+REPO = Path(__file__).resolve().parents[1]
+TESTS = REPO / "tests"  # a directory, but not a checkout
+
+
+@pytest.fixture(autouse=True)
+def no_child_process(monkeypatch):
+    def refuse(*args, **kwargs):
+        pytest.fail(f"a child process was started: {args}")
+
+    monkeypatch.setattr(subprocess, "run", refuse)
+
+
+def pairs(parent: Path, change: Path, count: int) -> list[str]:
+    return ["--parent", str(parent), "--change", str(change), "--workloads", "bulk-z16",
+            "--pairs", str(count), "--seconds", "1", "--seed", "7", "--out", "unwritten.json"]
+
+
+@pytest.mark.parametrize("tool, argv", [
+    pytest.param(optimality_gap, [], id="optimality_gap-no-src"),
+    pytest.param(optimality_gap, ["--src", str(TESTS)], id="optimality_gap-src-not-checkout"),
+    pytest.param(criterion9_medians, ["--src", str(REPO), "--runs", "0"], id="criterion9_medians-runs-0"),
+    pytest.param(bench_pairs, pairs(REPO, REPO, 0), id="bench_pairs-pairs-0"),
+    pytest.param(bench_pairs, pairs(TESTS, REPO, 1), id="bench_pairs-parent-not-checkout"),
+    pytest.param(bench_pairs, pairs(REPO, TESTS, 1), id="bench_pairs-change-not-checkout"),
+])
+def test_tool_refuses_bad_arguments(tool, argv):
+    with pytest.raises(SystemExit) as exit_:
+        tool.main(argv)
+    assert exit_.value.code == 2
