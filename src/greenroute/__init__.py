@@ -18,6 +18,7 @@ from .evaluation import (
     oracle_min_active,
     oracle_min_bins,
     run_experiment,
+    save_solution,
     write_results_csv,
 )
 from .hgr import LayerCounts, VbpResult, dimension_weights, route_hgr, vbp_greedy
@@ -32,7 +33,6 @@ from .mrg import (
     online_arrival,
     online_departure,
     route_mrg,
-    save_solution,
     shortest_path,
 )
 from .topology import (

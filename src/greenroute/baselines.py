@@ -3,15 +3,10 @@
 The shortest-path baselines are energy-oblivious: each flow, in list order,
 takes a hop-minimal path chosen uniformly at random among all hop-minimal
 paths whose nodes pass the capability check (ECMP-style spreading, seeded
-and deterministic), drawn by the shared hop-minimal search
-:func:`greenroute.mrg._sample_shortest`. On a fat-tree, a drawer built once
-per call (:func:`greenroute.mrg._tree_drawer`) reads the draw off the
-tree's fixed path shapes instead and answers exactly as that search does,
-the same path and the same random draws; it falls back to the search for
-detours and for "no path". It takes a pod's aggregation switches, or a
-core group, whole when the per-dimension maximum of their loads fits the
-flow, so most switches are never tested one by one; the output is
-unchanged. "Single-resource" variants see
+and deterministic), drawn by :func:`_tree_drawer`, built once per call,
+which answers exactly as the shared hop-minimal search
+:func:`greenroute.mrg._sample_shortest` does and reads most fat-tree draws
+off the tree's fixed path shapes. "Single-resource" variants see
 dimension 1 only: capability is checked there, and SRG's node weights
 compare only that dimension. Loads are always kept in all dimensions, so
 congestion in the others stays measurable. SRG is the greedy router run on
@@ -21,10 +16,126 @@ the dimension-1 view.
 from __future__ import annotations
 
 import random
+from operator import le
+from typing import Sequence
 
-from .mrg import ResidualState, RoutingSolution, _route_greedy, _sample_shortest, _tree_drawer
+from .mrg import ResidualState, RoutingSolution, _route_greedy, _sample_shortest
 from .topology import Topology
 from .workload import Workload
+
+
+def _tree_drawer(state: ResidualState, topology: Topology):
+    """``draw(room, s, t, rng)``: the hop search's seeded draw over capable switches.
+
+    ``draw`` answers as :func:`_sample_shortest` does with entry test
+    ``state.fits(v, room)``: the same path, with ``rng`` left in the same
+    state. ``s`` and ``t`` are distinct hosts. On a graph with no ``z``,
+    ``draw`` is that search. On a fat-tree, a hop-minimal path has
+    one of three shapes: through the shared edge switch, through an
+    aggregation switch of the shared pod, or up through aggregation
+    position g, a core of group g and down position g. The search's walk
+    takes one ``rng.choices`` per hop, each one ``rng.random()``; a forced
+    hop here takes that ``rng.random()`` alone, and the two real choices
+    get the search's options in id order and its path counts: an
+    aggregation switch of the shared pod with weight 1 each, or a position
+    weighted by its capable cores, then one of them with weight 1 each.
+    When no path of these shapes exists, nothing has been drawn yet and the
+    hop search answers, with a detour or ``None``.
+
+    Edge switches are tested one by one. Each pod's aggregation switches,
+    and each core group, form a block that one test may take whole: the
+    drawer keeps, per block, the per-dimension maximum of its members' loads, and
+    a block whose maximum is within ``room`` is capable whole, its members
+    in id order with no test of their own. Any other block is tested switch
+    by switch (:meth:`ResidualState.capable`). The whole core layer is one
+    more block: when the maximum over the core groups' maxima is within
+    ``room``, every group is taken whole with no test of its own. The
+    maxima are taken from the state's loads when the drawer is built, and
+    each call first raises those of the blocks on the path it returned last
+    to that path's loads.
+    Loads only grow in a batch router, so every maximum stays at or above
+    every member's load as long as, between calls, the state's loads change
+    only by committing paths that ``draw`` returned; code that changes them
+    any other way must build a new drawer.
+
+    This is kept apart from HGR's fixed-shape rule (:func:`greenroute.hgr._tree_router`),
+    which takes the lex-min first fit where this draws by path counts: both
+    ran about 30% slower through one shared shape function.
+    """
+    fits = state.fits
+    if topology.z is None:
+        return lambda room, s, t, rng: _sample_shortest(topology, lambda v: fits(v, room), s, t, rng)
+    load = state.load
+    capable = state.capable
+    edge_of = topology._host_edge
+    pod_of = topology._host_pod
+    z = topology.z
+    # pod p's aggregation switches are block p, core group g is block z + g
+    blocks = [*topology._agg_ids, *topology._core_groups]
+    block_of: list[int | None] = [None] * len(topology)
+    for i, block in enumerate(blocks):
+        for v in block:
+            block_of[v] = i
+    top = [[max(column) for column in zip(*(load[v] for v in block))] for block in blocks]
+    core_top = [max(column) for column in zip(*top[z:])]  # the whole core layer's maximum
+    returned: list[int] = []  # the interior of the path returned last
+
+    def members(i: int, room: Sequence[float]) -> list[int]:
+        """Block ``i``'s capable switches, in id order."""
+        if all(map(le, top[i], room)):
+            return blocks[i]
+        return capable(room, blocks[i])
+
+    def draw(room: Sequence[float], s: int, t: int, rng: random.Random) -> list[int] | None:
+        for v in returned:  # committed since the last call, or not at all
+            i = block_of[v]
+            if i is not None:
+                top[i] = list(map(max, top[i], load[v]))
+                if i >= z:
+                    core_top[:] = map(max, core_top, top[i])
+        path = shape(room, s, t, rng) or _sample_shortest(topology, lambda v: fits(v, room), s, t, rng)
+        returned[:] = () if path is None else path[1:-1]
+        return path
+
+    def shape(room: Sequence[float], s: int, t: int, rng: random.Random) -> list[int] | None:
+        """The draw over the three fixed shapes; ``None``, with nothing drawn, when none is capable."""
+        e, f = edge_of[s], edge_of[t]
+        if not (fits(e, room) and (e == f or fits(f, room))):
+            return None
+        if e == f:
+            rng.random()
+            rng.random()
+            return [s, e, t]
+        pod_s, pod_t = pod_of[s], pod_of[t]
+        if pod_s == pod_t:
+            aggs = members(pod_s, room)
+            if not aggs:
+                return None
+            rng.random()
+            a = rng.choices(aggs)[0]
+            rng.random()
+            rng.random()
+            return [s, e, a, f, t]
+        up, down = set(members(pod_s, room)), set(members(pod_t, room))
+        layer_whole = all(map(le, core_top, room))  # then so is every core group
+        options, weights = [], []
+        for g, (a, b) in enumerate(zip(blocks[pod_s], blocks[pod_t])):
+            if a in up and b in down:
+                group = blocks[z + g] if layer_whole else members(z + g, room)
+                if group:
+                    options.append((a, group, b))
+                    weights.append(len(group))
+        if not options:
+            return None
+        rng.random()
+        a, group, b = rng.choices(options, weights)[0]
+        c = rng.choices(group)[0]
+        rng.random()
+        rng.random()
+        rng.random()
+        return [s, e, a, c, b, f, t]
+
+    return draw
 
 
 def _route_shortest(topology: Topology, workload: Workload, seed: int, dims: int) -> RoutingSolution:
@@ -32,14 +143,9 @@ def _route_shortest(topology: Topology, workload: Workload, seed: int, dims: int
     topology._check_hosts(workload.flows)
     rng = random.Random(seed)
     state = ResidualState.fresh(topology, workload.dims)
-    fits = state.fits
-    draw = None if topology.z is None else _tree_drawer(state, topology)
+    draw = _tree_drawer(state, topology)
     for flow in workload.flows:
-        room = state.room(flow.demand[:dims])
-        if draw is not None:
-            path = draw(room, flow.src, flow.dst, rng)
-        else:
-            path = _sample_shortest(topology, lambda v: fits(v, room), flow.src, flow.dst, rng)
+        path = draw(state.room(flow.demand[:dims]), flow.src, flow.dst, rng)
         if path is not None:
             state.commit(flow.id, path, flow.demand)
     return state.solution(workload.flows)

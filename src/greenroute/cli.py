@@ -18,10 +18,10 @@ from .evaluation import (
     oracle_min_active,
     oracle_min_bins,
     run_experiment,
+    save_solution,
     write_results_csv,
 )
 from .hgr import route_hgr
-from .mrg import save_solution
 from .topology import build_fat_tree, load_topology, save_topology
 from .workload import generate_workload, load_workload, save_workload
 
@@ -131,12 +131,7 @@ def _cmd_route(args) -> int:
         solution, counts = ROUTERS[args.algo](topology, workload, args.seed), None
     runtime_ms = (time.perf_counter() - start) * 1000.0
     if args.out:
-        extra = None
-        if counts is not None:
-            extra = {"layer_counts": {"agg_per_pod": list(counts.agg_per_pod),
-                                      "cores": counts.cores,
-                                      "activated": sorted(counts.activated)}}
-        save_solution(solution, args.out, extra)
+        save_solution(solution, args.out, counts)
     m = compute_metrics(topology, solution, runtime_ms)
     print(f"algo={args.algo} routed={m.routed} incomplete={m.incomplete} "
           f"active={m.active_processors} total={m.total_processors} "

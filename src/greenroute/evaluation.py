@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -13,7 +14,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .baselines import route_mrsp, route_srg, route_srsp
-from .hgr import route_hgr
+from .hgr import LayerCounts, route_hgr
 from .mrg import CAP_TOL, ResidualState, RoutingSolution, route_mrg
 from .topology import Topology, build_fat_tree
 from .workload import Workload, generate_workload
@@ -374,3 +375,22 @@ def write_results_csv(rows: Sequence[ResultRow], path: str | Path) -> None:
         writer.writerow(CSV_COLUMNS)
         for row in rows:
             writer.writerow(row.csv_values())
+
+
+def save_solution(solution: RoutingSolution, path: str | Path, counts: LayerCounts | None = None) -> None:
+    """Dump a solution as JSON: per-flow paths, unrouted ids, active set, loads.
+
+    With HGR's ``counts``, a ``layer_counts`` entry follows: the per-pod
+    aggregation estimates, the core estimate and the activated switches.
+    This is the whole ``route --out`` format.
+    """
+    doc = {
+        "paths": {str(fid): list(p) for fid, p in sorted(solution.paths.items())},
+        "unrouted": sorted(solution.unrouted),
+        "active": sorted(solution.active),
+        "load": {str(v): list(vec) for v, vec in sorted(solution.load.items())},
+    }
+    if counts is not None:
+        doc["layer_counts"] = {"agg_per_pod": list(counts.agg_per_pod), "cores": counts.cores,
+                               "activated": sorted(counts.activated)}
+    Path(path).write_text(json.dumps(doc, separators=(", ", ": ")) + "\n")

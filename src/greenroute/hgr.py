@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, isfinite
+from operator import le
 from typing import AbstractSet, Sequence
 
 from .mrg import CAP_TOL, ResidualState, RoutingSolution, _sample_shortest
@@ -103,7 +104,10 @@ def vbp_greedy(items: Sequence[Sequence[float]]) -> VbpResult:
     Among the remaining items that fit the open bin, the one minimizing
     sum_k alpha_k * (residual_k - item_k)^2 is packed (ties go to the lowest
     item index); when nothing fits, the bin closes and a fresh one opens.
-    The weights alpha are computed once from the whole instance.
+    The weights alpha are computed once from the whole instance. An item
+    fits when the bin's load, summed as items are packed, is within the
+    item's :meth:`ResidualState.room`, the routers' rule; the residuals, in
+    the score and in the result, are 1 minus the items, by subtraction.
     """
     items = [tuple(map(float, item)) for item in items]
     for i, item in enumerate(items):
@@ -113,34 +117,35 @@ def vbp_greedy(items: Sequence[Sequence[float]]) -> VbpResult:
         return VbpResult(0, {}, ())
     alphas = dimension_weights(items)
     dim_range = range(len(alphas))
+    rooms = [ResidualState.room(item) for item in items]
 
     remaining = list(range(len(items)))
     assignment: dict[int, int] = {}
     residuals: list[tuple[float, ...]] = []
     current = [1.0] * len(alphas)
+    load = [0.0] * len(alphas)
     while remaining:
         best = -1
         best_score = float("inf")
         for i in remaining:
+            if not all(map(le, load, rooms[i])):
+                continue
             item = items[i]
             score = 0.0
             for k in dim_range:
-                r = current[k]
-                c = item[k]
-                if r < c - CAP_TOL:
-                    score = -1.0
-                    break
-                d = r - c
+                d = current[k] - item[k]
                 score += alphas[k] * d * d
-            if 0.0 <= score < best_score:
+            if score < best_score:
                 best, best_score = i, score
         if best < 0:
             residuals.append(tuple(current))
             current = [1.0] * len(alphas)
+            load = [0.0] * len(alphas)
             continue
         assignment[best] = len(residuals) + 1
         for k in dim_range:
             current[k] -= items[best][k]
+            load[k] += items[best][k]
         remaining.remove(best)
     residuals.append(tuple(current))
     return VbpResult(len(residuals), assignment, tuple(residuals))

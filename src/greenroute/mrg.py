@@ -36,18 +36,8 @@ its dimensions (:meth:`ResidualState.order_of`), and the step builds the
 demand's ordered pairs once; a node's mask is rebuilt only after its load
 changes.
 Both routing searches live here: that Dijkstra, and the hop search, which
-also serves SRSP, MRSP and HGR's detours. On a fat-tree, SRSP and MRSP
-draw through :func:`_tree_drawer`, built once per routing call: every
-hop-minimal path there has one of three fixed shapes, so the draw reads the
-capable switches of each shape off the topology's tables and answers
-exactly as the hop search does, the same path and the same random draws;
-it falls back to that search for detours and for "no path". It tests each
-pod's aggregation switches, and each core group, as one block: a block
-whose per-dimension load maximum fits the flow is taken whole, with no
-test per switch, which leaves the output unchanged. It is kept apart from
-HGR's fixed-shape rule, which takes the lex-min first fit where this draws
-by path counts, and which ran about 30% slower when both went through one
-shared shape function.
+also serves HGR's detours and the SRSP and MRSP draw
+(:func:`greenroute.baselines._tree_drawer`).
 
 An online arrival has no pick scan and no separate reachability test: it
 runs the greedy step on the active capable nodes alone, which finds a path
@@ -67,12 +57,10 @@ run seed.
 from __future__ import annotations
 
 import heapq
-import json
 import random
 from dataclasses import dataclass, field
 from math import inf
 from operator import le
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .topology import Topology
@@ -242,19 +230,6 @@ class RoutingSolution:
     load: dict[int, tuple[float, ...]]
 
 
-def save_solution(solution: RoutingSolution, path: str | Path, extra: dict | None = None) -> None:
-    """Dump a solution as JSON: per-flow paths, unrouted ids, active set, loads."""
-    doc = {
-        "paths": {str(fid): list(p) for fid, p in sorted(solution.paths.items())},
-        "unrouted": sorted(solution.unrouted),
-        "active": sorted(solution.active),
-        "load": {str(v): list(vec) for v, vec in sorted(solution.load.items())},
-    }
-    if extra:
-        doc.update(extra)
-    Path(path).write_text(json.dumps(doc, separators=(", ", ": ")) + "\n")
-
-
 # -- graph primitives ------------------------------------------------------------
 
 def is_connected(topology: Topology, allowed_nodes: Iterable[int], s: int, t: int) -> bool:
@@ -365,113 +340,6 @@ def _sample_shortest(topology: Topology, enterable, s: int, t: int,
         v = options[0] if rng is None else rng.choices(options, [count[u] for u in options])[0]
         path.append(v)
     return path
-
-
-def _tree_drawer(state: ResidualState, topology: Topology):
-    """``draw(room, s, t, rng)``: the hop search's seeded draw over capable switches, on a fat-tree.
-
-    ``draw`` answers as :func:`_sample_shortest` does with entry test
-    ``state.fits(v, room)``: the same path, with ``rng`` left in the same
-    state. ``s`` and ``t`` are distinct hosts. A hop-minimal path on the tree has
-    one of three shapes: through the shared edge switch, through an
-    aggregation switch of the shared pod, or up through aggregation
-    position g, a core of group g and down position g. The search's walk
-    takes one ``rng.choices`` per hop, each one ``rng.random()``; a forced
-    hop here takes that ``rng.random()`` alone, and the two real choices
-    get the search's options in id order and its path counts: an
-    aggregation switch of the shared pod with weight 1 each, or a position
-    weighted by its capable cores, then one of them with weight 1 each.
-    When no path of these shapes exists, nothing has been drawn yet and the
-    hop search answers, with a detour or ``None``.
-
-    Edge switches are tested one by one. Each pod's aggregation switches,
-    and each core group, form a block that one test may take whole: the
-    drawer keeps, per block, the per-dimension maximum of its members' loads, and
-    a block whose maximum is within ``room`` is capable whole, its members
-    in id order with no test of their own. Any other block is tested switch
-    by switch (:meth:`ResidualState.capable`). The whole core layer is one
-    more block: when the maximum over the core groups' maxima is within
-    ``room``, every group is taken whole with no test of its own. The
-    maxima are taken from the state's loads when the drawer is built, and
-    each call first raises those of the blocks on the path it returned last
-    to that path's loads.
-    Loads only grow in a batch router, so every maximum stays at or above
-    every member's load as long as, between calls, the state's loads change
-    only by committing paths that ``draw`` returned; code that changes them
-    any other way must build a new drawer.
-    """
-    load = state.load
-    fits = state.fits
-    capable = state.capable
-    edge_of = topology._host_edge
-    pod_of = topology._host_pod
-    z = topology.z
-    # pod p's aggregation switches are block p, core group g is block z + g
-    blocks = [*topology._agg_ids, *topology._core_groups]
-    block_of: list[int | None] = [None] * len(topology)
-    for i, block in enumerate(blocks):
-        for v in block:
-            block_of[v] = i
-    top = [[max(column) for column in zip(*(load[v] for v in block))] for block in blocks]
-    core_top = [max(column) for column in zip(*top[z:])]  # the whole core layer's maximum
-    returned: list[int] = []  # the interior of the path returned last
-
-    def members(i: int, room: Sequence[float]) -> list[int]:
-        """Block ``i``'s capable switches, in id order."""
-        if all(map(le, top[i], room)):
-            return blocks[i]
-        return capable(room, blocks[i])
-
-    def draw(room: Sequence[float], s: int, t: int, rng: random.Random) -> list[int] | None:
-        for v in returned:  # committed since the last call, or not at all
-            i = block_of[v]
-            if i is not None:
-                top[i] = list(map(max, top[i], load[v]))
-                if i >= z:
-                    core_top[:] = map(max, core_top, top[i])
-        path = shape(room, s, t, rng) or _sample_shortest(topology, lambda v: fits(v, room), s, t, rng)
-        returned[:] = () if path is None else path[1:-1]
-        return path
-
-    def shape(room: Sequence[float], s: int, t: int, rng: random.Random) -> list[int] | None:
-        """The draw over the three fixed shapes; ``None``, with nothing drawn, when none is capable."""
-        e, f = edge_of[s], edge_of[t]
-        if not (fits(e, room) and (e == f or fits(f, room))):
-            return None
-        if e == f:
-            rng.random()
-            rng.random()
-            return [s, e, t]
-        pod_s, pod_t = pod_of[s], pod_of[t]
-        if pod_s == pod_t:
-            aggs = members(pod_s, room)
-            if not aggs:
-                return None
-            rng.random()
-            a = rng.choices(aggs)[0]
-            rng.random()
-            rng.random()
-            return [s, e, a, f, t]
-        up, down = set(members(pod_s, room)), set(members(pod_t, room))
-        layer_whole = all(map(le, core_top, room))  # then so is every core group
-        options, weights = [], []
-        for g, (a, b) in enumerate(zip(blocks[pod_s], blocks[pod_t])):
-            if a in up and b in down:
-                group = blocks[z + g] if layer_whole else members(z + g, room)
-                if group:
-                    options.append((a, group, b))
-                    weights.append(len(group))
-        if not options:
-            return None
-        rng.random()
-        a, group, b = rng.choices(options, weights)[0]
-        c = rng.choices(group)[0]
-        rng.random()
-        rng.random()
-        rng.random()
-        return [s, e, a, c, b, f, t]
-
-    return draw
 
 
 def shortest_path(

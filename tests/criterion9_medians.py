@@ -48,8 +48,9 @@ def main(argv: list[str] | None = None) -> None:
         parser.error(f"--runs must be at least 1, not {args.runs}")
     sides = [p.resolve() for p in args.src]
     for side in sides:
-        if not (side / "src" / "greenroute" / "__init__.py").is_file():
-            parser.error(f"{side} is not a checkout: it has no src/greenroute/__init__.py")
+        for need in ("src/greenroute/__init__.py", TEST.split("::")[0]):
+            if not (side / need).is_file():
+                parser.error(f"{side} is not a checkout: it has no {need}")
     readings: dict[Path, list[float]] = {side: [] for side in sides}
     for run in range(args.runs):
         for side in sides if run % 2 == 0 else sides[::-1]:

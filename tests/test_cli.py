@@ -10,8 +10,10 @@ import greenroute
 from greenroute import (
     Flow,
     Workload,
+    build_fat_tree,
     build_star_reduction,
     cell_seed,
+    oracle_min_active,
     route_mrg,
     save_topology,
     save_workload,
@@ -97,6 +99,14 @@ def test_route_empty_workload(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "route", "--algo", "mrg", "--workload", str(wpath))
     assert code == 0
     assert "routed=0" in out and "saving_ratio=1.0" in out
+
+
+def test_route_without_z_is_input_error(capsys, tmp_path):
+    wpath = tmp_path / "w.jsonl"
+    save_workload(Workload((Flow(0, 0, 1, (0.5,)),), 1, z=None), wpath)
+    code, out, err = run_cli(capsys, "route", "--algo", "mrg", "--workload", str(wpath))
+    assert code == 2 and out == ""
+    assert "header has no z" in err
 
 
 def test_route_missing_file_is_input_error(capsys):
@@ -210,6 +220,25 @@ def test_oracle_eemr_mode_with_star_topology(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "oracle", "--mode", "eemr", "--input", str(wpath),
                            "--topo", str(tpath))
     assert code == 0 and out.strip() == "2"
+
+
+def test_oracle_eemr_mode_on_the_header_fat_tree(capsys, tmp_path):
+    # no --topo: the optimum is taken on the z=2 fat-tree the header names
+    flows = (Flow(0, 0, 1, (0.3, 0.6)), Flow(1, 1, 0, (0.4, 0.2)), Flow(2, 0, 1, (0.2, 0.1)))
+    workload = Workload(flows, 2, z=2)
+    wpath = tmp_path / "w.jsonl"
+    save_workload(workload, wpath)
+    code, out, _ = run_cli(capsys, "oracle", "--mode", "eemr", "--input", str(wpath))
+    assert code == 0
+    assert out.strip() == str(oracle_min_active(build_fat_tree(2), workload)) == "5"
+
+
+def test_oracle_eemr_mode_without_z_or_topology_is_input_error(capsys, tmp_path):
+    wpath = tmp_path / "w.jsonl"
+    save_workload(Workload((Flow(0, 0, 1, (0.5,)),), 1, z=None), wpath)
+    code, out, err = run_cli(capsys, "oracle", "--mode", "eemr", "--input", str(wpath))
+    assert code == 2 and out == ""
+    assert "header has no z and no --topo was given" in err
 
 
 def test_oracle_eemr_infeasible(capsys, tmp_path):

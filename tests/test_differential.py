@@ -36,7 +36,8 @@ from greenroute import (
     shortest_path,
 )
 from greenroute.evaluation import ROUTERS
-from greenroute.mrg import _greedy_path, _sample_shortest, _tree_drawer
+from greenroute.baselines import _tree_drawer
+from greenroute.mrg import _greedy_path, _sample_shortest
 
 from oracle_helpers import (
     ReferenceState,

@@ -10,6 +10,7 @@ from greenroute import (
     build_star_reduction,
     compute_metrics,
     dimension_weights,
+    oracle_min_bins,
     route_hgr,
     route_mrg,
     vbp_greedy,
@@ -111,6 +112,17 @@ def test_vbp_never_beats_oracle_and_loads_fit():
         assert result.bin_count >= optimum
         ties += result.bin_count == optimum
     assert ties >= 30
+
+
+def test_vbp_decides_fit_by_the_routers_rule_on_the_boundary():
+    # Items 1, 0 and 3 fill the first bin to 0.90031635...; a residual test
+    # by subtraction admits item 2 too (the bin would end 1e-9 under 0), but
+    # the summed load exceeds item 2's room, as the routers and
+    # oracle_min_bins decide, so it opens a second bin.
+    items = [(0.33995741261596757,), (0.4254422998171266,), (0.09968364743832597,), (0.1349166411285799,)]
+    result = vbp_greedy(items)
+    assert result.bin_count == 2 == oracle_min_bins(items)
+    assert result.assignment == {1: 1, 0: 1, 3: 1, 2: 2}
 
 
 # -- core layer ----------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import random
@@ -594,6 +595,30 @@ def test_departure_of_unknown_flow_rejected(tree4):
     state = ResidualState.fresh(tree4, 1)
     with pytest.raises(ValueError):
         online_departure(state, tree4, Flow(0, 0, 1, (0.1,)), (0, 16, 1))
+
+
+def test_arrival_of_a_routed_flow_rejected(tree4):
+    state = ResidualState.fresh(tree4, 2)
+    flow = Flow(0, 0, 4, (0.1, 0.2))
+    online_arrival(state, tree4, flow)
+    before = copy.deepcopy(state)
+    with pytest.raises(ValueError, match="already routed"):
+        online_arrival(state, tree4, flow)
+    assert state == before
+
+
+def test_departure_on_another_path_rejected(tree4):
+    # the flow takes position 0 through core 32; the other is a real path
+    # through position 1 and core 34, and a reversed path is not the same
+    state = ResidualState.fresh(tree4, 2)
+    flow = Flow(0, 0, 4, (0.1, 0.2))
+    path = online_arrival(state, tree4, flow)
+    assert path == (0, 16, 24, 32, 26, 18, 4)
+    before = copy.deepcopy(state)
+    for other in ((0, 16, 25, 34, 27, 18, 4), path[::-1]):
+        with pytest.raises(ValueError, match="does not match the committed path"):
+            online_departure(state, tree4, flow, other)
+    assert state == before
 
 
 def test_arrival_stream_stays_feasible(tree4):

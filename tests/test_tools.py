@@ -44,3 +44,13 @@ def test_tool_refuses_bad_arguments(tool, argv):
     with pytest.raises(SystemExit) as exit_:
         tool.main(argv)
     assert exit_.value.code == 2
+
+
+def test_criterion9_medians_refuses_a_checkout_without_the_acceptance_tests(tmp_path):
+    # the package is there, but not the test each run executes
+    package = tmp_path / "src" / "greenroute"
+    package.mkdir(parents=True)
+    (package / "__init__.py").touch()
+    with pytest.raises(SystemExit) as exit_:
+        criterion9_medians.main(["--src", str(tmp_path), "--runs", "1"])
+    assert exit_.value.code == 2
