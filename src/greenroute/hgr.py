@@ -4,7 +4,7 @@ Every flow must run between two hosts (``Topology._check_hosts``). Phase 1
 sizes each layer independently by the L1 bound of vector packing
 (Caprara & Toth, 2001), with no packer: per pod, over the flows entering
 or leaving the pod, and for the core layer, over the inter-pod flows
-(intra-rack traffic and flows with a demand component above 1 excluded).
+(intra-rack traffic and flows that fit no idle switch excluded).
 The bound is the largest per-dimension demand sum rounded up, capped at
 the layer's width, and escalation in phase 2 wakes whatever more
 switches the paths need.
@@ -111,7 +111,7 @@ def vbp_greedy(items: Sequence[Sequence[float]]) -> VbpResult:
     """
     items = [tuple(map(float, item)) for item in items]
     for i, item in enumerate(items):
-        if not all(0 < c <= 1 for c in item):  # refuses NaN too
+        if not all(0 < c <= 1.0 + CAP_TOL for c in item):  # refuses NaN too
             raise ValueError(f"item {i} does not fit a unit bin: {item}")
     if not items:
         return VbpResult(0, {}, ())
@@ -287,7 +287,7 @@ def route_hgr(topology: Topology, workload: Workload) -> tuple[RoutingSolution, 
         activated.add(e_t)
         if e_s == e_t:
             continue  # intra-rack: touches no aggregation or core switch
-        if max(demand) > 1.0:
+        if max(demand) > 1.0 + CAP_TOL:
             continue  # no switch holds it; phase 2 routes it by the capability rule like any router
         src_pod = pod_of[src]
         dst_pod = pod_of[dst]

@@ -7,7 +7,9 @@ frozen routing and oracle references at the end are the library's own
 earlier code, kept so its fast or merged paths can be held to
 byte-identical output, and the oracle to identical answers. The frozen
 routers keep the earlier routing state: residual capacities, reduced on
-commit, with loads summed afterwards from the committed paths.
+commit, with loads summed afterwards from the committed paths. The frozen
+HGR routes each flow by ``shortest_path`` with unit weights, not by the
+hop search it checks, and every reference calls public library names only.
 """
 
 import itertools
@@ -30,7 +32,6 @@ from greenroute import (
     node_to_link_weights,
     shortest_path,
 )
-from greenroute.mrg import _sample_shortest
 
 TOL = 1e-9
 
@@ -237,7 +238,7 @@ class ReferenceState:
 
     def fits(self, v, need):
         """Processor ``v`` covers ``need`` = demand - CAP_TOL in every dimension."""
-        return all(r >= d for r, d in zip(self.residual[v], need))
+        return all(map(ge, self.residual[v], need))
 
     def commit(self, flow_id, path, demand):
         for v in path:
@@ -397,44 +398,18 @@ def reference_route_shortest(topology, workload, seed, dims):
 
 
 # Copy of HGR as it stood before its layer count skipped the packer for
-# two bins. Three intended changes since: no layer is packed any more, but
+# two bins. Four intended changes since: no layer is packed any more, but
 # each pod and the core layer (once packed by core group, source host
 # index mod z/2, with the groups' counts summed) is sized by the L1 bound
 # of its flows, and the lowest-position switches wake up to that count;
-# and a flow blocked on the activated switches reruns the same search once
+# a flow blocked on the activated switches reruns the same search once
 # over every processor and wakes that path's switches, where it once woke
-# one switch at a time in a fixed order and reran the search after each.
-
-def _reference_route_on_tree(topology, state, activated, need, src, dst):
-    fits = state.fits
-    e_s = topology._host_edge[src]
-    e_t = topology._host_edge[dst]
-    if e_s == e_t:
-        return [src, e_s, dst] if e_s in activated and fits(e_s, need) else None
-    if not (e_s in activated and fits(e_s, need) and e_t in activated and fits(e_t, need)):
-        return None  # both edge switches are cut vertices for this flow
-    src_pod = topology._host_pod[src]
-    dst_pod = topology._host_pod[dst]
-    if src_pod == dst_pod:
-        for a in topology._agg_ids[src_pod]:
-            if a in activated and fits(a, need):
-                return [src, e_s, a, e_t, dst]
-    else:
-        half = topology.z // 2
-        cores = topology._core_ids
-        src_aggs = topology._agg_ids[src_pod]
-        dst_aggs = topology._agg_ids[dst_pod]
-        for pos in range(half):
-            a_s = src_aggs[pos]
-            a_t = dst_aggs[pos]
-            if not (a_s in activated and fits(a_s, need) and a_t in activated and fits(a_t, need)):
-                continue
-            for core in cores[pos * half:(pos + 1) * half]:
-                if core in activated and fits(core, need):
-                    return [src, e_s, a_s, core, a_t, e_t, dst]
-    # every minimum-length path is blocked; look for longer detours
-    return _sample_shortest(topology, lambda v: v in activated and fits(v, need), src, dst)
-
+# one switch at a time in a fixed order and reran the search after each;
+# and phase 1 leaves a flow out only when a demand component exceeds
+# 1 + CAP_TOL, which no switch holds, where it once left out any above 1.
+# Its path rule, once a scan of the fat-tree's path shapes, is written as
+# what that scan returns: ``shortest_path`` with unit weights (the lex-min
+# hop-shortest path) over the woken switches that fit the flow.
 
 def reference_l1_count(demands, limit):
     """A layer's L1 bound: the fewest switches, at most ``limit``, whose
@@ -484,12 +459,6 @@ def reference_route_hgr(topology, workload):
         raise ValueError("HGR requires a fat-tree topology")
     half = z // 2
     flows = workload.flows
-    hosts = topology.host_set
-    for flow in flows:
-        for h in (flow.src, flow.dst):
-            if h not in hosts:
-                topology._check_id(h)
-                raise ValueError(f"node {h} is not a host")
     edge_of = topology._host_edge
     pod_of = topology._host_pod
 
@@ -503,7 +472,7 @@ def reference_route_hgr(topology, workload):
         activated.add(e_t)
         if e_s == e_t:
             continue  # intra-rack: touches no aggregation or core switch
-        if max(flow.demand) > 1.0:
+        if max(flow.demand) > 1.0 + CAP_TOL:
             continue  # fits no switch; phase 2 reports it unrouted like any router
         src_pod = pod_of[flow.src]
         dst_pod = pod_of[flow.dst]
@@ -523,13 +492,18 @@ def reference_route_hgr(topology, workload):
     state = ReferenceState(topology, workload.dims)
     every_processor = set(topology.processor_ids)
     unrouted = set()
+
+    def route(woken, need, flow):
+        allowed = {v for v in woken if state.fits(v, need)}
+        return shortest_path(topology, allowed, None, flow.src, flow.dst)
+
     for flow in flows:
         demand = flow.demand
         need = [d - CAP_TOL for d in demand]
-        path = _reference_route_on_tree(topology, state, activated, need, flow.src, flow.dst)
+        path = route(activated, need, flow)
         if path is None:
             # an out-of-capacity edge switch cuts the flow off here too
-            path = _reference_route_on_tree(topology, state, every_processor, need, flow.src, flow.dst)
+            path = route(every_processor, need, flow)
             if path is None:
                 unrouted.add(flow.id)
                 continue

@@ -1,24 +1,28 @@
 import csv
 import dataclasses
+import math
 import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from greenroute import (
     CAP_TOL,
     ExperimentConfig,
     Flow,
+    ResidualState,
     RoutingSolution,
     Workload,
     build_fat_tree,
     build_star_reduction,
     cell_seed,
     compute_metrics,
+    online_arrival,
     oracle_min_active,
     oracle_min_bins,
+    route_mrg,
     route_srsp,
     run_experiment,
     vbp_greedy,
@@ -34,6 +38,7 @@ from oracle_helpers import (
     min_bins_by_subset_dp,
     random_topology,
     reference_oracle_min_active,
+    reference_solution_loads,
     with_hosts,
 )
 
@@ -241,7 +246,35 @@ def test_l1_bound_is_at_most_every_router_that_routes_every_flow(tree4):
     assert min(complete.values()) >= 60 and tight >= 60, (complete, tight)
 
 
-# -- feasibility at extreme demands ---------------------------------------------------
+# -- the solution contract ----------------------------------------------------------
+# Every router returns flows partitioned into routed and unrouted, simple
+# host-to-host paths that relay through no host, loads equal to the demand
+# sums over the paths and an active set of the processors that carry load:
+# what perfbench/validate.py checks without calling routing code. MRG, MRSP
+# and HGR also keep every processor within capacity.
+
+CAPACITY_KEPT = ("mrg", "mrsp", "hgr")
+
+
+@pytest.mark.parametrize("algo", sorted(ROUTERS))
+def test_every_router_keeps_the_solution_contract(check_solution, algo):
+    # criterion 1's instance family; loads are the running sums in commit
+    # order, bit for bit, and a second call returns an equal solution
+    router = ROUTERS[algo]
+    rng = random.Random(2025)
+    routed = unrouted = 0
+    for run in range(120):
+        topology = build_fat_tree(rng.choice((2, 4)))
+        workload = generate_workload(topology, rng.randint(1, 60), rng.choice((1, 3, 5)), rng.uniform(0.01, 0.3),
+                                     rng.uniform(0.0, 0.3), seed=rng.randrange(10**9))
+        solution = router(topology, workload, run)
+        assert check_solution(topology, workload, solution, capacity=algo in CAPACITY_KEPT) == [], run
+        assert solution.load == reference_solution_loads(topology, workload, solution.paths), run
+        assert router(topology, workload, run) == solution, run
+        routed += len(solution.paths)
+        unrouted += len(solution.unrouted)
+    assert routed > 1000 and unrouted > 0  # the instances reach capacity
+
 
 # demand components at the capacity edges: a full switch, a hair under it,
 # a hair over it (only an idle switch holds it), the tolerance itself and
@@ -259,21 +292,71 @@ def _extreme_workload(dims):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 5).flatmap(_extreme_workload), st.integers(0, 3))
-def test_routers_stay_feasible_at_extreme_demands(tree4, workload, seed):
+def test_routers_stay_feasible_at_extreme_demands(tree4, check_solution, workload, seed):
     # optionally with every flow's first dimension full
-    for algo in ("mrg", "mrsp", "hgr"):
+    for algo in CAPACITY_KEPT:
         solution = ROUTERS[algo](tree4, workload, seed)
-        assert compute_metrics(tree4, solution).congested == 0, algo
-        assert set(solution.paths) | solution.unrouted == {flow.id for flow in workload.flows}, algo
-        assert not set(solution.paths) & solution.unrouted, algo
-        carried = set()
-        for flow_id, path in solution.paths.items():
-            flow = workload.flows[flow_id]
-            assert (path[0], path[-1]) == (flow.src, flow.dst), algo
-            assert all(v in tree4._adj[u] for u, v in zip(path, path[1:])), algo
-            assert not tree4.host_set & set(path[1:-1]), algo
-            carried.update(path[1:-1])
-        assert solution.active == carried, algo
+        assert check_solution(tree4, workload, solution, capacity=True) == [], algo
+
+
+# -- the capacity boundary ------------------------------------------------------------
+# Two flows (a, b) share every processor of their one path on a z=2
+# fat-tree and on a one-processor star, and b sits on the boundary in one
+# dimension. Whether b fits once a is committed, by ``fits``, is every
+# solver's answer; the two commit orders can differ by one rounding.
+
+@st.composite
+def _boundary_pair(draw):
+    """(a, b), K <= 3: b_k within 3 ulps of (1 + CAP_TOL) - a_k in one dimension k, and below 1 - a_j elsewhere."""
+    dims = draw(st.integers(1, 3))
+    k = draw(st.integers(0, dims - 1))
+    a = [draw(st.floats(1e-12, 1.0) if j == k else st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+         for j in range(dims)]
+    b = [(1.0 + CAP_TOL) - c if j == k else draw(st.floats(0.0, 1.0 - c, exclude_min=True, exclude_max=True))
+         for j, c in enumerate(a)]
+    shift = draw(st.integers(-3, 3))
+    for _ in range(abs(shift)):
+        b[k] = math.nextafter(b[k], math.copysign(math.inf, shift))
+    return tuple(a), tuple(b)
+
+
+def _second_fits(first, second, view):
+    """Whether ``second`` fits, on its first ``view`` components, a processor that carries only ``first``."""
+    return ResidualState({0: list(first)}, set()).fits(0, ResidualState.room(second[:view]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_boundary_pair())
+@example(((0.6966314900670826,), (0.3033685109329176,)))  # a + b rounds to 1 + CAP_TOL; neither order fits
+@example(((0.75, 0.75), (0.25, 0.25)))  # exactly full
+@example(((0.75, 0.75), (0.25 + 2 * CAP_TOL, 0.25)))  # past the tolerance in dimension 1
+@example(((0.75, 0.75), (0.25, 0.25 + 2 * CAP_TOL)))  # past it in dimension 2 only: SRSP and SRG take both
+@example(((5e-10,), (1.0 + 5e-10,)))  # b above 1, within the tolerance
+@example(((1.0 + 5e-10,), (0.5,)))  # a above 1, within the tolerance: each solver takes it alone
+@example(((0.1318227391638467,), (0.8681772618361534,)))  # b fits after a, but a not after b
+def test_every_solver_decides_a_boundary_pair_by_the_fit_rule(tree2, pair):
+    # The flow-order solvers (SRSP, MRSP, HGR, online arrivals and both
+    # oracles) take b second, whatever the two orders say. The others (MRG,
+    # SRG, the packer) may take either first, so they are held to the
+    # answer only where both orders give it. SRSP and SRG keep dimension 1.
+    a, b = pair
+    dims = len(a)
+    workload = Workload((Flow(0, 0, 1, a), Flow(1, 0, 1, b)), dims)
+    in_order = {view: _second_fits(a, b, view) for view in (1, dims)}
+    any_order = {view: fits if fits == _second_fits(b, a, view) else None for view, fits in in_order.items()}
+    for algo, router in ROUTERS.items():
+        view = 1 if algo in ("srsp", "srg") else dims
+        both = in_order[view] if algo in ("srsp", "mrsp", "hgr") else any_order[view]
+        if both is not None:
+            assert [len(router(tree2, workload, seed).paths) for seed in range(3)] == [1 + both] * 3, algo
+    state = ResidualState.fresh(tree2, dims)
+    assert [online_arrival(state, tree2, flow) is not None for flow in workload.flows] == [True, in_order[dims]]
+    assert oracle_min_active(tree2, workload) == (5 if in_order[dims] else None)
+    assert oracle_min_bins(pair) == 2 - in_order[dims]
+    if any_order[dims] is not None:
+        star = build_star_reduction(1).topology
+        assert [len(route_mrg(star, workload, seed).paths) for seed in range(3)] == [1 + any_order[dims]] * 3
+        assert vbp_greedy(pair).bin_count == 2 - any_order[dims]
 
 
 # -- experiment harness -----------------------------------------------------------

@@ -21,9 +21,6 @@ from greenroute import (
     online_arrival,
     online_departure,
     route_mrg,
-    route_mrsp,
-    route_srg,
-    route_srsp,
     shortest_path,
 )
 from greenroute.mrg import _order_bits
@@ -132,21 +129,6 @@ def test_capable_is_the_batch_form_of_fits(tree4):
         seen["ulp above"] += sum(l[k] == math.nextafter(room[k], math.inf)
                                  for l in load.values() for k in range(len(room)))
     assert min(seen.values()) > 1000, seen
-
-
-@pytest.mark.parametrize("router, checked", ((route_srsp, 1), (route_srg, 1), (route_mrsp, 2), (route_mrg, 2)))
-def test_routers_admit_a_flow_at_exactly_full_and_refuse_it_past_tolerance(router, checked):
-    # one middle processor: flows of 0.75 and 0.25 fill it exactly and both
-    # are routed, whichever goes first; with 2*CAP_TOL more in a dimension the
-    # router checks, only one of them is
-    star = build_star_reduction(1)
-    for k in range(2):
-        for extra, both in ((0.0, True), (2 * CAP_TOL, k >= checked)):
-            demand = [0.25, 0.25]
-            demand[k] += extra
-            flows = (Flow(0, 0, 1, (0.75, 0.75)), Flow(1, 0, 1, tuple(demand)))
-            sol = router(star.topology, Workload(flows, 2), 0)
-            assert len(sol.paths) == (2 if both else 1)
 
 
 # -- inv_count ----------------------------------------------------------------
@@ -448,42 +430,6 @@ def test_committing_flow_updates_loads_like_worked_example():
     assert path == (0, 2, 3, 1)
     assert state.load[2] == pytest.approx((0.7, 0.7, 0.5), abs=TOL)
     assert state.load[3] == pytest.approx((0.5, 0.7, 0.7), abs=TOL)
-
-
-def test_route_mrg_feasible_and_partitioned(tree4):
-    for seed in range(20):
-        w = generate_workload(tree4, 25, 3, 0.1, 0.1, seed=seed)
-        sol = route_mrg(tree4, w, seed=seed)
-        assert set(sol.paths) | set(sol.unrouted) == set(range(25))
-        assert not set(sol.paths) & set(sol.unrouted)
-        for v in tree4.processor_ids:
-            assert all(c <= 1 + TOL for c in sol.load[v])
-        # loads recompute exactly from committed paths
-        expect = {v: [0.0] * 3 for v in tree4.processor_ids}
-        for fid, path in sol.paths.items():
-            for v in path:
-                if v in expect:
-                    for k in range(3):
-                        expect[v][k] += w.flows[fid].demand[k]
-        for v in tree4.processor_ids:
-            assert sol.load[v] == pytest.approx(tuple(expect[v]), abs=TOL)
-        assert sol.active == {v for v in tree4.processor_ids if any(expect[v])}
-
-
-def test_route_mrg_path_invariants(tree4):
-    w = generate_workload(tree4, 30, 2, 0.05, 0.05, seed=3)
-    sol = route_mrg(tree4, w, seed=3)
-    for fid, path in sol.paths.items():
-        flow = w.flows[fid]
-        assert path[0] == flow.src and path[-1] == flow.dst
-        assert len(set(path)) == len(path)
-        for u, v in zip(path, path[1:]):
-            assert v in tree4._adj[u]
-
-
-def test_route_mrg_deterministic(tree4):
-    w = generate_workload(tree4, 30, 3, 0.15, 0.1, seed=8)
-    assert route_mrg(tree4, w, seed=8) == route_mrg(tree4, w, seed=8)
 
 
 def test_route_mrg_blocked_flows_are_data():

@@ -6,14 +6,10 @@
 or renaming a traced name, or changing what those modules read (the
 routers' returns, ``ResidualState.fresh`` and ``residual``, the online
 signatures), breaks the benchmark run; these tests make it break the test
-suite first. Both modules use only the standard library, so they are
-loaded by path.
+suite first. Both are loaded by path, by the ``perfbench`` fixture.
 """
 
-import importlib.util
 import random
-import sys
-from pathlib import Path
 
 import greenroute.baselines
 import greenroute.cli
@@ -26,19 +22,9 @@ from greenroute import Flow, Workload, generate_workload
 
 from oracle_helpers import graph_with_leaves, with_hosts
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
-
-def _load(monkeypatch, name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_tracer_installs_and_uninstalls_on_every_traced_name(monkeypatch, tree4):
-    tracing = _load(monkeypatch, "tracing")
+def test_tracer_installs_and_uninstalls_on_every_traced_name(perfbench, tree4):
+    tracing = perfbench("tracing")
     originals = {(name, attr): getattr(getattr(greenroute, name), attr) for name, attr in tracing.TRACED}
     tracer = tracing.Tracer()
     tracer.install()
@@ -63,10 +49,9 @@ ROUTERS = (
 )
 
 
-def test_traced_routers_and_online_stream_pass_the_benchmark_checks(monkeypatch, tree4):
-    tracing = _load(monkeypatch, "tracing")
-    validate = _load(monkeypatch, "validate")
-    adj = validate.adjacency(tree4)
+def test_traced_routers_and_online_stream_pass_the_benchmark_checks(perfbench, check_solution, tree4):
+    tracing = perfbench("tracing")
+    validate = perfbench("validate")
     workload = generate_workload(tree4, 60, 3, 0.1, 0.1, seed=13)
     rng = random.Random(13)
     with tracing.Tracer() as tracer:
@@ -77,8 +62,7 @@ def test_traced_routers_and_online_stream_pass_the_benchmark_checks(monkeypatch,
                 activated = counts.activated
             else:
                 solution, activated = router(tree4, workload, 5), None
-            out = validate.check_solution(tree4, adj, workload, solution, capacity=capacity, activated=activated)
-            assert out.errors == [], attr
+            assert check_solution(tree4, workload, solution, capacity=capacity, activated=activated) == [], attr
         state = greenroute.mrg.ResidualState.fresh(tree4, workload.dims)
         live = {}
         departures = rejected = 0
@@ -101,17 +85,15 @@ def test_traced_routers_and_online_stream_pass_the_benchmark_checks(monkeypatch,
     assert metrics["hgr.woken_beyond_estimate"] >= 0
 
 
-def test_batch_routers_pass_the_benchmark_checks_on_graphs_with_relaying_hosts(monkeypatch):
+def test_batch_routers_pass_the_benchmark_checks_on_graphs_with_relaying_hosts(check_solution):
     # Hosts of degree >= 2, which no fat-tree has: the checks refuse any path
     # that passes through a host.
-    validate = _load(monkeypatch, "validate")
     rng = random.Random(83)
     routed = 0
     for trial in range(300):
         topology = with_hosts(graph_with_leaves(rng), rng)
         if len(topology.host_ids) < 2:
             continue
-        adj = validate.adjacency(topology)
         dims = rng.randint(1, 3)
         flows = []
         for fid in range(rng.randint(1, 12)):
@@ -121,7 +103,6 @@ def test_batch_routers_pass_the_benchmark_checks_on_graphs_with_relaying_hosts(m
         for module, attr, capacity in ROUTERS:
             if attr != "route_hgr":  # HGR routes fat-trees only
                 solution = getattr(getattr(greenroute, module), attr)(topology, workload, trial)
-                out = validate.check_solution(topology, adj, workload, solution, capacity=capacity)
-                assert out.errors == [], (trial, attr)
-                routed += out.routed
+                assert check_solution(topology, workload, solution, capacity=capacity) == [], (trial, attr)
+                routed += len(solution.paths)
     assert routed > 2000
