@@ -395,15 +395,16 @@ def shortest_path(
 def assign_node_weights(state: ResidualState, demand: Sequence[float], topology: Topology) -> dict[int, int]:
     """Per-node routing weights for one flow.
 
-    Active processors get the inversion count of the room they have left
-    against the demand, inactive processors get K(K-1)/2 + 1 (strictly above
-    any inversion count), hosts get 0. Room is 1 - load, so it orders any two
-    dimensions as the negated load does.
+    ``demand`` covers the dimensions the router sees. Active processors get
+    the inversion count of the room they have left in those dimensions
+    against the demand, inactive processors get K(K-1)/2 + 1 with K =
+    ``len(demand)`` (strictly above any inversion count), hosts get 0. Room
+    is 1 - load, so it orders any two dimensions as the negated load does.
     """
     inactive_w = len(demand) * (len(demand) - 1) // 2 + 1
     hosts, active, load = topology.host_set, state.active, state.load
-    return {v: 0 if v in hosts else inv_count([-c for c in load[v]], demand) if v in active else inactive_w
-            for v in range(len(topology))}
+    return {v: 0 if v in hosts else inv_count([-c for c in load[v][:len(demand)]], demand) if v in active
+            else inactive_w for v in range(len(topology))}
 
 
 def node_to_link_weights(topology: Topology, node_weights: Mapping[int, float]) -> dict[tuple[int, int], float]:

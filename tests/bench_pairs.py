@@ -38,7 +38,10 @@ def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One perfbench process in ``checkout``: its header, digest and last line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True).stdout
+    child = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if child.returncode != 0:
+        sys.exit(f"{checkout}: perfbench failed on {workload} (exit {child.returncode}):\n{child.stderr}")
+    out = child.stdout
     header, digest = HEADER.search(out), DIGEST.search(out)
     if header is None or digest is None:
         raise RuntimeError(f"{checkout}: no header or digest line in perfbench's output:\n{out}")

@@ -30,11 +30,12 @@ LINE = re.compile(r"ACCEPTANCE\s+9 .*median ratio ([0-9.]+)")
 def reading(checkout: Path) -> float:
     """One fresh-process run of the criterion-9 test in ``checkout``: its median ratio."""
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
-    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider", TEST],
-                         cwd=checkout, env=env, capture_output=True, text=True).stdout
-    match = LINE.search(out)
+    child = subprocess.run([sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider", TEST],
+                           cwd=checkout, env=env, capture_output=True, text=True)
+    match = LINE.search(child.stdout)
     if match is None:
-        raise RuntimeError(f"{checkout}: no ACCEPTANCE 9 line in the test's output:\n{out}")
+        sys.exit(f"{checkout}: no ACCEPTANCE 9 line in the test's output (exit {child.returncode}):\n"
+                 f"{child.stdout}{child.stderr}")
     return float(match.group(1))
 
 

@@ -6,15 +6,17 @@ enumeration for shortest paths, and a subset DP for exact bin packing. The
 frozen routing and oracle references at the end are the library's own
 earlier code, kept so its fast or merged paths can be held to
 byte-identical output, and the oracle to identical answers. The frozen
-routers keep the earlier routing state: residual capacities, reduced on
-commit, with loads summed afterwards from the committed paths. The frozen
-HGR routes each flow by ``shortest_path`` with unit weights, not by the
-hop search it checks, and every reference calls public library names only.
+routers run on the library's ``ResidualState`` and decide fit by its
+``fits``: that rule is checked directly, by ``test_mrg``'s capability
+tests and by the boundary fuzz in ``test_evaluation``, so the references
+check the algorithms around it. The frozen HGR routes each flow by
+``shortest_path`` with unit weights, not by the hop search it checks, and
+every reference calls public library names only.
 """
 
 import itertools
 import random
-from operator import ge, le
+from operator import le
 
 from greenroute import (
     CAP_TOL,
@@ -23,11 +25,9 @@ from greenroute import (
     Node,
     NodeKind,
     ResidualState,
-    RoutingSolution,
     Topology,
     Workload,
     assign_node_weights,
-    inv_count,
     is_connected,
     node_to_link_weights,
     shortest_path,
@@ -145,129 +145,54 @@ def with_host_ends(topology, rng, leaf_share):
 # -- frozen routing references -------------------------------------------------------
 # The greedy router and its online arrival as they stood before the pick
 # scan skipped flows bound to fail again, lazy reachability and the
-# dead-end skip, with two intended changes since: hosts never relay, so no
-# host is ever an allowed interior node; and an endpoint that is not a host
-# carries its flow, so it must be allowed too (``ends_enterable``, which
-# the frozen hop search below applies first). They are slow on purpose (a
-# set and a search per pending flow per iteration, a link-weight dict over
-# every edge per flow) and search with the library's own slow references,
-# ``is_connected`` and ``shortest_path``, which ``test_mrg`` holds to
-# exhaustive path enumeration; the differential tests require the library
-# to reproduce them exactly.
+# dead-end skip, with one intended change since: hosts never relay, so no
+# host is ever an allowed interior node. They are slow on purpose (a
+# set and a search per pending flow per iteration, a weight table and a
+# link-weight dict over every node and edge per flow) and search with the
+# library's own slow references, ``is_connected`` and ``shortest_path``,
+# which ``test_mrg`` holds to exhaustive path enumeration; the differential
+# tests require the library to reproduce them exactly. Every frozen router
+# keeps its state in a ``ResidualState`` and decides fit by its ``fits``
+# (or ``capable``), which ``test_mrg``'s capability tests and the boundary
+# fuzz in ``test_evaluation`` check directly, so a reference and the
+# library agree on every input, on the capacity boundary too.
 
-def ends_enterable(topology, enterable, s, t):
-    """Every endpoint of s and t that is not a host passes ``enterable``."""
-    return all(v in topology.host_set or enterable(v) for v in (s, t))
-
-
-def _reference_node_weights(residual, active, demand, topology, view):
-    inactive_w = len(view) * (len(view) - 1) // 2 + 1
-    demand_view = [demand[k] for k in view]
-    weights = {}
-    for v in range(len(topology)):
-        if v in topology.host_set:
-            weights[v] = 0
-        elif v in active:
-            r = residual[v]
-            weights[v] = inv_count([r[k] for k in view], demand_view)
-        else:
-            weights[v] = inactive_w
-    return weights
-
-
-def reference_route_greedy(topology, workload, seed, view):
-    """The greedy router (MRG with the full view, SRG with view (0,)), unoptimized."""
-    dims = workload.dims
+def reference_route_greedy(topology, workload, seed, dims):
+    """The greedy router on the first ``dims`` dimensions (MRG with all of them, SRG with 1), unoptimized."""
     rng = random.Random(seed)
-    procs = topology.processor_ids
-    hosts = topology.host_set
-    residual = {v: [1.0] * dims for v in procs}
-    load = {v: [0.0] * dims for v in procs}
-    active = set()
+    state = ResidualState.fresh(topology, workload.dims)
     pending = list(workload.flows)
-    paths = {}
-    unrouted = set()
-
-    def capable(v, demand):
-        r = residual[v]
-        return all(r[k] >= demand[k] - TOL for k in view)
-
     while pending:
         pick = None
         for i, flow in enumerate(pending):
-            usable = {v for v in active if capable(v, flow.demand)}
-            if is_connected(topology, usable, flow.src, flow.dst):
+            room = state.room(flow.demand[:dims])
+            if is_connected(topology, state.capable(room, state.active), flow.src, flow.dst):
                 pick = i
                 break
         if pick is None:
             pick = rng.randrange(len(pending))
         flow = pending.pop(pick)
-        demand = flow.demand
-
-        allowed = {v for v in procs if capable(v, demand)}
-        weights = _reference_node_weights(residual, active, demand, topology, view)
-        link_w = node_to_link_weights(topology, weights)
-        path = shortest_path(topology, allowed, link_w, flow.src, flow.dst)
-        if path is None:
-            unrouted.add(flow.id)
-            continue
-        paths[flow.id] = tuple(path)
-        for v in path:
-            if v not in hosts:
-                r = residual[v]
-                l = load[v]
-                for k in range(dims):
-                    r[k] -= demand[k]
-                    l[k] += demand[k]
-                active.add(v)
-    return paths, frozenset(unrouted), {v: tuple(load[v]) for v in procs}
-
-
-class ReferenceState:
-    """The earlier routing state: residual capacities that commits reduce.
-
-    ``load`` keeps the running sums the library keeps, in the same order,
-    so the two states can be compared bit for bit; no decision reads it.
-    """
-
-    def __init__(self, topology, dims):
-        self.residual = {v: [1.0] * dims for v in topology.processor_ids}
-        self.load = {v: [0.0] * dims for v in topology.processor_ids}
-        self.active = set()
-        self.committed = {}
-
-    def fits(self, v, need):
-        """Processor ``v`` covers ``need`` = demand - CAP_TOL in every dimension."""
-        return all(map(ge, self.residual[v], need))
-
-    def commit(self, flow_id, path, demand):
-        for v in path:
-            r = self.residual.get(v)
-            if r is not None:
-                l = self.load[v]
-                for k, d in enumerate(demand):
-                    r[k] -= d
-                    l[k] += d
-                self.active.add(v)
-        self.committed[flow_id] = tuple(path)
+        demand = flow.demand[:dims]
+        link_w = node_to_link_weights(topology, assign_node_weights(state, demand, topology))
+        path = shortest_path(topology, state.capable(state.room(demand)), link_w, flow.src, flow.dst)
+        if path is not None:
+            state.commit(flow.id, path, flow.demand)
+    return state.solution(workload.flows)
 
 
 def reference_online_departure(state, flow, path):
-    """Return the demand to the residuals; a processor whose residuals are all
-    back at 1 (within CAP_TOL) and that no other live path crosses is snapped
-    to exactly 1 and 0 load and deactivated."""
+    """Take the demand off the loads; a processor whose loads are all back at 0
+    (within CAP_TOL) and that no other live path crosses is snapped to exactly
+    0 load and deactivated."""
     del state.committed[flow.id]
     crossed = {v for other in state.committed.values() for v in other}
     for v in path:
-        r = state.residual.get(v)
-        if r is not None:
-            l = state.load[v]
+        l = state.load.get(v)
+        if l is not None:
             for k, d in enumerate(flow.demand):
-                r[k] += d
                 l[k] -= d
-            if all(abs(x - 1.0) <= CAP_TOL for x in r) and v not in crossed:
-                state.residual[v] = [1.0] * len(r)
-                state.load[v] = [0.0] * len(r)
+            if all(abs(x) <= CAP_TOL for x in l) and v not in crossed:
+                state.load[v] = [0.0] * len(l)
                 state.active.discard(v)
 
 
@@ -286,25 +211,6 @@ def reference_solution_loads(topology, workload, paths):
     return {v: tuple(l) for v, l in load.items()}
 
 
-def reference_online_arrival(state, topology, flow):
-    """Online arrival with full weight and link-weight tables per flow, on a :class:`ReferenceState`."""
-    demand = flow.demand
-
-    def capable(v):
-        return all(r >= d - TOL for r, d in zip(state.residual[v], demand))
-
-    usable_active = {v for v in state.active if capable(v)}
-    weights = _reference_node_weights(state.residual, state.active, demand, topology, tuple(range(len(demand))))
-    link_w = node_to_link_weights(topology, weights)
-    allowed = {v for v in topology.processor_ids if capable(v)}
-    path = (shortest_path(topology, usable_active, link_w, flow.src, flow.dst)
-            or shortest_path(topology, allowed, link_w, flow.src, flow.dst))
-    if path is None:
-        return None
-    state.commit(flow.id, path, demand)
-    return tuple(path)
-
-
 def reference_greedy_paths(state, topology, src, dst, demand, room):
     """The greedy step as ``_greedy_path`` states it, on the two node sets an
     arrival tries: :func:`shortest_path` over the active processors that fit
@@ -315,14 +221,23 @@ def reference_greedy_paths(state, topology, src, dst, demand, room):
     return [shortest_path(topology, allowed, link_w, src, dst) for allowed in (capable & state.active, capable)]
 
 
+def reference_online_arrival(state, topology, flow):
+    """Online arrival: the first path :func:`reference_greedy_paths` finds, committed."""
+    found = reference_greedy_paths(state, topology, flow.src, flow.dst, flow.demand, state.room(flow.demand))
+    path = next(filter(None, found), None)
+    if path is None:
+        return None
+    state.commit(flow.id, path, flow.demand)
+    return tuple(path)
+
+
 # Verbatim copy of the baselines' seeded ECMP draw (a BFS from s, then path
 # counts per level) as it stood before it and HGR's lexicographic detour
-# search merged into one hop search; the lexicographic answer needs no
-# copy: it is ``shortest_path`` with unit weights.
+# search merged into one hop search; its endpoints are hosts, as every
+# router's are. The lexicographic answer needs no copy: it is
+# ``shortest_path`` with unit weights.
 
 def reference_sample_shortest(topology, allowed, s, t, rng):
-    if not ends_enterable(topology, allowed.__contains__, s, t):
-        return None
     if s == t:
         return [s]
     adj = topology._adj
@@ -381,20 +296,16 @@ def reference_route_shortest(topology, workload, seed, dims):
     """SRSP (``dims`` 1) and MRSP (all dimensions) on the frozen draw, on any graph.
 
     Each flow in list order takes :func:`reference_sample_shortest` over the
-    processors whose residuals cover its first ``dims`` demand components.
-    Returns (paths, unrouted, loads) as :func:`reference_route_greedy` does.
+    processors that fit its first ``dims`` demand components.
     """
     rng = random.Random(seed)
-    state = ReferenceState(topology, workload.dims)
-    residual = state.residual
+    state = ResidualState.fresh(topology, workload.dims)
     for flow in workload.flows:
-        need = [d - CAP_TOL for d in flow.demand[:dims]]
-        allowed = {v for v, r in residual.items() if all(map(ge, r, need))}  # ReferenceState.fits
+        allowed = set(state.capable(state.room(flow.demand[:dims])))
         path = reference_sample_shortest(topology, allowed, flow.src, flow.dst, rng)
         if path is not None:
             state.commit(flow.id, path, flow.demand)
-    unrouted = frozenset(flow.id for flow in workload.flows if flow.id not in state.committed)
-    return state.committed, unrouted, {v: tuple(l) for v, l in state.load.items()}
+    return state.solution(workload.flows)
 
 
 # Copy of HGR as it stood before its layer count skipped the packer for
@@ -489,30 +400,23 @@ def reference_route_hgr(topology, workload):
         activated.update(topology._agg_ids[pod][:agg_per_pod[pod]])
     activated.update(topology._core_ids[:cores])
 
-    state = ReferenceState(topology, workload.dims)
+    state = ResidualState.fresh(topology, workload.dims)
     every_processor = set(topology.processor_ids)
-    unrouted = set()
 
-    def route(woken, need, flow):
-        allowed = {v for v in woken if state.fits(v, need)}
-        return shortest_path(topology, allowed, None, flow.src, flow.dst)
+    def route(woken, room, flow):
+        return shortest_path(topology, state.capable(room, woken), None, flow.src, flow.dst)
 
     for flow in flows:
-        demand = flow.demand
-        need = [d - CAP_TOL for d in demand]
-        path = route(activated, need, flow)
+        room = state.room(flow.demand)
+        path = route(activated, room, flow)
         if path is None:
             # an out-of-capacity edge switch cuts the flow off here too
-            path = route(every_processor, need, flow)
+            path = route(every_processor, room, flow)
             if path is None:
-                unrouted.add(flow.id)
                 continue
             activated.update(path[1:-1])
-        state.commit(flow.id, path, demand)
-    load = reference_solution_loads(topology, workload, state.committed)
-    active = frozenset(v for v, l in load.items() if any(l))
-    solution = RoutingSolution(dict(state.committed), active, frozenset(unrouted), load)
-    return solution, LayerCounts(agg_per_pod, cores, frozenset(activated))
+        state.commit(flow.id, path, flow.demand)
+    return state.solution(flows), LayerCounts(agg_per_pod, cores, frozenset(activated))
 
 
 # Copy of the routing oracle as it stood before it became one branch and

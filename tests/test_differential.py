@@ -2,13 +2,13 @@
 
 The greedy router (MRG and SRG), the hop search's seeded draw, its
 fat-tree draw and the shortest-path routers (SRSP and MRSP) must reproduce
-the earlier implementations kept in ``oracle_helpers`` exactly: same
-paths, same unrouted set, same loads, on light loads (most flows ride
-active nodes) and near saturation (flows go unrouted). The greedy step
-must equal ``shortest_path`` under ``assign_node_weights``, as its
-docstring says, and the unseeded hop search ``shortest_path`` with unit
-weights. HGR's layer counts must be the layers' L1 bounds, and HGR must
-route as its frozen copy does.
+the earlier implementations kept in ``oracle_helpers`` exactly: an equal
+``RoutingSolution`` (paths, active set, unrouted set, loads), on light
+loads (most flows ride active nodes) and near saturation (flows go
+unrouted). The greedy step must equal ``shortest_path`` under
+``assign_node_weights``, as its docstring says, and the unseeded hop
+search ``shortest_path`` with unit weights. HGR's layer counts must be
+the layers' L1 bounds, and HGR must route as its frozen copy does.
 """
 
 import random
@@ -38,7 +38,6 @@ from greenroute.baselines import _tree_drawer
 from greenroute.mrg import _greedy_path, _sample_shortest
 
 from oracle_helpers import (
-    ReferenceState,
     graph_with_leaves,
     reference_l1_count,
     reference_greedy_paths,
@@ -69,13 +68,10 @@ def test_greedy_router_matches_reference(z, dims, load):
     for trial in range(3):
         seed = 1000 * z + 100 * dims + trial
         workload = generate_workload(topology, flows, dims, mean, std, seed=seed)
-        for router, view in ((route_mrg, tuple(range(dims))), (route_srg, (0,))):
+        for router, view in ((route_mrg, dims), (route_srg, 1)):
             solution = router(topology, workload, seed + 1)
-            paths, ref_unrouted, ref_load = reference_route_greedy(topology, workload, seed + 1, view)
-            assert solution.paths == paths
-            assert solution.unrouted == ref_unrouted
-            assert solution.load == ref_load
-            unrouted += len(ref_unrouted)
+            assert solution == reference_route_greedy(topology, workload, seed + 1, view)
+            unrouted += len(solution.unrouted)
     if load == "saturated":
         assert unrouted > 0  # the instances really reach capacity
 
@@ -98,10 +94,9 @@ def test_greedy_router_matches_reference_on_arbitrary_graphs():
             src, dst = rng.sample(topology.host_ids, 2)
             flows.append(Flow(fid, src, dst, tuple(rng.uniform(0.05, 0.6) for _ in range(dims))))
         workload = Workload(tuple(flows), dims)
-        for router, view in ((route_mrg, tuple(range(dims))), (route_srg, (0,))):
+        for router, view in ((route_mrg, dims), (route_srg, 1)):
             solution = router(topology, workload, trial)
-            paths, ref_unrouted, ref_load = reference_route_greedy(topology, workload, trial, view)
-            assert (solution.paths, solution.unrouted, solution.load) == (paths, ref_unrouted, ref_load)
+            assert solution == reference_route_greedy(topology, workload, trial, view)
             seen["unrouted"] += len(solution.unrouted)
         seen["host of degree >= 2"] += any(len(topology._adj[h]) > 1 for h in topology.host_ids)
         seen["adjacent"] += sum(flow.dst in topology._adj[flow.src] for flow in flows)
@@ -122,11 +117,10 @@ def test_greedy_router_matches_reference_with_unroutable_flows(tree4):
     first_pick_unroutable = 0
     for seed in range(40):
         first_pick_unroutable += random.Random(seed).randrange(len(flows)) in never
-        for router, view in ((route_mrg, (0, 1)), (route_srg, (0,))):
+        for router, view in ((route_mrg, 2), (route_srg, 1)):
             solution = router(tree4, workload, seed)
-            paths, ref_unrouted, ref_load = reference_route_greedy(tree4, workload, seed, view)
-            assert (solution.paths, solution.unrouted, solution.load) == (paths, ref_unrouted, ref_load)
-            assert solution.unrouted >= {fid for fid in never if any(demands[fid][k] > 1 for k in view)}
+            assert solution == reference_route_greedy(tree4, workload, seed, view)
+            assert solution.unrouted >= {fid for fid in never if max(demands[fid][:view]) > 1}
     assert first_pick_unroutable > 5
 
 
@@ -135,9 +129,8 @@ def _assert_shortest_routers_match_reference(topology, workload, seed):
     unrouted = []
     for router, dims in ((route_srsp, 1), (route_mrsp, workload.dims)):
         solution = router(topology, workload, seed)
-        paths, ref_unrouted, ref_load = reference_route_shortest(topology, workload, seed, dims)
-        assert (solution.paths, solution.unrouted, solution.load) == (paths, ref_unrouted, ref_load)
-        unrouted.append(len(ref_unrouted))
+        assert solution == reference_route_shortest(topology, workload, seed, dims)
+        unrouted.append(len(solution.unrouted))
     return unrouted
 
 
@@ -204,12 +197,11 @@ def test_pick_scan_tests_a_flow_once_until_a_processor_wakes(monkeypatch, z):
     for trial in range(3):
         seed = 7000 + 10 * z + trial
         workload = _distinct_pair_workload(topology, flows, 3, mean, std, seed)
-        for router, view in ((route_mrg, (0, 1, 2)), (route_srg, (0,))):
+        for router, view in ((route_mrg, 3), (route_srg, 1)):
             size[0] = 0
             searched.clear()
             solution = router(topology, workload, seed)
-            paths, ref_unrouted, ref_load = reference_route_greedy(topology, workload, seed, view)
-            assert (solution.paths, solution.unrouted, solution.load) == (paths, ref_unrouted, ref_load)
+            assert solution == reference_route_greedy(topology, workload, seed, view)
             assert len(set(searched)) == len(searched)
             retested += len(searched) - len({pair for _, pair in searched})
             unrouted += len(solution.unrouted)
@@ -222,7 +214,7 @@ def test_online_arrivals_match_reference(z, dims):
     workload = generate_workload(topology, 300, dims, 0.08, 0.08, seed=z * 10 + dims)
     rng = random.Random(dims)
     state = ResidualState.fresh(topology, dims)
-    ref_state = ReferenceState(topology, dims)
+    ref_state = ResidualState.fresh(topology, dims)
     live = []
     rejected = 0
     for flow in workload.flows:
@@ -232,7 +224,7 @@ def test_online_arrivals_match_reference(z, dims):
             reference_online_departure(ref_state, gone, gone_path)
         path = online_arrival(state, topology, flow)
         assert path == reference_online_arrival(ref_state, topology, flow)
-        assert state.load == ref_state.load and state.active == ref_state.active
+        assert state == ref_state
         if path is None:
             rejected += 1
         else:
@@ -297,7 +289,8 @@ def test_greedy_step_matches_reference_on_arbitrary_graphs():
 def test_sample_shortest_matches_both_references():
     # One search serves the seeded ECMP draw and the lexicographic detour:
     # the same seed must give the same path and consume the same draws, and
-    # no seed must give the old lexicographic path.
+    # no seed must give the old lexicographic path. Neither mode may ask
+    # about a node twice, or about a leaf.
     rng = random.Random(43)
     found = 0
     for _ in range(1500):
@@ -306,10 +299,14 @@ def test_sample_shortest_matches_both_references():
         draws, ref_draws = random.Random(rng.random()), random.Random()
         ref_draws.setstate(draws.getstate())
         expected = reference_sample_shortest(topology, allowed, s, t, ref_draws)
-        assert _sample_shortest(topology, allowed.__contains__, s, t, draws) == expected
+        asked = []
+        assert _sample_shortest(topology, _asking(allowed, asked), s, t, draws) == expected
         assert draws.getstate() == ref_draws.getstate()
-        lex = _sample_shortest(topology, allowed.__contains__, s, t)
+        _assert_asked_once_and_never_a_leaf(topology, asked)
+        asked = []
+        lex = _sample_shortest(topology, _asking(allowed, asked), s, t)
         assert lex == shortest_path(topology, allowed, None, s, t)
+        _assert_asked_once_and_never_a_leaf(topology, asked)
         found += expected is not None
     assert found > 500
 
@@ -327,17 +324,6 @@ def _assert_asked_once_and_never_a_leaf(topology, asked):
     assert len(asked) == len(set(asked))
     assert all(len(topology._adj[v]) > 1 for v in asked)
     assert topology.host_set.isdisjoint(asked)
-
-
-def test_sample_shortest_asks_each_node_once_and_never_a_leaf():
-    rng = random.Random(47)
-    for _ in range(1500):
-        topology, s, t = with_host_ends(graph_with_leaves(rng), rng, 0)
-        allowed = {v for v in topology.processor_ids if rng.random() < 0.75}
-        for draws in (random.Random(rng.random()), None):
-            asked = []
-            _sample_shortest(topology, _asking(allowed, asked), s, t, draws)
-            _assert_asked_once_and_never_a_leaf(topology, asked)
 
 
 def test_sample_shortest_meets_in_the_middle_on_an_idle_z16_tree():

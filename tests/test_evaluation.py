@@ -22,7 +22,10 @@ from greenroute import (
     online_arrival,
     oracle_min_active,
     oracle_min_bins,
+    route_hgr,
     route_mrg,
+    route_mrsp,
+    route_srg,
     route_srsp,
     run_experiment,
     vbp_greedy,
@@ -37,7 +40,11 @@ from oracle_helpers import (
     l1_bound,
     min_bins_by_subset_dp,
     random_topology,
+    reference_online_arrival,
     reference_oracle_min_active,
+    reference_route_greedy,
+    reference_route_hgr,
+    reference_route_shortest,
     reference_solution_loads,
     with_hosts,
 )
@@ -349,8 +356,17 @@ def test_every_solver_decides_a_boundary_pair_by_the_fit_rule(tree2, pair):
         both = in_order[view] if algo in ("srsp", "mrsp", "hgr") else any_order[view]
         if both is not None:
             assert [len(router(tree2, workload, seed).paths) for seed in range(3)] == [1 + both] * 3, algo
-    state = ResidualState.fresh(tree2, dims)
-    assert [online_arrival(state, tree2, flow) is not None for flow in workload.flows] == [True, in_order[dims]]
+    state, ref_state = ResidualState.fresh(tree2, dims), ResidualState.fresh(tree2, dims)
+    paths = [online_arrival(state, tree2, flow) for flow in workload.flows]
+    assert [path is not None for path in paths] == [True, in_order[dims]]
+    # every frozen reference routes the pair exactly as the library does
+    assert paths == [reference_online_arrival(ref_state, tree2, flow) for flow in workload.flows]
+    for seed in range(3):
+        assert route_mrg(tree2, workload, seed) == reference_route_greedy(tree2, workload, seed, dims)
+        assert route_srg(tree2, workload, seed) == reference_route_greedy(tree2, workload, seed, 1)
+    assert route_srsp(tree2, workload) == reference_route_shortest(tree2, workload, 0, 1)
+    assert route_mrsp(tree2, workload) == reference_route_shortest(tree2, workload, 0, dims)
+    assert route_hgr(tree2, workload) == reference_route_hgr(tree2, workload)
     assert oracle_min_active(tree2, workload) == (5 if in_order[dims] else None)
     assert oracle_min_bins(pair) == 2 - in_order[dims]
     if any_order[dims] is not None:

@@ -42,13 +42,9 @@ TOL = 1e-9
 
 # -- the capability rule: ResidualState.fits -----------------------------------
 
-def _room(demand):
-    return [1 + CAP_TOL - d for d in demand]
-
-
 def _fits(load, demand):
     state = ResidualState({0: list(load)}, set())
-    return state.fits(0, _room(demand))
+    return state.fits(0, ResidualState.room(demand))
 
 
 def test_is_capable_fresh_node():
@@ -88,7 +84,7 @@ def test_capability_boundary_one_entry_room():
     # SRSP and SRG pass a room for dimension 1 only: the other dimensions'
     # loads are never read, however high they are
     for demand in _boundary_demands():
-        room = _room(demand[:1])
+        room = ResidualState.room(demand[:1])
         others = [5.0] * (len(demand) - 1)
         assert ResidualState({0: [1 - demand[0], *others]}, set()).fits(0, room)
         assert not ResidualState({0: [1 - demand[0] + 2 * CAP_TOL, *others]}, set()).fits(0, room)
@@ -103,7 +99,7 @@ def test_capable_is_the_batch_form_of_fits(tree4):
     procs = tree4.processor_ids
     seen = dict.fromkeys(("at room", "ulp above", "admitted", "refused"), 0)
     for demand in _boundary_demands():
-        room = _room(demand[:1] if rng.random() < 0.3 else demand)
+        room = ResidualState.room(demand[:1] if rng.random() < 0.3 else demand)
         load = {}
         for v in procs:
             l = []
@@ -224,6 +220,11 @@ def test_assign_weights_inactive_formula(tree4):
 
 def test_assign_weights_one_dimension(tree4):
     state = _state_with(tree4, 1, {16: (0.3,)})
+    weights = assign_node_weights(state, (0.2,), tree4)
+    assert weights[16] == 0
+    assert weights[17] == 1
+    # SRG's view: a K=3 state weighed against the demand's first component only
+    state = _state_with(tree4, 3, {16: (0.3, 0.9, 0.1)})
     weights = assign_node_weights(state, (0.2,), tree4)
     assert weights[16] == 0
     assert weights[17] == 1

@@ -1,9 +1,11 @@
-"""The measurement tools refuse bad arguments before any child process starts.
+"""The measurement tools refuse bad arguments before any child process starts,
+and show why a child failed.
 
 ``bench_pairs``, ``criterion9_medians`` and ``optimality_gap`` each run
 one child process per reading. Their ``main`` is called here in-process,
-with ``subprocess.run`` replaced by a failure, so every case must stop at
-argument checking with argparse's exit code 2.
+with ``subprocess.run`` replaced: by a failure, so every bad-argument case
+must stop at argument checking with argparse's exit code 2; or by a child
+that exits 1, whose stderr the tool's exit message must carry.
 """
 
 import subprocess
@@ -54,3 +56,15 @@ def test_criterion9_medians_refuses_a_checkout_without_the_acceptance_tests(tmp_
     with pytest.raises(SystemExit) as exit_:
         criterion9_medians.main(["--src", str(tmp_path), "--runs", "1"])
     assert exit_.value.code == 2
+
+
+@pytest.mark.parametrize("tool, argv", [
+    pytest.param(bench_pairs, pairs(REPO, REPO, 1), id="bench_pairs"),
+    pytest.param(criterion9_medians, ["--src", str(REPO), "--runs", "1"], id="criterion9_medians"),
+])
+def test_tool_exit_shows_a_failed_childs_stderr(monkeypatch, tool, argv):
+    failed = subprocess.CompletedProcess([], 1, stdout="", stderr="Traceback: the child's own error")
+    monkeypatch.setattr(subprocess, "run", lambda *args, **kwargs: failed)
+    with pytest.raises(SystemExit) as exit_:
+        tool.main(argv)
+    assert "Traceback: the child's own error" in str(exit_.value.code)
