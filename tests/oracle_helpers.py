@@ -332,27 +332,41 @@ def reference_l1_count(demands, limit):
     return count
 
 
-def l1_bound(topology, workload, routed):
-    """A lower bound on the active processors of any routing of the flows in
-    ``routed`` (ids) on a fat-tree whose processors stay within capacity:
-    their distinct endpoint edge switches; per pod, the L1 bound of the
-    routed flows with an endpoint in it, intra-rack flows excluded (each
-    crosses an aggregation switch of that pod); and the L1 bound of the
-    routed inter-pod flows (each crosses a core). Vector packing's L1 bound
-    (Caprara & Toth, 2001) on every layer, with no width cap."""
+def layer_items(topology, flows):
+    """Which of ``flows`` load which fat-tree layer: ``(edges, pods, crossing)``.
+
+    ``edges`` is the set of their endpoint edge switches; ``pods[p]`` holds,
+    in flow order, the demands of the flows with an endpoint in pod p,
+    intra-rack flows excluded (each crosses an aggregation switch of p);
+    ``crossing`` holds the demands of the inter-pod flows (each crosses a
+    core). A caller sizing the layers as HGR's phase 1 does leaves out the
+    flows with a component above 1 + CAP_TOL first.
+    """
     edge_of = topology._host_edge
     pod_of = topology._host_pod
-    flows = [flow for flow in workload.flows if flow.id in routed]
-    edges = {edge_of[h] for flow in flows for h in (flow.src, flow.dst)}
+    edges = set()
     pods = [[] for _ in range(topology.z)]
     crossing = []
     for flow in flows:
-        if edge_of[flow.src] == edge_of[flow.dst]:
+        ends = {edge_of[flow.src], edge_of[flow.dst]}
+        edges |= ends
+        if len(ends) == 1:
             continue
         for pod in {pod_of[flow.src], pod_of[flow.dst]}:
             pods[pod].append(flow.demand)
         if pod_of[flow.src] != pod_of[flow.dst]:
             crossing.append(flow.demand)
+    return edges, pods, crossing
+
+
+def l1_bound(topology, workload, routed):
+    """A lower bound on the active processors of any routing of the flows in
+    ``routed`` (ids) on a fat-tree whose processors stay within capacity:
+    their distinct endpoint edge switches, and the L1 bound of each pod's
+    and of the core layer's :func:`layer_items`. Vector packing's L1 bound
+    (Caprara & Toth, 2001) on every layer, with no width cap."""
+    flows = [flow for flow in workload.flows if flow.id in routed]
+    edges, pods, crossing = layer_items(topology, flows)
     unlimited = len(flows)  # no layer needs more switches than there are flows
     return len(edges) + sum(reference_l1_count(items, unlimited) for items in pods) \
         + reference_l1_count(crossing, unlimited)
@@ -370,27 +384,9 @@ def reference_route_hgr(topology, workload):
         raise ValueError("HGR requires a fat-tree topology")
     half = z // 2
     flows = workload.flows
-    edge_of = topology._host_edge
-    pod_of = topology._host_pod
-
-    activated = set()  # every flow's edge switches, then the phase-1 estimates
-    pod_items = [[] for _ in range(z)]
-    core_items = []
-    for flow in flows:
-        e_s = edge_of[flow.src]
-        e_t = edge_of[flow.dst]
-        activated.add(e_s)
-        activated.add(e_t)
-        if e_s == e_t:
-            continue  # intra-rack: touches no aggregation or core switch
-        if max(flow.demand) > 1.0 + CAP_TOL:
-            continue  # fits no switch; phase 2 reports it unrouted like any router
-        src_pod = pod_of[flow.src]
-        dst_pod = pod_of[flow.dst]
-        pod_items[src_pod].append(flow.demand)
-        if dst_pod != src_pod:
-            pod_items[dst_pod].append(flow.demand)
-            core_items.append(flow.demand)
+    activated = layer_items(topology, flows)[0]  # every flow's edge switches, then the phase-1 estimates
+    # a flow that fits no switch is left out; phase 2 reports it unrouted like any router
+    _, pod_items, core_items = layer_items(topology, [f for f in flows if max(f.demand) <= 1.0 + CAP_TOL])
     # A layer cannot wake more switches than it has; overload surfaces as
     # unrouted flows in phase 2 instead.
     agg_per_pod = tuple(reference_l1_count(items, half) for items in pod_items)

@@ -28,6 +28,31 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def saved_workload(tmp_path, flows, dims=1, z=None):
+    """A workload file of ``flows``; returns its path."""
+    path = tmp_path / "w.jsonl"
+    save_workload(Workload(tuple(flows), dims, z=z), path)
+    return path
+
+
+def saved_star(tmp_path, n, **fields):
+    """A dump of the ``n``-item star reduction's topology, top-level ``fields`` replaced; returns its path."""
+    path = tmp_path / "star.json"
+    save_topology(build_star_reduction(n).topology, path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), **fields}))
+    return path
+
+
+def route_input_error(capsys, tmp_path, record, **header):
+    """``route``'s stderr on a file of one header (K=1 and z=4 unless ``header``
+    says otherwise) and one flow ``record`` line, which it must refuse with exit 2."""
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps({"K": 1, "z": 4, "seed": 0, "mean": 0, "std": 0, **header}) + f"\n{record}\n")
+    code, _, err = run_cli(capsys, "route", "--algo", "mrg", "--workload", str(path))
+    assert code == 2
+    return err
+
+
 def test_topo_summary_line(capsys):
     code, out, err = run_cli(capsys, "topo", "--z", "8")
     assert code == 0
@@ -94,16 +119,14 @@ def test_route_hgr_dump_includes_layer_counts(capsys, tmp_path):
 
 
 def test_route_empty_workload(capsys, tmp_path):
-    wpath = tmp_path / "empty.jsonl"
-    save_workload(Workload((), 3, z=4), wpath)
+    wpath = saved_workload(tmp_path, (), dims=3, z=4)
     code, out, _ = run_cli(capsys, "route", "--algo", "mrg", "--workload", str(wpath))
     assert code == 0
     assert "routed=0" in out and "saving_ratio=1.0" in out
 
 
 def test_route_without_z_is_input_error(capsys, tmp_path):
-    wpath = tmp_path / "w.jsonl"
-    save_workload(Workload((Flow(0, 0, 1, (0.5,)),), 1, z=None), wpath)
+    wpath = saved_workload(tmp_path, [Flow(0, 0, 1, (0.5,))])
     code, out, err = run_cli(capsys, "route", "--algo", "mrg", "--workload", str(wpath))
     assert code == 2 and out == ""
     assert "header has no z" in err
@@ -115,58 +138,32 @@ def test_route_missing_file_is_input_error(capsys):
 
 
 def test_route_corrupt_file_is_input_error(capsys, tmp_path):
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text('{"K": 2, "z": 4, "seed": 0, "mean": 0, "std": 0}\nnot json\n')
-    code, _, err = run_cli(capsys, "route", "--algo", "mrg", "--workload", str(bad))
-    assert code == 2
-    assert "line 2" in err
+    assert "line 2" in route_input_error(capsys, tmp_path, "not json", K=2)
 
 
 def test_route_non_finite_demand_is_input_error(capsys, tmp_path):
-    bad = tmp_path / "nan.jsonl"
-    bad.write_text('{"K": 1, "z": 4, "seed": 0, "mean": 0, "std": 0}\n'
-                   '{"id": 0, "src": 0, "dst": 4, "demand": [NaN]}\n')
-    code, _, err = run_cli(capsys, "route", "--algo", "mrg", "--workload", str(bad))
-    assert code == 2
+    err = route_input_error(capsys, tmp_path, '{"id": 0, "src": 0, "dst": 4, "demand": [NaN]}')
     assert "line 2" in err and "finite" in err
 
 
 def test_route_non_number_demand_is_input_error(capsys, tmp_path):
-    bad = tmp_path / "bool.jsonl"
-    bad.write_text('{"K": 1, "z": 4, "seed": 0, "mean": 0, "std": 0}\n'
-                   '{"id": 0, "src": 0, "dst": 4, "demand": [true]}\n')
-    code, _, err = run_cli(capsys, "route", "--algo", "mrg", "--workload", str(bad))
-    assert code == 2
+    err = route_input_error(capsys, tmp_path, '{"id": 0, "src": 0, "dst": 4, "demand": [true]}')
     assert "line 2" in err and "demand component must be a number" in err
 
 
 def test_route_bad_arity_is_input_error(capsys, tmp_path):
-    bad = tmp_path / "z5.jsonl"
-    bad.write_text('{"K": 1, "z": 5, "seed": 0, "mean": 0, "std": 0}\n'
-                   '{"id": 0, "src": 0, "dst": 4, "demand": [0.1]}\n')
-    code, _, err = run_cli(capsys, "route", "--algo", "mrg", "--workload", str(bad))
-    assert code == 2
+    err = route_input_error(capsys, tmp_path, '{"id": 0, "src": 0, "dst": 4, "demand": [0.1]}', z=5)
     assert "line 1" in err and "even integer" in err
 
 
 def test_route_non_integer_host_is_input_error(capsys, tmp_path):
-    bad = tmp_path / "frac.jsonl"
-    bad.write_text('{"K": 1, "z": 4, "seed": 0, "mean": 0, "std": 0}\n'
-                   '{"id": 0, "src": 0.9, "dst": 4, "demand": [0.1]}\n')
-    code, _, err = run_cli(capsys, "route", "--algo", "mrg", "--workload", str(bad))
-    assert code == 2
+    err = route_input_error(capsys, tmp_path, '{"id": 0, "src": 0.9, "dst": 4, "demand": [0.1]}')
     assert "line 2" in err and "src must be an integer" in err
 
 
 def test_oracle_non_integer_topology_is_input_error(capsys, tmp_path):
-    star = build_star_reduction(2)
-    tpath = tmp_path / "star.json"
-    save_topology(star.topology, tpath)
-    doc = json.loads(tpath.read_text())
-    doc["edges"][0] = [0.2, 2.8]
-    tpath.write_text(json.dumps(doc))
-    wpath = tmp_path / "w.jsonl"
-    save_workload(Workload((Flow(0, 0, 1, (0.5,)),), 1, z=None), wpath)
+    tpath = saved_star(tmp_path, 2, edges=[[0.2, 2.8]])
+    wpath = saved_workload(tmp_path, [Flow(0, 0, 1, (0.5,))])
     code, _, err = run_cli(capsys, "oracle", "--mode", "eemr", "--input", str(wpath),
                            "--topo", str(tpath))
     assert code == 2
@@ -202,21 +199,15 @@ def test_experiment_rejects_empty_or_repeated_algos(capsys, tmp_path, algos):
 
 def test_oracle_vbp_mode(capsys, tmp_path):
     items = [(0.6, 0.3), (0.5, 0.5), (0.4, 0.6), (0.3, 0.2)]
-    w = Workload(tuple(Flow(i, 0, 1, d) for i, d in enumerate(items)), 2, z=None)
-    wpath = tmp_path / "items.jsonl"
-    save_workload(w, wpath)
+    wpath = saved_workload(tmp_path, [Flow(i, 0, 1, d) for i, d in enumerate(items)], dims=2)
     code, out, _ = run_cli(capsys, "oracle", "--mode", "vbp", "--input", str(wpath))
     assert code == 0 and out.strip() == "2"
 
 
 def test_oracle_eemr_mode_with_star_topology(capsys, tmp_path):
-    star = build_star_reduction(4)
-    tpath = tmp_path / "star.json"
-    save_topology(star.topology, tpath)
+    tpath = saved_star(tmp_path, 4)
     items = [(0.6, 0.3), (0.5, 0.5), (0.4, 0.6), (0.3, 0.2)]
-    w = Workload(tuple(Flow(i, 0, 1, d) for i, d in enumerate(items)), 2, z=None)
-    wpath = tmp_path / "items.jsonl"
-    save_workload(w, wpath)
+    wpath = saved_workload(tmp_path, [Flow(i, 0, 1, d) for i, d in enumerate(items)], dims=2)
     code, out, _ = run_cli(capsys, "oracle", "--mode", "eemr", "--input", str(wpath),
                            "--topo", str(tpath))
     assert code == 0 and out.strip() == "2"
@@ -225,29 +216,22 @@ def test_oracle_eemr_mode_with_star_topology(capsys, tmp_path):
 def test_oracle_eemr_mode_on_the_header_fat_tree(capsys, tmp_path):
     # no --topo: the optimum is taken on the z=2 fat-tree the header names
     flows = (Flow(0, 0, 1, (0.3, 0.6)), Flow(1, 1, 0, (0.4, 0.2)), Flow(2, 0, 1, (0.2, 0.1)))
-    workload = Workload(flows, 2, z=2)
-    wpath = tmp_path / "w.jsonl"
-    save_workload(workload, wpath)
+    wpath = saved_workload(tmp_path, flows, dims=2, z=2)
     code, out, _ = run_cli(capsys, "oracle", "--mode", "eemr", "--input", str(wpath))
     assert code == 0
-    assert out.strip() == str(oracle_min_active(build_fat_tree(2), workload)) == "5"
+    assert out.strip() == str(oracle_min_active(build_fat_tree(2), Workload(flows, 2, z=2))) == "5"
 
 
 def test_oracle_eemr_mode_without_z_or_topology_is_input_error(capsys, tmp_path):
-    wpath = tmp_path / "w.jsonl"
-    save_workload(Workload((Flow(0, 0, 1, (0.5,)),), 1, z=None), wpath)
+    wpath = saved_workload(tmp_path, [Flow(0, 0, 1, (0.5,))])
     code, out, err = run_cli(capsys, "oracle", "--mode", "eemr", "--input", str(wpath))
     assert code == 2 and out == ""
     assert "header has no z and no --topo was given" in err
 
 
 def test_oracle_eemr_infeasible(capsys, tmp_path):
-    star = build_star_reduction(2)
-    tpath = tmp_path / "star.json"
-    save_topology(star.topology, tpath)
-    w = Workload((Flow(0, 0, 1, (1.5,)),), 1, z=None)
-    wpath = tmp_path / "w.jsonl"
-    save_workload(w, wpath)
+    tpath = saved_star(tmp_path, 2)
+    wpath = saved_workload(tmp_path, [Flow(0, 0, 1, (1.5,))])
     code, out, _ = run_cli(capsys, "oracle", "--mode", "eemr", "--input", str(wpath),
                            "--topo", str(tpath))
     assert code == 0 and out.strip() == "infeasible"
@@ -255,21 +239,14 @@ def test_oracle_eemr_infeasible(capsys, tmp_path):
 
 def test_oracle_vbp_infeasible(capsys, tmp_path):
     # the same item as the eemr case: no unit bin holds a component of 1.5
-    w = Workload((Flow(0, 0, 1, (1.5,)),), 1, z=None)
-    wpath = tmp_path / "w.jsonl"
-    save_workload(w, wpath)
+    wpath = saved_workload(tmp_path, [Flow(0, 0, 1, (1.5,))])
     code, out, _ = run_cli(capsys, "oracle", "--mode", "vbp", "--input", str(wpath))
     assert code == 0 and out.strip() == "infeasible"
 
 
 def test_oracle_topology_whose_z_does_not_match_graph_is_input_error(capsys, tmp_path):
-    tpath = tmp_path / "star.json"
-    save_topology(build_star_reduction(5).topology, tpath)
-    doc = json.loads(tpath.read_text())
-    doc["z"] = 2
-    tpath.write_text(json.dumps(doc))
-    wpath = tmp_path / "w.jsonl"
-    save_workload(Workload((Flow(0, 0, 1, (0.5,)),), 1, z=None), wpath)
+    tpath = saved_star(tmp_path, 5, z=2)
+    wpath = saved_workload(tmp_path, [Flow(0, 0, 1, (0.5,))])
     code, out, err = run_cli(capsys, "oracle", "--mode", "eemr", "--input", str(wpath),
                              "--topo", str(tpath))
     assert code == 2 and out == ""
@@ -281,10 +258,8 @@ def test_oracle_topology_whose_z_does_not_match_graph_is_input_error(capsys, tmp
 def test_oracle_endpoint_that_is_not_a_host_is_input_error(capsys, tmp_path, src, dst, message):
     # the oracle, like every router, routes flows between hosts of its
     # topology; node 2 is one of the star's middle (edge) switches
-    tpath = tmp_path / "star.json"
-    save_topology(build_star_reduction(3).topology, tpath)
-    wpath = tmp_path / "w.jsonl"
-    save_workload(Workload((Flow(0, src, dst, (0.5,)),), 1, z=None), wpath)
+    tpath = saved_star(tmp_path, 3)
+    wpath = saved_workload(tmp_path, [Flow(0, src, dst, (0.5,))])
     code, out, err = run_cli(capsys, "oracle", "--mode", "eemr", "--input", str(wpath),
                              "--topo", str(tpath))
     assert code == 2 and out == ""

@@ -39,6 +39,7 @@ from greenroute.mrg import _greedy_path, _sample_shortest
 
 from oracle_helpers import (
     graph_with_leaves,
+    layer_items,
     reference_l1_count,
     reference_greedy_paths,
     reference_route_hgr,
@@ -499,16 +500,7 @@ def test_hgr_layer_counts_are_l1_bounds(z):
     for seed in range(6):
         mean = (0.02, 0.1, 0.3)[seed % 3]
         workload = generate_workload(topology, 20 * z, 3, mean, mean, seed=seed)
-        pod_items = [[] for _ in range(z)]
-        core_items = []
-        for flow in workload.flows:
-            if topology._host_edge[flow.src] == topology._host_edge[flow.dst]:
-                continue
-            src_pod, dst_pod = topology._host_pod[flow.src], topology._host_pod[flow.dst]
-            pod_items[src_pod].append(flow.demand)
-            if dst_pod != src_pod:
-                pod_items[dst_pod].append(flow.demand)
-                core_items.append(flow.demand)
+        _, pod_items, core_items = layer_items(topology, workload.flows)  # generated components fit a switch
         _, counts = route_hgr(topology, workload)
         # no layer is packed: each pod and the core layer are sized by their L1 bounds
         assert counts.agg_per_pod == tuple(reference_l1_count(items, half) for items in pod_items)

@@ -17,7 +17,7 @@ from greenroute import (
 )
 from greenroute.workload import generate_workload
 
-from oracle_helpers import min_bins_by_subset_dp, reference_l1_count
+from oracle_helpers import layer_items, min_bins_by_subset_dp, reference_l1_count
 
 TOL = 1e-9
 
@@ -293,12 +293,10 @@ def test_hgr_wakes_beyond_phase_1_only_switches_that_carry_load(z):
         workload = generate_workload(topology, flows, 3, mean, mean / 2, seed=seed)
         sol, counts = route_hgr(topology, workload)
         # the core estimate is the L1 bound of the inter-pod flows that fit a switch
-        pod = topology._host_pod
-        crossing = [flow.demand for flow in workload.flows
-                    if pod[flow.src] != pod[flow.dst] and max(flow.demand) <= 1.0 + CAP_TOL]
+        crossing = layer_items(topology, [f for f in workload.flows if max(f.demand) <= 1.0 + CAP_TOL])[2]
         assert counts.cores == reference_l1_count(crossing, (z // 2) ** 2)
         # phase 1 wakes every flow's edge switches and the estimated aggregation and core switches
-        phase1 = {topology._host_edge[h] for flow in workload.flows for h in (flow.src, flow.dst)}
+        phase1 = layer_items(topology, workload.flows)[0]
         phase1.update(v for aggs, n in zip(topology._agg_ids, counts.agg_per_pod) for v in aggs[:n])
         phase1.update(topology._core_ids[:counts.cores])
         woken = counts.activated - phase1
