@@ -66,6 +66,9 @@ def test_topo_dump(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out_path.read_text())
     assert doc["z"] == 2 and len(doc["nodes"]) == 7
+    # a dump into a missing directory is an input error
+    code, _, err = run_cli(capsys, "topo", "--z", "2", "--out", str(tmp_path / "missing" / "topo.json"))
+    assert code == 2 and "No such file or directory" in err
 
 
 def test_odd_arity_is_usage_error(capsys):
@@ -182,9 +185,11 @@ def test_experiment_rerun_is_byte_identical(capsys, tmp_path):
 
 
 def test_experiment_bad_sweep_spec(capsys, tmp_path):
-    code, _, _ = run_cli(capsys, "experiment", "--dims", "2", "--flows", "nope",
-                         "--out", str(tmp_path / "x.csv"))
-    assert code == 2
+    for spec in ("nope", "4:8:-1", "8:4:1"):  # not a count, a step below 1, a sweep that runs backwards
+        code, _, err = run_cli(capsys, "experiment", "--dims", "2", "--flows", spec,
+                               "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert f"--flows must be an integer or A:B:STEP, got {spec!r}" in err
 
 
 @pytest.mark.parametrize("algos", ("", "mrg,mrg"))

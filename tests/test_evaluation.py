@@ -526,3 +526,5 @@ def test_config_validation():
     for algorithms in ((), ("mrg", "hgr", "mrg")):
         with pytest.raises(ValueError, match="nonempty and distinct"):
             ExperimentConfig(algorithms=algorithms)
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        ExperimentConfig(jobs=0)

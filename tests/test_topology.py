@@ -7,6 +7,7 @@ import pytest
 
 from greenroute import (
     Flow,
+    Node,
     NodeKind,
     Topology,
     Workload,
@@ -240,6 +241,20 @@ def test_load_topology_rejects_z_that_does_not_match_graph(tmp_path, z):
     doc["z"] = z
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=re.escape(f"{path}: graph is not the z={z} fat-tree")):
+        load_topology(path)
+
+
+def test_topology_and_its_loader_refuse_a_malformed_graph(tmp_path):
+    nodes = [Node(i, NodeKind.EDGE, None, 0) for i in (0, 1)]
+    with pytest.raises(ValueError, match="node ids must be dense from 0, got id 0 at index 1"):
+        Topology(nodes[:1] * 2, [])
+    with pytest.raises(ValueError, match="self-loop at node 1"):
+        Topology(nodes, [(1, 1)])
+    with pytest.raises(ValueError, match=re.escape("edge (0, 2) references an unknown node")):
+        Topology(nodes, [(0, 2)])
+    path = tmp_path / "topo.json"
+    path.write_text("not json")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: not valid JSON")):
         load_topology(path)
 
 

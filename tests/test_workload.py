@@ -60,6 +60,8 @@ def test_generate_rejects_bad_parameters(tree4):
             generate_workload(tree4, 5, 3, mean=bad)
         with pytest.raises(ValueError, match="std must be finite"):
             generate_workload(tree4, 5, 3, std=bad)
+    with pytest.raises(ValueError, match="rejection sampling with mean=5, std=0.001 did not converge"):
+        generate_workload(tree4, 5, 3, mean=5, std=0.001)
     one_host = Topology([Node(0, NodeKind.HOST, None, 0), Node(1, NodeKind.EDGE, None, 0)], [(0, 1)])
     with pytest.raises(ValueError):
         generate_workload(one_host, 1, 1)
@@ -95,6 +97,10 @@ def test_round_trip_empty_and_single(tmp_path):
     for dims in (True, 1.0):
         with pytest.raises(ValueError, match="dims must be an int"):
             Workload((), dims)
+    with pytest.raises(ValueError, match="flow ids must be dense from 0, got id 1 at index 0"):
+        Workload((Flow(1, 0, 5, (0.125,)),), 1)
+    with pytest.raises(ValueError, match="flow 0: expected 2 demand components, got 1"):
+        Workload((Flow(0, 0, 5, (0.125,)),), 2)
 
     one = Workload((Flow(0, 0, 5, (0.125, 0.25)),), 2, z=4, seed=9, mean=0.02, std=0.02)
     save_workload(one, path)
@@ -158,6 +164,10 @@ def test_parse_error_names_line(tmp_path):
     p = _write(tmp_path / "bad_ids.jsonl",
                header + "\n" + '{"id": 1, "src": 0, "dst": 1, "demand": [0.1, 0.2]}\n')
     with pytest.raises(ParseError, match="dense"):
+        load_workload(p)
+
+    p = _write(tmp_path / "k0.jsonl", header.replace('"K": 2', '"K": 0') + "\n")
+    with pytest.raises(ParseError, match="line 1: header K must be >= 1, got 0"):
         load_workload(p)
 
     p = _write(tmp_path / "no_header.jsonl", "")
