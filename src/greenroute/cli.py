@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 
 from .evaluation import (
     ExperimentConfig,
@@ -168,6 +169,8 @@ def _cmd_experiment(args) -> int:
         jobs=args.jobs,
         measure_runtime=args.measure_runtime,
     )
+    if not Path(args.out).parent.is_dir():  # refused before the sweep, not after it
+        raise _InputError(f"cannot write {args.out}: no directory {Path(args.out).parent}")
     rows = run_experiment(config)
     for line in failure_report(rows):
         print(f"greenroute: {line}", file=sys.stderr)

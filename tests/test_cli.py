@@ -192,6 +192,14 @@ def test_experiment_bad_sweep_spec(capsys, tmp_path):
         assert f"--flows must be an integer or A:B:STEP, got {spec!r}" in err
 
 
+def test_experiment_refuses_a_missing_out_directory_before_routing(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr("greenroute.cli.run_experiment", lambda config: pytest.fail("the sweep ran"))
+    out = tmp_path / "missing" / "x.csv"
+    code, _, err = run_cli(capsys, "experiment", "--z", "4", "--dims", "2", "--flows", "4", "--out", str(out))
+    assert code == 2
+    assert f"cannot write {out}: no directory {out.parent}" in err
+
+
 @pytest.mark.parametrize("algos", ("", "mrg,mrg"))
 def test_experiment_rejects_empty_or_repeated_algos(capsys, tmp_path, algos):
     out = tmp_path / "x.csv"
