@@ -102,6 +102,11 @@ def oracle_min_active(topology: Topology, workload: Workload) -> int | None:
     is left off it, and the minimum is unchanged. A branch is undone by
     putting back the saved load lists. Refuses instances beyond 12
     processors or 6 flows.
+
+    Exact for the flows in the given order: ``fits`` tests each flow
+    against loads summed in placement order, and two orders of the same
+    flows can part by one rounding on the capacity boundary, so another
+    order may be routable with other counts.
     """
     topology._check_hosts(workload.flows)
     procs = topology.processor_ids
@@ -147,6 +152,11 @@ def oracle_min_bins(items: Sequence[Sequence[float]]) -> int | None:
     A branch and bound over bins held as load lists: a bin takes an item when
     its load is within the item's ``ResidualState.room`` (the routers' rule),
     so an item fits no empty bin exactly when a component exceeds 1 + CAP_TOL.
+
+    Exact for the items in the given order: a bin's load is summed in
+    placement order, and two orders of the same items can part by one
+    rounding on the capacity boundary, so another order may need another
+    count.
     """
     items = [tuple(float(c) for c in item) for item in items]
     if len(items) > _MAX_ORACLE_ITEMS:
