@@ -39,30 +39,47 @@ def reading(checkout: Path) -> float:
     return float(match.group(1))
 
 
-def main(argv: list[str] | None = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+def checkouts(argv: list[str] | None, description: str, runs: int, need: tuple[str, ...]) -> tuple[list[Path], int]:
+    """The ``--src`` checkouts and the ``--runs`` count of ``argv``. A count
+    below 1, or a checkout without one of the paths in ``need``, exits 2."""
+    parser = argparse.ArgumentParser(description=description)
     parser.add_argument("--src", action="append", required=True, type=Path,
                         help="a checkout to measure (repeat for each side)")
-    parser.add_argument("--runs", type=int, default=40, help="fresh processes per checkout (default 40)")
+    parser.add_argument("--runs", type=int, default=runs, help=f"fresh processes per checkout (default {runs})")
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error(f"--runs must be at least 1, not {args.runs}")
     sides = [p.resolve() for p in args.src]
     for side in sides:
-        for need in ("src/greenroute/__init__.py", TEST.split("::")[0]):
-            if not (side / need).is_file():
-                parser.error(f"{side} is not a checkout: it has no {need}")
-    readings: dict[Path, list[float]] = {side: [] for side in sides}
-    for run in range(args.runs):
+        for path in need:
+            if not (side / path).exists():
+                parser.error(f"{side} is not a checkout: it has no {path}")
+    return sides, args.runs
+
+
+def rounds(sides: list[Path], runs: int, reading, show) -> dict[Path, list]:
+    """``runs`` readings per checkout, the order flipped each round; each
+    round's readings go to stderr as ``show`` formats them."""
+    readings: dict[Path, list] = {side: [] for side in sides}
+    for run in range(runs):
         for side in sides if run % 2 == 0 else sides[::-1]:
             readings[side].append(reading(side))
-        print(f"round {run + 1}/{args.runs}: "
-              + ", ".join(f"{side.name} {readings[side][-1]:.1f}" for side in sides), file=sys.stderr)
+        print(f"round {run + 1}/{runs}: "
+              + ", ".join(f"{side.name} {show(readings[side][-1])}" for side in sides), file=sys.stderr)
+    return readings
+
+
+def spread(values, spec: str = ".1f") -> str:
+    """The median, the quartiles and the minimum of ``values``."""
+    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else list(values) * 3
+    return f"median {median:{spec}} (quartiles {q1:{spec}}-{q3:{spec}}), min {min(values):{spec}}"
+
+
+def main(argv: list[str] | None = None) -> None:
+    sides, runs = checkouts(argv, __doc__.split("\n\n")[0], 40, ("src/greenroute/__init__.py", TEST.split("::")[0]))
+    readings = rounds(sides, runs, reading, "{:.1f}".format)
     for side in sides:
-        values = readings[side]
-        q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
-        print(f"{side}: median {median:.1f} (quartiles {q1:.1f}-{q3:.1f}), "
-              f"min {min(values):.1f}, {len(values)} runs")
+        print(f"{side}: {spread(readings[side])}, {runs} runs")
 
 
 if __name__ == "__main__":
