@@ -169,8 +169,9 @@ def _cmd_experiment(args) -> int:
         jobs=args.jobs,
         measure_runtime=args.measure_runtime,
     )
-    if not Path(args.out).parent.is_dir():  # refused before the sweep, not after it
-        raise _InputError(f"cannot write {args.out}: no directory {Path(args.out).parent}")
+    folder = Path(args.out).parent
+    if not folder.is_dir():  # refused before the sweep, not after it
+        raise _InputError(f"cannot write {args.out}: no directory {folder}")
     rows = run_experiment(config)
     for line in failure_report(rows):
         print(f"greenroute: {line}", file=sys.stderr)

@@ -105,8 +105,8 @@ def oracle_min_active(topology: Topology, workload: Workload) -> int | None:
 
     Exact for the flows in the given order: ``fits`` tests each flow
     against loads summed in placement order, and two orders of the same
-    flows can part by one rounding on the capacity boundary, so another
-    order may be routable with other counts.
+    flows can part by one rounding on the capacity boundary, so the same
+    flows in another order may get another answer.
     """
     topology._check_hosts(workload.flows)
     procs = topology.processor_ids
@@ -155,8 +155,8 @@ def oracle_min_bins(items: Sequence[Sequence[float]]) -> int | None:
 
     Exact for the items in the given order: a bin's load is summed in
     placement order, and two orders of the same items can part by one
-    rounding on the capacity boundary, so another order may need another
-    count.
+    rounding on the capacity boundary, so the same items in another order
+    may get another answer.
     """
     items = [tuple(float(c) for c in item) for item in items]
     if len(items) > _MAX_ORACLE_ITEMS:

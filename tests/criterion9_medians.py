@@ -10,7 +10,9 @@ flips each round, so drift on the machine falls on every side alike.
 
 prints, per checkout, the median, the quartiles and the minimum of its
 readings. Each ``--src`` is a checkout (the directory holding
-``src/greenroute`` and ``tests``). Not collected by pytest (the file name does not start with test_).
+``src/greenroute`` and ``tests``). ``tier1_durations.py`` shares its
+argument check, round loop and summary. Not collected by pytest (the file
+name does not start with test_).
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ def reading(checkout: Path) -> float:
     return float(match.group(1))
 
 
-def checkouts(argv: list[str] | None, description: str, runs: int, need: tuple[str, ...]) -> tuple[list[Path], int]:
+def checkouts(argv: list[str] | None, description: str, runs: int,
+              need: tuple[str, ...]) -> tuple[list[Path], int]:
     """The ``--src`` checkouts and the ``--runs`` count of ``argv``. A count
     below 1, or a checkout without one of the paths in ``need``, exits 2."""
     parser = argparse.ArgumentParser(description=description)
@@ -76,7 +79,8 @@ def spread(values, spec: str = ".1f") -> str:
 
 
 def main(argv: list[str] | None = None) -> None:
-    sides, runs = checkouts(argv, __doc__.split("\n\n")[0], 40, ("src/greenroute/__init__.py", TEST.split("::")[0]))
+    need = ("src/greenroute/__init__.py", TEST.split("::")[0])
+    sides, runs = checkouts(argv, __doc__.split("\n\n")[0], 40, need)
     readings = rounds(sides, runs, reading, "{:.1f}".format)
     for side in sides:
         print(f"{side}: {spread(readings[side])}, {runs} runs")

@@ -2,10 +2,11 @@
 and show why a child failed.
 
 ``bench_pairs``, ``criterion9_medians``, ``optimality_gap`` and
-``tier1_durations`` each run one child process per reading. Their ``main`` is called here in-process,
-with ``subprocess.run`` replaced: by a failure, so every bad-argument case
-must stop at argument checking with argparse's exit code 2; or by a child
-that exits 1, whose stderr the tool's exit message must carry.
+``tier1_durations`` each run one child process per reading. Their ``main``
+is called here in-process, with ``subprocess.run`` replaced: by a failure,
+so every bad-argument case must stop at argument checking with argparse's
+exit code 2; or by a child that exits 1, whose stderr the tool's exit
+message must carry when it holds no reading.
 """
 
 import subprocess
@@ -42,7 +43,6 @@ def pairs(parent: Path, change: Path, count: int) -> list[str]:
     pytest.param(bench_pairs, pairs(REPO, REPO, 0), id="bench_pairs-pairs-0"),
     pytest.param(bench_pairs, pairs(TESTS, REPO, 1), id="bench_pairs-parent-not-checkout"),
     pytest.param(bench_pairs, pairs(REPO, TESTS, 1), id="bench_pairs-change-not-checkout"),
-    pytest.param(tier1_durations, [], id="tier1_durations-no-src"),
     pytest.param(tier1_durations, ["--src", str(TESTS)], id="tier1_durations-src-not-checkout"),
     pytest.param(tier1_durations, ["--src", str(REPO), "--runs", "0"], id="tier1_durations-runs-0"),
 ])
