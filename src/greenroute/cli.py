@@ -172,6 +172,8 @@ def _cmd_experiment(args) -> int:
     folder = Path(args.out).parent
     if not folder.is_dir():  # refused before the sweep, not after it
         raise _InputError(f"cannot write {args.out}: no directory {folder}")
+    if Path(args.out).is_dir():
+        raise _InputError(f"cannot write {args.out}: it is a directory")
     rows = run_experiment(config)
     for line in failure_report(rows):
         print(f"greenroute: {line}", file=sys.stderr)

@@ -26,7 +26,8 @@ child starts. pytest does not collect this file. KIND is one of:
   its pass and fail counts; on a shared machine these two numbers swing
   less with load than wall time. A run with failing tests is a normal
   reading (Tier-1 has known failures). Prints the median, quartiles and
-  minimum of both numbers per checkout, and its counts.
+  minimum of both numbers per checkout, and its counts; then per checkout
+  and test file, the median of that file's summed durations.
 - ``gap --src A [--src B ...]``: one run of ``measure`` per checkout; prints
   its two tables.
 """
@@ -41,6 +42,7 @@ import resource
 import statistics
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = "src/greenroute/__init__.py"
@@ -81,7 +83,7 @@ SIDES = ("parent", "change")
 
 
 def bench_reading(ran: subprocess.CompletedProcess) -> dict | None:
-    """One perfbench run's header, digest and last line; None if it failed or printed neither line."""
+    """One perfbench run's header, digest and last line; None if it failed or lacks either line."""
     header, digest = HEADER.search(ran.stdout), DIGEST.search(ran.stdout)
     if ran.returncode != 0 or header is None or digest is None:
         return None
@@ -117,7 +119,8 @@ def perfbench(args) -> None:
     """Write ``description``, ``parent`` and ``change`` (each side's commit as perfbench reports it)
     and ``runs``, one entry per run with its workload, side, commit, seed, seconds, pair, whether it
     ran first, its digest and its raw last line. An existing ``--out`` for the same two commits
-    keeps its runs and gains the new ones, so workloads can take different pair counts."""
+    keeps its runs and gains the new ones, numbered after its pairs of the same workload, so
+    workloads can take different pair counts."""
     runs, shas, hosts = [], {}, set()
     for workload in args.workloads:
         cmd = ["perfbench/run.py", "--workload", workload, "--seed", str(args.seed),
@@ -142,16 +145,16 @@ def perfbench(args) -> None:
         old = json.loads(args.out.read_text())
         if (old["parent"], old["change"]) == (record["parent"], record["change"]):
             record["runs"] = old["runs"]
+    kept = Counter(r["workload"] for r in record["runs"])  # two runs per pair
+    for r in runs:
+        r["pair"] += kept[r["workload"]] // 2
     record["runs"] += runs
-    counts = {}
-    for r in record["runs"]:
-        key = (r["workload"], r["seed"], r["seconds"])
-        counts[key] = max(counts.get(key, 0), r["pair"] + 1)
+    counts = Counter((r["workload"], r["seed"], r["seconds"]) for r in record["runs"])
     record = {
         "description": "perfbench/run.py --workload W --seed S --seconds T --trace 0 in each checkout, "
                        "parent and change alternating which runs first in each pair, one process at a time "
                        f"({'; '.join(sorted(hosts))}); pairs per workload: "
-                       + ", ".join(f"{w} {n} (seed {s}, {t:g} s)" for (w, s, t), n in counts.items())
+                       + ", ".join(f"{w} {n // 2} (seed {s}, {t:g} s)" for (w, s, t), n in counts.items())
                        + ". Written by tests/compare.py perfbench; last_line is the raw final JSON line"
                          " of each run.",
         **record,
@@ -176,35 +179,41 @@ def criterion9(args) -> None:
 
 PYTEST = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
           "--durations=0", "--durations-min=0"]
-DURATION = re.compile(r"^([0-9.]+)s (?:setup|call|teardown) ", re.MULTILINE)
+DURATION = re.compile(r"^([0-9.]+)s (?:setup|call|teardown) +([^:\s]+)", re.MULTILINE)
 SUMMARY = re.compile(r"^=*\s*(\d+ \w+(?:, \d+ \w+)*) in [0-9.]+s", re.MULTILINE)
 
 
-def suite_reading(ran: subprocess.CompletedProcess) -> tuple[float, int, int] | None:
-    """(summed durations, passed, failed) of one Tier-1 run; None if its output has no pytest summary line."""
+def suite_reading(ran: subprocess.CompletedProcess) -> tuple[dict, int, int] | None:
+    """(summed durations per test file, passed, failed) of one Tier-1 run; None if its output has no
+    pytest summary line."""
     summary = SUMMARY.findall(ran.stdout)
     if not summary:
         return None
     counts = {word: int(n) for n, word in (part.split() for part in summary[-1].split(", "))}
-    return sum(map(float, DURATION.findall(ran.stdout))), counts.get("passed", 0), counts.get("failed", 0)
+    files = Counter()
+    for seconds, path in DURATION.findall(ran.stdout):
+        files[path] += float(seconds)
+    return files, counts.get("passed", 0), counts.get("failed", 0)
 
 
 def tier1(args) -> None:
-    def reading(checkout: Path) -> tuple[float, float, int, int]:
+    def reading(checkout: Path) -> tuple[float, float, int, int, Counter]:
         start = resource.getrusage(resource.RUSAGE_CHILDREN)
-        durations, passed, failed = child(checkout, PYTEST, suite_reading)
+        files, passed, failed = child(checkout, PYTEST, suite_reading)
         end = resource.getrusage(resource.RUSAGE_CHILDREN)
-        return durations, end.ru_utime + end.ru_stime - start.ru_utime - start.ru_stime, passed, failed
+        return sum(files.values()), end.ru_utime + end.ru_stime - start.ru_utime - start.ru_stime, passed, failed, files
 
     done = rounds(args.src, args.runs, reading,
                   lambda run, got: f"round {run + 1}/{args.runs}: " + ", ".join(
                       f"{side.name} {r[0]:.2f} s summed, {r[1]:.2f} s CPU" for side, r in zip(args.src, got)))
     for side, readings in zip(args.src, zip(*done)):
-        durations, cpu, passed, failed = zip(*readings)
+        durations, cpu, passed, failed, files = zip(*readings)
         print(f"{side}: summed durations {quartiles(durations, '.2f')}, min {min(durations):.2f} s; "
               f"CPU {quartiles(cpu, '.2f')}, min {min(cpu):.2f} s; "
               f"passed {'/'.join(map(str, sorted(set(passed))))}, "
               f"failed {'/'.join(map(str, sorted(set(failed))))}, {args.runs} runs")
+        for path in sorted(set().union(*files)):
+            print(f"{side}: {path} summed durations median {statistics.median(run[path] for run in files):.2f} s")
 
 
 DIMS, FIRST_SEED = 5, 5000

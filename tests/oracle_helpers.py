@@ -48,23 +48,27 @@ def all_simple_paths(topology, s, t, allowed=None):
     """Every simple s-t path whose interior nodes lie in ``allowed`` (default: all)."""
     if allowed is None:
         allowed = set(range(len(topology)))
-    paths = []
+    if s == t:
+        return [[s]]
+    paths, path, seen = [], [s], {s}
 
-    def walk(u, seen, path):
+    def walk(u):
         for v in topology._adj[u]:
             if v == t:
                 paths.append(path + [t])
             elif v in allowed and v not in seen:
-                walk(v, seen | {v}, path + [v])
+                path.append(v)
+                seen.add(v)
+                walk(v)
+                seen.remove(v)
+                path.pop()
 
-    if s == t:
-        return [[s]]
-    walk(s, {s}, [s])
+    walk(s)
     return paths
 
 
 def path_link_cost(path, link_weights):
-    return sum(link_weights[(min(u, v), max(u, v))] for u, v in zip(path, path[1:]))
+    return sum(link_weights[(u, v) if u < v else (v, u)] for u, v in zip(path, path[1:]))
 
 
 def best_path_by_enumeration(topology, link_weights, s, t, allowed=None):

@@ -194,10 +194,11 @@ def test_experiment_bad_sweep_spec(capsys, tmp_path):
 
 def test_experiment_refuses_a_missing_out_directory_before_routing(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr("greenroute.cli.run_experiment", lambda config: pytest.fail("the sweep ran"))
-    out = tmp_path / "missing" / "x.csv"
-    code, _, err = run_cli(capsys, "experiment", "--z", "4", "--dims", "2", "--flows", "4", "--out", str(out))
-    assert code == 2
-    assert f"cannot write {out}: no directory {out.parent}" in err
+    missing = tmp_path / "missing" / "x.csv"
+    for out, why in ((missing, f"no directory {missing.parent}"), (tmp_path, "it is a directory")):
+        code, _, err = run_cli(capsys, "experiment", "--z", "4", "--dims", "2", "--flows", "4", "--out", str(out))
+        assert code == 2
+        assert f"cannot write {out}: {why}" in err
 
 
 @pytest.mark.parametrize("algos", ("", "mrg,mrg"))
