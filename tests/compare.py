@@ -140,16 +140,15 @@ def perfbench(args) -> None:
                              "ran_first": (i == 0) == (pair % 2 == 0), "digest": result["digest"],
                              "last_line": result["last_line"]})
 
-    record = {"parent": shas["parent"], "change": shas["change"], "runs": []}
+    kept = []
     if args.out.exists():
         old = json.loads(args.out.read_text())
-        if (old["parent"], old["change"]) == (record["parent"], record["change"]):
-            record["runs"] = old["runs"]
-    kept = Counter(r["workload"] for r in record["runs"])  # two runs per pair
+        if (old["parent"], old["change"]) == (shas["parent"], shas["change"]):
+            kept = old["runs"]
+    pairs = Counter(r["workload"] for r in kept)  # two runs per pair
     for r in runs:
-        r["pair"] += kept[r["workload"]] // 2
-    record["runs"] += runs
-    counts = Counter((r["workload"], r["seed"], r["seconds"]) for r in record["runs"])
+        r["pair"] += pairs[r["workload"]] // 2
+    counts = Counter((r["workload"], r["seed"], r["seconds"]) for r in kept + runs)
     record = {
         "description": "perfbench/run.py --workload W --seed S --seconds T --trace 0 in each checkout, "
                        "parent and change alternating which runs first in each pair, one process at a time "
@@ -157,7 +156,7 @@ def perfbench(args) -> None:
                        + ", ".join(f"{w} {n // 2} (seed {s}, {t:g} s)" for (w, s, t), n in counts.items())
                        + ". Written by tests/compare.py perfbench; last_line is the raw final JSON line"
                          " of each run.",
-        **record,
+        "parent": shas["parent"], "change": shas["change"], "runs": kept + runs,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     print("\n".join(bench_summary(record["runs"])))
@@ -167,10 +166,15 @@ TEST_9 = "tests/test_acceptance.py::test_criterion_9_runtime_ratio"
 LINE_9 = re.compile(r"ACCEPTANCE\s+9 .*median ratio ([0-9.]+)")
 
 
+def ratio_reading(ran: subprocess.CompletedProcess) -> float | None:
+    """The median ratio from one run's ``ACCEPTANCE  9`` line; None if the output has no such line."""
+    match = LINE_9.search(ran.stdout)
+    return float(match[1]) if match else None
+
+
 def criterion9(args) -> None:
     cmd = ["-m", "pytest", "-q", "-s", "-p", "no:cacheprovider", TEST_9]
-    done = rounds(args.src, args.runs,
-                  lambda checkout: child(checkout, cmd, lambda ran: (m := LINE_9.search(ran.stdout)) and float(m[1])),
+    done = rounds(args.src, args.runs, lambda checkout: child(checkout, cmd, ratio_reading),
                   lambda run, got: f"round {run + 1}/{args.runs}: "
                                    + ", ".join(f"{side.name} {r:.1f}" for side, r in zip(args.src, got)))
     for side, ratios in zip(args.src, zip(*done)):
