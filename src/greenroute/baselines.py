@@ -3,19 +3,24 @@
 The shortest-path baselines are energy-oblivious: each flow, in list order,
 takes a hop-minimal path chosen uniformly at random among all hop-minimal
 paths whose nodes pass the capability check (ECMP-style spreading, seeded
-and deterministic), drawn by :func:`_tree_drawer`, built once per call,
-which answers exactly as the shared hop-minimal search
-:func:`greenroute.mrg._sample_shortest` does and reads most fat-tree draws
-off the tree's fixed path shapes. "Single-resource" variants see
-dimension 1 only: capability is checked there, and SRG's node weights
-compare only that dimension. Loads are always kept in all dimensions, so
-congestion in the others stays measurable. SRG is the greedy router run on
-the dimension-1 view.
+and deterministic). :func:`_tree_drawer`, built once per call, draws it. It
+answers exactly as the shared hop-minimal search
+:func:`greenroute.mrg._sample_shortest` does, reads most fat-tree draws off
+the tree's fixed path shapes, and spells out ``Random.choices``' arithmetic
+instead of calling it. When every switch of a flow's shapes fits, the draw
+is closed form and builds no option list. Its docstring names the tests
+that guard both. "Single-resource" variants see dimension 1 only:
+capability is checked there, and SRG's node weights compare only that
+dimension. Loads are always kept in all dimensions, so congestion in the
+others stays measurable. SRG is the greedy router run on the dimension-1
+view.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect
+from math import floor
 from operator import le
 from typing import Sequence
 
@@ -39,6 +44,17 @@ def _tree_drawer(state: ResidualState, topology: Topology):
     get the search's options in id order and its path counts: an
     aggregation switch of the shared pod with weight 1 each, or a position
     weighted by its capable cores, then one of them with weight 1 each.
+    Those choices are spelled as ``Random.choices`` computes them (CPython
+    3.9 and later): ``choices(seq)[0]`` is ``seq[floor(random() *
+    len(seq))]``, and ``choices(seq, weights)[0]`` is ``seq[bisect(cum,
+    random() * total, 0, n - 1)]`` over the running sums ``cum`` of the
+    weights, whose last is ``total`` (``tests/test_baselines.py::
+    test_random_choices_is_floor_and_bisect`` pins both). When both pods'
+    aggregation blocks and the whole core layer are taken whole, every
+    position has its z/2 cores, so the draw is closed form: a position by
+    the fixed sums z/2, 2·z/2, ..., (z/2)² and a core of its group, with no
+    list built. ``tests/test_differential.py`` checks every case against
+    the frozen search, the closed form apart from the others.
     When no path of these shapes exists, nothing has been drawn yet and the
     hop search answers, with a detour or ``None``.
 
@@ -70,8 +86,10 @@ def _tree_drawer(state: ResidualState, topology: Topology):
     edge_of = topology._host_edge
     pod_of = topology._host_pod
     z = topology.z
+    h = z // 2
+    agg_ids, core_groups = topology._agg_ids, topology._core_groups
     # pod p's aggregation switches are block p, core group g is block z + g
-    blocks = [*topology._agg_ids, *topology._core_groups]
+    blocks = [*agg_ids, *core_groups]
     block_of: list[int | None] = [None] * len(topology)
     for i, block in enumerate(blocks):
         for v in block:
@@ -79,12 +97,23 @@ def _tree_drawer(state: ResidualState, topology: Topology):
     top = [[max(column) for column in zip(*(load[v] for v in block))] for block in blocks]
     core_top = [max(column) for column in zip(*top[z:])]  # the whole core layer's maximum
     returned: list[int] = []  # the interior of the path returned last
+    every = [True] * h  # each position capable: its pod's block is whole
+    full_cum = [h * (g + 1) for g in range(h)]  # the path counts when every position has its h cores
+    full_total = float(h * h)
 
-    def members(i: int, room: Sequence[float]) -> list[int]:
+    def members(i: int, room: Sequence[float]) -> Sequence[int]:
         """Block ``i``'s capable switches, in id order."""
         if all(map(le, top[i], room)):
             return blocks[i]
         return capable(room, blocks[i])
+
+    def positions(pod: int, room: Sequence[float]) -> list[bool]:
+        """Whether each aggregation position of ``pod`` is capable; its block is not whole."""
+        first = blocks[pod][0]  # a pod's aggregation ids are consecutive
+        up = [False] * h
+        for a in capable(room, blocks[pod]):
+            up[a - first] = True
+        return up
 
     def draw(room: Sequence[float], s: int, t: int, rng: random.Random) -> list[int] | None:
         for v in returned:  # committed since the last call, or not at all
@@ -102,38 +131,49 @@ def _tree_drawer(state: ResidualState, topology: Topology):
         e, f = edge_of[s], edge_of[t]
         if not (fits(e, room) and (e == f or fits(f, room))):
             return None
+        rand = rng.random
         if e == f:
-            rng.random()
-            rng.random()
+            rand()
+            rand()
             return [s, e, t]
         pod_s, pod_t = pod_of[s], pod_of[t]
         if pod_s == pod_t:
             aggs = members(pod_s, room)
             if not aggs:
                 return None
-            rng.random()
-            a = rng.choices(aggs)[0]
-            rng.random()
-            rng.random()
+            rand()
+            a = aggs[floor(rand() * len(aggs))]
+            rand()
+            rand()
             return [s, e, a, f, t]
-        up, down = set(members(pod_s, room)), set(members(pod_t, room))
+        up_whole = all(map(le, top[pod_s], room))
+        down_whole = all(map(le, top[pod_t], room))
         layer_whole = all(map(le, core_top, room))  # then so is every core group
-        options, weights = [], []
-        for g, (a, b) in enumerate(zip(blocks[pod_s], blocks[pod_t])):
-            if a in up and b in down:
-                group = blocks[z + g] if layer_whole else members(z + g, room)
-                if group:
-                    options.append((a, group, b))
-                    weights.append(len(group))
-        if not options:
-            return None
-        rng.random()
-        a, group, b = rng.choices(options, weights)[0]
-        c = rng.choices(group)[0]
-        rng.random()
-        rng.random()
-        rng.random()
-        return [s, e, a, c, b, f, t]
+        if up_whole and down_whole and layer_whole:  # every position, with its h cores
+            rand()
+            g = bisect(full_cum, rand() * full_total, 0, h - 1)
+            c = core_groups[g][floor(rand() * h)]
+        else:
+            up = every if up_whole else positions(pod_s, room)
+            down = every if down_whole else positions(pod_t, room)
+            cum, groups = [], []  # the capable positions' path counts, summed in position order
+            total = 0
+            for g in range(h):
+                if up[g] and down[g]:
+                    group = core_groups[g] if layer_whole else members(z + g, room)
+                    if group:
+                        total += len(group)
+                        cum.append(total)
+                        groups.append((g, group))
+            if not groups:
+                return None
+            rand()
+            g, group = groups[bisect(cum, rand() * float(total), 0, len(cum) - 1)]
+            c = group[floor(rand() * len(group))]
+        rand()
+        rand()
+        rand()
+        return [s, e, agg_ids[pod_s][g], c, agg_ids[pod_t][g], f, t]
 
     return draw
 

@@ -102,6 +102,15 @@ def _load_workload(path: str):
         raise _InputError(str(exc)) from exc
 
 
+def _check_out(out: str) -> None:
+    """Refuse an output path that cannot be written, before any routing rather than after it."""
+    folder = Path(out).parent
+    if not folder.is_dir():
+        raise _InputError(f"cannot write {out}: no directory {folder}")
+    if Path(out).is_dir():
+        raise _InputError(f"cannot write {out}: it is a directory")
+
+
 def _cmd_topo(args) -> int:
     topology = build_fat_tree(args.z)
     if args.out:
@@ -124,6 +133,8 @@ def _cmd_route(args) -> int:
     workload = _load_workload(args.workload)
     if workload.z is None:
         raise _InputError(f"{args.workload}: header has no z; route needs a fat-tree workload")
+    if args.out:
+        _check_out(args.out)
     topology = build_fat_tree(workload.z)
     start = time.perf_counter()
     if args.algo == "hgr":
@@ -169,11 +180,7 @@ def _cmd_experiment(args) -> int:
         jobs=args.jobs,
         measure_runtime=args.measure_runtime,
     )
-    folder = Path(args.out).parent
-    if not folder.is_dir():  # refused before the sweep, not after it
-        raise _InputError(f"cannot write {args.out}: no directory {folder}")
-    if Path(args.out).is_dir():
-        raise _InputError(f"cannot write {args.out}: it is a directory")
+    _check_out(args.out)
     rows = run_experiment(config)
     for line in failure_report(rows):
         print(f"greenroute: {line}", file=sys.stderr)

@@ -1,3 +1,7 @@
+import random
+from bisect import bisect
+from itertools import accumulate
+from math import floor
 
 import pytest
 
@@ -108,6 +112,25 @@ def test_paths_spread_across_parallel_routes(tree4):
     sol = route_srsp(tree4, Workload(flows, 1, z=4), seed=2)
     cores = {p[3] for p in sol.paths.values()}
     assert len(cores) > 1
+
+
+def test_random_choices_is_floor_and_bisect():
+    # The fat-tree drawer spells out Random.choices' arithmetic (CPython 3.9
+    # and later) instead of calling it, so that its draws stay the hop
+    # search's. If a Python changes choices, this fails by name, not only
+    # through the golden hashes.
+    rng = random.Random(67)
+    for n in range(1, 9):
+        seq = [f"option {i}" for i in range(n)]
+        for trial in range(25):
+            weights = [n] * n if trial == 0 else [rng.randint(1, 9) for _ in range(n)]
+            cum = list(accumulate(weights))
+            called, spelled = random.Random(rng.random()), random.Random()
+            spelled.setstate(called.getstate())
+            assert called.choices(seq)[0] == seq[floor(spelled.random() * len(seq))]
+            weighted = seq[bisect(cum, spelled.random() * float(cum[-1]), 0, n - 1)]
+            assert called.choices(seq, weights)[0] == weighted
+            assert called.getstate() == spelled.getstate()
 
 
 def test_mrsp_blocks_more_than_srsp_under_heavy_load(tree8):

@@ -107,6 +107,24 @@ def test_workload_route_round_trip(capsys, tmp_path):
     assert dump["unrouted"] == []
 
 
+def test_route_refuses_an_unwritable_out_before_routing(capsys, monkeypatch, tmp_path):
+    # The same check, messages and exit code as experiment's --out.
+    def unrouted(*args):
+        pytest.fail("the workload was routed")
+
+    for algo in ROUTERS:
+        monkeypatch.setitem(ROUTERS, algo, unrouted)
+    monkeypatch.setattr("greenroute.cli.route_hgr", unrouted)
+    wpath = saved_workload(tmp_path, [Flow(0, 0, 4, (0.1,))], z=4)
+    missing = tmp_path / "missing" / "x.json"
+    for algo in ("mrg", "hgr"):
+        for out, why in ((missing, f"no directory {missing.parent}"), (tmp_path, "it is a directory")):
+            code, stdout, err = run_cli(capsys, "route", "--algo", algo, "--workload", str(wpath),
+                                        "--out", str(out))
+            assert (code, stdout) == (2, "")
+            assert f"cannot write {out}: {why}" in err
+
+
 def test_route_hgr_dump_includes_layer_counts(capsys, tmp_path):
     wpath = tmp_path / "w.jsonl"
     run_cli(capsys, "workload", "--z", "4", "--flows", "6", "--dims", "2", "--out", str(wpath))

@@ -345,14 +345,22 @@ def test_sample_shortest_meets_in_the_middle_on_an_idle_z16_tree():
 
 
 def _tree_branch(topology, allowed, s, t, path):
-    """Which case of the :func:`_tree_drawer` draw a path came from."""
+    """Which case of the :func:`_tree_drawer` draw a path came from.
+
+    An inter-pod path is drawn in closed form when both pods' aggregation
+    switches and every core fit, and position by position otherwise.
+    """
     if not {topology._host_edge[s], topology._host_edge[t]} <= allowed:
         return "edge switch refused"
     if path is None:
         return "no path"
     if len(path) > 7:
         return "detour"
-    return {3: "same edge switch", 5: "intra-pod", 7: "inter-pod"}[len(path)]
+    if len(path) == 7:
+        agg = topology._agg_ids
+        every = {*agg[topology._host_pod[s]], *agg[topology._host_pod[t]], *topology._core_ids}
+        return "inter-pod, closed form" if every <= allowed else "inter-pod, position by position"
+    return {3: "same edge switch", 5: "intra-pod"}[len(path)]
 
 
 @pytest.mark.parametrize("z", (4, 6, 8))
@@ -364,10 +372,13 @@ def test_sample_shortest_matches_references_on_blocked_fat_trees(z):
     topology = build_fat_tree(z)
     rng = random.Random(53 + z)
     hops = []
-    branches = dict.fromkeys(("same edge switch", "intra-pod", "inter-pod", "edge switch refused",
-                              "detour", "no path"), 0)
+    branches = dict.fromkeys(("same edge switch", "intra-pod", "inter-pod, closed form",
+                              "inter-pod, position by position", "edge switch refused", "detour",
+                              "no path"), 0)
     for trial in range(400):
         refused = rng.choice((0.2, 0.35, 0.5))
+        if trial % 40 == 1:  # nothing refused, so an inter-pod draw takes the closed form even at z=8
+            refused = 0.0
         s, t = rng.sample(topology.host_ids, 2)
         allowed = {v for v in topology.processor_ids if rng.random() >= refused}
         if trial % 10:  # else an edge switch may be refused, as most pairs' would be
@@ -418,10 +429,13 @@ def test_tree_drawer_takes_blocks_whole_until_they_fill(z, flows, mean):
     # taken whole; the drawer asks the capability rule about the members of
     # every other block it tests, and of no block taken whole. Early in a
     # run the whole core layer fits an inter-pod flow, later it does not.
+    # When both pods' blocks and the core layer are whole, the draw is closed
+    # form, counted apart.
     topology = build_fat_tree(z)
     cores = topology._core_ids
     blocks = [*topology._agg_ids, *topology._core_groups]
-    seen = {"whole": 0, "switch by switch": 0, "core layer whole": 0, "core layer not whole": 0}
+    seen = {"whole": 0, "switch by switch": 0, "core layer whole": 0, "core layer not whole": 0,
+            "closed form": 0}
     turned = unrouted = 0
     for trial in range(3):
         workload = generate_workload(topology, flows, 3, mean, mean, seed=700 * z + trial)
@@ -443,6 +457,7 @@ def test_tree_drawer_takes_blocks_whole_until_they_fill(z, flows, mean):
                 if len(tested) > 2:  # an inter-pod flow reaching the core layer
                     layer_whole = all(max(state.load[v][k] for v in cores) <= r for k, r in enumerate(room))
                     seen["core layer whole" if layer_whole else "core layer not whole"] += 1
+                    seen["closed form"] += layer_whole and kinds[:2] == ["whole", "whole"]
                 asked.clear()
                 assert draw(room, flow.src, flow.dst, draws) == expected
                 assert draws.getstate() == ref_draws.getstate()
