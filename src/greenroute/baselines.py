@@ -45,16 +45,17 @@ def _tree_drawer(state: ResidualState, topology: Topology):
     aggregation switch of the shared pod with weight 1 each, or a position
     weighted by its capable cores, then one of them with weight 1 each.
     Those choices are spelled as ``Random.choices`` computes them (CPython
-    3.9 and later): ``choices(seq)[0]`` is ``seq[floor(random() *
-    len(seq))]``, and ``choices(seq, weights)[0]`` is ``seq[bisect(cum,
-    random() * total, 0, n - 1)]`` over the running sums ``cum`` of the
-    weights, whose last is ``total`` (``tests/test_baselines.py::
-    test_random_choices_is_floor_and_bisect`` pins both). When both pods'
-    aggregation blocks and the whole core layer are taken whole, every
-    position has its z/2 cores, so the draw is closed form: a position by
-    the fixed sums z/2, 2·z/2, ..., (z/2)² and a core of its group, with no
-    list built. ``tests/test_differential.py`` checks every case against
-    the frozen search, the closed form apart from the others.
+    3.9 and later), with no call to it: ``choices(seq)[0]`` is
+    ``seq[floor(random() * len(seq))]``, and ``choices(seq, weights)[0]``
+    is ``seq[bisect(cum, random() * total, 0, n - 1)]`` over the running
+    sums ``cum`` of the weights, whose last is ``total``;
+    ``test_random_choices_is_floor_and_bisect`` in
+    ``tests/test_baselines.py`` pins both. When both pods' aggregation
+    blocks and the whole core layer are taken whole, every position has
+    its z/2 cores, so the draw is closed form: a position by the fixed
+    sums z/2, 2·z/2, ..., (z/2)² and a core of its group, with no list
+    built. The drawer differentials in ``tests/test_differential.py``
+    check every case against the frozen search, the closed form apart.
     When no path of these shapes exists, nothing has been drawn yet and the
     hop search answers, with a detour or ``None``.
 
@@ -110,10 +111,10 @@ def _tree_drawer(state: ResidualState, topology: Topology):
     def positions(pod: int, room: Sequence[float]) -> list[bool]:
         """Whether each aggregation position of ``pod`` is capable; its block is not whole."""
         first = blocks[pod][0]  # a pod's aggregation ids are consecutive
-        up = [False] * h
+        fit = [False] * h
         for a in capable(room, blocks[pod]):
-            up[a - first] = True
-        return up
+            fit[a - first] = True
+        return fit
 
     def draw(room: Sequence[float], s: int, t: int, rng: random.Random) -> list[int] | None:
         for v in returned:  # committed since the last call, or not at all
