@@ -375,10 +375,9 @@ def test_sample_shortest_matches_references_on_blocked_fat_trees(z):
     branches = dict.fromkeys(("same edge switch", "intra-pod", "inter-pod, closed form",
                               "inter-pod, position by position", "edge switch refused", "detour",
                               "no path"), 0)
-    for trial in range(400):
-        refused = rng.choice((0.2, 0.35, 0.5))
-        if trial % 40 == 1:  # nothing refused, so an inter-pod draw takes the closed form even at z=8
-            refused = 0.0
+    for trial in range(410):
+        # the last 10 refuse nothing, so an inter-pod draw takes the closed form even at z=8
+        refused = rng.choice((0.2, 0.35, 0.5)) if trial < 400 else 0.0
         s, t = rng.sample(topology.host_ids, 2)
         allowed = {v for v in topology.processor_ids if rng.random() >= refused}
         if trial % 10:  # else an edge switch may be refused, as most pairs' would be
