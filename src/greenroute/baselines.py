@@ -122,7 +122,7 @@ def _tree_drawer(state: ResidualState, topology: Topology):
             if i is not None:
                 top[i] = list(map(max, top[i], load[v]))
                 if i >= z:
-                    core_top[:] = map(max, core_top, top[i])
+                    core_top[:] = map(max, core_top, load[v])
         path = shape(room, s, t, rng) or _sample_shortest(topology, lambda v: fits(v, room), s, t, rng)
         returned[:] = () if path is None else path[1:-1]
         return path

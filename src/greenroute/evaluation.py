@@ -17,7 +17,7 @@ from .baselines import route_mrsp, route_srg, route_srsp
 from .hgr import LayerCounts, route_hgr
 from .mrg import CAP_TOL, ResidualState, RoutingSolution, route_mrg
 from .topology import Topology, build_fat_tree
-from .workload import Workload, generate_workload
+from .workload import Workload, generate_workload, on_grid
 
 
 @dataclass(frozen=True)
@@ -102,11 +102,6 @@ def oracle_min_active(topology: Topology, workload: Workload) -> int | None:
     is left off it, and the minimum is unchanged. A branch is undone by
     putting back the saved load lists. Refuses instances beyond 12
     processors or 6 flows.
-
-    Exact for the flows in the given order: ``fits`` tests each flow
-    against loads summed in placement order, and two orders of the same
-    flows can part by one rounding on the capacity boundary, so the same
-    flows in another order may get another answer.
     """
     topology._check_hosts(workload.flows)
     procs = topology.processor_ids
@@ -150,15 +145,11 @@ def oracle_min_bins(items: Sequence[Sequence[float]]) -> int | None:
     """Exact minimum unit-bin count (at most 8 items); ``None`` if an item fits no empty bin.
 
     A branch and bound over bins held as load lists: a bin takes an item when
-    its load is within the item's ``ResidualState.room`` (the routers' rule),
-    so an item fits no empty bin exactly when a component exceeds 1 + CAP_TOL.
-
-    Exact for the items in the given order: a bin's load is summed in
-    placement order, and two orders of the same items can part by one
-    rounding on the capacity boundary, so the same items in another order
-    may get another answer.
+    its load is within the item's ``ResidualState.room`` (the routers' rule).
+    Items are rounded to the flows' demand grid (:func:`on_grid`) first, so an
+    item fits no empty bin exactly when a rounded component exceeds 1 + CAP_TOL.
     """
-    items = [tuple(float(c) for c in item) for item in items]
+    items = [on_grid(map(float, item)) for item in items]
     if len(items) > _MAX_ORACLE_ITEMS:
         raise ValueError(f"instance too large: {len(items)} items (limit {_MAX_ORACLE_ITEMS})")
     for i, item in enumerate(items):

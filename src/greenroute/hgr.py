@@ -45,7 +45,7 @@ from typing import AbstractSet, Sequence
 
 from .mrg import CAP_TOL, ResidualState, RoutingSolution, _sample_shortest
 from .topology import Topology
-from .workload import Workload
+from .workload import Workload, on_grid
 
 
 @dataclass(frozen=True)
@@ -104,12 +104,12 @@ def vbp_greedy(items: Sequence[Sequence[float]]) -> VbpResult:
     Among the remaining items that fit the open bin, the one minimizing
     sum_k alpha_k * (residual_k - item_k)^2 is packed (ties go to the lowest
     item index); when nothing fits, the bin closes and a fresh one opens.
-    The weights alpha are computed once from the whole instance. An item
-    fits when the bin's load, summed as items are packed, is within the
-    item's :meth:`ResidualState.room`, the routers' rule; the residuals, in
-    the score and in the result, are 1 minus the items, by subtraction.
+    The weights alpha are computed once from the whole instance. Items are
+    rounded by :func:`on_grid`, as demands are; an item fits when the bin's
+    load is within its :meth:`ResidualState.room`, the routers' rule; the
+    residuals, in the score and in the result, are 1 minus the items, by subtraction.
     """
-    items = [tuple(map(float, item)) for item in items]
+    items = [on_grid(map(float, item)) for item in items]
     for i, item in enumerate(items):
         if not all(0 < c <= 1.0 + CAP_TOL for c in item):  # refuses NaN too
             raise ValueError(f"item {i} does not fit a unit bin: {item}")
@@ -257,9 +257,8 @@ def _tree_router(topology: Topology, state: ResidualState, activated: AbstractSe
 def _l1_count(items: Sequence[Sequence[float]], limit: int) -> int:
     """The L1 bound of packing ``items`` into switches, capped at ``limit``.
 
-    That is the largest per-dimension demand sum, rounded up. A switch
-    carries up to 1 + CAP_TOL in each dimension (``fits``), so rounding
-    noise on an exact sum wakes no extra switch. No items: 0.
+    That is the largest per-dimension demand sum, rounded up, in units of
+    1 + CAP_TOL: what a switch carries in each dimension (``fits``). No items: 0.
     """
     load = max(map(sum, zip(*items)), default=0.0)
     return min(limit, ceil(load / (1.0 + CAP_TOL)))

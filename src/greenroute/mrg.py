@@ -45,13 +45,13 @@ exactly when those connect the endpoints, and falls back to the full
 capable network when that finds none.
 
 Conventions fixed for reproducibility: capacity is normalized to 1 in every
-dimension and loads start at 0; a node is incapable of a flow iff some
-load dimension exceeds (1 + 1e-9) - demand; every flow runs between two
-hosts (``Topology._check_hosts``), which carry no capacity, weigh 0, never
-relay a flow (``Topology._inner_adj``) and never count as active;
-Dijkstra breaks ties by fewer hops, then the lexicographically smallest node
-id sequence; the random pick uses Python's Mersenne Twister seeded from the
-run seed.
+dimension; loads start at 0 and are exact sums of demands on a 2**-40 grid;
+a node is incapable of a flow iff some load dimension exceeds
+(1 + 1e-9) - demand; every flow runs between two hosts
+(``Topology._check_hosts``), which carry no capacity, weigh 0, never relay
+a flow (``Topology._inner_adj``) and never count as active; Dijkstra breaks
+ties by fewer hops, then the lexicographically smallest node id sequence;
+the random pick uses Python's Mersenne Twister seeded from the run seed.
 """
 
 from __future__ import annotations
@@ -116,10 +116,9 @@ def _order_bits(vec: Sequence[float], dims: int) -> int:
 class ResidualState:
     """Mutable per-processor loads in every workload dimension, plus the active set.
 
-    Capacity is 1 in every dimension. ``load[v][k]`` is the running sum of
-    the demands committed on processor ``v`` in dimension ``k``, in commit
-    order; ``committed`` maps each routed flow to its path in that order,
-    so online departures can be validated and reversed.
+    Capacity is 1 in every dimension. ``load[v][k]`` is the exact sum of the
+    demands committed on processor ``v`` in dimension ``k``; ``committed``
+    maps each routed flow to its path, so departures can be checked and undone.
 
     :meth:`fits` is the capability rule for one processor, and
     :meth:`capable` its batch form, from which the greedy step's weight pass
@@ -218,10 +217,10 @@ class ResidualState:
 class RoutingSolution:
     """Result of routing one workload: committed paths, the carrying set, and loads.
 
-    ``load`` holds every processor's load in all workload dimensions, summed
-    in commit order, whatever dimensions the router checked. ``active`` is
-    exactly the set of processors with a nonzero load (demands are
-    positive); ``unrouted`` holds the flow ids that are not in ``paths``.
+    ``load`` holds every processor's load in all workload dimensions, whatever
+    dimensions the router checked. ``active`` is exactly the set of processors
+    with a nonzero load (demands are positive); ``unrouted`` holds the flow
+    ids that are not in ``paths``.
     """
 
     paths: dict[int, tuple[int, ...]]
@@ -552,10 +551,9 @@ def online_arrival(state: ResidualState, topology: Topology, flow: Flow) -> tupl
 def online_departure(state: ResidualState, topology: Topology, flow: Flow, path: Sequence[int]) -> None:
     """Undo :meth:`ResidualState.commit` for a departed flow and deactivate drained processors.
 
-    A load that returns to 0 in every dimension (within 1e-9) is snapped to
-    exactly 0.0, so an arrival followed by its departure restores the
-    initial state bit for bit, unless another committed path still crosses
-    the processor: a live flow's demand can itself lie within 1e-9 of 0.
+    Loads are exact sums of grid demands (:func:`greenroute.workload.on_grid`), so a
+    load is 0 exactly when no live flow crosses the processor, and an arrival
+    followed by its departure restores the state bit for bit.
     """
     committed = state.committed.get(flow.id)
     if committed is None:
@@ -568,8 +566,6 @@ def online_departure(state: ResidualState, topology: Topology, flow: Flow, path:
         l = state.load[v]
         for k, d in enumerate(flow.demand):
             l[k] -= d
-        if all(abs(x) <= CAP_TOL for x in l) and not any(
-                v in other[1:-1] for fid, other in state.committed.items() if fid != flow.id):
-            state.load[v] = [0.0] * len(l)
+        if not any(l):
             state.active.discard(v)
     del state.committed[flow.id]

@@ -3,7 +3,10 @@
 Demands follow the evaluation protocol: endpoints drawn uniformly at random
 from the hosts (dst redrawn on collision with src), each demand component
 drawn per dimension from a normal law and rejection-resampled until it lands
-in (0, 1]. Generation is seeded and fully deterministic.
+in (0, 1]. Generation is seeded and fully deterministic. A :class:`Flow`
+rounds each component once to the nearest multiple of 2**-40 (:func:`on_grid`):
+sums of such numbers below 2**13 are exact in binary64 (Goldberg, 1991), so
+loads do not depend on the order flows commit in.
 """
 
 from __future__ import annotations
@@ -32,13 +35,23 @@ def _json_number(value, name: str) -> float:
     raise ValueError(f"{name} must be a number, got {value!r}")
 
 
+def on_grid(vec) -> tuple[float, ...]:
+    """``vec`` with each component in (0, 4096) rounded to the nearest multiple of 2**-40, ties to even.
+
+    One that would round to 0 becomes 2**-40. Binary64 numbers in [2**12, 2**13)
+    are 2**-40 apart, so adding 4096 rounds to the grid and subtracting it is
+    exact. Components >= 4096 are on the grid; others are left for the caller to refuse.
+    """
+    return tuple([((c + 4096.0) - 4096.0) or 2.0**-40 if 0.0 < c < 4096.0 else c for c in vec])
+
+
 @dataclass(frozen=True)
 class Flow:
     """One flow: endpoints plus a per-dimension resource demand vector.
 
     Components are finite and strictly positive; the generator keeps them
     <= 1 (normalized node capacity) but hand-built instances may exceed
-    that, e.g. to probe infeasibility.
+    that, e.g. to probe infeasibility. The stored demand is the given one after :func:`on_grid`.
     """
 
     id: int
@@ -57,6 +70,7 @@ class Flow:
             raise ValueError(f"flow {self.id}: empty demand vector")
         if not all(type(c) is not bool and 0 < c < math.inf for c in self.demand):  # also rejects NaN
             raise ValueError(f"flow {self.id}: demand components must be finite and strictly positive")
+        object.__setattr__(self, "demand", on_grid(self.demand))
 
 
 @dataclass(frozen=True)
@@ -128,7 +142,7 @@ def generate_workload(
 # -- file format ---------------------------------------------------------------
 # JSON lines. First line is a header {"K":, "z":, "seed":, "mean":, "std":},
 # then one record {"id":, "src":, "dst":, "demand": [...]} per flow, in order.
-# Floats are written at full precision, so load(save(w)) == w exactly.
+# Floats are written at full precision, and on_grid keeps them, so load(save(w)) == w exactly.
 
 def save_workload(workload: Workload, path: str | Path) -> None:
     lines = [json.dumps({

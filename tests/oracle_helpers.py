@@ -185,9 +185,8 @@ def reference_route_greedy(topology, workload, seed, dims):
 
 
 def reference_online_departure(state, flow, path):
-    """Take the demand off the loads; a processor whose loads are all back at 0
-    (within CAP_TOL) and that no other live path crosses is snapped to exactly
-    0 load and deactivated."""
+    """Take the demand off the loads and deactivate exactly the processors that
+    no other live path crosses; their loads are then exactly 0."""
     del state.committed[flow.id]
     crossed = {v for other in state.committed.values() for v in other}
     for v in path:
@@ -195,14 +194,14 @@ def reference_online_departure(state, flow, path):
         if l is not None:
             for k, d in enumerate(flow.demand):
                 l[k] -= d
-            if all(abs(x) <= CAP_TOL for x in l) and v not in crossed:
-                state.load[v] = [0.0] * len(l)
+            if v not in crossed:
+                assert not any(l), (v, l)
                 state.active.discard(v)
 
 
 def reference_solution_loads(topology, workload, paths):
     """Loads summed over ``paths`` in its order: the summation the routers once ran
-    after routing. In commit order, every float is the running sum a router keeps."""
+    after routing. Demands are on the grid, so every order gives the router's floats."""
     flows = workload.flows
     dims = workload.dims
     load = {v: [0.0] * dims for v in topology.processor_ids}

@@ -34,18 +34,22 @@ def _rack_fixture(dims=2):
 
 
 def test_srsp_congests_on_unwatched_dimension(tree4):
-    sol = route_srsp(tree4, _rack_fixture(), seed=0)
+    workload = _rack_fixture()
+    sol = route_srsp(tree4, workload, seed=0)
     assert len(sol.paths) == 3
     m = compute_metrics(tree4, sol)
     assert m.congested >= 1
-    assert sol.load[16] == (0.01 + 0.01 + 0.01, 0.5 + 0.5 + 0.5)  # every dimension summed, bit for bit
+    d1 = workload.flows[0].demand[0]
+    assert sol.load[16] == (d1 + d1 + d1, 0.5 + 0.5 + 0.5)  # every dimension summed, bit for bit
 
 
 def test_srg_congests_on_unwatched_dimension(tree4):
-    sol = route_srg(tree4, _rack_fixture(), seed=0)
+    workload = _rack_fixture()
+    sol = route_srg(tree4, workload, seed=0)
     m = compute_metrics(tree4, sol)
     assert m.congested >= 1
-    assert sol.load[16] == (0.01 + 0.01 + 0.01, 0.5 + 0.5 + 0.5)
+    d1 = workload.flows[0].demand[0]
+    assert sol.load[16] == (d1 + d1 + d1, 0.5 + 0.5 + 0.5)
 
 
 def test_mrsp_blocks_instead_of_congesting(tree4):

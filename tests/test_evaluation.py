@@ -33,7 +33,7 @@ from greenroute import (
 )
 from greenroute import evaluation
 from greenroute.evaluation import CSV_COLUMNS, ROUTERS
-from greenroute.workload import generate_workload
+from greenroute.workload import generate_workload, on_grid
 
 from oracle_helpers import (
     first_dimension,
@@ -265,8 +265,8 @@ CAPACITY_KEPT = ("mrg", "mrsp", "hgr")
 
 @pytest.mark.parametrize("algo", sorted(ROUTERS))
 def test_every_router_keeps_the_solution_contract(check_solution, algo):
-    # criterion 1's instance family; loads are the running sums in commit
-    # order, bit for bit, and a second call returns an equal solution
+    # criterion 1's instance family; loads are the demand sums over the
+    # paths, bit for bit, and a second call returns an equal solution
     router = ROUTERS[algo]
     rng = random.Random(2025)
     routed = unrouted = 0
@@ -283,9 +283,22 @@ def test_every_router_keeps_the_solution_contract(check_solution, algo):
     assert routed > 1000 and unrouted > 0  # the instances reach capacity
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(ROUTERS)), st.integers(1, 60), st.sampled_from((1, 3, 5)), st.floats(0.01, 0.3),
+       st.integers(0, 10**9), st.randoms(use_true_random=False))
+def test_loads_are_the_same_in_any_commit_order(tree4, algo, flow_count, dims, mean, seed, rnd):
+    # demands on the grid make every sum exact: the loads summed over the
+    # paths in a shuffled order are the router's loads, bit for bit
+    workload = generate_workload(tree4, flow_count, dims, mean, mean, seed=seed)
+    solution = ROUTERS[algo](tree4, workload, seed)
+    paths = list(solution.paths.items())
+    rnd.shuffle(paths)
+    assert solution.load == reference_solution_loads(tree4, workload, dict(paths))
+
+
 # demand components at the capacity edges: a full switch, a hair under it,
-# a hair over it (only an idle switch holds it), the tolerance itself and
-# half of it (below the rounding any sum is judged with)
+# a hair over it (only an idle switch holds it), the tolerance itself (1100
+# grid steps, which a full switch refuses) and half of it (which it takes)
 EXTREME = (1.0, 1.0 - 1e-12, 1.0 + 5e-10, CAP_TOL, CAP_TOL / 2)
 
 
@@ -309,22 +322,24 @@ def test_routers_stay_feasible_at_extreme_demands(tree4, check_solution, workloa
 # -- the capacity boundary ------------------------------------------------------------
 # Two flows (a, b) share every processor of their one path on a z=2
 # fat-tree and on a one-processor star, and b sits on the boundary in one
-# dimension. Whether b fits once a is committed, by ``fits``, is every
-# solver's answer; the two commit orders can differ by one rounding.
+# dimension. Demands are on the 2**-40 grid, so whether b fits once a is
+# committed, by ``fits``, does not depend on which is committed first, and
+# it is every solver's answer in either order.
+
+TICK = 2.0**-40
+EDGE = math.floor((1.0 + CAP_TOL) / TICK) * TICK  # the largest grid load that fits: 1 + 1099 steps
+
 
 @st.composite
 def _boundary_pair(draw):
-    """(a, b), K <= 3: b_k within 3 ulps of (1 + CAP_TOL) - a_k in one dimension k, and below 1 - a_j elsewhere."""
+    """(a, b) on the grid, K <= 3: b_k within 3 grid steps of EDGE - a_k in one dimension k, below 1 - a_j elsewhere."""
     dims = draw(st.integers(1, 3))
     k = draw(st.integers(0, dims - 1))
-    a = [draw(st.floats(1e-12, 1.0) if j == k else st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-         for j in range(dims)]
-    b = [(1.0 + CAP_TOL) - c if j == k else draw(st.floats(0.0, 1.0 - c, exclude_min=True, exclude_max=True))
-         for j, c in enumerate(a)]
-    shift = draw(st.integers(-3, 3))
-    for _ in range(abs(shift)):
-        b[k] = math.nextafter(b[k], math.copysign(math.inf, shift))
-    return tuple(a), tuple(b)
+    a = on_grid(draw(st.floats(1e-11, 1.0) if j == k else st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+                for j in range(dims))
+    b = on_grid(EDGE - c + draw(st.integers(-3, 3)) * TICK if j == k
+                else draw(st.floats(0.0, 1.0 - c, exclude_min=True, exclude_max=True)) for j, c in enumerate(a))
+    return a, b
 
 
 def _second_fits(first, second, view):
@@ -332,47 +347,85 @@ def _second_fits(first, second, view):
     return ResidualState({0: list(first)}, set()).fits(0, ResidualState.room(second[:view]))
 
 
+def _pair_workload(first, second):
+    return Workload((Flow(0, 0, 1, first), Flow(1, 0, 1, second)), len(first))
+
+
 @settings(max_examples=100, deadline=None)
 @given(_boundary_pair())
-@example(((0.6966314900670826,), (0.3033685109329176,)))  # a + b rounds to 1 + CAP_TOL; neither order fits
+@example(((0.6966314900670826,), (0.3033685109329176,)))  # a + b rounds to 1 + 1100 steps; neither order fits
 @example(((0.75, 0.75), (0.25, 0.25)))  # exactly full
+@example(((0.5,), (0.5 + 1099 * TICK,)))  # on the edge: both fit
+@example(((0.5,), (0.5 + 1100 * TICK,)))  # one step past it
 @example(((0.75, 0.75), (0.25 + 2 * CAP_TOL, 0.25)))  # past the tolerance in dimension 1
 @example(((0.75, 0.75), (0.25, 0.25 + 2 * CAP_TOL)))  # past it in dimension 2 only: SRSP and SRG take both
-@example(((5e-10,), (1.0 + 5e-10,)))  # b above 1, within the tolerance
+@example(((5e-10,), (1.0 + 5e-10,)))  # b above 1, within the tolerance, alone; 550 + 550 steps is past it
 @example(((1.0 + 5e-10,), (0.5,)))  # a above 1, within the tolerance: each solver takes it alone
-@example(((0.1318227391638467,), (0.8681772618361534,)))  # b fits after a, but a not after b
+@example(((0.1318227391638467,), (0.8681772618361534,)))  # once fitted in one order only
 def test_every_solver_decides_a_boundary_pair_by_the_fit_rule(tree2, pair):
-    # The flow-order solvers (SRSP, MRSP, HGR, online arrivals and both
-    # oracles) take b second, whatever the two orders say. The others (MRG,
-    # SRG, the packer) may take either first, so they are held to the
-    # answer only where both orders give it. SRSP and SRG keep dimension 1.
-    a, b = pair
+    # SRSP and SRG keep dimension 1. The pair is rounded to the grid as a
+    # Flow rounds it; the packer and the bin oracle round it themselves.
+    a, b = map(on_grid, pair)
     dims = len(a)
-    workload = Workload((Flow(0, 0, 1, a), Flow(1, 0, 1, b)), dims)
-    in_order = {view: _second_fits(a, b, view) for view in (1, dims)}
-    any_order = {view: fits if fits == _second_fits(b, a, view) else None for view, fits in in_order.items()}
-    for algo, router in ROUTERS.items():
-        view = 1 if algo in ("srsp", "srg") else dims
-        both = in_order[view] if algo in ("srsp", "mrsp", "hgr") else any_order[view]
-        if both is not None:
-            assert [len(router(tree2, workload, seed).paths) for seed in range(3)] == [1 + both] * 3, algo
-    state, ref_state = ResidualState.fresh(tree2, dims), ResidualState.fresh(tree2, dims)
-    paths = [online_arrival(state, tree2, flow) for flow in workload.flows]
-    assert [path is not None for path in paths] == [True, in_order[dims]]
-    # every frozen reference routes the pair exactly as the library does
-    assert paths == [reference_online_arrival(ref_state, tree2, flow) for flow in workload.flows]
-    for seed in range(3):
-        assert route_mrg(tree2, workload, seed) == reference_route_greedy(tree2, workload, seed, dims)
-        assert route_srg(tree2, workload, seed) == reference_route_greedy(tree2, workload, seed, 1)
-    assert route_srsp(tree2, workload) == reference_route_shortest(tree2, workload, 0, 1)
-    assert route_mrsp(tree2, workload) == reference_route_shortest(tree2, workload, 0, dims)
-    assert route_hgr(tree2, workload) == reference_route_hgr(tree2, workload)
-    assert oracle_min_active(tree2, workload) == (5 if in_order[dims] else None)
-    assert oracle_min_bins(pair) == 2 - in_order[dims]
-    if any_order[dims] is not None:
-        star = build_star_reduction(1).topology
-        assert [len(route_mrg(star, workload, seed).paths) for seed in range(3)] == [1 + any_order[dims]] * 3
-        assert vbp_greedy(pair).bin_count == 2 - any_order[dims]
+    fits = {view: _second_fits(a, b, view) for view in (1, dims)}
+    assert fits == {view: _second_fits(b, a, view) for view in (1, dims)}
+    star = build_star_reduction(1).topology
+    for first, second in (pair, pair[::-1]):
+        workload = _pair_workload(first, second)
+        for algo, router in ROUTERS.items():
+            view = 1 if algo in ("srsp", "srg") else dims
+            assert [len(router(tree2, workload, seed).paths) for seed in range(3)] == [1 + fits[view]] * 3, algo
+        assert [len(route_mrg(star, workload, seed).paths) for seed in range(3)] == [1 + fits[dims]] * 3
+        state, ref_state = ResidualState.fresh(tree2, dims), ResidualState.fresh(tree2, dims)
+        paths = [online_arrival(state, tree2, flow) for flow in workload.flows]
+        assert [path is not None for path in paths] == [True, fits[dims]]
+        # every frozen reference routes the pair exactly as the library does
+        assert paths == [reference_online_arrival(ref_state, tree2, flow) for flow in workload.flows]
+        for seed in range(3):
+            assert route_mrg(tree2, workload, seed) == reference_route_greedy(tree2, workload, seed, dims)
+            assert route_srg(tree2, workload, seed) == reference_route_greedy(tree2, workload, seed, 1)
+        assert route_srsp(tree2, workload) == reference_route_shortest(tree2, workload, 0, 1)
+        assert route_mrsp(tree2, workload) == reference_route_shortest(tree2, workload, 0, dims)
+        assert route_hgr(tree2, workload) == reference_route_hgr(tree2, workload)
+        assert oracle_min_active(tree2, workload) == (5 if fits[dims] else None)
+        assert oracle_min_bins((first, second)) == vbp_greedy((first, second)).bin_count == 2 - fits[dims]
+
+
+def test_the_pair_that_once_fitted_in_one_order_gets_one_answer(tree2):
+    # (0.1318227391638467,) and (0.8681772618361534,) once summed to at most
+    # 1 + CAP_TOL in one commit order only, so the oracles, the packer and
+    # MRG parted by the order they saw. On the grid they sum to 1 + 1100
+    # steps in both, and every solver refuses the second flow.
+    pair = ((0.1318227391638467,), (0.8681772618361534,))
+    answers = set()
+    for first, second in (pair, pair[::-1]):
+        workload = _pair_workload(first, second)
+        state = ResidualState.fresh(tree2, 1)
+        answers.add((
+            tuple((algo, len(router(tree2, workload, seed).paths)) for algo, router in ROUTERS.items()
+                  for seed in range(3)),
+            tuple(online_arrival(state, tree2, flow) is not None for flow in workload.flows),
+            oracle_min_active(tree2, workload),
+            oracle_min_bins((first, second)),
+            vbp_greedy((first, second)).bin_count,
+        ))
+    assert answers == {(tuple((algo, 1) for algo in ROUTERS for _ in range(3)), (True, False), None, 2, 2)}
+
+
+def test_a_demand_that_rounds_past_the_tolerance_fits_nothing(tree2):
+    # 1 + 1e-9 rounds up to 1 + 1100 grid steps, past fl(1 + CAP_TOL): the
+    # packer refuses it, the bin oracle finds no packing, and no router or
+    # arrival puts it on an idle switch. 1 + 1099 steps is the most that fits.
+    assert Flow(0, 0, 1, (1.0 + 1e-9,)).demand == (1.0 + 1100 * TICK,)
+    with pytest.raises(ValueError, match="does not fit a unit bin"):
+        vbp_greedy([(1.0 + 1e-9,)])
+    assert oracle_min_bins([(1.0 + 1e-9,)]) is None
+    assert vbp_greedy([(EDGE,)]).bin_count == oracle_min_bins([(EDGE,)]) == 1
+    for demand, routed in (((1.0 + 1e-9,), False), ((EDGE,), True)):
+        workload = Workload((Flow(0, 0, 1, demand),), 1)
+        for algo, router in ROUTERS.items():
+            assert len(router(tree2, workload, 0).paths) == routed, algo
+        assert (online_arrival(ResidualState.fresh(tree2, 1), tree2, workload.flows[0]) is not None) == routed
 
 
 # -- experiment harness -----------------------------------------------------------

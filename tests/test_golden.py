@@ -8,7 +8,8 @@ path trace of a stream of online arrivals and departures, and the vector
 bin packer's packings of seeded item families. A change that moves any
 path, unrouted set, load or packing on these inputs changes a hash; a
 change meant to alter such output updates the hashes and says why in
-CHANGES.md.
+CHANGES.md. Each route dump is also pinned with its loads left out (the
+``-routing`` entries), so a change that moves only loads shows as such.
 
 ``PYTHONPATH=src python tests/test_golden.py`` prints every artifact's
 current digest as a ``GOLDEN`` entry, marking those that moved.
@@ -16,6 +17,7 @@ current digest as a ``GOLDEN`` entry, marking those that moved.
 
 import contextlib
 import hashlib
+import json
 import random
 import sys
 import tempfile
@@ -51,19 +53,31 @@ EXPERIMENT = ("experiment", "--z", "4", "--dims", "3", "--flows", "10:40:15", "-
 
 GOLDEN = {
     "experiment.csv": "d9d8861f7e5ec07f439facb6d923b137ef9904d8851d131cf4491feb39a30f07",
-    "light-hgr": "4843618e47bbd40456d88fd0b6bd5b72480be4e115adcecb50cda23f2317e300",
-    "light-mrg": "ef361f7fb51c9c74b6a50290db99b78726f3f741abe16f757a227c791f2b77bd",
-    "light-mrsp": "83ce2035c323744880ec499c74e6740a92a3ee3e78eb3b4bf166d69dac2aae10",
-    "light-srg": "2372cda0ea5d0283234be3dfca54fe2dda3a48055f493eecf7c8f5dc6931617f",
-    "light-srsp": "83ce2035c323744880ec499c74e6740a92a3ee3e78eb3b4bf166d69dac2aae10",
-    "heavy-hgr": "cbc19a9d80b1d04159717b1819a66e17fa715d772cd6635033e04d6c338eb35a",
-    "heavy-mrg": "02e122feef2104d7d7c91bb64d7fc47a4d2bc514e2ee3ae06cabd03affc1423b",
-    "heavy-mrsp": "7ea4d97d00f39d8bbd9a0a8d4951d2d0634894913532bfd603b761806e2c8298",
-    "heavy-srg": "214bce1f600a76c3bd31bbd9e18a4cf1564502136d344bb9006a644c8ebd7815",
-    "heavy-srsp": "02a8ca65d724c4166aa14dad60e21e28d74b66b9f464cd874abb72bd7456f1f1",
-    "mid-hgr": "1271147ff9d947efbed51d332ec54f5af4b8cb8dae512172c5afffcf36e9c9f3",
+    "light-hgr": "beb52964965978944f62d2fdbbda58e60e8a6e4b727e7fc8233508364e42ec52",
+    "light-mrg": "58fa8f44bc9d78305f7ee90e086074143c49f06ebf86915be58cf739e424c43e",
+    "light-mrsp": "84d7afe962b8e0cc5bd80480ed66241b1d0028c8de0764c5f1780cb506b4f0d7",
+    "light-srg": "bc8e589baea191c339f70e41d924f14fb5608c9833ef10112f9d662aca635133",
+    "light-srsp": "84d7afe962b8e0cc5bd80480ed66241b1d0028c8de0764c5f1780cb506b4f0d7",
+    "heavy-hgr": "b96478bf3959277976e34ccafed0916c8744037a3dd91278e57ee39e83113798",
+    "heavy-mrg": "f7b5a67a6d706f8fe057e9cae09649d55db0e39f65c8b4a030e6495a050bc9a5",
+    "heavy-mrsp": "d9e1e99fe16ecb61714b93db69cd4ef4bed287305b4fa0f9ccd71408c065fe3e",
+    "heavy-srg": "32254f62c8c4910bbe07b5c7c6c6f1acc19c86c573e090aa98e827180d07a7ca",
+    "heavy-srsp": "f97a3e6f1b154850ba32667042ec40572bdb35ba0dc7b14ecd4a31b65e64b906",
+    "mid-hgr": "84e690858f4468c05da9aee7d816c28ece067f7393159d3472a18069170ed6c9",
     "online-z8": "08748455bddb9f6ade85d8a9abc7b96ec5c87b6d42b62dc5114ce0542a4f7da2",
-    "vbp": "ffee22a1ad245c0f51dbf114acd00da25d8e7e0fcc9059339bddf56a71d5f53b",
+    "vbp": "516da79a9cf80113f01315ae9a0c64a4f0842d5e2d94df759e2b0740db30ff76",
+    # the route dumps without their loads
+    "light-hgr-routing": "38c4076a129df83ecd3ab1b75bacad199314b464b4d57b355fa6fe56aad1a43b",
+    "light-mrg-routing": "9e15c6a190fec8520a300395a34bfafa937c58703fbf42546209d493665652ad",
+    "light-mrsp-routing": "9ef441897f68313ff416f8a6d14635d770bd1481aee64267546006fb88bff1c7",
+    "light-srg-routing": "18b3436b09decb89aad955b15c533ac336821a1d93ef7886e6ef2a8d0ffe0176",
+    "light-srsp-routing": "9ef441897f68313ff416f8a6d14635d770bd1481aee64267546006fb88bff1c7",
+    "heavy-hgr-routing": "3c3aeccd32c8ef12dddb91921787547b19224a59dd445509695ec35319550817",
+    "heavy-mrg-routing": "7906760c5dc97118b1de2a81df4d31678e412a2e47f58b3f24a005a138db6eea",
+    "heavy-mrsp-routing": "e2c308f874f5570b88606e85b466ae99997ac9d4eb2b01f76d5cd7ae964478c8",
+    "heavy-srg-routing": "d73c68ae06a3794bb02115f11351fe9fdd029b74c7f778a80354c54294a9c1a0",
+    "heavy-srsp-routing": "efbfbef653fbf7a717f5de4df0cd400072af061f6ac60bb9f2bdbca2bf44d6b4",
+    "mid-hgr-routing": "0a78e11d41f9f301957008894e6b7c9b17f5e1cf1cc778f810817da26ed75e72",
 }
 
 
@@ -147,11 +161,15 @@ def vbp_digest() -> str:
     return digest.hexdigest()
 
 
-def _route_digest(workdir, name: str, algo: str) -> str:
+def _route_digests(workdir, name: str, algo: str) -> dict[str, str]:
+    """sha256 of the ``route --out`` dump, and of its routing entries alone (``load`` dropped)."""
     out = workdir / f"{name}-{algo}.json"
     _run("route", "--algo", algo, "--workload", str(workdir / f"{name}.jsonl"), "--seed", "5",
          "--out", str(out))
-    return hashlib.sha256(out.read_bytes()).hexdigest()
+    dump = out.read_bytes()
+    routing = {key: value for key, value in json.loads(dump).items() if key != "load"}
+    return {f"{name}-{algo}": hashlib.sha256(dump).hexdigest(),
+            f"{name}-{algo}-routing": hashlib.sha256(json.dumps(routing, sort_keys=True).encode()).hexdigest()}
 
 
 def golden_digests(workdir) -> dict[str, str]:
@@ -164,8 +182,8 @@ def golden_digests(workdir) -> dict[str, str]:
         _run("workload", *spec, "--out", str(workdir / f"{name}.jsonl"))
     for name in WORKLOADS:
         for algo in ALGOS:
-            digests[f"{name}-{algo}"] = _route_digest(workdir, name, algo)
-    digests["mid-hgr"] = _route_digest(workdir, "mid", "hgr")
+            digests.update(_route_digests(workdir, name, algo))
+    digests.update(_route_digests(workdir, "mid", "hgr"))
     digests["online-z8"] = online_trace_digest()
     digests["vbp"] = vbp_digest()
     return digests

@@ -115,10 +115,10 @@ def test_vbp_never_beats_oracle_and_loads_fit():
 
 
 def test_vbp_decides_fit_by_the_routers_rule_on_the_boundary():
-    # Items 1, 0 and 3 fill the first bin to 0.90031635...; a residual test
-    # by subtraction admits item 2 too (the bin would end 1e-9 under 0), but
-    # the summed load exceeds item 2's room, as the routers and
-    # oracle_min_bins decide, so it opens a second bin.
+    # Items 1, 0 and 3 fill the first bin to 0.90031635...; item 2 would take
+    # it to 1 + 1100 grid steps, one past the most a bin holds (1 + 1099
+    # steps <= 1 + CAP_TOL), so it opens a second bin, as the routers and
+    # oracle_min_bins decide.
     items = [(0.33995741261596757,), (0.4254422998171266,), (0.09968364743832597,), (0.1349166411285799,)]
     result = vbp_greedy(items)
     assert result.bin_count == 2 == oracle_min_bins(items)
@@ -141,7 +141,7 @@ def test_hgr_sizes_the_core_layer_by_its_l1_bound(tree4):
     for first, second in [((0, 4), (1, 8)), ((0, 4), (2, 12)), ((1, 9), (3, 13)), ((6, 10), (2, 6)),
                           ((5, 14), (14, 1))]:
         assert cores(Flow(0, *first, (0.1,)), Flow(1, *second, (0.1,))) == 1
-    # a sum of exactly 1 with rounding noise (0.34 + 0.56 + 0.1 > 1.0 in floating point) takes one
+    # a sum of exactly 1 with rounding noise (0.34 + 0.56 + 0.1 is 1 + 2**-40 on the grid) takes one
     assert cores(Flow(0, 0, 4, (0.34,)), Flow(1, 1, 8, (0.56,)), Flow(2, 2, 12, (0.1,))) == 1
     # one dimension summing past 1 takes two, however small the others are
     assert cores(Flow(0, 0, 4, (0.6, 0.1)), Flow(1, 9, 13, (0.5, 0.1)), dims=2) == 2

@@ -498,14 +498,16 @@ def test_departure_with_wrong_dimension_count_rejected(tree4):
 
 
 def test_departure_keeps_a_drained_processor_that_a_live_flow_crosses(tree4):
-    # flow A's demand is within CAP_TOL of 0, so once B departs, switch 16's
-    # load is too; A still crosses it, so it stays active with A's load
+    # flow A's demand is within CAP_TOL of 0 (1e-10 rounds to 110 grid steps),
+    # so once B departs, switch 16's load is too; A still crosses it, so it
+    # stays active with exactly A's load
     state = ResidualState.fresh(tree4, 1)
     a, b = Flow(0, 0, 1, (1e-10,)), Flow(1, 0, 1, (0.5,))
+    assert a.demand == (110 * 2.0**-40,)
     assert online_arrival(state, tree4, a) == online_arrival(state, tree4, b) == (0, 16, 1)
     online_departure(state, tree4, b, (0, 16, 1))
     assert state.active == {16} and state.committed == {0: (0, 16, 1)}
-    assert state.load[16] == [1e-10 + 0.5 - 0.5]
+    assert state.load[16] == [a.demand[0]]
     online_departure(state, tree4, a, (0, 16, 1))
     assert state == ResidualState.fresh(tree4, 1)
 
@@ -575,8 +577,9 @@ def test_arrival_stream_stays_feasible(tree4):
     demands = {}
     for fid in range(30):
         src, dst = rng.sample(hosts, 2)
-        demands[fid] = tuple(rng.uniform(0.01, 0.3) for _ in range(3))
-        online_arrival(state, tree4, Flow(fid, src, dst, demands[fid]))
+        flow = Flow(fid, src, dst, tuple(rng.uniform(0.01, 0.3) for _ in range(3)))
+        demands[fid] = flow.demand
+        online_arrival(state, tree4, flow)
         # the state's loads are the committed demands' sums as the state evolves
         load = {v: [0.0] * 3 for v in tree4.processor_ids}
         for committed_id, path in state.committed.items():

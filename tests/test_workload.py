@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from greenroute import (
@@ -15,6 +17,7 @@ from greenroute import (
     save_workload,
 )
 from greenroute.topology import Node, NodeKind, Topology
+from greenroute.workload import on_grid
 
 
 def test_generate_default_scale(tree8):
@@ -65,6 +68,37 @@ def test_generate_rejects_bad_parameters(tree4):
     one_host = Topology([Node(0, NodeKind.HOST, None, 0), Node(1, NodeKind.EDGE, None, 0)], [(0, 1)])
     with pytest.raises(ValueError):
         generate_workload(one_host, 1, 1)
+
+
+TICK = 2.0**-40
+
+
+def test_on_grid_rounds_to_the_nearest_step_and_at_least_one():
+    assert on_grid((1e-15, 0.5, 1e-10)) == (TICK, 0.5, 110 * TICK)
+    assert on_grid((4096.0, 5000.5)) == (4096.0, 5000.5)  # on the grid already
+    assert on_grid((0.5 * TICK, 1.5 * TICK, 2.5 * TICK)) == (TICK, 2 * TICK, 2 * TICK)  # ties to even, never 0
+
+
+@given(st.floats(1e-15, 5000.0))
+def test_on_grid_is_the_nearest_multiple_and_idempotent(c):
+    (rounded,) = on_grid((c,))
+    if c < 4096.0:
+        assert rounded == max(round(c * 2**40), 1) * TICK
+    else:
+        assert rounded == c
+    assert on_grid((rounded,)) == (rounded,)
+
+
+def test_flows_store_grid_demands_that_survive_the_file_format(tmp_path):
+    raw = ((0.1, 1e-13), (0.3, 1.0 + 1e-9))
+    flows = tuple(Flow(i, 0, 1, demand) for i, demand in enumerate(raw))
+    assert [flow.demand for flow in flows] == list(map(on_grid, raw))
+    assert flows[0].demand != raw[0]
+    workload = Workload(flows, 2)
+    save_workload(workload, tmp_path / "w.jsonl")
+    loaded = load_workload(tmp_path / "w.jsonl")
+    assert loaded == workload
+    assert [flow.demand for flow in loaded.flows] == list(map(on_grid, raw))
 
 
 def test_flow_validation():
