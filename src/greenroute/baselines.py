@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import random
 from bisect import bisect
+from functools import reduce
 from math import floor
-from operator import le
 from typing import Sequence
 
-from .mrg import ResidualState, RoutingSolution, _route_greedy, _sample_shortest
+from .mrg import ResidualState, RoutingSolution, _field_max, _route_greedy, _sample_shortest
 from .topology import Topology
 from .workload import Workload
 
@@ -61,8 +61,9 @@ def _tree_drawer(state: ResidualState, topology: Topology):
 
     Edge switches are tested one by one. Each pod's aggregation switches,
     and each core group, form a block that one test may take whole: the
-    drawer keeps, per block, the per-dimension maximum of its members' loads, and
-    a block whose maximum is within ``room`` is capable whole, its members
+    drawer keeps, per block, the field-wise maximum of its members' packed
+    loads (taken with the guard bits, :func:`greenroute.mrg._field_max`),
+    and a block whose maximum is within ``room`` is capable whole, its members
     in id order with no test of their own. Any other block is tested switch
     by switch (:meth:`ResidualState.capable`). The whole core layer is one
     more block: when the maximum over the core groups' maxima is within
@@ -82,7 +83,7 @@ def _tree_drawer(state: ResidualState, topology: Topology):
     fits = state.fits
     if topology.z is None:
         return lambda room, s, t, rng: _sample_shortest(topology, lambda v: fits(v, room), s, t, rng)
-    load = state.load
+    load, guard, width = state.packed, state.guard, state.width
     capable = state.capable
     edge_of = topology._host_edge
     pod_of = topology._host_pod
@@ -95,20 +96,24 @@ def _tree_drawer(state: ResidualState, topology: Topology):
     for i, block in enumerate(blocks):
         for v in block:
             block_of[v] = i
-    top = [[max(column) for column in zip(*(load[v] for v in block))] for block in blocks]
-    core_top = [max(column) for column in zip(*top[z:])]  # the whole core layer's maximum
+
+    def field_max(a: int, b: int) -> int:
+        return _field_max(a, b, guard, width)
+
+    top = [reduce(field_max, [load[v] for v in block]) for block in blocks]
+    core_top = reduce(field_max, top[z:])  # the whole core layer's maximum
     returned: list[int] = []  # the interior of the path returned last
     every = [True] * h  # each position capable: its pod's block is whole
     full_cum = [h * (g + 1) for g in range(h)]  # the path counts when every position has its h cores
     full_total = float(h * h)
 
-    def members(i: int, room: Sequence[float]) -> Sequence[int]:
+    def members(i: int, room: int) -> Sequence[int]:
         """Block ``i``'s capable switches, in id order."""
-        if all(map(le, top[i], room)):
+        if (room - top[i]) & guard == guard:
             return blocks[i]
         return capable(room, blocks[i])
 
-    def positions(pod: int, room: Sequence[float]) -> list[bool]:
+    def positions(pod: int, room: int) -> list[bool]:
         """Whether each aggregation position of ``pod`` is capable; its block is not whole."""
         first = blocks[pod][0]  # a pod's aggregation ids are consecutive
         fit = [False] * h
@@ -116,18 +121,19 @@ def _tree_drawer(state: ResidualState, topology: Topology):
             fit[a - first] = True
         return fit
 
-    def draw(room: Sequence[float], s: int, t: int, rng: random.Random) -> list[int] | None:
+    def draw(room: int, s: int, t: int, rng: random.Random) -> list[int] | None:
+        nonlocal core_top
         for v in returned:  # committed since the last call, or not at all
             i = block_of[v]
             if i is not None:
-                top[i] = list(map(max, top[i], load[v]))
+                top[i] = field_max(top[i], load[v])
                 if i >= z:
-                    core_top[:] = map(max, core_top, load[v])
+                    core_top = field_max(core_top, load[v])
         path = shape(room, s, t, rng) or _sample_shortest(topology, lambda v: fits(v, room), s, t, rng)
         returned[:] = () if path is None else path[1:-1]
         return path
 
-    def shape(room: Sequence[float], s: int, t: int, rng: random.Random) -> list[int] | None:
+    def shape(room: int, s: int, t: int, rng: random.Random) -> list[int] | None:
         """The draw over the three fixed shapes; ``None``, with nothing drawn, when none is capable."""
         e, f = edge_of[s], edge_of[t]
         if not (fits(e, room) and (e == f or fits(f, room))):
@@ -147,9 +153,9 @@ def _tree_drawer(state: ResidualState, topology: Topology):
             rand()
             rand()
             return [s, e, a, f, t]
-        up_whole = all(map(le, top[pod_s], room))
-        down_whole = all(map(le, top[pod_t], room))
-        layer_whole = all(map(le, core_top, room))  # then so is every core group
+        up_whole = (room - top[pod_s]) & guard == guard
+        down_whole = (room - top[pod_t]) & guard == guard
+        layer_whole = (room - core_top) & guard == guard  # then so is every core group
         # Every position with its h cores: the loop below would give this path
         # and these draws, but building its lists made bulk-z16 about 9% slower.
         if up_whole and down_whole and layer_whole:
@@ -183,15 +189,19 @@ def _tree_drawer(state: ResidualState, topology: Topology):
 
 def _route_shortest(topology: Topology, workload: Workload, seed: int, dims: int) -> RoutingSolution:
     """Hop-minimal routing with capability checked on the first ``dims`` dimensions."""
-    topology._check_hosts(workload.flows)
+    flows = workload.flows
+    topology._check_hosts(flows)
     rng = random.Random(seed)
-    state = ResidualState.fresh(topology, workload.dims)
+    # a router that checks every dimension never sums a field past 1 + CAP_TOL
+    state = ResidualState.fresh(topology, workload.dims, flows if dims < workload.dims else ())
     draw = _tree_drawer(state, topology)
-    for flow in workload.flows:
-        path = draw(state.room(flow.demand[:dims]), flow.src, flow.dst, rng)
+    room, pack, commit = state.room, state.pack, state.commit
+    for flow in flows:
+        packed = pack(flow.demand)
+        path = draw(room(flow.demand[:dims], packed), flow.src, flow.dst, rng)
         if path is not None:
-            state.commit(flow.id, path, flow.demand)
-    return state.solution(workload.flows)
+            commit(flow.id, path, packed)
+    return state.solution(flows)
 
 
 def route_srsp(topology: Topology, workload: Workload, seed: int = 0) -> RoutingSolution:

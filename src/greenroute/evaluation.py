@@ -9,7 +9,6 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields
-from operator import le
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -100,7 +99,7 @@ def oracle_min_active(topology: Topology, workload: Workload) -> int | None:
     twins: swapping two maps placements onto placements, so a path that
     wakes an idle processor is tried only if no idle twin with a lower id
     is left off it, and the minimum is unchanged. A branch is undone by
-    putting back the saved load lists. Refuses instances beyond 12
+    putting back the saved packed loads. Refuses instances beyond 12
     processors or 6 flows.
     """
     topology._check_hosts(workload.flows)
@@ -111,8 +110,8 @@ def oracle_min_active(topology: Topology, workload: Workload) -> int | None:
     if len(flows) > _MAX_ORACLE_FLOWS:
         raise ValueError(f"instance too large: {len(flows)} flows (limit {_MAX_ORACLE_FLOWS})")
     state = ResidualState.fresh(topology, workload.dims)
-    load, active, fits, commit = state.load, state.active, state.fits, state.commit
-    options = [(flow, state.room(flow.demand),
+    load, active, fits, commit = state.packed, state.active, state.fits, state.commit
+    options = [(flow, state.room(flow.demand), state.pack(flow.demand),
                 [(path, path[1:-1]) for path in _chordless_paths(topology, flow.src, flow.dst)])
                for flow in flows]
     adj = topology._adj
@@ -124,15 +123,15 @@ def oracle_min_active(topology: Topology, workload: Workload) -> int | None:
         if i == len(flows):
             best = len(active)
             return
-        flow, room, paths = options[i]
+        flow, room, demand, paths = options[i]
         for path, inner in paths:
             woken = [v for v in inner if v not in active]
             if len(active) + len(woken) >= best or not all(fits(v, room) for v in inner):
                 continue
             if any(u not in active and u not in inner for v in woken for u in lower_twins[v]):
                 continue  # a lower idle twin off the path gives the same placements
-            saved = {v: load[v][:] for v in inner}
-            commit(flow.id, path, flow.demand)
+            saved = {v: load[v] for v in inner}
+            commit(flow.id, path, demand)
             place(i + 1)
             load.update(saved)
             active.difference_update(woken)
@@ -144,8 +143,10 @@ def oracle_min_active(topology: Topology, workload: Workload) -> int | None:
 def oracle_min_bins(items: Sequence[Sequence[float]]) -> int | None:
     """Exact minimum unit-bin count (at most 8 items); ``None`` if an item fits no empty bin.
 
-    A branch and bound over bins held as load lists: a bin takes an item when
-    its load is within the item's ``ResidualState.room`` (the routers' rule).
+    A branch and bound over bins held as the processors of a
+    ``ResidualState``: a bin takes an item when its load is within the
+    item's room, by the routers' rule (``ResidualState.fits``), and a branch
+    is undone by putting back the saved packed load.
     Items are rounded to the flows' demand grid (:func:`on_grid`) first, so an
     item fits no empty bin exactly when a rounded component exceeds 1 + CAP_TOL.
     """
@@ -155,31 +156,38 @@ def oracle_min_bins(items: Sequence[Sequence[float]]) -> int | None:
     for i, item in enumerate(items):
         if any(not c > 0 for c in item):  # refuses NaN too
             raise ValueError(f"item {i} has a component that is not positive: {item}")
-    if len(set(map(len, items))) > 1:  # zip would silently drop the extra components
+    if len(set(map(len, items))) > 1:  # a shorter item would leave the other dimensions unchecked
         raise ValueError("items must share one dimension count")
-    rooms = [ResidualState.room(item) for item in items]
-    if any(r < 0.0 for room in rooms for r in room):
+    if any(c > 1.0 + CAP_TOL for item in items for c in item):
         return None
+    # bin j is processor j of a routing state; the first ``opened`` are open
+    bins = ResidualState(dict.fromkeys(range(len(items)), 0), set(), len(items[0]) if items else 0)
+    load, fits = bins.packed, bins.fits
+    rooms = [bins.room(item) for item in items]
+    packed = [bins.pack(item) for item in items]
     best = len(items)
-    bins: list[list[float]] = []
+    opened = 0
 
     def search(i: int) -> None:
-        nonlocal best
-        if len(bins) >= best:
+        nonlocal best, opened
+        if opened >= best:
             return
         if i == len(items):
-            best = len(bins)
+            best = opened
             return
-        item, room = items[i], rooms[i]
-        for j, load in enumerate(bins):
-            if all(map(le, load, room)):
-                bins[j] = [l + c for l, c in zip(load, item)]
+        item, room = packed[i], rooms[i]
+        for j in range(opened):
+            if fits(j, room):
+                saved = load[j]
+                load[j] = saved + item
                 search(i + 1)
-                bins[j] = load
-        if len(bins) + 1 < best:
-            bins.append(list(item))
+                load[j] = saved
+        if opened + 1 < best:
+            load[opened] = item
+            opened += 1
             search(i + 1)
-            bins.pop()
+            opened -= 1
+            load[opened] = 0
 
     search(0)
     return best

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, isfinite
-from operator import le
 from typing import AbstractSet, Sequence
 
 from .mrg import CAP_TOL, ResidualState, RoutingSolution, _sample_shortest
@@ -105,9 +104,11 @@ def vbp_greedy(items: Sequence[Sequence[float]]) -> VbpResult:
     sum_k alpha_k * (residual_k - item_k)^2 is packed (ties go to the lowest
     item index); when nothing fits, the bin closes and a fresh one opens.
     The weights alpha are computed once from the whole instance. Items are
-    rounded by :func:`on_grid`, as demands are; an item fits when the bin's
-    load is within its :meth:`ResidualState.room`, the routers' rule; the
-    residuals, in the score and in the result, are 1 minus the items, by subtraction.
+    rounded by :func:`on_grid`, as demands are; the open bin is one
+    processor of a :class:`ResidualState`, and an item fits when the bin's
+    load is within the item's room, by the routers' rule
+    (:meth:`ResidualState.fits`); the residuals, in the score and in the
+    result, are 1 minus the items, by subtraction.
     """
     items = [on_grid(map(float, item)) for item in items]
     for i, item in enumerate(items):
@@ -116,19 +117,21 @@ def vbp_greedy(items: Sequence[Sequence[float]]) -> VbpResult:
     if not items:
         return VbpResult(0, {}, ())
     alphas = dimension_weights(items)
-    dim_range = range(len(alphas))
-    rooms = [ResidualState.room(item) for item in items]
+    dims = len(alphas)
+    dim_range = range(dims)
+    open_bin = ResidualState({0: 0}, set(), dims)  # its load is processor 0's
+    rooms = [open_bin.room(item) for item in items]
+    packed = [open_bin.pack(item) for item in items]
 
     remaining = list(range(len(items)))
     assignment: dict[int, int] = {}
     residuals: list[tuple[float, ...]] = []
-    current = [1.0] * len(alphas)
-    load = [0.0] * len(alphas)
+    current = [1.0] * dims
     while remaining:
         best = -1
         best_score = float("inf")
         for i in remaining:
-            if not all(map(le, load, rooms[i])):
+            if not open_bin.fits(0, rooms[i]):
                 continue
             item = items[i]
             score = 0.0
@@ -139,13 +142,13 @@ def vbp_greedy(items: Sequence[Sequence[float]]) -> VbpResult:
                 best, best_score = i, score
         if best < 0:
             residuals.append(tuple(current))
-            current = [1.0] * len(alphas)
-            load = [0.0] * len(alphas)
+            current = [1.0] * dims
+            open_bin.packed[0] = 0
             continue
         assignment[best] = len(residuals) + 1
         for k in dim_range:
             current[k] -= items[best][k]
-            load[k] += items[best][k]
+        open_bin.packed[0] += packed[best]
         remaining.remove(best)
     residuals.append(tuple(current))
     return VbpResult(len(residuals), assignment, tuple(residuals))
@@ -178,7 +181,7 @@ def _tree_router(topology: Topology, state: ResidualState, activated: AbstractSe
     and its lowest core give the lex-min one. Only longer detours, through
     two or more third pods, and "no path" are left to the hop search.
     """
-    fits = state.fits
+    load, guard = state.packed, state.guard
     edge_of = topology._host_edge
     pod_of = topology._host_pod
     edge_ids = topology._edge_ids
@@ -186,14 +189,8 @@ def _tree_router(topology: Topology, state: ResidualState, activated: AbstractSe
     core_groups = topology._core_groups
     pods = range(topology.z)
 
-    def first_fit(nodes: Sequence[int], room: Sequence[float]) -> int | None:
-        """The lowest usable node of ``nodes``, or ``None``."""
-        for v in nodes:
-            if v in activated and fits(v, room):
-                return v
-        return None
-
-    def route(room: Sequence[float], src: int, dst: int) -> list[int] | None:
+    def route(room: int, src: int, dst: int) -> list[int] | None:
+        # v is usable iff v in activated and (room - load[v]) & guard == guard (ResidualState.fits)
         e_s = edge_of[src]
         e_t = edge_of[dst]
         if e_s == e_t:
@@ -202,32 +199,37 @@ def _tree_router(topology: Topology, state: ResidualState, activated: AbstractSe
         dst_pod = pod_of[dst]
         if src_pod == dst_pod:
             for a in agg_ids[src_pod]:
-                if a in activated and fits(a, room):
+                if a in activated and (room - load[a]) & guard == guard:
                     return [src, e_s, a, e_t, dst]
             return None
         for a_s, a_t, group in zip(agg_ids[src_pod], agg_ids[dst_pod], core_groups):
-            if not (a_s in activated and fits(a_s, room) and a_t in activated and fits(a_t, room)):
+            if not (a_s in activated and (room - load[a_s]) & guard == guard
+                    and a_t in activated and (room - load[a_t]) & guard == guard):
                 continue
             for core in group:
-                if core in activated and fits(core, room):
+                if core in activated and (room - load[core]) & guard == guard:
                     return [src, e_s, a_s, core, a_t, e_t, dst]
         return detour(room, src, dst, e_s, e_t, src_pod, dst_pod)
 
-    def detour(room: Sequence[float], src: int, dst: int, e_s: int, e_t: int,
+    def detour(room: int, src: int, dst: int, e_s: int, e_t: int,
                src_pod: int, dst_pod: int) -> list[int] | None:
         """The lex-min path of an inter-pod flow that has no 6-hop path."""
+
+        def usable(v: int) -> bool:
+            return v in activated and (room - load[v]) & guard == guard
+
         lowest: dict[int, int | None] = {}  # per position, its lowest usable core
 
         def core_at(g: int) -> int | None:
             if g not in lowest:
-                lowest[g] = first_fit(core_groups[g], room)
+                lowest[g] = next(filter(usable, core_groups[g]), None)
             return lowest[g]
 
         aggs_s, aggs_t = agg_ids[src_pod], agg_ids[dst_pod]
-        up = [g for g, a in enumerate(aggs_s) if a in activated and fits(a, room) and core_at(g) is not None]
+        up = [g for g, a in enumerate(aggs_s) if usable(a) and core_at(g) is not None]
         if not up:
             return None
-        down = [g for g, a in enumerate(aggs_t) if a in activated and fits(a, room) and core_at(g) is not None]
+        down = [g for g, a in enumerate(aggs_t) if usable(a) and core_at(g) is not None]
         if not down:
             return None
         legs: dict[int, tuple[int, int] | None] = {}  # per third pod, its (e_x, g2)
@@ -235,8 +237,8 @@ def _tree_router(topology: Topology, state: ResidualState, activated: AbstractSe
         def leg(x: int) -> tuple[int, int] | None:
             if x not in legs:
                 aggs_x = agg_ids[x]
-                g2 = next((g for g in down if aggs_x[g] in activated and fits(aggs_x[g], room)), None)
-                e_x = None if g2 is None else first_fit(edge_ids[x], room)
+                g2 = next((g for g in down if usable(aggs_x[g])), None)
+                e_x = None if g2 is None else next(filter(usable, edge_ids[x]), None)
                 legs[x] = None if e_x is None else (e_x, g2)
             return legs[x]
 
@@ -245,11 +247,11 @@ def _tree_router(topology: Topology, state: ResidualState, activated: AbstractSe
                 if x == src_pod or x == dst_pod:
                     continue
                 a_x = agg_ids[x][g1]
-                if a_x in activated and fits(a_x, room) and (found := leg(x)) is not None:
+                if usable(a_x) and (found := leg(x)) is not None:
                     e_x, g2 = found
                     return [src, e_s, aggs_s[g1], core_at(g1), a_x, e_x, agg_ids[x][g2], core_at(g2),
                             aggs_t[g2], e_t, dst]
-        return _sample_shortest(topology, lambda v: v in activated and fits(v, room), src, dst)
+        return _sample_shortest(topology, usable, src, dst)
 
     return route
 
@@ -304,14 +306,16 @@ def route_hgr(topology: Topology, workload: Workload) -> tuple[RoutingSolution, 
     activated.update(topology._core_ids[:cores])
 
     state = ResidualState.fresh(topology, workload.dims)
-    fits, room_of, commit = state.fits, state.room, state.commit
+    load, guard, room_of, pack, commit = state.packed, state.guard, state.room, state.pack, state.commit
     route = _tree_router(topology, state, activated)
     escalate = _tree_router(topology, state, frozenset(topology.processor_ids))
     for flow in flows:
         src, dst, demand = flow.src, flow.dst, flow.demand
-        room = room_of(demand)
+        packed = pack(demand)
+        room = room_of(demand, packed)
         # an out-of-capacity edge switch cuts the flow off; no activation helps
-        if not (fits(edge_of[src], room) and fits(edge_of[dst], room)):
+        if not ((room - load[edge_of[src]]) & guard == guard
+                and (room - load[edge_of[dst]]) & guard == guard):
             continue
         path = route(room, src, dst)
         if path is None:
@@ -319,5 +323,5 @@ def route_hgr(topology: Topology, workload: Workload) -> tuple[RoutingSolution, 
             if path is None:
                 continue
             activated.update(path[1:-1])
-        commit(flow.id, path, demand)
+        commit(flow.id, path, packed)
     return state.solution(flows), LayerCounts(agg_per_pod, cores, frozenset(activated))

@@ -16,6 +16,8 @@ Every router and the online path keep their state in one
 :class:`ResidualState`: per-processor loads in every workload dimension,
 summed once as flows commit, one capability rule, and one commit. Each
 router's solution reads its loads and its unrouted flows from that state.
+Each router packs each flow's demand once per call (:meth:`ResidualState.pack`)
+and derives its room from it (:meth:`ResidualState.room`).
 
 The batch router computes exactly what that description says, with less
 work. The pick scan resumes at the flow it stopped at until a processor
@@ -45,7 +47,14 @@ exactly when those connect the endpoints, and falls back to the full
 capable network when that finds none.
 
 Conventions fixed for reproducibility: capacity is normalized to 1 in every
-dimension; loads start at 0 and are exact sums of demands on a 2**-40 grid;
+dimension; loads start at 0 and are exact sums of demands on a 2**-40 grid,
+kept as one int per processor with one field per dimension that counts its
+grid steps, 64 bits wide unless a router that checks only some dimensions
+needs more, the field's top bit a guard that a load never sets; a flow's
+room is packed the same way, each field the guard plus
+(2**40 + 1099) minus the demand's steps (all ones for a dimension the router
+does not check, the guard less one step for a component above capacity),
+so one rule, ``(room - load) & guards == guards``, tests every dimension:
 a node is incapable of a flow iff some load dimension exceeds
 (1 + 1e-9) - demand; every flow runs between two hosts
 (``Topology._check_hosts``), which carry no capacity, weigh 0, never relay
@@ -58,10 +67,11 @@ from __future__ import annotations
 
 import heapq
 import random
+import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from math import inf
-from operator import le
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .topology import Topology
 from .workload import Flow, Workload
@@ -112,90 +122,214 @@ def _order_bits(vec: Sequence[float], dims: int) -> int:
 
 # -- state and solutions ---------------------------------------------------------
 
+STEPS = 1 << 40  # grid steps per unit of capacity: every demand is a multiple of 2**-40
+CAP_STEPS = STEPS + int(CAP_TOL * STEPS)  # 1 + CAP_TOL rounded down to the grid: 2**40 + 1099 steps
+WIDTH = 64  # bits per field when every field is checked, so none holds more than CAP_STEPS
+_MAX_STEPS = int(sys.float_info.max) << 40  # the largest float, in steps
+
+
+def _steps(c: float) -> int:
+    """A grid number (0 or an :func:`greenroute.workload.on_grid` component) as its exact count of steps."""
+    return int(c * 2.0**40) if c < 2.0**900 else int(c) << 40
+
+
+def _guards(dims: int, width: int) -> int:
+    """The top bit of each of ``dims`` fields of ``width`` bits."""
+    return sum(1 << (width * k + width - 1) for k in range(dims))
+
+
+def _pack(vec: Sequence[float], width: int) -> int:
+    """``vec`` as one int: component k's steps in field k (bits k*width up)."""
+    packed = 0
+    for c in reversed(vec):
+        packed = (packed << width) | _steps(c)
+    return packed
+
+
+def _pack_room(demand: Sequence[float], dims: int, width: int) -> int:
+    """The packed ``room`` of a flow whose first ``len(demand)`` of ``dims`` components are ``demand``.
+
+    Field k holds the guard bit plus (1 + CAP_TOL) - demand[k] in steps,
+    CAP_STEPS - steps; all ones below the guard for a component above that
+    (no load fits it); and all ones, guard included, for a dimension past
+    ``len(demand)``, which the router does not check (every load fits it).
+    """
+    guard = 1 << (width - 1)
+    room = (1 << (width * (dims - len(demand)))) - 1
+    for d in reversed(demand):
+        left = CAP_STEPS - _steps(d)
+        room = (room << width) | (guard + left if left >= 0 else guard - 1)
+    return room
+
+
+def _unpack(packed: int, dims: int, width: int) -> list[float]:
+    """The fields of ``packed`` as floats: each step count times 2**-40, rounded once.
+
+    Below 2**13, which every checked field is, the conversion is exact. A
+    sum past the largest float reads inf, as a float sum would.
+    """
+    mask = (1 << width) - 1
+    fields = [(packed >> (width * k)) & mask for k in range(dims)]
+    try:
+        return [f / STEPS for f in fields]
+    except OverflowError:
+        return [f / STEPS if f <= _MAX_STEPS else inf for f in fields]
+
+
+def _field_max(a: int, b: int, guards: int, width: int) -> int:
+    """The field-wise maximum of two packed loads, whose guard bits are clear.
+
+    ``(a | guards) - b`` leaves field k's guard bit set iff a_k >= b_k, with
+    no borrow between fields; each set guard bit, less itself shifted to
+    the field's bit 0, selects all of a_k.
+    """
+    pick = ((a | guards) - b) & guards
+    pick -= pick >> (width - 1)
+    return b ^ ((a ^ b) & pick)
+
+
+class _Floats(Mapping):
+    """A read-only view of packed per-processor values: each access converts one processor."""
+
+    def __init__(self, packed: dict[int, int], convert):
+        self._packed = packed
+        self._convert = convert
+
+    def __getitem__(self, v: int) -> list[float]:
+        return self._convert(self._packed[v])
+
+    def __iter__(self):
+        return iter(self._packed)
+
+    def __len__(self) -> int:
+        return len(self._packed)
+
+
 @dataclass
 class ResidualState:
     """Mutable per-processor loads in every workload dimension, plus the active set.
 
-    Capacity is 1 in every dimension. ``load[v][k]`` is the exact sum of the
-    demands committed on processor ``v`` in dimension ``k``; ``committed``
-    maps each routed flow to its path, so departures can be checked and undone.
+    Capacity is 1 in every dimension. Loads are kept on the demands'
+    2**-40 grid as packed ints: ``packed[v]`` holds processor ``v``'s load in
+    dimension k, as an exact count of steps, in field k, bits k*width up to
+    (k+1)*width, whose top bit is a guard and always clear in a load.
+    ``load`` and ``residual`` read them as floats. ``committed`` maps each
+    routed flow to its path, so departures can be checked and undone.
 
-    :meth:`fits` is the capability rule for one processor, and
-    :meth:`capable` its batch form, from which the greedy step's weight pass
-    takes its candidates. ``order`` caches, per processor, how its load
-    orders its dimensions (:meth:`order_of`): that pass fills the masks of
-    the active candidates and weighs each from its mask. It is filled on
-    demand and is not part of the state's value (equality and repr ignore
-    it). Loads change only through :meth:`commit` and
-    :func:`online_departure`, and both drop the masks of the processors they
-    touch; code that writes ``load`` any other way must clear ``order``.
+    A flow's :meth:`room` is packed the same way, guard bits set, and
+    :meth:`fits` is the capability rule for one processor: the guard bit
+    of field k survives ``room - load`` iff load_k <= room_k, with no borrow
+    between fields (Lamport, CACM 1975), so one subtraction and one mask
+    test every dimension. :meth:`capable` is its batch form, from which the
+    greedy step's weight pass takes its candidates. :meth:`commit` adds the
+    flow's :meth:`pack`, one int, to each processor of its path.
+
+    ``width`` is 64 unless :meth:`fresh` was given the flows of a router
+    that checks only some dimensions: an unchecked field may then sum past
+    1 + CAP_TOL, and is made wide enough for all of them.
+
+    ``order`` caches, per processor, how its load orders its dimensions
+    (:meth:`order_of`): the weight pass fills the masks of the active
+    candidates and weighs each from its mask. It is filled on demand and
+    is not part of the state's value (equality and repr ignore it). Loads
+    change only through :meth:`commit` and :func:`online_departure`, and
+    both drop the masks of the processors they touch; code that writes
+    ``packed`` any other way must clear ``order``.
     """
 
-    load: dict[int, list[float]]
+    packed: dict[int, int]
     active: set[int]
+    dims: int
+    width: int = WIDTH
     committed: dict[int, tuple[int, ...]] = field(default_factory=dict)
     order: dict[int, int] = field(default_factory=dict, compare=False, repr=False)
 
+    def __post_init__(self):
+        dims, width = self.dims, self.width
+        self.guard = _guards(dims, width)
+        # per prefix length n, the room of a zero demand on the first n dimensions
+        self._rooms = [_pack_room((0.0,) * n, dims, width) for n in range(dims + 1)]
+
     @classmethod
-    def fresh(cls, topology: Topology, dims: int) -> "ResidualState":
-        return cls({v: [0.0] * dims for v in topology.processor_ids}, set())
+    def fresh(cls, topology: Topology, dims: int, flows: Iterable[Flow] = ()) -> "ResidualState":
+        """An idle state. A router that checks only some dimensions passes its ``flows``:
+        once their largest components sum to 2**22, the fields widen past 64 bits to hold that sum."""
+        total = sum(max(flow.demand) for flow in flows)
+        width = WIDTH if total < 2**22 else max(WIDTH, sum(_steps(max(f.demand)) for f in flows).bit_length() + 1)
+        return cls(dict.fromkeys(topology.processor_ids, 0), set(), dims, width)
 
     @property
-    def residual(self) -> dict[int, list[float]]:
-        """The room left, 1 - load per entry: a copy, for readers outside the routers."""
-        return {v: [1.0 - c for c in l] for v, l in self.load.items()}
+    def load(self) -> Mapping[int, list[float]]:
+        """The loads as floats: a read-only view that converts one processor per access."""
+        dims, width = self.dims, self.width
+        return _Floats(self.packed, lambda x: _unpack(x, dims, width))
 
-    @staticmethod
-    def room(demand: Sequence[float]) -> list[float]:
-        """The most load a processor may carry and still take ``demand``: (1 + CAP_TOL) - demand."""
-        return [1.0 + CAP_TOL - d for d in demand]
+    @property
+    def residual(self) -> Mapping[int, list[float]]:
+        """The room left, 1 - load per entry: a read-only view, for readers outside the routers."""
+        dims, width = self.dims, self.width
+        return _Floats(self.packed, lambda x: [1.0 - c for c in _unpack(x, dims, width)])
 
-    def fits(self, v: int, room: Sequence[float]) -> bool:
-        """The capability rule: ``v``'s load is within ``room`` (see :meth:`room`).
+    def pack(self, demand: Sequence[float]) -> int:
+        """``demand`` in this state's layout, as :meth:`commit` adds it."""
+        return _pack(demand, self.width)
 
-        A router that sees only a prefix of the dimensions passes a shorter ``room``.
+    def room(self, demand: Sequence[float], packed: int | None = None) -> int:
+        """The most load a processor may carry and still take ``demand``: (1 + CAP_TOL) - demand, packed.
+
+        A router that sees only a prefix of the dimensions passes that
+        prefix; the other fields fit every load. ``packed``, the
+        :meth:`pack` of ``demand`` or of a demand it is a prefix of, saves
+        packing it again: when no component exceeds 1 + CAP_TOL, the room
+        is the zero demand's less ``packed``'s first fields, with no borrow.
         """
-        return all(map(le, self.load[v], room))
+        n = len(demand)
+        if max(demand) > 1.0 + CAP_TOL:
+            return _pack_room(demand, self.dims, self.width)
+        if packed is None:
+            packed = _pack(demand, self.width)
+        return self._rooms[n] - (packed & ((1 << (self.width * n)) - 1))
 
-    def capable(self, room: Sequence[float], within: Iterable[int] | None = None) -> list[int]:
+    def fits(self, v: int, room: int) -> bool:
+        """The capability rule: ``v``'s load is within ``room`` (see :meth:`room`) in every field."""
+        guard = self.guard
+        return (room - self.packed[v]) & guard == guard
+
+    def capable(self, room: int, within: Iterable[int] | None = None) -> list[int]:
         """The batch form of :meth:`fits`: every processor whose load is within ``room``.
 
         With ``within`` (processors only), just those of its members; hosts
         carry no load and are never returned.
         """
-        load = self.load
+        load, guard = self.packed, self.guard
         if within is None:
-            return [v for v, l in load.items() if all(map(le, l, room))]
-        return [v for v in within if all(map(le, load[v], room))]
+            return [v for v, x in load.items() if (room - x) & guard == guard]
+        return [v for v in within if (room - load[v]) & guard == guard]
 
     def order_of(self, v: int) -> int:
-        """Processor ``v``'s load-order mask, ``_order_bits(load[v], K)``, cached until its load changes."""
+        """Processor ``v``'s load-order mask, ``_order_bits`` of its fields, cached until its load changes."""
         bits = self.order.get(v)
         if bits is None:
-            l = self.load[v]
-            bits = self.order[v] = _order_bits(l, len(l))
+            x, width, mask = self.packed[v], self.width, (1 << self.width) - 1
+            bits = self.order[v] = _order_bits([(x >> (width * k)) & mask for k in range(self.dims)], self.dims)
         return bits
 
     def _check_dims(self, demand: Sequence[float]) -> None:
         """Raise ValueError unless ``demand`` has one component per load dimension."""
-        dims = len(next(iter(self.load.values()), demand))
-        if dims != len(demand):
-            raise ValueError(f"vector length mismatch: {dims} vs {len(demand)}")
+        if self.dims != len(demand):
+            raise ValueError(f"vector length mismatch: {self.dims} vs {len(demand)}")
 
-    def commit(self, flow_id: int, path: Sequence[int], demand: Sequence[float]) -> None:
-        """Add ``demand`` to the path's interior processors, mark them active and record the path.
+    def commit(self, flow_id: int, path: Sequence[int], demand: int) -> None:
+        """Add the packed ``demand`` (:meth:`pack`) to the path's interior processors, mark them active
+        and record the path.
 
         Drops their cached load-order masks.
         """
-        load = self.load
-        active = self.active
-        dim_range = range(len(demand))
+        load = self.packed
         inner = path[1:-1]
         for v in inner:
-            l = load[v]
-            for k in dim_range:
-                l[k] += demand[k]
-            active.add(v)
+            load[v] += demand
+        self.active.update(inner)
         order = self.order
         if order:
             for v in inner:
@@ -203,13 +337,18 @@ class ResidualState:
         self.committed[flow_id] = tuple(path)
 
     def solution(self, flows: Iterable[Flow]) -> RoutingSolution:
-        """The committed paths and the loads as an immutable solution; other ``flows`` are unrouted."""
+        """The committed paths and the loads as an immutable solution; other ``flows`` are unrouted.
+
+        Idle processors share one tuple of zeros.
+        """
         committed = self.committed
+        dims, width = self.dims, self.width
+        idle = (0.0,) * dims
         return RoutingSolution(
             paths=dict(committed),
             active=frozenset(self.active),
             unrouted=frozenset(flow.id for flow in flows if flow.id not in committed),
-            load={v: tuple(l) for v, l in self.load.items()},
+            load={v: tuple(_unpack(x, dims, width)) if x else idle for v, x in self.packed.items()},
         )
 
 
@@ -418,7 +557,7 @@ def node_to_link_weights(topology: Topology, node_weights: Mapping[int, float]) 
 
 # -- the router --------------------------------------------------------------------
 
-def _greedy_path(state: ResidualState, topology: Topology, room: Sequence[float], src: int, dst: int,
+def _greedy_path(state: ResidualState, topology: Topology, room: int, src: int, dst: int,
                  demand: Sequence[float], within: Iterable[int] | None = None) -> list[int] | None:
     """One greedy routing step: :func:`shortest_path` under :func:`assign_node_weights`.
 
@@ -445,7 +584,7 @@ def _greedy_path(state: ResidualState, topology: Topology, room: Sequence[float]
     dims = len(demand)
     inactive_w = dims * (dims - 1) // 2 + 1
     # the demand's pairs, at the bit positions of the state's load-order masks
-    pairs = _order_bits(demand, len(next(iter(state.load.values()), demand)))
+    pairs = _order_bits(demand, state.dims)
     n = len(topology)
     nw: list[int | None] = [None] * n  # None: v may not be entered
     for v in state.capable(room, within):
@@ -489,11 +628,13 @@ def _route_greedy(topology: Topology, workload: Workload, seed: int, dims: int) 
     flows = workload.flows
     topology._check_hosts(flows)
     rng = random.Random(seed)
-    state = ResidualState.fresh(topology, workload.dims)
+    # a router that checks every dimension never sums a field past 1 + CAP_TOL
+    state = ResidualState.fresh(topology, workload.dims, flows if dims < workload.dims else ())
     active = state.active
     fits = state.fits
     demands = [flow.demand[:dims] for flow in flows]
-    rooms = [state.room(demand) for demand in demands]
+    packed = [state.pack(flow.demand) for flow in flows]
+    rooms = [state.room(demand, p) for demand, p in zip(demands, packed)]
     pending = list(flows)
     start = 0  # pending[:start] failed the pick test since the last processor woke
 
@@ -513,7 +654,7 @@ def _route_greedy(topology: Topology, workload: Workload, seed: int, dims: int) 
         path = _greedy_path(state, topology, rooms[flow.id], flow.src, flow.dst, demands[flow.id])
         if path is not None:
             before = len(active)
-            state.commit(flow.id, path, flow.demand)
+            state.commit(flow.id, path, packed[flow.id])
             if len(active) > before:
                 start = 0
     return state.solution(flows)
@@ -539,21 +680,23 @@ def online_arrival(state: ResidualState, topology: Topology, flow: Flow) -> tupl
     topology._check_hosts((flow,))
     src, dst, demand = flow.src, flow.dst, flow.demand
     state._check_dims(demand)
-    room = state.room(demand)
+    packed = state.pack(demand)
+    room = state.room(demand, packed)
     path = (_greedy_path(state, topology, room, src, dst, demand, state.active)
             or _greedy_path(state, topology, room, src, dst, demand))
     if path is None:
         return None
-    state.commit(flow.id, path, demand)
+    state.commit(flow.id, path, packed)
     return tuple(path)
 
 
 def online_departure(state: ResidualState, topology: Topology, flow: Flow, path: Sequence[int]) -> None:
     """Undo :meth:`ResidualState.commit` for a departed flow and deactivate drained processors.
 
-    Loads are exact sums of grid demands (:func:`greenroute.workload.on_grid`), so a
-    load is 0 exactly when no live flow crosses the processor, and an arrival
-    followed by its departure restores the state bit for bit.
+    Loads are exact sums of grid demands (:func:`greenroute.workload.on_grid`), so
+    one subtraction of the packed demand takes the flow off a processor, its
+    load is 0 exactly when no live flow crosses it, and an arrival followed
+    by its departure restores the state bit for bit.
     """
     committed = state.committed.get(flow.id)
     if committed is None:
@@ -561,11 +704,11 @@ def online_departure(state: ResidualState, topology: Topology, flow: Flow, path:
     if committed != tuple(path):
         raise ValueError(f"flow {flow.id}: departure path does not match the committed path")
     state._check_dims(flow.demand)
+    demand = state.pack(flow.demand)
+    load = state.packed
     for v in path[1:-1]:
         state.order.pop(v, None)
-        l = state.load[v]
-        for k, d in enumerate(flow.demand):
-            l[k] -= d
-        if not any(l):
+        load[v] -= demand
+        if not load[v]:
             state.active.discard(v)
     del state.committed[flow.id]

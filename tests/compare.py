@@ -27,7 +27,9 @@ child starts. pytest does not collect this file. KIND is one of:
   less with load than wall time. A run with failing tests is a normal
   reading (Tier-1 has known failures). Prints the median, quartiles and
   minimum of both numbers per checkout, and its counts; then per checkout
-  and test file, the median of that file's summed durations.
+  and test file, the median, quartiles and minimum of that file's summed
+  durations, since one file's median moves by seconds between sets of runs
+  of unchanged code.
 - ``gap --src A [--src B ...]``: one run of ``measure`` per checkout; prints
   its two tables.
 """
@@ -217,7 +219,8 @@ def tier1(args) -> None:
               f"passed {'/'.join(map(str, sorted(set(passed))))}, "
               f"failed {'/'.join(map(str, sorted(set(failed))))}, {args.runs} runs")
         for path in sorted(set().union(*files)):
-            print(f"{side}: {path} summed durations median {statistics.median(run[path] for run in files):.2f} s")
+            durations = [run[path] for run in files]
+            print(f"{side}: {path} summed durations {quartiles(durations, '.2f')}, min {min(durations):.2f} s")
 
 
 DIMS, FIRST_SEED = 5, 5000

@@ -32,8 +32,36 @@ from greenroute import (
     node_to_link_weights,
     shortest_path,
 )
+from greenroute.workload import on_grid
 
 TOL = 1e-9
+
+
+# -- float loads in and out of the packed state ---------------------------------
+# ``ResidualState`` keeps loads as packed grid integers. Tests that build or
+# overwrite loads give floats, rounded to the demands' grid, through
+# ``state_with`` or ``set_loads``; ``float_room`` is the capability rule as
+# it stood on float loads, which the packed rule must reproduce exactly.
+
+def float_room(demand):
+    """The float capability rule's room: a load fits iff every ``l_k <= (1 + CAP_TOL) - demand_k``."""
+    return [1.0 + CAP_TOL - d for d in demand]
+
+
+def set_loads(state, loads):
+    """Overwrite the loads of ``loads``' processors with its float vectors, rounded to the grid."""
+    for v, load in loads.items():
+        state.packed[v] = state.pack(on_grid(load))
+        state.order.pop(v, None)
+
+
+def state_with(loads, active=(), dims=None):
+    """A ``ResidualState`` over exactly the processors of ``loads``, holding its float vectors;
+    ``dims`` defaults to their length."""
+    dims = len(next(iter(loads.values()))) if dims is None else dims
+    state = ResidualState(dict.fromkeys(loads, 0), set(active), dims)
+    set_loads(state, loads)
+    return state
 
 
 def brute_inversions(x, y):
@@ -164,7 +192,7 @@ def with_host_ends(topology, rng, leaf_share):
 def reference_route_greedy(topology, workload, seed, dims):
     """The greedy router on the first ``dims`` dimensions (MRG with all of them, SRG with 1), unoptimized."""
     rng = random.Random(seed)
-    state = ResidualState.fresh(topology, workload.dims)
+    state = ResidualState.fresh(topology, workload.dims, workload.flows if dims < workload.dims else ())
     pending = list(workload.flows)
     while pending:
         pick = None
@@ -180,20 +208,19 @@ def reference_route_greedy(topology, workload, seed, dims):
         link_w = node_to_link_weights(topology, assign_node_weights(state, demand, topology))
         path = shortest_path(topology, state.capable(state.room(demand)), link_w, flow.src, flow.dst)
         if path is not None:
-            state.commit(flow.id, path, flow.demand)
+            state.commit(flow.id, path, state.pack(flow.demand))
     return state.solution(workload.flows)
 
 
 def reference_online_departure(state, flow, path):
-    """Take the demand off the loads and deactivate exactly the processors that
-    no other live path crosses; their loads are then exactly 0."""
+    """Take the demand off the loads, a component at a time, and deactivate
+    exactly the processors that no other live path crosses; their loads are then exactly 0."""
     del state.committed[flow.id]
     crossed = {v for other in state.committed.values() for v in other}
     for v in path:
-        l = state.load.get(v)
-        if l is not None:
-            for k, d in enumerate(flow.demand):
-                l[k] -= d
+        if v in state.packed:
+            l = [c - d for c, d in zip(state.load[v], flow.demand)]
+            set_loads(state, {v: l})
             if v not in crossed:
                 assert not any(l), (v, l)
                 state.active.discard(v)
@@ -230,7 +257,7 @@ def reference_online_arrival(state, topology, flow):
     path = next(filter(None, found), None)
     if path is None:
         return None
-    state.commit(flow.id, path, flow.demand)
+    state.commit(flow.id, path, state.pack(flow.demand))
     return tuple(path)
 
 
@@ -302,12 +329,12 @@ def reference_route_shortest(topology, workload, seed, dims):
     processors that fit its first ``dims`` demand components.
     """
     rng = random.Random(seed)
-    state = ResidualState.fresh(topology, workload.dims)
+    state = ResidualState.fresh(topology, workload.dims, workload.flows if dims < workload.dims else ())
     for flow in workload.flows:
         allowed = set(state.capable(state.room(flow.demand[:dims])))
         path = reference_sample_shortest(topology, allowed, flow.src, flow.dst, rng)
         if path is not None:
-            state.commit(flow.id, path, flow.demand)
+            state.commit(flow.id, path, state.pack(flow.demand))
     return state.solution(workload.flows)
 
 
@@ -414,17 +441,18 @@ def reference_route_hgr(topology, workload):
             if path is None:
                 continue
             activated.update(path[1:-1])
-        state.commit(flow.id, path, flow.demand)
+        state.commit(flow.id, path, state.pack(flow.demand))
     return state.solution(flows), LayerCounts(agg_per_pod, cores, frozenset(activated))
 
 
 # Copy of the routing oracle as it stood before it became one branch and
 # bound: processor subsets by increasing size, each decided by an exhaustive
 # search over single paths through the subset. Two intended changes since:
-# a processor takes a flow by the routers' rule (``ResidualState.fits`` on
-# ``ResidualState.room``), where the loads were once compared as
-# ``load + d <= 1 + CAP_TOL``; and a branch is undone by putting back the
-# saved load lists, where the demand was once subtracted again.
+# a processor takes a flow by the routers' rule as it stood on float loads
+# (``float_room``, which the packed rule reproduces exactly), where the
+# loads were once compared as ``load + d <= 1 + CAP_TOL``; and a branch is
+# undone by putting back the saved load lists, where the demand was once
+# subtracted again.
 
 def _reference_subset_feasible(topology, subset, flows, dims):
     loads = {v: [0.0] * dims for v in subset}
@@ -433,7 +461,7 @@ def _reference_subset_feasible(topology, subset, flows, dims):
         if i == len(flows):
             return True
         flow = flows[i]
-        room = ResidualState.room(flow.demand)
+        room = float_room(flow.demand)
         for path in all_simple_paths(topology, flow.src, flow.dst, subset):
             on_path = path[1:-1]
             if not all(all(map(le, loads[v], room)) for v in on_path):

@@ -36,8 +36,10 @@ from greenroute import (
 )
 from greenroute.baselines import _tree_drawer
 from greenroute.mrg import _greedy_path, _sample_shortest
+from greenroute.workload import on_grid
 
 from oracle_helpers import (
+    float_room,
     graph_with_leaves,
     layer_items,
     reference_l1_count,
@@ -48,6 +50,8 @@ from oracle_helpers import (
     reference_online_departure,
     reference_route_greedy,
     reference_sample_shortest,
+    set_loads,
+    state_with,
     with_host_ends,
 )
 
@@ -236,12 +240,12 @@ def test_online_arrivals_match_reference(z, dims):
 def _step_demand(rng, dims):
     """A demand with equal components half the time, drawn from few levels."""
     levels = (0.05, 0.1, 0.125, 0.25) if rng.random() < 0.5 else (0.1,)
-    return tuple(rng.choice(levels) if rng.random() < 0.8 else rng.uniform(0.01, 0.3) for _ in range(dims))
+    return on_grid(rng.choice(levels) if rng.random() < 0.8 else rng.uniform(0.01, 0.3) for _ in range(dims))
 
 
 def _assert_step_matches_reference(state, topology, src, dst, demand):
     # the node sets the routers pass: the active capable nodes, then every capable node
-    room = ResidualState.room(demand)
+    room = state.room(demand)
     paths = [_greedy_path(state, topology, room, src, dst, demand, within) for within in (state.active, None)]
     assert paths == reference_greedy_paths(state, topology, src, dst, demand, room)
     return paths
@@ -263,7 +267,7 @@ def test_greedy_step_matches_reference_mid_run(z, dims):
         on_active, on_full = _assert_step_matches_reference(state, topology, src, dst, demand)
         seen["active path" if on_active else "full path only" if on_full else "no path"] += 1
         if on_full is not None and rng.random() < 0.8:
-            state.commit(fid, on_active or on_full, demand)
+            state.commit(fid, on_active or on_full, state.pack(demand))
     assert min(seen.values()) > 5, seen
 
 
@@ -278,7 +282,7 @@ def test_greedy_step_matches_reference_on_arbitrary_graphs():
         dims = rng.randint(1, 4)
         load = {v: [rng.choice((0.0, 0.25, 0.5, 0.75, 1.0)) for _ in range(dims)]
                 for v in topology.processor_ids}
-        state = ResidualState(load, {v for v in load if rng.random() < 0.6})
+        state = state_with(load, {v for v in load if rng.random() < 0.6}, dims)
         paths = _assert_step_matches_reference(state, topology, s, t, _step_demand(rng, dims))
         seen["host of degree >= 2"] += any(len(topology._adj[h]) > 1 for h in topology.host_set - {s, t})
         seen["adjacent"] += t in topology._adj[s]
@@ -391,9 +395,7 @@ def test_sample_shortest_matches_references_on_blocked_fat_trees(z):
         assert draws.getstate() == ref_draws.getstate()
         _assert_asked_once_and_never_a_leaf(topology, asked)
         state = ResidualState.fresh(topology, 1)
-        for v in topology.processor_ids:
-            if v not in allowed:
-                state.load[v] = [1.0]
+        set_loads(state, {v: [1.0] for v in topology.processor_ids if v not in allowed})
         assert _tree_drawer(state, topology)(state.room((0.5,)), s, t, tree_draws) == expected
         assert tree_draws.getstate() == ref_draws.getstate()
         lex = _sample_shortest(topology, allowed.__contains__, s, t)
@@ -451,10 +453,11 @@ def test_tree_drawer_takes_blocks_whole_until_they_fill(z, flows, mean):
                 allowed = set(capable(room))
                 expected = reference_sample_shortest(topology, allowed, flow.src, flow.dst, ref_draws)
                 tested = _blocks_tested(topology, blocks, allowed, flow.src, flow.dst)
-                kinds = ["whole" if all(max(state.load[v][k] for v in b) <= r for k, r in enumerate(room))
+                limit = float_room(flow.demand[:dims])
+                kinds = ["whole" if all(max(state.load[v][k] for v in b) <= r for k, r in enumerate(limit))
                          else "switch by switch" for b in tested]
                 if len(tested) > 2:  # an inter-pod flow reaching the core layer
-                    layer_whole = all(max(state.load[v][k] for v in cores) <= r for k, r in enumerate(room))
+                    layer_whole = all(max(state.load[v][k] for v in cores) <= r for k, r in enumerate(limit))
                     seen["core layer whole" if layer_whole else "core layer not whole"] += 1
                     seen["closed form"] += layer_whole and kinds[:2] == ["whole", "whole"]
                 asked.clear()
@@ -468,7 +471,7 @@ def test_tree_drawer_takes_blocks_whole_until_they_fill(z, flows, mean):
                 if expected is None:
                     unrouted += 1
                 else:
-                    state.commit(flow.id, expected, flow.demand)
+                    state.commit(flow.id, expected, state.pack(flow.demand))
     assert min(seen.values()) > 0, seen
     assert turned > 0  # blocks fill during a run
     assert unrouted > 0

@@ -46,6 +46,7 @@ from oracle_helpers import (
     reference_route_hgr,
     reference_route_shortest,
     reference_solution_loads,
+    state_with,
     with_hosts,
 )
 
@@ -332,10 +333,13 @@ EDGE = math.floor((1.0 + CAP_TOL) / TICK) * TICK  # the largest grid load that f
 
 @st.composite
 def _boundary_pair(draw):
-    """(a, b) on the grid, K <= 3: b_k within 3 grid steps of EDGE - a_k in one dimension k, below 1 - a_j elsewhere."""
+    """(a, b) on the grid, K <= 3: b_k within 3 grid steps of EDGE - a_k in one dimension k, below 1 - a_j elsewhere.
+
+    a_j stays at or below 1 - TICK on the grid, so 1 - a_j leaves room for b_j.
+    """
     dims = draw(st.integers(1, 3))
     k = draw(st.integers(0, dims - 1))
-    a = on_grid(draw(st.floats(1e-11, 1.0) if j == k else st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    a = on_grid(draw(st.floats(1e-11, 1.0) if j == k else st.floats(0.0, 1.0 - TICK, exclude_min=True))
                 for j in range(dims))
     b = on_grid(EDGE - c + draw(st.integers(-3, 3)) * TICK if j == k
                 else draw(st.floats(0.0, 1.0 - c, exclude_min=True, exclude_max=True)) for j, c in enumerate(a))
@@ -344,7 +348,8 @@ def _boundary_pair(draw):
 
 def _second_fits(first, second, view):
     """Whether ``second`` fits, on its first ``view`` components, a processor that carries only ``first``."""
-    return ResidualState({0: list(first)}, set()).fits(0, ResidualState.room(second[:view]))
+    state = state_with({0: first})
+    return state.fits(0, state.room(second[:view]))
 
 
 def _pair_workload(first, second):

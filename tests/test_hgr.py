@@ -15,9 +15,9 @@ from greenroute import (
     route_mrg,
     vbp_greedy,
 )
-from greenroute.workload import generate_workload
+from greenroute.workload import generate_workload, on_grid
 
-from oracle_helpers import layer_items, min_bins_by_subset_dp, reference_l1_count
+from oracle_helpers import layer_items, min_bins_by_subset_dp, reference_l1_count, state_with
 
 TOL = 1e-9
 
@@ -363,7 +363,7 @@ def test_constructive_path_matches_generic_search():
     # guarantees before it asks: fixed shapes, 10-hop detours through one
     # third pod, longer ones, and "no path"
     from greenroute.hgr import _tree_router
-    from greenroute.mrg import ResidualState, shortest_path
+    from greenroute.mrg import shortest_path
 
     rng = random.Random(7)
     dims = 3
@@ -376,8 +376,8 @@ def test_constructive_path_matches_generic_search():
             src, dst = rng.sample(topology.host_ids, 2)
             edges = {topology._host_edge[src], topology._host_edge[dst]}
             activated |= edges
-            room = ResidualState.room(tuple(rng.uniform(0.01, 0.6) for _ in range(dims)))
-            state = ResidualState(load, set())
+            state = state_with(load)
+            room = state.room(on_grid(rng.uniform(0.01, 0.6) for _ in range(dims)))
             allowed = {v for v in activated if state.fits(v, room)}
             if not edges <= allowed:
                 continue

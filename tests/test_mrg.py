@@ -25,26 +25,30 @@ from greenroute import (
 )
 from greenroute.mrg import _order_bits
 from greenroute.topology import Node, NodeKind, Topology
-from greenroute.workload import generate_workload
+from greenroute.workload import generate_workload, on_grid
 
 from oracle_helpers import (
     all_simple_paths,
     best_path_by_enumeration,
     brute_inversions,
+    float_room,
     graph_with_leaves,
     path_link_cost,
     random_topology,
+    set_loads,
+    state_with,
     with_host_ends,
 )
 
 TOL = 1e-9
+TICK = 2.0**-40
 
 
 # -- the capability rule: ResidualState.fits -----------------------------------
 
 def _fits(load, demand):
-    state = ResidualState({0: list(load)}, set())
-    return state.fits(0, ResidualState.room(demand))
+    state = state_with({0: load})
+    return state.fits(0, state.room(on_grid(demand)))
 
 
 def test_is_capable_fresh_node():
@@ -84,35 +88,40 @@ def test_capability_boundary_one_entry_room():
     # SRSP and SRG pass a room for dimension 1 only: the other dimensions'
     # loads are never read, however high they are
     for demand in _boundary_demands():
-        room = ResidualState.room(demand[:1])
         others = [5.0] * (len(demand) - 1)
-        assert ResidualState({0: [1 - demand[0], *others]}, set()).fits(0, room)
-        assert not ResidualState({0: [1 - demand[0] + 2 * CAP_TOL, *others]}, set()).fits(0, room)
+        state = state_with({0: [1 - demand[0], *others]})
+        room = state.room(on_grid(demand[:1]))
+        assert state.fits(0, room)
+        set_loads(state, {0: [1 - demand[0] + 2 * CAP_TOL, *others]})
+        assert not state.fits(0, room)
 
 
 def test_capable_is_the_batch_form_of_fits(tree4):
-    # Loads exactly at the room and one ulp above it, full and one-entry
+    # Loads exactly at the room and one grid step above it, full and one-entry
     # (SRG's) rooms, every processor, the active set and arbitrary subsets:
     # capable returns exactly the candidates that fits admits, each once,
     # and never a host.
     rng = random.Random(19)
     procs = tree4.processor_ids
-    seen = dict.fromkeys(("at room", "ulp above", "admitted", "refused"), 0)
+    seen = dict.fromkeys(("at room", "step above", "admitted", "refused"), 0)
     for demand in _boundary_demands():
-        room = ResidualState.room(demand[:1] if rng.random() < 0.3 else demand)
+        demand = on_grid(demand)
+        view = demand[:1] if rng.random() < 0.3 else demand
+        top = [math.floor(r / TICK) * TICK for r in float_room(view)]  # the largest grid load that fits
         load = {}
         for v in procs:
             l = []
             for k, d in enumerate(demand):
-                roll = rng.random() if k < len(room) else 1.0
+                roll = rng.random() if k < len(view) else 1.0
                 if roll < 0.35:
-                    l.append(room[k])
+                    l.append(top[k])
                 elif roll < 0.5:
-                    l.append(math.nextafter(room[k], math.inf))
+                    l.append(top[k] + TICK)
                 else:
                     l.append(rng.uniform(0.0, 1.2))
             load[v] = l
-        state = ResidualState(load, {v for v in procs if rng.random() < 0.5})
+        state = state_with(load, {v for v in procs if rng.random() < 0.5})
+        room = state.room(view)
         for within in (None, state.active, set(rng.sample(procs, rng.randrange(len(procs) + 1)))):
             candidates = procs if within is None else within
             got = state.capable(room, within)
@@ -121,9 +130,8 @@ def test_capable_is_the_batch_form_of_fits(tree4):
             assert tree4.host_set.isdisjoint(got)
             seen["admitted"] += len(expected)
             seen["refused"] += len(candidates) - len(expected)
-        seen["at room"] += sum(l[k] == room[k] for l in load.values() for k in range(len(room)))
-        seen["ulp above"] += sum(l[k] == math.nextafter(room[k], math.inf)
-                                 for l in load.values() for k in range(len(room)))
+        seen["at room"] += sum(l[k] == top[k] for l in load.values() for k in range(len(view)))
+        seen["step above"] += sum(l[k] == top[k] + TICK for l in load.values() for k in range(len(view)))
     assert min(seen.values()) > 1000, seen
 
 
@@ -188,8 +196,8 @@ def test_pair_sign_count_matches_inv_count(dims):
         demand = [rng.choice(levels) if rng.random() < 0.7 else rng.random() for _ in range(dims)]
         pairs = [_order_bits(demand[:view], dims) for view in range(dims + 1)]
         for _ in range(5):
-            load = [rng.choice(levels) if rng.random() < 0.7 else rng.random() for _ in range(dims)]
-            mask = ResidualState({0: load}, {0}).order_of(0)
+            load = on_grid(rng.choice(levels) if rng.random() < 0.7 else rng.random() for _ in range(dims))
+            mask = state_with({0: load}, {0}).order_of(0)
             room = [-c for c in load]
             for view in range(1, dims + 1):
                 count = (mask & pairs[view]).bit_count()
@@ -203,9 +211,8 @@ def test_pair_sign_count_matches_inv_count(dims):
 
 def _state_with(topology, dims, loads):
     state = ResidualState.fresh(topology, dims)
-    for v, load in loads.items():
-        state.load[v] = list(load)
-        state.active.add(v)
+    set_loads(state, loads)
+    state.active.update(loads)
     return state
 
 
@@ -475,9 +482,9 @@ def test_arrival_with_wrong_dimension_count_rejected(tree4, busy):
 
 def test_commit_wakes_path_processors_and_departure_reverses_it(tree4):
     state = ResidualState.fresh(tree4, 1)
-    assert state.commit(0, (0, 16, 24, 17, 2), (0.25,)) is None
+    assert state.commit(0, (0, 16, 24, 17, 2), state.pack((0.25,))) is None
     assert state.active == {16, 24, 17}
-    assert state.commit(1, (1, 16, 1), (0.25,)) is None
+    assert state.commit(1, (1, 16, 1), state.pack((0.25,))) is None
     assert state.active == {16, 24, 17}
     assert state.committed == {0: (0, 16, 24, 17, 2), 1: (1, 16, 1)}
     assert state.load[16] == [0.5] and state.active == {16, 24, 17}
@@ -659,7 +666,7 @@ def test_load_order_masks_follow_every_load_change(z, dims):
             room = state.room(flow.demand)
             path = shortest_path(topology, [v for v in procs if state.fits(v, room)], None, flow.src, flow.dst)
             if path is not None:
-                state.commit(flow.id, path, flow.demand)
+                state.commit(flow.id, path, state.pack(flow.demand))
                 live.append((flow, tuple(path)))
         check()
         if rng.random() < 0.03:

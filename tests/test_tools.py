@@ -87,8 +87,8 @@ def test_tier1_durations_reads_a_run_with_failing_tests(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert out.startswith(f"{REPO}: summed durations median 2.25 (quartiles 2.25-2.25), min 2.25 s;")
     assert out.endswith(f"passed 2, failed 1, 1 runs\n"
-                        f"{REPO}: tests/test_a.py summed durations median 1.75 s\n"
-                        f"{REPO}: tests/test_b.py summed durations median 0.50 s\n")
+                        f"{REPO}: tests/test_a.py summed durations median 1.75 (quartiles 1.75-1.75), min 1.75 s\n"
+                        f"{REPO}: tests/test_b.py summed durations median 0.50 (quartiles 0.50-0.50), min 0.50 s\n")
 
 
 def test_perfbench_record_keeps_the_runs_of_the_same_two_commits(monkeypatch, tmp_path):
