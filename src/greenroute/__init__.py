@@ -23,9 +23,6 @@ from .evaluation import (
 )
 from .hgr import LayerCounts, VbpResult, dimension_weights, route_hgr, vbp_greedy
 from .mrg import (
-    CAP_TOL,
-    ResidualState,
-    RoutingSolution,
     assign_node_weights,
     inv_count,
     is_connected,
@@ -35,6 +32,7 @@ from .mrg import (
     route_mrg,
     shortest_path,
 )
+from .state import CAP_TOL, ResidualState, RoutingSolution
 from .topology import (
     Node,
     NodeKind,

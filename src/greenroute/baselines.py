@@ -5,9 +5,9 @@ takes a hop-minimal path chosen uniformly at random among all hop-minimal
 paths whose nodes pass the capability check (ECMP-style spreading, seeded
 and deterministic). :func:`_tree_drawer`, built once per call, draws it. It
 answers exactly as the shared hop-minimal search
-:func:`greenroute.mrg._sample_shortest` does, reads most fat-tree draws off
-the tree's fixed path shapes, and spells out ``Random.choices``' arithmetic
-instead of calling it. When every switch of a flow's shapes fits, the draw
+:func:`greenroute.topology._sample_shortest` does, reads most fat-tree draws
+off the tree's fixed path shapes, and spells out ``Random.choices``'
+arithmetic instead of calling it. When every switch of a flow's shapes fits, the draw
 is closed form and builds no option list. Its docstring names the tests
 that guard both. "Single-resource" variants see dimension 1 only:
 capability is checked there, and SRG's node weights compare only that
@@ -24,8 +24,9 @@ from functools import reduce
 from math import floor
 from typing import Sequence
 
-from .mrg import ResidualState, RoutingSolution, _field_max, _route_greedy, _sample_shortest
-from .topology import Topology
+from .mrg import _route_greedy
+from .state import ResidualState, RoutingSolution, _field_max
+from .topology import Topology, _sample_shortest
 from .workload import Workload
 
 
@@ -62,7 +63,7 @@ def _tree_drawer(state: ResidualState, topology: Topology):
     Edge switches are tested one by one. Each pod's aggregation switches,
     and each core group, form a block that one test may take whole: the
     drawer keeps, per block, the field-wise maximum of its members' packed
-    loads (taken with the guard bits, :func:`greenroute.mrg._field_max`),
+    loads (taken with the guard bits, :func:`greenroute.state._field_max`),
     and a block whose maximum is within ``room`` is capable whole, its members
     in id order with no test of their own. Any other block is tested switch
     by switch (:meth:`ResidualState.capable`). The whole core layer is one

@@ -14,7 +14,8 @@ from typing import Callable, Sequence
 
 from .baselines import route_mrsp, route_srg, route_srsp
 from .hgr import LayerCounts, route_hgr
-from .mrg import CAP_TOL, ResidualState, RoutingSolution, route_mrg
+from .mrg import online_departure, route_mrg
+from .state import CAP_TOL, ResidualState, RoutingSolution
 from .topology import Topology, build_fat_tree
 from .workload import Workload, generate_workload, on_grid
 
@@ -99,8 +100,9 @@ def oracle_min_active(topology: Topology, workload: Workload) -> int | None:
     twins: swapping two maps placements onto placements, so a path that
     wakes an idle processor is tried only if no idle twin with a lower id
     is left off it, and the minimum is unchanged. A branch is undone by
-    putting back the saved packed loads. Refuses instances beyond 12
-    processors or 6 flows.
+    :func:`online_departure`: loads are exact, so it drains to 0, and
+    deactivates, exactly the processors that branch woke. Refuses instances
+    beyond 12 processors or 6 flows.
     """
     topology._check_hosts(workload.flows)
     procs = topology.processor_ids
@@ -110,7 +112,7 @@ def oracle_min_active(topology: Topology, workload: Workload) -> int | None:
     if len(flows) > _MAX_ORACLE_FLOWS:
         raise ValueError(f"instance too large: {len(flows)} flows (limit {_MAX_ORACLE_FLOWS})")
     state = ResidualState.fresh(topology, workload.dims)
-    load, active, fits, commit = state.packed, state.active, state.fits, state.commit
+    active, fits, commit = state.active, state.fits, state.commit
     options = [(flow, state.room(flow.demand), state.pack(flow.demand),
                 [(path, path[1:-1]) for path in _chordless_paths(topology, flow.src, flow.dst)])
                for flow in flows]
@@ -130,11 +132,9 @@ def oracle_min_active(topology: Topology, workload: Workload) -> int | None:
                 continue
             if any(u not in active and u not in inner for v in woken for u in lower_twins[v]):
                 continue  # a lower idle twin off the path gives the same placements
-            saved = {v: load[v] for v in inner}
             commit(flow.id, path, demand)
             place(i + 1)
-            load.update(saved)
-            active.difference_update(woken)
+            online_departure(state, topology, flow, path)
 
     place(0)
     return best if best <= len(procs) else None

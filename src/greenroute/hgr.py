@@ -19,7 +19,7 @@ Phase 2 materializes paths, which the counts alone do not give: the
 lowest-position switches per layer are activated to the phase-1 counts, and
 each flow is routed by the lex-min hop-shortest path over activated nodes
 that fit it (state, capability rule and commit are the shared
-:class:`greenroute.mrg.ResidualState`). One path rule, built by
+:class:`greenroute.state.ResidualState`). One path rule, built by
 :func:`_tree_router` with the fat-tree's tables bound, scans the fixed 2-,
 4- and 6-hop shapes in switch-position order. When they are all blocked it
 refuses without a search where no detour exists (an intra-pod flow, or an
@@ -42,8 +42,8 @@ from dataclasses import dataclass
 from math import ceil, isfinite
 from typing import AbstractSet, Sequence
 
-from .mrg import CAP_TOL, ResidualState, RoutingSolution, _sample_shortest
-from .topology import Topology
+from .state import CAP_TOL, ResidualState, RoutingSolution
+from .topology import Topology, _sample_shortest
 from .workload import Workload, on_grid
 
 

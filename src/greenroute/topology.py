@@ -12,11 +12,16 @@ Routers, after checking their endpoints once, index one table per fact:
 cores behind aggregation position g) and ``_core_ids`` (the groups joined
 in order). :func:`build_fat_tree` builds the fat-tree tables first and
 reads the node and link lists off them, so the id layout is written once.
+
+The hop-minimal search :func:`_sample_shortest` steps along ``_inner_adj``;
+MRG's pick scan, HGR's detours and the SRSP and MRSP draw
+(:func:`greenroute.baselines._tree_drawer`) share it.
 """
 
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -108,6 +113,107 @@ class Topology:
         """
         relays = {v for v in self.processor_ids if len(self._adj[v]) > 1}
         return tuple(tuple(v for v in nbrs if v in relays) for nbrs in self._adj)
+
+
+# -- the hop search, along the relay table ----------------------------------------
+
+def _sample_shortest(topology: Topology, enterable, s: int, t: int,
+                     rng: random.Random | None = None) -> list[int] | None:
+    """A hop-minimal s-t path whose interior nodes pass ``enterable(v)``, or ``None``.
+
+    With ``rng``, a uniform random draw among all hop-minimal paths; without,
+    the lexicographically smallest (:func:`greenroute.mrg.shortest_path`
+    with unit weights). ``s`` and ``t`` are distinct hosts. ``enterable``
+    is asked at most once per node, and only about the relays of
+    ``Topology._inner_adj`` (processors of degree >= 2); an endpoint is
+    entered from any of its neighbours.
+
+    The search grows whole BFS levels from s and from t and stops after the
+    first level that reaches a node the other side has labelled. If the
+    labelled levels are 0..a from s and 0..b from t, the hop distance is
+    a + b and every meeting node lies in forward level a and backward level
+    b, so neither side reads the adjacency of the meeting level (the core
+    layer of a fat-tree). Each round grows the side with the smaller
+    frontier; on a tie, the side with fewer levels; then s. So the one
+    neighbour of each degree-1 endpoint (a host's edge switch) is asked
+    before any other relay, and a refusal there ends the search after at
+    most two questions: the batch pick scan, which only asks whether a path
+    exists, gets its no at once when an endpoint's edge switch is full.
+    """
+    adj = topology._adj
+    inner = topology._inner_adj
+    from_s: dict[int, int] = {s: 0}  # hop distance from s
+    to_t: dict[int, int] = {t: 0}  # hop distance to t
+    s_levels, t_levels = [[s]], [[t]]
+    blocked: set[int] = set()  # asked and refused
+    met = False
+    while not met:
+        if not s_levels[-1] or not t_levels[-1]:
+            return None
+        if (len(s_levels[-1]), len(s_levels)) <= (len(t_levels[-1]), len(t_levels)):
+            mine, other, levels, end = from_s, to_t, s_levels, t
+        else:
+            mine, other, levels, end = to_t, from_s, t_levels, s
+        d = len(levels)
+        end_adj = adj[end]
+        nxt = []
+        for u in levels[-1]:
+            for v in inner[u]:
+                if v in mine or v in blocked:
+                    continue
+                if v in other:
+                    met = True
+                elif not enterable(v):
+                    blocked.add(v)
+                    continue
+                mine[v] = d
+                nxt.append(v)
+            if u in end_adj and end not in mine:
+                mine[end] = d
+                nxt.append(end)
+                met = True
+        levels.append(nxt)
+    a, b = len(s_levels) - 1, len(t_levels) - 1
+
+    # The weights of the draw: toward_t[j][v] counts the hop-minimal v-t
+    # paths of each node v in backward level j, pushed outward from t.
+    toward_t = [{t: 1}]
+    for j in range(1, b + 1):
+        count: dict[int, int] = {}
+        for v, c in toward_t[-1].items():
+            for u in inner[v]:
+                if to_t.get(u) == j:
+                    count[u] = count.get(u, 0) + c
+        toward_t.append(count)
+    steps = toward_t[:b][::-1]
+    if a:
+        # The same counts pulled toward s over forward levels a-1..1, kept
+        # only for nodes on a hop-minimal s-t path; the meeting nodes of
+        # level a take theirs from the backward side.
+        count = {m: toward_t[b][m] for m in s_levels[a] if m in to_t}
+        ahead = [count]
+        for level in s_levels[a - 1:0:-1]:
+            pulled = {}
+            for v in level:
+                c = 0
+                for u in adj[v]:
+                    c += count.get(u, 0)
+                if c:
+                    pulled[v] = c
+            count = pulled
+            ahead.append(count)
+        steps = ahead[::-1] + steps
+    # Walk from s. Each step's options are the neighbours one hop further
+    # along some hop-minimal path, in id order (adjacency is sorted), and
+    # stepping with probability proportional to a neighbour's count draws
+    # every hop-minimal s-t path with the same probability.
+    path = [s]
+    v = s
+    for count in steps:
+        options = [u for u in adj[v] if u in count]
+        v = options[0] if rng is None else rng.choices(options, [count[u] for u in options])[0]
+        path.append(v)
+    return path
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,11 @@ every reference calls public library names only.
 """
 
 import itertools
+import math
 import random
 from operator import le
+
+from hypothesis import strategies as st
 
 from greenroute import (
     CAP_TOL,
@@ -62,6 +65,29 @@ def state_with(loads, active=(), dims=None):
     state = ResidualState(dict.fromkeys(loads, 0), set(active), dims)
     set_loads(state, loads)
     return state
+
+
+# -- the capacity boundary ------------------------------------------------------------
+# Grid demands that sit within a few steps of 1 + CAP_TOL, the most load a
+# processor may carry, where the packed rule and the float rule must agree.
+
+TICK = 2.0**-40
+EDGE = math.floor((1.0 + CAP_TOL) / TICK) * TICK  # the largest grid load that fits: 1 + 1099 steps
+
+
+@st.composite
+def _boundary_pair(draw):
+    """(a, b) on the grid, K <= 3: b_k within 3 grid steps of EDGE - a_k in one dimension k, below 1 - a_j elsewhere.
+
+    a_j stays at or below 1 - TICK on the grid, so 1 - a_j leaves room for b_j.
+    """
+    dims = draw(st.integers(1, 3))
+    k = draw(st.integers(0, dims - 1))
+    a = on_grid(draw(st.floats(1e-11, 1.0) if j == k else st.floats(0.0, 1.0 - TICK, exclude_min=True))
+                for j in range(dims))
+    b = on_grid(EDGE - c + draw(st.integers(-3, 3)) * TICK if j == k
+                else draw(st.floats(0.0, 1.0 - c, exclude_min=True, exclude_max=True)) for j, c in enumerate(a))
+    return a, b
 
 
 def brute_inversions(x, y):
@@ -216,6 +242,7 @@ def reference_online_departure(state, flow, path):
     """Take the demand off the loads, a component at a time, and deactivate
     exactly the processors that no other live path crosses; their loads are then exactly 0."""
     del state.committed[flow.id]
+    del state.demands[flow.id]
     crossed = {v for other in state.committed.values() for v in other}
     for v in path:
         if v in state.packed:

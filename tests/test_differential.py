@@ -35,7 +35,8 @@ from greenroute import (
     shortest_path,
 )
 from greenroute.baselines import _tree_drawer
-from greenroute.mrg import _greedy_path, _sample_shortest
+from greenroute.mrg import _greedy_path
+from greenroute.topology import _sample_shortest
 from greenroute.workload import on_grid
 
 from oracle_helpers import (

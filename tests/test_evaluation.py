@@ -1,6 +1,5 @@
 import csv
 import dataclasses
-import math
 import random
 import time
 
@@ -36,6 +35,9 @@ from greenroute.evaluation import CSV_COLUMNS, ROUTERS
 from greenroute.workload import generate_workload, on_grid
 
 from oracle_helpers import (
+    EDGE,
+    TICK,
+    _boundary_pair,
     first_dimension,
     l1_bound,
     min_bins_by_subset_dp,
@@ -326,25 +328,6 @@ def test_routers_stay_feasible_at_extreme_demands(tree4, check_solution, workloa
 # dimension. Demands are on the 2**-40 grid, so whether b fits once a is
 # committed, by ``fits``, does not depend on which is committed first, and
 # it is every solver's answer in either order.
-
-TICK = 2.0**-40
-EDGE = math.floor((1.0 + CAP_TOL) / TICK) * TICK  # the largest grid load that fits: 1 + 1099 steps
-
-
-@st.composite
-def _boundary_pair(draw):
-    """(a, b) on the grid, K <= 3: b_k within 3 grid steps of EDGE - a_k in one dimension k, below 1 - a_j elsewhere.
-
-    a_j stays at or below 1 - TICK on the grid, so 1 - a_j leaves room for b_j.
-    """
-    dims = draw(st.integers(1, 3))
-    k = draw(st.integers(0, dims - 1))
-    a = on_grid(draw(st.floats(1e-11, 1.0) if j == k else st.floats(0.0, 1.0 - TICK, exclude_min=True))
-                for j in range(dims))
-    b = on_grid(EDGE - c + draw(st.integers(-3, 3)) * TICK if j == k
-                else draw(st.floats(0.0, 1.0 - c, exclude_min=True, exclude_max=True)) for j, c in enumerate(a))
-    return a, b
-
 
 def _second_fits(first, second, view):
     """Whether ``second`` fits, on its first ``view`` components, a processor that carries only ``first``."""

@@ -23,7 +23,7 @@ from greenroute import (
     route_mrg,
     shortest_path,
 )
-from greenroute.mrg import _order_bits
+from greenroute.state import _order_bits
 from greenroute.topology import Node, NodeKind, Topology
 from greenroute.workload import generate_workload, on_grid
 
@@ -487,6 +487,7 @@ def test_commit_wakes_path_processors_and_departure_reverses_it(tree4):
     assert state.commit(1, (1, 16, 1), state.pack((0.25,))) is None
     assert state.active == {16, 24, 17}
     assert state.committed == {0: (0, 16, 24, 17, 2), 1: (1, 16, 1)}
+    assert state.demands == {0: state.pack((0.25,)), 1: state.pack((0.25,))}
     assert state.load[16] == [0.5] and state.active == {16, 24, 17}
     online_departure(state, tree4, Flow(0, 0, 2, (0.25,)), (0, 16, 24, 17, 2))
     assert state.active == {16} and state.load[24] == [0.0] and state.load[16] == [0.25]
@@ -575,6 +576,21 @@ def test_departure_on_another_path_rejected(tree4):
         with pytest.raises(ValueError, match="does not match the committed path"):
             online_departure(state, tree4, flow, other)
     assert state == before
+
+
+def test_departure_with_another_demand_rejected(tree4):
+    # taking (0.3, 0.2) off a (0.1, 0.2) load would borrow across the packed
+    # fields, and (0.05, 0.2) would leave a phantom load: both are refused
+    state = ResidualState.fresh(tree4, 2)
+    flow = Flow(0, 0, 4, (0.1, 0.2))
+    path = online_arrival(state, tree4, flow)
+    before = copy.deepcopy(state)
+    for demand in ((0.3, 0.2), (0.05, 0.2)):
+        with pytest.raises(ValueError, match="does not match the committed demand"):
+            online_departure(state, tree4, Flow(0, 0, 4, demand), path)
+    assert state == before
+    online_departure(state, tree4, flow, path)
+    assert state == ResidualState.fresh(tree4, 2)
 
 
 def test_arrival_stream_stays_feasible(tree4):

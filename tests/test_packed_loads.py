@@ -29,14 +29,11 @@ from greenroute import (
     route_srg,
     route_srsp,
 )
-from greenroute.mrg import WIDTH, _field_max, _guards, _pack, _steps, _unpack
+from greenroute.state import WIDTH, _field_max, _guards, _pack, _steps, _unpack
 from greenroute.workload import on_grid
 
-from oracle_helpers import float_room, reference_solution_loads, set_loads, state_with
-from test_evaluation import _boundary_pair
+from oracle_helpers import EDGE, TICK, _boundary_pair, float_room, reference_solution_loads, set_loads, state_with
 
-TICK = 2.0**-40
-EDGE = 1.0 + 1099 * TICK  # the largest grid load that fits an empty demand
 MAX = sys.float_info.max
 
 
