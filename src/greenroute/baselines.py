@@ -196,10 +196,9 @@ def _route_shortest(topology: Topology, workload: Workload, seed: int, dims: int
     # a router that checks every dimension never sums a field past 1 + CAP_TOL
     state = ResidualState.fresh(topology, workload.dims, flows if dims < workload.dims else ())
     draw = _tree_drawer(state, topology)
-    room, pack, commit = state.room, state.pack, state.commit
-    for flow in flows:
-        packed = pack(flow.demand)
-        path = draw(room(flow.demand[:dims], packed), flow.src, flow.dst, rng)
+    commit = state.commit
+    for flow, (packed, room) in zip(flows, state.pack_rooms((flow.demand for flow in flows), dims)):
+        path = draw(room, flow.src, flow.dst, rng)
         if path is not None:
             commit(flow.id, path, packed)
     return state.solution(flows)

@@ -1,13 +1,16 @@
 """Hierarchical green routing (HGR) on fat-trees, and the paper's vector bin packer.
 
-Every flow must run between two hosts (``Topology._check_hosts``). Phase 1
-sizes each layer independently by the L1 bound of vector packing
+Every flow must run between two hosts: phase 1 looks up each flow's edge
+switches, and the first endpoint that is not a host raises as
+``Topology._check_hosts`` does. Phase 1 packs each flow's demand and room
+once (:meth:`ResidualState.pack_rooms`), which phase 2 reuses, and sizes
+each layer independently by the L1 bound of vector packing
 (Caprara & Toth, 2001), with no packer: per pod, over the flows entering
 or leaving the pod, and for the core layer, over the inter-pod flows
 (intra-rack traffic and flows that fit no idle switch excluded).
-The bound is the largest per-dimension demand sum rounded up, capped at
-the layer's width, and escalation in phase 2 wakes whatever more
-switches the paths need.
+The bound is the largest per-dimension demand sum, summed exactly as one
+packed int per layer, rounded up and capped at the layer's width, and
+escalation in phase 2 wakes whatever more switches the paths need.
 
 :func:`vbp_greedy` is the paper's packer, kept public but no longer on
 HGR's path: a bin-centric greedy that, for each placement, scores every
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 from math import ceil, isfinite
 from typing import AbstractSet, Sequence
 
-from .state import CAP_TOL, ResidualState, RoutingSolution
+from .state import CAP_TOL, ResidualState, RoutingSolution, _unpack
 from .topology import Topology, _sample_shortest
 from .workload import Workload, on_grid
 
@@ -256,14 +259,19 @@ def _tree_router(topology: Topology, state: ResidualState, activated: AbstractSe
     return route
 
 
-def _l1_count(items: Sequence[Sequence[float]], limit: int) -> int:
-    """The L1 bound of packing ``items`` into switches, capped at ``limit``.
+def _l1_count(load: int, dims: int, width: int, limit: int) -> int:
+    """The L1 bound of packing a layer's demands into switches, capped at ``limit``.
 
-    That is the largest per-dimension demand sum, rounded up, in units of
-    1 + CAP_TOL: what a switch carries in each dimension (``fits``). No items: 0.
+    ``load`` is their sum packed as :meth:`ResidualState.pack` packs one
+    demand, in fields of ``width`` bits; the bound is its largest field as a
+    float, rounded up in units of 1 + CAP_TOL: what a switch carries in
+    each dimension (``fits``). No demands: 0. Grid demands sum exactly in a
+    field, so below 2**13 the largest field reads as the float sums of the
+    demands do; from 2**13 on, both round up past the width of any layer of
+    a fat-tree with z <= 180, so the count is ``limit``. A 64-bit field holds
+    2**63 steps below its guard bit: about 8.4M unit demands per layer.
     """
-    load = max(map(sum, zip(*items)), default=0.0)
-    return min(limit, ceil(load / (1.0 + CAP_TOL)))
+    return min(limit, ceil(max(_unpack(load, dims, width)) / (1.0 + CAP_TOL)))
 
 
 def route_hgr(topology: Topology, workload: Workload) -> tuple[RoutingSolution, LayerCounts]:
@@ -273,49 +281,51 @@ def route_hgr(topology: Topology, workload: Workload) -> tuple[RoutingSolution, 
         raise ValueError("HGR requires a fat-tree topology")
     half = z // 2
     flows = workload.flows
-    topology._check_hosts(flows)
     edge_of = topology._host_edge
     pod_of = topology._host_pod
+    dims = workload.dims
+    state = ResidualState.fresh(topology, dims)
+    load, guard, width, commit = state.packed, state.guard, state.width, state.commit
 
     activated: set[int] = set()  # every flow's edge switches, then the phase-1 estimates
-    pod_items: list[list[tuple[float, ...]]] = [[] for _ in range(z)]
-    core_items: list[tuple[float, ...]] = []
-    for flow in flows:
-        src, dst, demand = flow.src, flow.dst, flow.demand
-        e_s = edge_of[src]
-        e_t = edge_of[dst]
+    pod_loads = [0] * z  # per pod, the packed sum of the demands entering or leaving it
+    core_load = 0  # the packed sum of the inter-pod demands
+    todo = []  # per flow, what phase 2 routes it by
+    for flow, (packed, room) in zip(flows, state.pack_rooms(flow.demand for flow in flows)):
+        src, dst = flow.src, flow.dst
+        try:
+            e_s = edge_of[src]
+            e_t = edge_of[dst]
+        except KeyError:  # not a host: the first such endpoint raises as every router's check does
+            topology._check_hosts(flows)
+            raise
         activated.add(e_s)
         activated.add(e_t)
+        todo.append((flow.id, src, dst, e_s, e_t, packed, room))
         if e_s == e_t:
             continue  # intra-rack: touches no aggregation or core switch
-        if max(demand) > 1.0 + CAP_TOL:
+        if room & guard != guard:
             continue  # no switch holds it; phase 2 routes it by the capability rule like any router
         src_pod = pod_of[src]
         dst_pod = pod_of[dst]
-        pod_items[src_pod].append(demand)
+        pod_loads[src_pod] += packed
         if dst_pod != src_pod:
-            pod_items[dst_pod].append(demand)
-            core_items.append(demand)
+            pod_loads[dst_pod] += packed
+            core_load += packed
     # A layer cannot wake more switches than it has; overload surfaces as
     # unrouted flows in phase 2 instead.
-    agg_per_pod = tuple(_l1_count(items, half) for items in pod_items)
-    cores = _l1_count(core_items, half * half)
+    agg_per_pod = tuple(_l1_count(x, dims, width, half) for x in pod_loads)
+    cores = _l1_count(core_load, dims, width, half * half)
 
     for aggs, count in zip(topology._agg_ids, agg_per_pod):
         activated.update(aggs[:count])
     activated.update(topology._core_ids[:cores])
 
-    state = ResidualState.fresh(topology, workload.dims)
-    load, guard, room_of, pack, commit = state.packed, state.guard, state.room, state.pack, state.commit
     route = _tree_router(topology, state, activated)
     escalate = _tree_router(topology, state, frozenset(topology.processor_ids))
-    for flow in flows:
-        src, dst, demand = flow.src, flow.dst, flow.demand
-        packed = pack(demand)
-        room = room_of(demand, packed)
+    for fid, src, dst, e_s, e_t, packed, room in todo:
         # an out-of-capacity edge switch cuts the flow off; no activation helps
-        if not ((room - load[edge_of[src]]) & guard == guard
-                and (room - load[edge_of[dst]]) & guard == guard):
+        if not ((room - load[e_s]) & guard == guard and (room - load[e_t]) & guard == guard):
             continue
         path = route(room, src, dst)
         if path is None:
@@ -323,5 +333,5 @@ def route_hgr(topology: Topology, workload: Workload) -> tuple[RoutingSolution, 
             if path is None:
                 continue
             activated.update(path[1:-1])
-        commit(flow.id, path, packed)
+        commit(fid, path, packed)
     return state.solution(flows), LayerCounts(agg_per_pod, cores, frozenset(activated))

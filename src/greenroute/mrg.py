@@ -8,9 +8,10 @@ flow is then routed on the full capacity-feasible network by a weighted
 shortest path, where active nodes are scored by how badly their load
 profile clashes with the flow's demand profile (the inversion count between
 the room they have left and the demand) and inactive nodes carry a weight
-strictly above any possible inversion count. Node weights are turned into
-link weights by halving, which preserves the argmin over paths, so plain
-Dijkstra applies. Loads, the capability rule and the commit are the shared
+strictly above any possible inversion count. The paper turns node weights
+into link weights by halving, which preserves the argmin over paths; the
+greedy step runs Dijkstra on the node weights themselves, with the same
+answer. Loads, the capability rule and the commit are the shared
 :class:`greenroute.state.ResidualState`.
 
 The batch router computes exactly what that description says, with less
@@ -24,9 +25,12 @@ switches first. The greedy step weighs its candidates in one pass before it
 searches: :meth:`ResidualState.capable`, the batch form of the capability
 rule, lists the capable processors (only the active ones on an arrival's
 first try), each of them gets its weight, and no other node is entered.
-Its Dijkstra then labels nodes from the target on doubled integer weights
-and walks from the source; only the reference :func:`shortest_path` keeps
-a path per heap entry. It weighs an active node with one AND and a
+Its Dijkstra then labels nodes from the target, each node's key its own
+weight and one hop on top of its neighbour's, (cost, hops) packed in one int; since
+every arc into a node carries that node's weight, the first key a node
+gets is final, so each node is labelled and pushed once, as one int. It
+then walks from the source; only the reference :func:`shortest_path`
+keeps a path per heap entry. It weighs an active node with one AND and a
 popcount: the state caches a bit mask of how each processor's load orders
 its dimensions (:meth:`ResidualState.order_of`), and the step builds the
 demand's ordered pairs once; a node's mask is rebuilt only after its load
@@ -49,7 +53,6 @@ from __future__ import annotations
 import heapq
 import random
 from collections.abc import Mapping
-from math import inf
 from typing import Iterable, Sequence
 
 from .state import ResidualState, RoutingSolution, _order_bits
@@ -175,13 +178,22 @@ def _greedy_path(state: ResidualState, topology: Topology, room: int, src: int, 
     dimensions the router sees, and ``room`` is its
     :meth:`ResidualState.room`. Interior nodes are the capable processors,
     ``state.capable(room, within)``, that ``Topology._inner_adj`` lists as
-    relays. One pass over them weighs each before the search; every other
-    node weighs ``None`` and is never entered. A Dijkstra from ``dst``
-    labels nodes with their least (cost, hops) to it on doubled, integer
-    link weights w_u + w_v (both endpoints weigh 0: every path holds them),
-    and stops once ``src`` is settled. Labels strictly decrease along an optimal path, so stepping from
-    ``src`` to the smallest-id neighbour with a tight label gives the
-    lexicographically smallest one.
+    relays. One pass over them weighs each before the search; no other
+    node is entered. A Dijkstra from ``dst`` on node weights labels each
+    node v with its least (cost, hops) to ``dst``, v and ``dst`` included,
+    packed in one int, ``cost << b | hops`` with b = ``len(topology).bit_length()``,
+    so one comparison orders labels by cost, then hops: the key of v
+    reached from u is ``key(u) + (w(v) << b) + 1``. The link weights
+    (w_u + w_v) / 2 of the reference differ from this on every s-t path by
+    the same half endpoint weights, 0 for hosts, so both rank paths alike.
+    Every arc into v adds v's own weight and a hop, and keys leave the heap
+    in nondecreasing order, so the first key a node gets is its least: it
+    is labelled once, and each heap entry, one int ``key << b | v``, is
+    never superseded. The search stops once ``src`` leaves the heap. Labels
+    strictly decrease along an optimal path, and every node labelled lower
+    than ``src`` is labelled by then, so stepping from ``src`` to the
+    smallest-id neighbour with ``lab[v] == lab[u] - (w(u) << b) - 1``
+    gives the lexicographically smallest optimal path.
 
     An active node weighs ``(state.order_of(v) & pairs).bit_count()``, where
     ``pairs`` holds the demand's ordered pairs at the masks' bit positions
@@ -192,43 +204,47 @@ def _greedy_path(state: ResidualState, topology: Topology, room: int, src: int, 
     active = state.active
     order_of = state.order_of
     dims = len(demand)
-    inactive_w = dims * (dims - 1) // 2 + 1
+    n = len(topology)
+    b = n.bit_length()  # hops < n fit in b bits, and so does a node id
     # the demand's pairs, at the bit positions of the state's load-order masks
     pairs = _order_bits(demand, state.dims)
-    n = len(topology)
-    nw: list[int | None] = [None] * n  # None: v may not be entered
+    # Before v is reached, lab[v] is -(w(v) << b) - 1, the step's cost negated, so
+    # reaching v from u sets lab[v] = lab[u] - lab[v]; ``far``, above every key,
+    # marks a node that may not be entered. Only capable candidates go negative.
+    inactive = -((dims * (dims - 1) // 2 + 1) << b) - 1
+    far = (n * (dims * dims + 1)) << b
+    lab = [far] * n
     for v in state.capable(room, within):
         if v not in active:
-            nw[v] = inactive_w
+            lab[v] = inactive
         else:
-            nw[v] = (order_of(v) & pairs).bit_count() if pairs else 0
+            lab[v] = -((order_of(v) & pairs).bit_count() << b) - 1 if pairs else -1
+    lab[src] = -1  # hosts weigh 0
+    step = lab[:]  # each node's step cost, negated, for the walk
+    lab[dst] = 0
     inner = topology._inner_adj
     s_adj = topology._adj[src]
-    best = [(inf, -1)] * n  # least (cost, hops) to dst found so far
-    nw[src] = nw[dst] = 0
-    best[dst] = (0, 0)
-    heap = [(0, 0, dst)]
+    heappop, heappush = heapq.heappop, heapq.heappush
+    mask = (1 << b) - 1
+    heap = [dst]
     while heap:
-        cost, hops, u = heapq.heappop(heap)
-        if (cost, hops) > best[u]:
-            continue  # superseded
+        u = heappop(heap) & mask
         if u == src:
             break
-        cost += nw[u]
-        hops += 1
+        key = lab[u]
         for v in (*inner[u], src) if u in s_adj else inner[u]:
-            w = nw[v]
-            if w is not None and (cost + w, hops) < best[v]:
-                best[v] = (cost + w, hops)
-                heapq.heappush(heap, (cost + w, hops, v))
+            x = lab[v]
+            if x < 0:
+                lab[v] = x = key - x
+                heappush(heap, x << b | v)
     else:
         return None
     adj = topology._adj
     path = [src]
     u = src
     while u != dst:
-        cost, hops = best[u][0] - nw[u], best[u][1] - 1
-        u = next(v for v in adj[u] if best[v][1] == hops and best[v][0] + nw[v] == cost)
+        tight = lab[u] + step[u]
+        u = next(v for v in adj[u] if lab[v] == tight)
         path.append(u)
     return path
 
@@ -243,8 +259,8 @@ def _route_greedy(topology: Topology, workload: Workload, seed: int, dims: int) 
     active = state.active
     fits = state.fits
     demands = [flow.demand[:dims] for flow in flows]
-    packed = [state.pack(flow.demand) for flow in flows]
-    rooms = [state.room(demand, p) for demand, p in zip(demands, packed)]
+    packs = state.pack_rooms((flow.demand for flow in flows), dims)  # per flow id, (packed demand, room)
+    rooms = [room for _, room in packs]
     pending = list(flows)
     start = 0  # pending[:start] failed the pick test since the last processor woke
 
@@ -264,7 +280,7 @@ def _route_greedy(topology: Topology, workload: Workload, seed: int, dims: int) 
         path = _greedy_path(state, topology, rooms[flow.id], flow.src, flow.dst, demands[flow.id])
         if path is not None:
             before = len(active)
-            state.commit(flow.id, path, packed[flow.id])
+            state.commit(flow.id, path, packs[flow.id][0])
             if len(active) > before:
                 start = 0
     return state.solution(flows)
@@ -290,14 +306,13 @@ def online_arrival(state: ResidualState, topology: Topology, flow: Flow) -> tupl
     topology._check_hosts((flow,))
     src, dst, demand = flow.src, flow.dst, flow.demand
     state._check_dims(demand)
-    packed = state.pack(demand)
-    room = state.room(demand, packed)
+    (packed, room), = state.pack_rooms((demand,))
     path = (_greedy_path(state, topology, room, src, dst, demand, state.active)
             or _greedy_path(state, topology, room, src, dst, demand))
     if path is None:
         return None
     state.commit(flow.id, path, packed)
-    return tuple(path)
+    return state.committed[flow.id]
 
 
 def online_departure(state: ResidualState, topology: Topology, flow: Flow, path: Sequence[int]) -> None:

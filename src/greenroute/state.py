@@ -4,9 +4,8 @@ Every router and the online path keep their state in one
 :class:`ResidualState`: per-processor loads in every workload dimension,
 summed once as flows commit, one capability rule, and one commit. Each
 router's :class:`RoutingSolution` reads its loads and its unrouted flows
-from that state. Each router packs each flow's demand once per call
-(:meth:`ResidualState.pack`) and derives its room from it
-(:meth:`ResidualState.room`).
+from that state. Each router packs every flow's demand and its room in
+one call (:meth:`ResidualState.pack_rooms`).
 
 Conventions fixed for reproducibility: capacity is normalized to 1 in every
 dimension; loads start at 0 and are exact sums of demands on a 2**-40 grid,
@@ -26,6 +25,7 @@ from __future__ import annotations
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import partial
 from math import inf
 from typing import Iterable, Sequence
 
@@ -91,6 +91,11 @@ def _unpack(packed: int, dims: int, width: int) -> list[float]:
         return [f / STEPS if f <= _MAX_STEPS else inf for f in fields]
 
 
+def _unpack_tuple(dims: int, width: int, packed: int) -> tuple[float, ...]:
+    """:func:`_unpack` as a tuple, a processor's load as a solution reads it."""
+    return tuple(_unpack(packed, dims, width))
+
+
 def _field_max(a: int, b: int, guards: int, width: int) -> int:
     """The field-wise maximum of two packed loads, whose guard bits are clear.
 
@@ -140,6 +145,9 @@ class _Floats(Mapping):
 
     def __len__(self) -> int:
         return len(self._packed)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
 
 
 @dataclass
@@ -214,21 +222,39 @@ class ResidualState:
         """``demand`` in this state's layout, as :meth:`commit` adds it."""
         return _pack(demand, self.width)
 
-    def room(self, demand: Sequence[float], packed: int | None = None) -> int:
+    def pack_rooms(self, demands: Iterable[Sequence[float]], seen: int | None = None) -> list[tuple[int, int]]:
+        """Per demand, in one pass: its :meth:`pack`, and the :meth:`room` of its first ``seen``
+        components (all of them by default).
+
+        When no component exceeds 1 + CAP_TOL, each field of the packed
+        demand stays below its guard, and the room is the zero demand's less
+        the packed demand's first ``seen`` fields, with no borrow; any other
+        demand takes :func:`_pack` and :func:`_pack_room`.
+        """
+        dims, width = self.dims, self.width
+        seen = dims if seen is None else seen
+        zero, low = self._rooms[seen], (1 << (width * seen)) - 1
+        cap = 1.0 + CAP_TOL
+        out = []
+        for demand in demands:
+            packed = 0
+            for c in reversed(demand):
+                if c > cap:
+                    break
+                packed = (packed << width) | int(c * 2.0**40)  # _steps(c) for c <= cap
+            else:
+                out.append((packed, zero - (packed & low)))
+                continue
+            out.append((_pack(demand, width), _pack_room(demand[:seen], dims, width)))
+        return out
+
+    def room(self, demand: Sequence[float]) -> int:
         """The most load a processor may carry and still take ``demand``: (1 + CAP_TOL) - demand, packed.
 
         A router that sees only a prefix of the dimensions passes that
-        prefix; the other fields fit every load. ``packed``, the
-        :meth:`pack` of ``demand`` or of a demand it is a prefix of, saves
-        packing it again: when no component exceeds 1 + CAP_TOL, the room
-        is the zero demand's less ``packed``'s first fields, with no borrow.
+        prefix; the other fields fit every load.
         """
-        n = len(demand)
-        if max(demand) > 1.0 + CAP_TOL:
-            return _pack_room(demand, self.dims, self.width)
-        if packed is None:
-            packed = _pack(demand, self.width)
-        return self._rooms[n] - (packed & ((1 << (self.width * n)) - 1))
+        return self.pack_rooms((demand,), len(demand))[0][1]
 
     def fits(self, v: int, room: int) -> bool:
         """The capability rule: ``v``'s load is within ``room`` (see :meth:`room`) in every field."""
@@ -266,6 +292,7 @@ class ResidualState:
         Drops their cached load-order masks.
         """
         load = self.packed
+        path = tuple(path)
         inner = path[1:-1]
         for v in inner:
             load[v] += demand
@@ -274,22 +301,22 @@ class ResidualState:
         if order:
             for v in inner:
                 order.pop(v, None)
-        self.committed[flow_id] = tuple(path)
+        self.committed[flow_id] = path
         self.demands[flow_id] = demand
 
     def solution(self, flows: Iterable[Flow]) -> RoutingSolution:
         """The committed paths and the loads as an immutable solution; other ``flows`` are unrouted.
 
-        Idle processors share one tuple of zeros.
+        The loads are a read-only view over a copy of ``packed``, which later
+        commits and departures leave alone: a processor's floats are made
+        when read. The view pickles, as the solution does.
         """
         committed = self.committed
-        dims, width = self.dims, self.width
-        idle = (0.0,) * dims
         return RoutingSolution(
             paths=dict(committed),
             active=frozenset(self.active),
             unrouted=frozenset(flow.id for flow in flows if flow.id not in committed),
-            load={v: tuple(_unpack(x, dims, width)) if x else idle for v, x in self.packed.items()},
+            load=_Floats(dict(self.packed), partial(_unpack_tuple, self.dims, self.width)),
         )
 
 
@@ -297,8 +324,12 @@ class ResidualState:
 class RoutingSolution:
     """Result of routing one workload: committed paths, the carrying set, and loads.
 
-    ``load`` holds every processor's load in all workload dimensions, whatever
-    dimensions the router checked. ``active`` is exactly the set of processors
+    ``load`` maps every processor to its load in all workload dimensions,
+    whatever dimensions the router checked, as a tuple of floats. From
+    :meth:`ResidualState.solution` it is a read-only view over a snapshot
+    of the state's packed loads, made when the solution is: later commits
+    and departures on the state do not change it, and a processor's floats
+    are made when read. ``active`` is exactly the set of processors
     with a nonzero load (demands are positive); ``unrouted`` holds the flow
     ids that are not in ``paths``.
     """
@@ -306,4 +337,4 @@ class RoutingSolution:
     paths: dict[int, tuple[int, ...]]
     active: frozenset[int]
     unrouted: frozenset[int]
-    load: dict[int, tuple[float, ...]]
+    load: Mapping[int, tuple[float, ...]]

@@ -19,7 +19,8 @@ child starts. pytest does not collect this file. KIND is one of:
   counts alone mislead when the two sides differ by 1-2%.
 - ``criterion9 --src A [--src B ...] [--runs 40]``: the median ratio from
   the ``ACCEPTANCE  9`` line of ``TEST_9``. Prints its median, quartiles
-  and minimum per checkout.
+  and minimum per checkout, and the medians of MRG's and HGR's median call
+  times where the line gives them.
 - ``tier1 --src A [--src B ...] [--runs 3]``: the whole suite with
   ``--durations=0 --durations-min=0``. A reading is the sum of every setup,
   call and teardown duration, the child's CPU seconds (user plus system) and
@@ -165,22 +166,26 @@ def perfbench(args) -> None:
 
 
 TEST_9 = "tests/test_acceptance.py::test_criterion_9_runtime_ratio"
-LINE_9 = re.compile(r"ACCEPTANCE\s+9 .*median ratio ([0-9.]+)")
+LINE_9 = re.compile(r"ACCEPTANCE\s+9 .*median ratio ([0-9.]+)(?:.*MRG median ([0-9.]+) ms, HGR median ([0-9.]+) ms)?")
 
 
-def ratio_reading(ran: subprocess.CompletedProcess) -> float | None:
-    """The median ratio from one run's ``ACCEPTANCE  9`` line; None if the output has no such line."""
+def ratio_reading(ran: subprocess.CompletedProcess) -> tuple[float, float | None, float | None] | None:
+    """(median ratio, MRG's and HGR's median ms) from one run's ``ACCEPTANCE  9`` line, each time None
+    if the line does not give it; None if the output has no such line."""
     match = LINE_9.search(ran.stdout)
-    return float(match[1]) if match else None
+    return tuple(None if x is None else float(x) for x in match.groups()) if match else None
 
 
 def criterion9(args) -> None:
     cmd = ["-m", "pytest", "-q", "-s", "-p", "no:cacheprovider", TEST_9]
     done = rounds(args.src, args.runs, lambda checkout: child(checkout, cmd, ratio_reading),
                   lambda run, got: f"round {run + 1}/{args.runs}: "
-                                   + ", ".join(f"{side.name} {r:.1f}" for side, r in zip(args.src, got)))
-    for side, ratios in zip(args.src, zip(*done)):
-        print(f"{side}: {quartiles(ratios, '.1f')}, min {min(ratios):.1f}, {args.runs} runs")
+                                   + ", ".join(f"{side.name} {r[0]:.1f}" for side, r in zip(args.src, got)))
+    for side, readings in zip(args.src, zip(*done)):
+        ratios, mrg, hgr = zip(*readings)
+        times = (f"; MRG median {statistics.median(mrg):.2f} ms, HGR median {statistics.median(hgr):.3f} ms"
+                 if None not in mrg + hgr else "")
+        print(f"{side}: {quartiles(ratios, '.1f')}, min {min(ratios):.1f}, {args.runs} runs{times}")
 
 
 PYTEST = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",

@@ -14,6 +14,8 @@ the layers' L1 bounds, and HGR must route as its frozen copy does.
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from greenroute import (
     Flow,
@@ -290,6 +292,65 @@ def test_greedy_step_matches_reference_on_arbitrary_graphs():
         seen["only neighbour"] += topology._adj[t] == (s,) or topology._adj[s] == (t,)
         seen["found" if any(paths) else "none"] += 1
     assert min(seen.values()) > 150, seen
+
+
+# Small graphs off the fat-tree for the greedy step, as (edges, hosts, loads,
+# demand): nodes 0 and 1 are the endpoints, ``loads`` holds every processor's
+# load and a processor is active iff its load is not zero. With the demand
+# (0.2, 0.1), W0 = (0.1, 0.3) orders its room as the demand does and weighs
+# 0, W1 = (0.3, 0.1) weighs 1 and an idle processor 2 (K(K-1)/2 + 1).
+W0, W1, IDLE = (0.1, 0.3), (0.3, 0.1), (0.0, 0.0)
+STEP_CASES = {
+    # a longer path over zero-weight relays beats a short one through an idle switch
+    "longer but cheaper": (((0, 2), (2, 1), (0, 3), (3, 4), (4, 1)), (0, 1), {2: IDLE, 3: W0, 4: W0},
+                           (0.2, 0.1), [0, 3, 4, 1]),
+    # at equal cost fewer hops win, though the longer path's ids are smaller
+    "equal cost, fewer hops": (((0, 2), (2, 4), (4, 1), (0, 3), (3, 1)), (0, 1), {2: W1, 3: W1, 4: W0},
+                               (0.2, 0.1), [0, 3, 1]),
+    # at equal cost and hops the smallest id wins at every step, not only the first
+    "equal cost and hops": (((0, 2), (0, 3), (2, 5), (3, 4), (4, 1), (5, 1), (2, 4)), (0, 1),
+                            {2: W0, 3: W0, 4: W0, 5: W0}, (0.2, 0.1), [0, 2, 4, 1]),
+}
+
+
+def _step_case_state(edges, hosts, loads, demand):
+    """The topology and the state of one small-graph case."""
+    n = len(hosts) + len(loads)
+    topology = Topology([Node(v, NodeKind.HOST if v in hosts else NodeKind.EDGE, None, v) for v in range(n)], edges)
+    return topology, state_with(loads, {v for v, load in loads.items() if any(load)}, len(demand))
+
+
+@st.composite
+def _small_graph_case(draw):
+    """A random graph of 3-9 nodes: a few extra hosts, which must not relay, and processors that are
+    idle, active at few load levels (equal weights and zero-weight relays are common) or too full."""
+    n = draw(st.integers(3, 9))
+    dims = draw(st.integers(1, 3))
+    edges = tuple((u, v) for u in range(n) for v in range(u + 1, n) if draw(st.booleans()))
+    hosts = (0, 1, *(v for v in range(2, n) if draw(st.integers(0, 5)) == 0))
+    level = st.sampled_from((0.0, 0.0, 0.1, 0.3, 0.5, 0.97))
+    loads = {v: tuple(draw(level) for _ in range(dims)) for v in range(n) if v not in hosts}
+    demand = tuple(draw(st.sampled_from((0.05, 0.1, 0.2))) for _ in range(dims))
+    return edges, hosts, loads, demand
+
+
+@settings(max_examples=400, deadline=None)
+@given(_small_graph_case())
+@example(STEP_CASES["longer but cheaper"][:4])
+@example(STEP_CASES["equal cost, fewer hops"][:4])
+@example(STEP_CASES["equal cost and hops"][:4])
+def test_greedy_step_matches_reference_on_small_graphs(case):
+    # Off the fat-tree a node's label must still be final when it is first
+    # reached, on the active capable nodes and on every capable node.
+    topology, state = _step_case_state(*case)
+    _assert_step_matches_reference(state, topology, 0, 1, on_grid(case[3]))
+
+
+@pytest.mark.parametrize("case", STEP_CASES.values(), ids=STEP_CASES)
+def test_greedy_step_orders_paths_by_cost_then_hops_then_ids(case):
+    *graph, expected = case
+    topology, state = _step_case_state(*graph)
+    assert _assert_step_matches_reference(state, topology, 0, 1, on_grid(graph[3])) == [expected, expected]
 
 
 def test_sample_shortest_matches_both_references():

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from greenroute import (
     CAP_TOL,
@@ -15,9 +17,11 @@ from greenroute import (
     route_mrg,
     vbp_greedy,
 )
+from greenroute.hgr import _l1_count
+from greenroute.state import WIDTH, _pack
 from greenroute.workload import generate_workload, on_grid
 
-from oracle_helpers import layer_items, min_bins_by_subset_dp, reference_l1_count, state_with
+from oracle_helpers import EDGE, TICK, layer_items, min_bins_by_subset_dp, reference_l1_count, state_with
 
 TOL = 1e-9
 
@@ -217,6 +221,52 @@ def test_hgr_counts_clamped_to_layer_width(tree4):
     sol, counts = route_hgr(tree4, Workload(flows, 1, z=4))
     assert counts.agg_per_pod[0] == 2
     assert len(sol.unrouted) == 3  # the shared edge switch fits only the first flow
+
+
+# grid components that put a layer's sums on and around multiples of 1 + CAP_TOL
+_L1_COMPONENT = st.one_of(st.sampled_from((1.0, EDGE, 0.5, 0.25, 1.0 - TICK, TICK, CAP_TOL)),
+                          st.floats(0.0, 1.0, exclude_min=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda dims: st.tuples(
+    st.just(dims), st.lists(st.tuples(*[_L1_COMPONENT] * dims).map(on_grid), max_size=40))), st.integers(1, 64))
+@example((1, [(EDGE,), (EDGE,), (TICK,)]), 64)
+@example((2, []), 3)
+def test_l1_count_of_a_packed_sum_is_the_float_bound(case, limit):
+    # Phase 1 sums each layer's demands as one packed int; its largest field
+    # must give the bound the float sums gave, min(limit, ceil(max sum / (1 + CAP_TOL))).
+    dims, demands = case
+    packed = sum(_pack(demand, WIDTH) for demand in demands)
+    largest = max(map(sum, zip(*demands)), default=0.0)
+    assert _l1_count(packed, dims, WIDTH, limit) == min(limit, math.ceil(largest / (1.0 + CAP_TOL)))
+
+
+def test_l1_count_holds_a_layer_past_the_exact_floats():
+    # From 2**13 on every layer is capped at its width; a 64-bit field holds
+    # 2**63 steps below its guard bit, 2**23 = 8388608 unit demands.
+    assert _l1_count(_pack((0.5, 8192.0), WIDTH), 2, WIDTH, 8100) == 8100
+    assert _l1_count((1 << 63) - 1, 1, WIDTH, 10**9) == 2**23
+
+
+def test_hgr_raises_for_a_later_flow_as_check_hosts_does(tree4):
+    # Phase 1 checks the endpoints as it looks up their edge switches: after
+    # an intra-rack, an oversize and an inter-pod flow, the first offender
+    # raises what Topology._check_hosts raises, its src before its dst, and
+    # not the later flow's error.
+    edge, unknown = tree4._host_edge[0], len(tree4)
+    earlier = (Flow(0, 0, 1, (0.1,)), Flow(1, 0, 5, (1.5,)), Flow(2, 4, 9, (0.3,)))
+    cases = (((0, edge), ValueError, f"node {edge} is not a host"),
+             ((edge, unknown), ValueError, f"node {edge} is not a host"),
+             ((unknown, edge), KeyError, f"unknown node id {unknown}"),
+             ((3, -1), KeyError, "unknown node id -1"))
+    for ends, error, message in cases:
+        flows = (*earlier, Flow(3, *ends, (0.2,)), Flow(4, -1, edge, (0.2,)))
+        with pytest.raises(error) as expected:
+            tree4._check_hosts(flows)
+        with pytest.raises(error) as raised:
+            route_hgr(tree4, Workload(flows, 1, z=4))
+        assert type(raised.value) is error and raised.value.args == expected.value.args == (message,)
 
 
 def test_hgr_reports_oversize_flows_unrouted_like_every_router(tree4):

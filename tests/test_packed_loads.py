@@ -10,9 +10,11 @@ capacity, widen their fields instead of spilling into a neighbour.
 """
 
 import math
+import pickle
 import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +23,7 @@ from greenroute import (
     Flow,
     ResidualState,
     Workload,
+    generate_workload,
     online_arrival,
     online_departure,
     route_hgr,
@@ -29,6 +32,7 @@ from greenroute import (
     route_srg,
     route_srsp,
 )
+from greenroute.evaluation import ROUTERS
 from greenroute.state import WIDTH, _field_max, _guards, _pack, _steps, _unpack
 from greenroute.workload import on_grid
 
@@ -103,8 +107,7 @@ def test_fits_and_capable_are_the_float_rule(case):
     set_loads(state, loads)
     seen = demand[:view]
     room = state.room(seen)
-    if max(demand) < 2.0**22:  # the packed demand is exact in every field
-        assert state.room(seen, state.pack(demand)) == room
+    assert state.pack_rooms((demand,), view) == [(state.pack(demand), room)]
     expected = [v for v, load in loads.items() if _float_fits(load, seen)]
     assert [v for v in loads if state.fits(v, room)] == expected
     assert state.capable(room) == expected
@@ -119,7 +122,7 @@ def test_a_boundary_pair_fits_as_the_float_rule_says(pair, first_only):
     seen = demand[:1] if first_only else demand
     state = state_with({0: load})
     assert state.fits(0, state.room(seen)) == _float_fits(load, seen)
-    assert state.fits(0, state.room(seen, state.pack(demand))) == _float_fits(load, seen)
+    assert state.fits(0, state.pack_rooms((demand,), len(seen))[0][1]) == _float_fits(load, seen)
 
 
 # -- the guard-bit field maximum and the departure -----------------------------------
@@ -199,3 +202,39 @@ def test_a_1e300_component_neither_crashes_nor_spills(tree4):
         assert solution.load[16] == (0.25, 0.5, 0.5)
     state = ResidualState.fresh(tree4, 3)
     assert [online_arrival(state, tree4, flow) is not None for flow in flows] == [False, True, False]
+
+
+# -- the solution's loads ----------------------------------------------------------------
+
+def test_solution_loads_are_a_read_only_float_view(tree4):
+    workload = generate_workload(tree4, 40, 3, 0.1, 0.05, seed=40)
+    for algo, router in ROUTERS.items():
+        solution = router(tree4, workload, 40)
+        load = solution.load
+        assert load == reference_solution_loads(tree4, workload, solution.paths), algo
+        assert not isinstance(load, dict) and all(type(vec) is tuple for vec in load.values()), algo
+        v = next(iter(load))
+        with pytest.raises(TypeError):
+            load[v] = (0.0, 0.0, 0.0)
+        with pytest.raises(AttributeError):
+            load.pop(v)
+        assert pickle.loads(pickle.dumps(solution)) == solution, algo
+
+
+def test_solution_loads_are_a_snapshot_of_the_state(tree4):
+    # commits and departures after solution() change the state, not the solution
+    workload = generate_workload(tree4, 60, 3, 0.1, 0.05, seed=41)
+    state = ResidualState.fresh(tree4, 3)
+    live = [(flow, online_arrival(state, tree4, flow)) for flow in workload.flows[:30]]
+    solution = state.solution(workload.flows[:30])
+    before = dict(solution.load.items())
+    assert before == reference_solution_loads(tree4, workload, solution.paths)
+    gone = [(flow, path) for flow, path in live[::2] if path is not None]
+    for flow, path in gone:
+        online_departure(state, tree4, flow, path)
+    flow, path = gone[0]
+    state.commit(flow.id, path, state.pack(flow.demand))
+    for flow in workload.flows[30:]:
+        online_arrival(state, tree4, flow)
+    assert dict(state.load.items()) != {v: list(vec) for v, vec in before.items()}
+    assert dict(solution.load.items()) == before

@@ -91,6 +91,26 @@ def test_tier1_durations_reads_a_run_with_failing_tests(monkeypatch, capsys):
                         f"{REPO}: tests/test_b.py summed durations median 0.50 (quartiles 0.50-0.50), min 0.50 s\n")
 
 
+def test_criterion9_medians_reads_the_ratio_with_or_without_the_call_times(monkeypatch, capsys, tmp_path):
+    # a checkout whose line gives MRG's and HGR's median ms, and one whose older line gives only the ratio
+    lines = {"times": "ACCEPTANCE  9 hierarchical heuristic speedup: PASS  [median ratio 24.5 over 5 runs "
+                      "(need >= 20); MRG median 15.25 ms, HGR median 0.612 ms]",
+             "ratio": "ACCEPTANCE  9 hierarchical heuristic speedup: PASS  [median ratio 26.1 over 5 runs "
+                      "(need >= 20)]"}
+    for name in lines:
+        (tmp_path / name / "src" / "greenroute").mkdir(parents=True)
+        (tmp_path / name / "src" / "greenroute" / "__init__.py").touch()
+        (tmp_path / name / "tests").mkdir()
+        (tmp_path / name / "tests" / "test_acceptance.py").touch()
+    monkeypatch.setattr(subprocess, "run", lambda cmd, cwd, **kwargs: subprocess.CompletedProcess(
+        cmd, 0, stdout=f".\n{lines[Path(cwd).name]}\n1 passed\n", stderr=""))
+    compare.main(["criterion9", "--src", str(tmp_path / "times"), "--src", str(tmp_path / "ratio"), "--runs", "1"])
+    assert capsys.readouterr().out == (
+        f"{tmp_path / 'times'}: median 24.5 (quartiles 24.5-24.5), min 24.5, 1 runs; "
+        "MRG median 15.25 ms, HGR median 0.612 ms\n"
+        f"{tmp_path / 'ratio'}: median 26.1 (quartiles 26.1-26.1), min 26.1, 1 runs\n")
+
+
 def test_perfbench_record_keeps_the_runs_of_the_same_two_commits(monkeypatch, tmp_path):
     # each checkout's canned perfbench output names the checkout as its commit
     sides = []
