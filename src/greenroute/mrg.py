@@ -26,15 +26,15 @@ searches: :meth:`ResidualState.capable`, the batch form of the capability
 rule, lists the capable processors (only the active ones on an arrival's
 first try), each of them gets its weight, and no other node is entered.
 Its Dijkstra then labels nodes from the target, each node's key its own
-weight and one hop on top of its neighbour's, (cost, hops) packed in one int; since
-every arc into a node carries that node's weight, the first key a node
-gets is final, so each node is labelled and pushed once, as one int. It
-then walks from the source; only the reference :func:`shortest_path`
-keeps a path per heap entry. It weighs an active node with one AND and a
-popcount: the state caches a bit mask of how each processor's load orders
-its dimensions (:meth:`ResidualState.order_of`), and the step builds the
-demand's ordered pairs once; a node's mask is rebuilt only after its load
-changes.
+weight and one hop on top of its neighbour's, (cost, hops) packed in one
+int; since every arc into a node carries that node's weight, the first
+key a node gets is final, so each node is labelled and pushed once, as
+one int. It then walks from the source; only the reference
+:func:`shortest_path` keeps a path per heap entry. It weighs an active
+node with one AND and a popcount: the state caches a bit mask of how each
+processor's load orders its dimensions (:meth:`ResidualState.order_of`),
+and the step builds the demand's ordered pairs once; a node's mask is
+rebuilt only after its load changes.
 
 An online arrival has no pick scan and no separate reachability test: it
 runs the greedy step on the active capable nodes alone, which finds a path

@@ -243,8 +243,9 @@ def test_l1_count_of_a_packed_sum_is_the_float_bound(case, limit):
 
 
 def test_l1_count_holds_a_layer_past_the_exact_floats():
-    # From 2**13 on every layer is capped at its width; a 64-bit field holds
-    # 2**63 steps below its guard bit, 2**23 = 8388608 unit demands.
+    # From 2**13 on the count passes the width of every layer of a fat-tree
+    # with z <= 180, which caps it; a 64-bit field holds 2**63 steps below
+    # its guard bit, 2**23 = 8388608 unit demands.
     assert _l1_count(_pack((0.5, 8192.0), WIDTH), 2, WIDTH, 8100) == 8100
     assert _l1_count((1 << 63) - 1, 1, WIDTH, 10**9) == 2**23
 
