@@ -7,7 +7,6 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
@@ -337,6 +336,9 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     # more workers than cells or cores only adds start-up cost
     workers = min(config.jobs, len(cells), os.cpu_count() or 1)
     if workers > 1:
+        # imported only here: it loads multiprocessing, about 1.7 MB of a process that never forks
+        from concurrent.futures import ProcessPoolExecutor
+
         # worker i runs every workers-th cell from i, so each share mixes flow counts
         shares = [(config, topology, cells[i::workers]) for i in range(workers)]
         per_cell: list = [None] * len(cells)

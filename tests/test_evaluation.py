@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import random
@@ -549,7 +550,7 @@ def test_worker_count_capped(monkeypatch, cpus, jobs, workers):
             return map(fn, cells)
 
     monkeypatch.setattr(evaluation.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     config = ExperimentConfig(z=2, dims=1, flow_counts=(2, 3, 4), algorithms=("hgr",),
                               trials=1, jobs=jobs)
     rows = run_experiment(config)

@@ -3,10 +3,13 @@
 ``topology`` is the graph substrate, with the hop search, and imports
 nothing from the package; ``state``, the routing state every router shares,
 rests on ``topology`` and ``workload`` alone; HGR routes on that state and
-never reaches into the greedy router (``mrg``) or the baselines.
+never reaches into the greedy router (``mrg``) or the baselines. Importing
+the package loads no process machinery: only a sweep with workers does.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import greenroute
@@ -32,3 +35,10 @@ def test_each_module_imports_only_the_layers_below_it():
     assert _imports("topology") == set()
     assert _imports("state") <= {"topology", "workload"}
     assert not _imports("hgr") & {"mrg", "baselines", "greenroute"}
+
+
+def test_importing_the_package_loads_no_process_pool():
+    ran = subprocess.run([sys.executable, "-c", "import sys, greenroute; print(sorted(m for m in sys.modules "
+                          "if m.split('.')[0] == 'multiprocessing' or m == 'concurrent.futures.process'))"],
+                         capture_output=True, text=True, check=True, cwd=PACKAGE.parent)
+    assert ran.stdout == "[]\n"
